@@ -67,6 +67,7 @@ from .analytic import (
     CURVE_COLUMNS,
     yield_angle,
     interval_solve,
+    interval_solve_batch,
     advance_interval,
     frame_force,
     program_theta_grid,

@@ -28,6 +28,7 @@ __all__ = [
     "CURVE_COLUMNS",
     "yield_angle",
     "interval_solve",
+    "interval_solve_batch",
     "advance_interval",
     "frame_force",
     "program_theta_grid",
@@ -100,7 +101,11 @@ class IntervalState:
 
 @dataclass(frozen=True)
 class IntervalSolution:
-    """Response at one angle-cosine increment within an interval."""
+    """Response at angle-cosine increments within an interval.
+
+    Floats from :func:`interval_solve`; arrays shaped like the increments
+    from :func:`interval_solve_batch`.
+    """
 
     tau: float
     phi_p_bar: float
@@ -122,8 +127,8 @@ def yield_angle(istate, p):
     return (f_iso(istate.q0, p) + abs(istate.tau0)) / p.mu_f
 
 
-def interval_solve(phi_bar, istate, p, tol=1e-12, max_iter=50):
-    """Closed-form response at angle-cosine increment ``phi_bar``.
+def interval_solve_batch(phi_bar, istate, p, tol=1e-12, max_iter=50):
+    """Closed-form response at each angle-cosine increment in ``phi_bar``.
 
     Solves the consistency condition for the plastic slip accumulated
     since the interval start.  The elastic range is direction aware:
@@ -132,68 +137,94 @@ def interval_solve(phi_bar, istate, p, tol=1e-12, max_iter=50):
     (f_iso(q0) - |tau0|) / mu_f.  This makes splitting a monotone interval
     at any intermediate point exact.
 
+    Every increment is measured from the same interval start, so the
+    points are independent: each runs its own bracketed Newton-bisection
+    on the slip and stops on its own tolerance, with the arithmetic of a
+    one-point solve.  A point's result does not depend on the others.
+
     Parameters
     ----------
-    phi_bar : float
-        theta12 - theta12(interval start), the angle-cosine increment.
+    phi_bar : array_like
+        theta12 - theta12(interval start), the angle-cosine increments.
     istate : IntervalState
     p : ElastoplasticParams
 
     Returns
     -------
     IntervalSolution
+        Fields are arrays shaped like ``phi_bar``; ``iterations`` counts
+        each point's own Newton-bisection steps.
+
+    Raises
+    ------
+    ConvergenceError
+        If any point is unconverged after ``max_iter`` iterations; the
+        residual is the largest unconverged ``|g|``.
     """
+    phi_bar = np.asarray(phi_bar, dtype=float)
     mu = p.mu_f
     tau0 = istate.tau0
     q0 = istate.q0
     fy0 = float(f_iso(q0, p))
 
-    if phi_bar > 0.0:
-        d = 1.0
-    elif phi_bar < 0.0:
-        d = -1.0
-    else:
-        return IntervalSolution(tau=tau0, phi_p_bar=0.0, q=q0, delta_alpha=0.0,
-                                plastic=False, iterations=0, residual=0.0)
-
+    d = np.where(phi_bar > 0.0, 1.0, np.where(phi_bar < 0.0, -1.0, 0.0))
+    pb = np.abs(phi_bar)
     phi_y = (fy0 - d * tau0) / mu
-    pb = abs(phi_bar)
-    if pb <= phi_y:
-        return IntervalSolution(tau=tau0 + mu * phi_bar, phi_p_bar=0.0, q=q0,
-                                delta_alpha=0.0, plastic=False, iterations=0,
-                                residual=0.0)
+    plastic = (d != 0.0) & ~(pb <= phi_y)
 
+    x = np.zeros(phi_bar.shape)
+    g = np.zeros(phi_bar.shape)
+    iterations = np.zeros(phi_bar.shape, dtype=int)
     # plastic: solve g(x) = d tau0 + mu (|phi_bar| - x) - f_iso(q0 + x) = 0,
-    # bracketed by g(0) = mu (|phi_bar| - phi_y) > 0 and g(hi) = -f_iso < 0
-    hi = pb + d * tau0 / mu
-    lo = 0.0
-    x = 0.0
-    g = mu * (pb - phi_y)
-    iterations = 0
+    # bracketed by g(0) = mu (|phi_bar| - phi_y) > 0 and g(hi) = -f_iso < 0;
+    # the arrays below hold the points still iterating
+    idx = np.flatnonzero(plastic)
+    dk = d.flat[idx]
+    pk = pb.flat[idx]
+    lo = np.zeros(idx.size)
+    hi = pk + dk * tau0 / mu
+    xk = np.zeros(idx.size)
+    gk = mu * (pk - phi_y.flat[idx])
     for it in range(1, max_iter + 1):
-        gp = -mu - float(f_iso_prime(q0 + x, p))
-        step = x - g / gp
-        if not np.isfinite(step) or step <= lo or step > hi:
-            step = 0.5 * (lo + hi)
-        x = step
-        g = d * tau0 + mu * (pb - x) - float(f_iso(q0 + x, p))
-        iterations = it
-        scale = max(mu, p.tau_y + float(f_iso(q0 + x, p)))
-        if abs(g) <= tol * scale:
+        if not idx.size:
             break
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-    else:
+        gp = -mu - f_iso_prime(q0 + xk, p)
+        step = xk - gk / gp
+        bad = ~np.isfinite(step) | (step <= lo) | (step > hi)
+        xk = np.where(bad, 0.5 * (lo + hi), step)
+        fk = f_iso(q0 + xk, p)
+        gk = dk * tau0 + mu * (pk - xk) - fk
+        scale = np.maximum(mu, p.tau_y + fk)
+        done = np.abs(gk) <= tol * scale
+        x.flat[idx[done]] = xk[done]
+        g.flat[idx[done]] = gk[done]
+        iterations.flat[idx[done]] = it
+        up = gk > 0.0
+        lo = np.where(up, xk, lo)
+        hi = np.where(up, hi, xk)
+        keep = ~done
+        idx, dk, pk, lo, hi, xk, gk = (
+            a[keep] for a in (idx, dk, pk, lo, hi, xk, gk))
+    if idx.size:
+        worst = float(np.abs(gk).max())
         raise ConvergenceError(
             f"interval solve failed to converge in {max_iter} iterations "
-            f"(|g| = {abs(g):.3e})", residual=abs(g))
+            f"(|g| = {worst:.3e})", residual=worst)
 
-    tau = tau0 + mu * (phi_bar - d * x)
-    return IntervalSolution(tau=tau, phi_p_bar=d * x, q=q0 + x,
-                            delta_alpha=x, plastic=True,
-                            iterations=iterations, residual=abs(g))
+    tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
+    return IntervalSolution(tau=tau, phi_p_bar=np.where(plastic, d * x, 0.0),
+                            q=q0 + x, delta_alpha=x, plastic=plastic,
+                            iterations=iterations, residual=np.abs(g))
+
+
+def interval_solve(phi_bar, istate, p, tol=1e-12, max_iter=50):
+    """Closed-form response at one angle-cosine increment ``phi_bar``.
+
+    The one-point form of :func:`interval_solve_batch`, with float fields.
+    """
+    sol = interval_solve_batch([phi_bar], istate, p, tol=tol,
+                               max_iter=max_iter)
+    return IntervalSolution(**{k: v.item() for k, v in vars(sol).items()})
 
 
 def advance_interval(istate, phi_bar, p, tol=1e-12, max_iter=50):
@@ -217,10 +248,11 @@ def frame_force(tau, theta, L0):
     ``F = A0 tau d(cos theta)/d theta / (d d / d theta)`` with patch area
     A0 = L0^2 and the crosshead rate taken from the corner map.  The rate
     is nonzero on all of (0, pi/2], so no endpoint limit arises.
+    Broadcasts over ``tau`` and ``theta``.
     """
     _check_theta(theta)
     dtheta12 = -L0 * L0 * np.sin(theta) * tau
-    return float(dtheta12 / crosshead_rate(theta, L0))
+    return dtheta12 / crosshead_rate(theta, L0)
 
 
 CURVE_COLUMNS = ("gamma_deg", "theta12", "tau", "phi_e", "phi_p", "q",
@@ -315,10 +347,10 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
     mu = p.mu_f
     state = IntervalState()
     t12_anchor = 0.0        # angle cosine at the interval start
-    gamma = [0.0]
-    theta12 = [t12_anchor]
-    tau = [state.tau0]
-    q = [state.q0]
+    gamma = [[0.0]]
+    theta12 = [[t12_anchor]]
+    tau = [[state.tau0]]
+    q = [[state.q0]]
     for grid in program_theta_grid(lp, steps_per_degree):
         t12_end = float(np.cos(grid[-1]))
         if sampling == "gamma":
@@ -328,25 +360,23 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
         else:
             t12_targets = np.linspace(t12_anchor, t12_end, grid.size + 1)[1:]
             gammas = theta_to_gamma(np.arccos(np.clip(t12_targets, -1.0, 1.0)))
-        for g_j, t12_j in zip(gammas, t12_targets):
-            sol = interval_solve(float(t12_j) - t12_anchor, state, p,
-                                 tol=tol, max_iter=max_iter)
-            gamma.append(float(g_j))
-            theta12.append(float(t12_j))
-            tau.append(sol.tau)
-            q.append(sol.q)
+        sol = interval_solve_batch(t12_targets - t12_anchor, state, p,
+                                   tol=tol, max_iter=max_iter)
+        gamma.append(gammas)
+        theta12.append(t12_targets)
+        tau.append(sol.tau)
+        q.append(sol.q)
         state = advance_interval(state, t12_end - t12_anchor, p,
                                  tol=tol, max_iter=max_iter)
         t12_anchor = t12_end
 
-    gamma = np.asarray(gamma)
-    theta12 = np.asarray(theta12)
-    tau = np.asarray(tau)
-    q = np.asarray(q)
+    gamma = np.concatenate(gamma)
+    theta12 = np.concatenate(theta12)
+    tau = np.concatenate(tau)
+    q = np.concatenate(q)
     phi_e = tau / mu
     phi_p = theta12 - phi_e
-    theta = gamma_to_theta(gamma)
-    force = np.array([frame_force(s, t, L0) for t, s in zip(theta, tau)])
+    force = frame_force(tau, gamma_to_theta(gamma), L0)
     return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=tau, phi_e=phi_e,
                       phi_p=phi_p, q=q,
                       frame_force_normalized=force / (L0 * mu0))

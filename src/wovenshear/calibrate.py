@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .analytic import IntervalState, frame_force, interval_solve
+from .analytic import IntervalState, frame_force, interval_solve_batch
+from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
 from .kinematics import gamma_to_theta
 from .material import ConvergenceError, replace_params
 
@@ -156,17 +157,12 @@ def model_forces(gamma_deg, p, L0=1.0, mu0=1.0):
     """Normalized pull force at the given shear angles, virgin loading.
 
     Monotone loading from the virgin state is history-free point by point,
-    so each angle is evaluated exactly (no interpolation) with a single
-    closed-form solve.
+    so every angle is evaluated exactly (no interpolation) as an increment
+    from the virgin state, all in one batched closed-form solve.
     """
-    gamma_deg = np.asarray(gamma_deg, dtype=float).reshape(-1)
-    state = IntervalState()
-    out = np.empty(gamma_deg.size)
-    for k, g in enumerate(gamma_deg):
-        theta = float(gamma_to_theta(g))
-        sol = interval_solve(float(np.cos(theta)), state, p)
-        out[k] = frame_force(sol.tau, theta, L0) / (L0 * mu0)
-    return out
+    theta = gamma_to_theta(np.asarray(gamma_deg, dtype=float).reshape(-1))
+    sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
+    return frame_force(sol.tau, theta, L0) / (L0 * mu0)
 
 
 def objective(params, curve, L0=1.0, mu0=1.0, mask=None):

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (IntervalState, LoadProgram, ShearCurve, frame_force,
-                       interval_solve, advance_interval, program_theta_grid)
+                       interval_solve_batch, advance_interval,
+                       program_theta_grid)
+from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, crosshead_rate,
                          picture_frame_deformation, picture_frame_dF_dtheta,
                          theta_to_gamma)
@@ -621,11 +623,11 @@ def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
     t12_anchor = 0.0
     k = 1
     for grid in grids:
-        for th in grid:
-            s = interval_solve(float(np.cos(th)) - t12_anchor, state, ep)
-            tau_an[k] = s.tau
-            force_an[k] = frame_force(s.tau, float(th), L0)
-            k += 1
+        leg = slice(k, k + grid.size)
+        s = interval_solve_batch(np.cos(grid) - t12_anchor, state, ep)
+        tau_an[leg] = s.tau
+        force_an[leg] = frame_force(s.tau, grid, L0)
+        k += grid.size
         state = advance_interval(state, float(np.cos(grid[-1])) - t12_anchor,
                                  ep)
         t12_anchor = float(np.cos(grid[-1]))

@@ -391,9 +391,11 @@ FRAME_FIBER_2 = np.array([-1.0, 1.0]) / np.sqrt(2.0)
 
 
 def _check_theta(theta):
-    if not 0.0 < theta <= np.pi / 2.0 + 1e-12:
+    theta = np.asarray(theta, dtype=float)
+    bad = ~((0.0 < theta) & (theta <= np.pi / 2.0 + 1e-12))
+    if bad.any():
         raise ValueError(
-            f"frame angle theta must lie in (0, pi/2], got {theta}"
+            f"frame angle theta must lie in (0, pi/2], got {theta[bad][0]}"
         )
 
 
@@ -446,12 +448,22 @@ def crosshead_rate(theta, L0):
 
     Strictly negative on (0, pi/2]; it would vanish only in the fully
     collapsed limit theta -> 0, so no special handling is needed anywhere
-    in the working range.
+    in the working range.  Broadcasts over ``theta``.
+
+    The corner map applied to the pull-axis corner (0, sqrt(2) L0) has
+    only the second component nonzero, so ``x . v / |x|`` is written with
+    the entries of :func:`picture_frame_deformation` and
+    :func:`picture_frame_dF_dtheta` in the same order as the matrix
+    products; this reproduces them bit for bit, where the closed form
+    ``-L0 cos((pi - theta) / 2)`` differs in the last digit on many
+    angles.
     """
-    corner = _pull_corner(L0)
-    x = picture_frame_deformation(theta) @ corner
-    v = picture_frame_dF_dtheta(theta) @ corner
-    return float(x @ v / np.linalg.norm(x))
+    _check_theta(theta)
+    phi_m = 0.5 * (np.pi - np.asarray(theta, dtype=float))
+    corner = _pull_corner(L0)[1]
+    x2 = np.sqrt(2.0) * np.sin(phi_m) * corner
+    v2 = -np.sqrt(2.0) * 0.5 * np.cos(phi_m) * corner
+    return x2 * v2 / np.abs(x2)
 
 
 def picture_frame_metric(theta, L0=1.0):

@@ -32,8 +32,9 @@ import numpy as np
 
 import acceptance_log
 import oracles
-from wovenshear.analytic import (IntervalState, LoadProgram, interval_solve,
-                                 run_program, yield_angle)
+from wovenshear.analytic import (IntervalState, LoadProgram,
+                                 interval_solve_batch, run_program,
+                                 yield_angle)
 from wovenshear.calibrate import staged_fit, synthetic_curve
 from wovenshear.fe import Mesh, solve_picture_frame, verify_against_analytic
 from wovenshear.kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, MetricPoint,
@@ -125,8 +126,7 @@ def test_criterion_03_driver_first_order_convergence(demo_params):
 
         def analytic(gamma_deg):
             phi = np.cos(np.radians(90.0 - gamma_deg))
-            return np.array([interval_solve(float(x), virgin, p).tau
-                             for x in phi])
+            return interval_solve_batch(phi, virgin, p).tau
 
         g_fine, tau_fine = driver(0.01)
         scale = np.abs(analytic(g_fine)).max()

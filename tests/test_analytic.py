@@ -1,15 +1,16 @@
 """Closed-form picture-frame solution tests.
 
 Verifies: load-program parsing and validation, the direction-aware elastic
-range, the interval consistency solve against a bisection oracle, exact
-interval chaining (splitting a monotone leg anywhere changes nothing), the
+range, the interval consistency solve against a bisection oracle, the
+batched solve against the one-point solve bit for bit, exact interval
+chaining (splitting a monotone leg anywhere changes nothing), the
 pull-force formula, curve generation over multi-leg programs, and CSV
 round trips.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wovenshear import (
@@ -23,6 +24,7 @@ from wovenshear import (
     frame_force,
     gamma_to_theta,
     interval_solve,
+    interval_solve_batch,
     program_theta_grid,
     return_map,
     run_program,
@@ -164,6 +166,61 @@ class TestIntervalSolve:
             interval_solve(0.5, IntervalState(), glass_params, max_iter=1)
 
 
+# signed zeros, small and large increments of either sign, so that one
+# array mixes zero, elastic and plastic points in both directions
+_INCREMENTS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-3, 1e-3),
+              st.floats(-0.6, 0.6)),
+    min_size=1, max_size=40)
+
+
+class TestIntervalSolveBatch:
+    @given(pre=st.lists(st.floats(-0.5, 0.6), max_size=2),
+           increments=_INCREMENTS, glass=st.booleans())
+    @example(pre=[0.4], increments=[0.0, 0.05, -0.05, 0.3, -0.5, 1e-9],
+             glass=False)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_loop(self, pre, increments, glass, soft_params,
+                                glass_params):
+        """Each point of the batch is the one-point solve, bit for bit,
+        from virgin and loaded states alike."""
+        p = glass_params if glass else soft_params
+        state = IntervalState()
+        for phi in pre:
+            state = advance_interval(state, phi, p)
+        phi_bar = np.array(increments)
+        batch = interval_solve_batch(phi_bar, state, p)
+        loop = [interval_solve(float(x), state, p) for x in phi_bar]
+        for name in ("tau", "q", "delta_alpha", "plastic", "iterations",
+                     "phi_p_bar", "residual"):
+            assert np.array_equal(getattr(batch, name),
+                                  [getattr(s, name) for s in loop]), name
+
+    def test_mixed_array_from_loaded_state(self, soft_params):
+        state = advance_interval(IntervalState(), 0.4, soft_params)
+        assert state.tau0 > 0.0 and state.q0 > 0.0
+        phi_bar = np.array([[0.0, 0.05, -0.05], [0.3, -0.5, 1e-9]])
+        sol = interval_solve_batch(phi_bar, state, soft_params)
+        assert sol.tau.shape == phi_bar.shape
+        assert sol.plastic.tolist() == [[False, True, False],
+                                        [True, True, True]]
+        assert sol.tau[0, 0] == state.tau0
+        assert (sol.iterations[sol.plastic] > 0).all()
+        assert (sol.iterations[~sol.plastic] == 0).all()
+
+    def test_convergence_error_reports_worst_residual(self, glass_params):
+        phi_bar = np.array([0.0, 1e-6, 0.5, -0.3])
+        residuals = []
+        for x in (0.5, -0.3):
+            with pytest.raises(ConvergenceError) as exc:
+                interval_solve(x, IntervalState(), glass_params, max_iter=1)
+            residuals.append(exc.value.residual)
+        with pytest.raises(ConvergenceError) as exc:
+            interval_solve_batch(phi_bar, IntervalState(), glass_params,
+                                 max_iter=1)
+        assert exc.value.residual == max(residuals) > 0.0
+
+
 class TestAdvanceInterval:
     def test_bookkeeping(self, demo_params):
         st1 = advance_interval(IntervalState(), 0.3, demo_params)
@@ -192,6 +249,26 @@ class TestFrameForce:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             frame_force(0.1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("L0", [1.0, 2.5])
+    def test_broadcast_equals_scalar_calls(self, L0):
+        theta = np.linspace(1e-3, np.pi / 2.0, 2001)
+        tau = 0.7 * np.cos(3.0 * theta)
+        force = frame_force(tau, theta, L0)
+        rate = crosshead_rate(theta, L0)
+        assert np.array_equal(force, [frame_force(float(s), float(t), L0)
+                                      for s, t in zip(tau, theta)])
+        assert np.array_equal(rate, [crosshead_rate(float(t), L0)
+                                     for t in theta])
+
+    def test_broadcast_domain_checked(self):
+        for bad in (0.0, np.pi / 2.0 + 0.01, np.nan):
+            theta = np.linspace(0.2, 1.4, 7)
+            theta[3] = bad
+            with pytest.raises(ValueError, match="theta"):
+                frame_force(np.ones(7), theta, 1.0)
+            with pytest.raises(ValueError, match="theta"):
+                crosshead_rate(theta, 1.0)
 
     def test_rate_consistency(self):
         # force * crosshead rate equals the angle-energy rate A0 tau dcos

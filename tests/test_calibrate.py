@@ -1,7 +1,8 @@
 """Calibration tests.
 
 Verifies: experiment-curve validation and CSV round trips, the pointwise
-model forces against the curve generator, the RMS objective, bounded
+model forces against the curve generator and against a per-point scalar
+solve, the RMS objective and its rejection of failed solves, bounded
 simplex fitting (recovery, pass-through, determinism), the staged
 workflow with its window selection and skip logic, and the synthetic data
 generator.
@@ -10,7 +11,10 @@ generator.
 import numpy as np
 import pytest
 
-from wovenshear import ElastoplasticParams, replace_params, run_program
+from wovenshear import (ConvergenceError, ElastoplasticParams, IntervalState,
+                        frame_force, gamma_to_theta, interval_solve,
+                        replace_params, run_program)
+from wovenshear import calibrate
 from wovenshear.analytic import LoadProgram
 from wovenshear.calibrate import (
     DEFAULT_BOUNDS,
@@ -66,7 +70,31 @@ class TestExperimentCurve:
             ExperimentCurve.from_csv(path)
 
 
+# the 136-angle grid of acceptance criterion 9 (degrees)
+AC9_GRID = np.concatenate([np.arange(0.1, 1.01, 0.1),
+                           np.arange(1.25, 5.01, 0.25),
+                           np.arange(5.5, 60.01, 0.5)])
+
+
+def scalar_model_forces(gamma_deg, p, L0, mu0):
+    """Per-point reference: one scalar solve and force per angle."""
+    out = []
+    for g in gamma_deg:
+        theta = float(gamma_to_theta(g))
+        sol = interval_solve(float(np.cos(theta)), IntervalState(), p)
+        out.append(frame_force(sol.tau, theta, L0) / (L0 * mu0))
+    return np.array(out)
+
+
 class TestModelForces:
+    @pytest.mark.parametrize("L0, mu0", [(1.0, 1.0), (3.0, 2.0)])
+    @pytest.mark.parametrize("name", ["glass_params", "demo_params"])
+    def test_equals_per_point_scalar_solve(self, name, L0, mu0, request):
+        p = request.getfixturevalue(name)
+        forces = model_forces(AC9_GRID, p, L0=L0, mu0=mu0)
+        assert np.array_equal(forces,
+                              scalar_model_forces(AC9_GRID, p, L0, mu0))
+
     def test_matches_curve_generator(self, demo_params):
         # pointwise virgin evaluation equals the sampled program curve
         lp = LoadProgram.from_gamma_degrees([40.0])
@@ -91,6 +119,15 @@ class TestObjective:
         curve = synthetic_curve(glass_params, np.arange(1.0, 30.0, 1.0))
         other = replace_params(glass_params, {"A": 9.5})
         assert objective(other, curve) > 0.0
+
+    def test_inf_when_slip_solve_fails(self, glass_params, monkeypatch):
+        curve = synthetic_curve(glass_params, np.arange(1.0, 30.0, 1.0))
+
+        def failing(*args, **kwargs):
+            raise ConvergenceError("no convergence", residual=1.0)
+
+        monkeypatch.setattr(calibrate, "interval_solve_batch", failing)
+        assert objective(glass_params, curve) == float("inf")
 
     def test_mask(self, glass_params):
         curve = synthetic_curve(glass_params, np.arange(1.0, 10.0, 1.0))

@@ -281,6 +281,19 @@ class TestPictureFrame:
             assert crosshead_rate(th, 2.0) == pytest.approx(fd, rel=1e-7)
             assert crosshead_rate(th, 2.0) < 0.0
 
+    @pytest.mark.parametrize("L0", [1.0, 2.5])
+    def test_crosshead_rate_is_corner_map_product(self, L0):
+        # the broadcast rate reproduces x . v / |x| of the matrix corner map
+        # bit for bit
+        theta = np.linspace(1e-3, np.pi / 2.0, 2001)
+        corner = np.array([0.0, np.sqrt(2.0) * L0])
+        expect = []
+        for th in theta:
+            x = picture_frame_deformation(th) @ corner
+            v = picture_frame_dF_dtheta(th) @ corner
+            expect.append(x @ v / np.linalg.norm(x))
+        assert np.array_equal(crosshead_rate(theta, L0), expect)
+
     def test_deformation_derivative(self):
         for th in (0.5, 1.0, 1.4):
             fd = (picture_frame_deformation(th + 1e-7)
