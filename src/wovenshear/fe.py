@@ -7,6 +7,13 @@ elastoplastic stress, and the pull force is recovered from the constrained
 residuals.  Since the exact solution of this problem is affine, bilinear
 elements represent it exactly and the solver doubles as a machine-precision
 verifier of the material kernel against the closed-form response.
+
+Each load step starts from a secant prediction: the committed positions
+extrapolated along the last committed increment.  Newton's method then
+equilibrates the free DOFs with the consistent tangent, kept in LAPACK
+band storage and solved by banded LU with partial pivoting (the tangent
+turns indefinite under plastic flow).  Once the residual meets the
+tolerance, one more correction takes the iterate to round-off.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .analytic import (IntervalState, LoadProgram, ShearCurve, frame_force,
                        interval_solve_batch, advance_interval,
@@ -76,6 +84,18 @@ def _shape_gradients(order):
     return dN, w
 
 
+def _reference_jacobians(nodes, elements, dN):
+    """Reference Jacobians J0[e, g] and their determinants at the points
+    of ``dN``; raises ElementInversionError if any determinant is <= 0."""
+    J0 = np.einsum("eam,gab->egmb", nodes[elements], dN)   # columns: A_beta
+    det = np.linalg.det(J0)
+    if np.any(det <= 0.0):
+        bad = int(np.argwhere(det <= 0.0)[0][0])
+        raise ElementInversionError(
+            f"non-positive reference Jacobian in element {bad}")
+    return J0, det
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Reference mesh of 4-node quadrilaterals on the fabric patch.
@@ -109,13 +129,7 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_nodes", np.unique(boundary))
-        dN, _ = _shape_gradients(2)
-        J0 = np.einsum("eam,gab->egmb", nodes[elements], dN)
-        det = np.linalg.det(J0)
-        if np.any(det <= 0.0):
-            bad = int(np.argwhere(det <= 0.0)[0][0])
-            raise ElementInversionError(
-                f"non-positive reference Jacobian in element {bad}")
+        _reference_jacobians(nodes, elements, _shape_gradients(2)[0])
 
     @classmethod
     def square(cls, n, L0=1.0):
@@ -165,7 +179,12 @@ class SolverConfig:
 
     ``load_steps`` fixes the per-interval step count; when None the count
     follows ``steps_per_degree``.  The Newton tolerance is applied to the
-    free-DOF residual norm against the reference force scale mu_f * L0.
+    free-DOF residual norm against the reference force scale mu_f * L0:
+    once the residual first meets ``newton_tol * mu_f * L0``, exactly one
+    more correction is taken, and that iterate is accepted if it still
+    meets the tolerance.  This polish correction takes the iterate to
+    round-off, so the accuracy does not depend on the mesh size; it does
+    not count against ``newton_max_iter``.
     """
 
     load_steps: int | None = None
@@ -210,7 +229,9 @@ class _FrameModel:
     Reference Jacobians, convected fiber components and quadrature weights
     are fixed by the mesh; :meth:`evaluate` turns trial nodal positions and
     committed Gauss history into residual and tangent contributions in one
-    vectorized pass over all elements.
+    vectorized pass over all elements.  The free-DOF mask and the map from
+    element-matrix entries into the band storage of the free-free tangent
+    are fixed by the mesh too.
     """
 
     def __init__(self, mesh, ep, hp=None, quadrature_order=2,
@@ -222,13 +243,9 @@ class _FrameModel:
         self.rm_max_iter = rm_max_iter
         dN, w = _shape_gradients(quadrature_order)
         self.dN = dN
-        XE = mesh.nodes[mesh.elements]                       # (E, 4, 2)
-        J0 = np.einsum("eam,gab->egmb", XE, dN)              # columns: A_beta
-        det = np.linalg.det(J0)
-        if np.any(det <= 0.0):
-            bad = int(np.argwhere(det <= 0.0)[0][0])
-            raise ElementInversionError(
-                f"non-positive reference Jacobian in element {bad}")
+        # checked again at this order's points: a quad that passes the
+        # mesh's 2x2 check can still invert at the 3x3 points
+        J0, det = _reference_jacobians(mesh.nodes, mesh.elements, dN)
         self.wdet = w[None, :] * det                         # (E, G)
         E, G = det.shape
         self.n_elements = E
@@ -245,6 +262,22 @@ class _FrameModel:
         self.dofs = (2 * mesh.elements[:, :, None]
                      + np.arange(2)[None, None, :]).reshape(E, 8)
         self.ndof = 2 * mesh.nodes.shape[0]
+        self.free = np.ones(self.ndof, dtype=bool)
+        self.free[2 * mesh.boundary_nodes] = False
+        self.free[2 * mesh.boundary_nodes + 1] = False
+        # band storage of the free-free tangent in the natural DOF order
+        # (for Mesh.square a bandwidth of about 2n; reverse Cuthill-McKee
+        # widens it): entry (i, j) lives at band[bw + i - j, j]
+        nfree = int(self.free.sum())
+        fidx = np.cumsum(self.free) - 1
+        rows = np.broadcast_to(self.dofs[:, :, None], (E, 8, 8)).ravel()
+        cols = np.broadcast_to(self.dofs[:, None, :], (E, 8, 8)).ravel()
+        self._band_entries = np.flatnonzero(self.free[rows] & self.free[cols])
+        i = fidx[rows[self._band_entries]]
+        j = fidx[cols[self._band_entries]]
+        self.bw = int(np.abs(i - j).max(initial=0))
+        self._band_slots = (self.bw + i - j) * nfree + j
+        self._band_shape = (2 * self.bw + 1, nfree)
 
     def evaluate(self, x, phi_p, q, alpha_p):
         """Residual/tangent contributions at nodal positions ``x`` (N, 2).
@@ -314,13 +347,19 @@ class _FrameModel:
             q=q_new, alpha_p=alpha_new, lambda1=lam1, lambda2=lam2)
 
     def assemble(self, x, phi_p, q, alpha_p):
-        """Scatter element contributions into the global system."""
+        """Scatter element contributions into the global system.
+
+        Returns the global residual (all DOFs), the free-free tangent in
+        the band storage of :func:`scipy.linalg.solve_banded` with
+        ``bw`` sub- and superdiagonals, and the evaluation.
+        """
         ev = self.evaluate(x, phi_p, q, alpha_p)
-        r = np.zeros(self.ndof)
-        np.add.at(r, self.dofs.ravel(), ev.r_e.ravel())
-        K = np.zeros((self.ndof, self.ndof))
-        np.add.at(K, (self.dofs[:, :, None], self.dofs[:, None, :]), ev.K_e)
-        return r, K, ev
+        r = np.bincount(self.dofs.ravel(), weights=ev.r_e.ravel(),
+                        minlength=self.ndof)
+        band = np.bincount(
+            self._band_slots, weights=ev.K_e.ravel()[self._band_entries],
+            minlength=self._band_shape[0] * self._band_shape[1])
+        return r, band.reshape(self._band_shape), ev
 
 
 def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
@@ -387,7 +426,9 @@ class FESolution:
     per recorded step.  The ``gp_*`` arrays hold every Gauss point at every
     recorded step, row 0 being the undeformed state.  ``residual_history``
     lists the Newton residual norms of every committed step (including
-    bisected sub-steps), aligned with ``committed_thetas``.
+    bisected sub-steps), aligned with ``committed_thetas``; the last entry
+    of each list is the accepted polish iterate, the one before it the
+    first to meet the tolerance.
     """
 
     curve: ShearCurve
@@ -427,27 +468,34 @@ class FESolution:
                    header=",".join(FIELD_COLUMNS), comments="")
 
 
-def _newton_step(model, x, free, phi_p, q, alpha_p, tol_abs, max_iter):
+def _newton_step(model, x, phi_p, q, alpha_p, tol_abs, max_iter):
     """Equilibrate the free DOFs at fixed boundary positions.
+
+    Up to ``max_iter`` banded-LU corrections bring the free-DOF residual
+    norm to ``tol_abs``; one more (polish) correction follows, and its
+    iterate is accepted if it still meets ``tol_abs``.  A singular or
+    non-finite system fails the step.
 
     Returns (x, r, ev, residual_norms, converged); ``x``, ``r`` and ``ev``
     are the last iterate's positions, global residual and evaluation.
     """
+    free = model.free
     residuals = []
-    r = None
-    ev = None
-    for it in range(max_iter + 1):
-        r, K, ev = model.assemble(x, phi_p, q, alpha_p)
+    polish = False
+    for it in range(max_iter + 2):
+        r, band, ev = model.assemble(x, phi_p, q, alpha_p)
         rn = float(np.linalg.norm(r[free]))
         residuals.append(rn)
         if not np.isfinite(rn):
             return x, r, ev, residuals, False
-        if rn <= tol_abs:
-            return x, r, ev, residuals, True
-        if it == max_iter:
+        if polish:
+            return x, r, ev, residuals, rn <= tol_abs
+        polish = rn <= tol_abs
+        if not polish and it == max_iter:
             break
         try:
-            dx = np.linalg.solve(K[np.ix_(free, free)], -r[free])
+            dx = solve_banded((model.bw, model.bw), band, -r[free],
+                              overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
             return x, r, ev, residuals, False
         if not np.all(np.isfinite(dx)):
@@ -464,8 +512,11 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     Every boundary node follows the homogeneous frame map at each target
     angle; interior nodes are solved by Newton iteration with the
     consistent tangent, and Gauss histories are committed per converged
-    step.  On Newton failure the step is bisected up to
-    ``cfg.max_halvings`` times before raising :class:`SolverError`.
+    step.  Each step, bisected sub-steps included, starts from the
+    committed positions extrapolated along the last committed increment,
+    scaled by the ratio of the angle increments.  On Newton failure the
+    step is bisected up to ``cfg.max_halvings`` times before raising
+    :class:`SolverError`.
 
     Parameters
     ----------
@@ -506,9 +557,9 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     q = np.zeros((E, G))
     alpha_p = np.zeros((E, G))
     x = mesh.nodes.copy()
-    free = np.ones(model.ndof, dtype=bool)
-    free[2 * mesh.boundary_nodes] = False
-    free[2 * mesh.boundary_nodes + 1] = False
+    # last committed increment, the secant the next step extrapolates
+    dx_last = np.zeros_like(x)
+    dth_last = 0.0
     tol_abs = cfg.newton_tol * ep.mu_f * mesh.L0
     bnodes = mesh.boundary_nodes
     XB = mesh.nodes[bnodes]
@@ -534,10 +585,11 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
             r_conv, ev_conv = None, None
             while stack:
                 th, depth = stack.pop()
-                xtrial = x.copy()
+                scale = (th - theta_prev) / dth_last if dth_last else 0.0
+                xtrial = x + scale * dx_last
                 xtrial[bnodes] = XB @ picture_frame_deformation(th).T
                 xtrial, r, ev, residuals, ok = _newton_step(
-                    model, xtrial, free, phi_p, q, alpha_p,
+                    model, xtrial, phi_p, q, alpha_p,
                     tol_abs, cfg.newton_max_iter)
                 if not ok:
                     if depth >= cfg.max_halvings:
@@ -553,6 +605,7 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
                     stack.append((mid, depth + 1))
                     continue
                 # commit
+                dx_last, dth_last = xtrial - x, th - theta_prev
                 x = xtrial
                 phi_p = ev.phi_p
                 q = ev.q
