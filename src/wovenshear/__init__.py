@@ -77,7 +77,6 @@ from .fe import (
     ElementInversionError,
     SolverError,
     Mesh,
-    GaussPointState,
     SolverConfig,
     FESolution,
     FIELD_COLUMNS,

@@ -85,18 +85,14 @@ class LoadProgram:
 
 @dataclass(frozen=True)
 class IntervalState:
-    """Interval-start data: carried stress, hardening history, offsets.
+    """Interval-start data: carried stress and hardening history.
 
-    ``tau0``, ``q0`` and ``alpha_p0`` are the committed stress and history
-    at the interval start.  ``Q0`` accumulates slip offsets across interval
-    changes; it is pure bookkeeping for the closed-form constants and never
-    feeds back into the solution.  A virgin state is all zeros.
+    ``tau0`` and ``q0`` are the committed stress and hardening variable at
+    the interval start.  A virgin state is all zeros.
     """
 
     tau0: float = 0.0
-    alpha_p0: float = 0.0
     q0: float = 0.0
-    Q0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -232,13 +228,10 @@ def advance_interval(istate, phi_bar, p, tol=1e-12, max_iter=50):
 
     Solves the current interval at ``phi_bar`` and starts a fresh interval
     there: the solved stress and hardening state become the new carried
-    values, and the slip increment is added to the offset accumulator.
+    values.
     """
     sol = interval_solve(phi_bar, istate, p, tol=tol, max_iter=max_iter)
-    return IntervalState(tau0=sol.tau,
-                         alpha_p0=istate.alpha_p0 + sol.delta_alpha,
-                         q0=sol.q,
-                         Q0=istate.Q0 + sol.delta_alpha)
+    return IntervalState(tau0=sol.tau, q0=sol.q)
 
 
 def frame_force(tau, theta, L0):
@@ -366,8 +359,8 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
         theta12.append(t12_targets)
         tau.append(sol.tau)
         q.append(sol.q)
-        state = advance_interval(state, t12_end - t12_anchor, p,
-                                 tol=tol, max_iter=max_iter)
+        # the last target is t12_end, so its point starts the next leg
+        state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
         t12_anchor = t12_end
 
     gamma = np.concatenate(gamma)

@@ -121,7 +121,6 @@ class FitConfig:
     free_params: tuple
     bounds: dict | None = None
     max_evals: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         free = tuple(self.free_params)
@@ -285,7 +284,7 @@ _STAGES = {
 
 
 def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
-               seed=0, L0=1.0, mu0=1.0):
+               L0=1.0, mu0=1.0):
     """Phase-by-phase calibration of a shear-frame curve.
 
     Stage 1 fits the shear stiffness on the initial slope (gamma <= 1 deg),
@@ -318,8 +317,7 @@ def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
             entry["skipped"] = "not enough data points in the stage window"
             report["stages"].append(entry)
             continue
-        cfg = FitConfig(free_params=keys, bounds=bounds, max_evals=max_evals,
-                        seed=seed)
+        cfg = FitConfig(free_params=keys, bounds=bounds, max_evals=max_evals)
         entry["rms_before"] = objective(params, curve, L0=L0, mu0=mu0,
                                         mask=mask)
         res = fit(params, curve, cfg, L0=L0, mu0=mu0, mask=mask)

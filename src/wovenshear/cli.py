@@ -125,13 +125,9 @@ def _write_json(path, payload):
 
 
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Random seed forwarded to stochastic helpers.")
 @click.version_option(version=__version__)
-@click.pass_context
-def main(ctx, seed):
+def main():
     """Woven-fabric shear: curves, FE verification, sweeps, calibration."""
-    ctx.obj = {"seed": seed}
 
 
 @main.command("material-point")
@@ -349,7 +345,6 @@ def calibrate_cmd(ctx, **values):
         raise click.UsageError("stages must be a nonempty subset of 1,2,3")
     result, report = staged_fit(ep, curve, stages=stages,
                                 max_evals=int(rc["max_evals"]),
-                                seed=ctx.obj["seed"],
                                 L0=float(rc["l0"]), mu0=float(rc["mu0"]))
     out = Path(rc["out"])
     _write_json(out / "fitted_params.json",

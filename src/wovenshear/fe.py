@@ -19,25 +19,26 @@ tolerance, one more correction takes the iterate to round-off.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .analytic import (IntervalState, LoadProgram, ShearCurve, frame_force,
-                       interval_solve_batch, advance_interval,
-                       program_theta_grid)
-from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
-from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, crosshead_rate,
+                       interval_solve_batch, program_theta_grid)
+# unused; perfbench/spans.py wraps these module bindings
+from .analytic import advance_interval, interval_solve
+from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _fiber_arrays,
+                         _structural_arrays, crosshead_rate,
                          picture_frame_deformation, picture_frame_dF_dtheta,
                          theta_to_gamma)
-from .material import HyperelasticParams, PlasticState, return_map_batch
+from .material import (HyperelasticParams, PlasticState, _stress_arrays,
+                       return_map_batch)
 
 __all__ = [
     "ElementInversionError",
     "SolverError",
     "Mesh",
-    "GaussPointState",
     "SolverConfig",
     "FESolution",
     "FIELD_COLUMNS",
@@ -163,17 +164,6 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class GaussPointState:
-    """Material history at one Gauss point, committed at converged steps.
-
-    The committed state is immutable within a load step; Newton iterations
-    only produce trial copies.
-    """
-
-    plastic: PlasticState = field(default_factory=PlasticState)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Load stepping and Newton controls.
 
@@ -219,8 +209,6 @@ class _EvalResult:
     phi_p: np.ndarray
     q: np.ndarray
     alpha_p: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
 
 
 class _FrameModel:
@@ -238,7 +226,7 @@ class _FrameModel:
                  rm_tol=1e-12, rm_max_iter=50):
         self.mesh = mesh
         self.ep = ep
-        self.hp = hp
+        self.eps_L = hp.eps_L if hp is not None else 0.0
         self.rm_tol = rm_tol
         self.rm_max_iter = rm_max_iter
         dN, w = _shape_gradients(quadrature_order)
@@ -290,11 +278,7 @@ class _FrameModel:
         xe = x[self.mesh.elements]                           # (E, 4, 2)
         acols = np.einsum("eam,gab->egmb", xe, dN)           # deformed a_beta
         a_ab = np.einsum("egma,egmb->egab", acols, acols)
-        lam1 = np.sqrt(np.einsum("ega,egab,egb->eg", self.L1, a_ab, self.L1))
-        lam2 = np.sqrt(np.einsum("ega,egab,egb->eg", self.L2, a_ab, self.L2))
-        l1 = self.L1 / lam1[..., None]
-        l2 = self.L2 / lam2[..., None]
-        theta12 = np.einsum("ega,egab,egb->eg", l1, a_ab, l2)
+        lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, self.L1, self.L2)
         phi = theta12 - self.Theta12
 
         out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(),
@@ -304,31 +288,10 @@ class _FrameModel:
         tau, phi_e, dtau = (v.reshape(shape) for v in out[0:3])
         phi_p_new, q_new, alpha_new = (v.reshape(shape) for v in out[3:6])
 
-        l1l1 = np.einsum("ega,egb->egab", l1, l1)
-        l2l2 = np.einsum("ega,egb->egab", l2, l2)
-        sym12 = 0.5 * (np.einsum("ega,egb->egab", l1, l2)
-                       + np.einsum("ega,egb->egab", l2, l1))
-        S = 0.5 * (l1l1 + l2l2)
-        g12 = sym12 - theta12[..., None, None] * S
-        g12_grad = (
-            -np.einsum("egab,egcd->egabcd", sym12, S)
-            - np.einsum("egab,egcd->egabcd", S, g12)
-            + 0.5 * theta12[..., None, None, None, None] * (
-                np.einsum("egab,egcd->egabcd", l1l1, l1l1)
-                + np.einsum("egab,egcd->egabcd", l2l2, l2l2)
-            )
-        )
-        stress = 2.0 * tau[..., None, None] * g12
-        tangent = (4.0 * dtau[..., None, None, None, None]
-                   * np.einsum("egab,egcd->egabcd", g12, g12)
-                   + 4.0 * tau[..., None, None, None, None] * g12_grad)
-        if self.hp is not None and self.hp.eps_L != 0.0:
-            eps = self.hp.eps_L
-            for lam, L in ((lam1, self.L1), (lam2, self.L2)):
-                LL = np.einsum("ega,egb->egab", L, L)
-                stress += (eps * (lam - 1.0) / lam)[..., None, None] * LL
-                tangent += (eps * lam ** -3.0)[..., None, None, None, None] \
-                    * np.einsum("egab,egcd->egabcd", LL, LL)
+        g12, g12_grad = _structural_arrays(l1, l2, theta12)
+        stress, tangent = _stress_arrays(
+            tau, dtau, g12, g12_grad, self.eps_L,
+            ((lam1, self.L1), (lam2, self.L2)))
 
         tw = self.wdet[..., None, None] * stress
         cw = self.wdet[..., None, None, None, None] * tangent
@@ -344,7 +307,7 @@ class _FrameModel:
         return _EvalResult(
             r_e=r_e.reshape(E, 8), K_e=Kfull.reshape(E, 8, 8),
             theta12=theta12, tau=tau, phi_e=phi_e, phi_p=phi_p_new,
-            q=q_new, alpha_p=alpha_new, lambda1=lam1, lambda2=lam2)
+            q=q_new, alpha_p=alpha_new)
 
     def assemble(self, x, phi_p, q, alpha_p):
         """Scatter element contributions into the global system.
@@ -373,7 +336,7 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
         Reference corner coordinates, counterclockwise.
     nodal_positions : (4, 2) array_like
         Trial current corner coordinates.
-    states : sequence of GaussPointState or None
+    states : sequence of PlasticState or None
         Committed history per Gauss point (length quadrature_order**2);
         None means virgin.
     ep : ElastoplasticParams
@@ -386,7 +349,7 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
         Internal force, DOFs ordered node-major (x0, y0, x1, y1, ...).
     K : (8, 8) ndarray
         Consistent material + geometric tangent.
-    trial : list of GaussPointState
+    trial : list of PlasticState
         Trial history; commit only after global convergence.
 
     Raises
@@ -401,16 +364,15 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
     model = _FrameModel(mesh, ep, hp, quadrature_order, rm_tol, rm_max_iter)
     G = model.n_gauss
     if states is None:
-        states = [GaussPointState() for _ in range(G)]
+        states = [PlasticState() for _ in range(G)]
     if len(states) != G:
         raise ValueError(f"need {G} Gauss states, got {len(states)}")
-    phi_p = np.array([[s.plastic.phi_p for s in states]])
-    q = np.array([[s.plastic.q for s in states]])
-    alpha_p = np.array([[s.plastic.alpha_p for s in states]])
+    phi_p = np.array([[s.phi_p for s in states]])
+    q = np.array([[s.q for s in states]])
+    alpha_p = np.array([[s.alpha_p for s in states]])
     ev = model.evaluate(x_e, phi_p, q, alpha_p)
-    trial = [GaussPointState(PlasticState(phi_p=float(ev.phi_p[0, g]),
-                                          q=float(ev.q[0, g]),
-                                          alpha_p=float(ev.alpha_p[0, g])))
+    trial = [PlasticState(phi_p=float(ev.phi_p[0, g]), q=float(ev.q[0, g]),
+                          alpha_p=float(ev.alpha_p[0, g]))
              for g in range(G)]
     return ev.r_e[0], ev.K_e[0], trial
 
@@ -451,8 +413,7 @@ class FESolution:
     @property
     def final_states(self):
         """Committed Gauss states in element-major order."""
-        return [GaussPointState(PlasticState(phi_p=float(pp), q=float(qq),
-                                             alpha_p=float(ap)))
+        return [PlasticState(phi_p=float(pp), q=float(qq), alpha_p=float(ap))
                 for pp, qq, ap in zip(self.phi_p.ravel(), self.q.ravel(),
                                       self.alpha_p.ravel())]
 
@@ -677,13 +638,14 @@ def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
     k = 1
     for grid in grids:
         leg = slice(k, k + grid.size)
-        s = interval_solve_batch(np.cos(grid) - t12_anchor, state, ep)
+        t12 = np.cos(grid)
+        s = interval_solve_batch(t12 - t12_anchor, state, ep)
         tau_an[leg] = s.tau
         force_an[leg] = frame_force(s.tau, grid, L0)
         k += grid.size
-        state = advance_interval(state, float(np.cos(grid[-1])) - t12_anchor,
-                                 ep)
-        t12_anchor = float(np.cos(grid[-1]))
+        # the leg's last point starts the next leg
+        state = IntervalState(tau0=float(s.tau[-1]), q0=float(s.q[-1]))
+        t12_anchor = float(t12[-1])
 
     dtau = np.abs(sol.gp_tau - tau_an[:, None])
     tau_scale = np.abs(tau_an).max()

@@ -180,6 +180,58 @@ class AngleSplit:
     a_hat: np.ndarray
 
 
+def _metric_product(u, a_ab, v):
+    """``u . a . v`` for vectors (..., 2) and metrics (..., 2, 2).
+
+    The products are summed in index order, as einsum sums them on a stack
+    of points; on one point einsum sums pairwise, so the sum is written
+    out to give a point and a stack the same bits.
+    """
+    return (((u[..., 0] * a_ab[..., 0, 0] * v[..., 0]
+              + u[..., 0] * a_ab[..., 0, 1] * v[..., 1])
+             + u[..., 1] * a_ab[..., 1, 0] * v[..., 0])
+            + u[..., 1] * a_ab[..., 1, 1] * v[..., 1])
+
+
+def _push_forward(a_ab, L):
+    """Stretch ``sqrt(L . a . L)`` (...) and current unit direction
+    ``L / lam`` (..., 2) of unit reference fibers ``L`` (..., 2) under
+    current metrics ``a_ab`` (..., 2, 2)."""
+    lam = np.sqrt(_metric_product(L, a_ab, L))
+    return lam, L / lam[..., None]
+
+
+def _fiber_arrays(a_ab, L1, L2):
+    """``(lam1, lam2, l1, l2, theta12)`` of a fiber pair over leading
+    axes: the body of :func:`fiber_state` and of the FE element kernel."""
+    lam1, l1 = _push_forward(a_ab, L1)
+    lam2, l2 = _push_forward(a_ab, L2)
+    theta12 = _metric_product(l1, a_ab, l2)
+    return lam1, lam2, l1, l2, theta12
+
+
+def _structural_arrays(l1, l2, theta12):
+    """``g12`` (..., 2, 2) and ``g12_grad`` (..., 2, 2, 2, 2) from current
+    unit directions ``l1``, ``l2`` (..., 2) and their cosine (...): the
+    body of :func:`structural_tensors` and of the FE element kernel."""
+    theta12 = np.asarray(theta12)
+    l1l1 = np.einsum("...a,...b->...ab", l1, l1)
+    l2l2 = np.einsum("...a,...b->...ab", l2, l2)
+    sym12 = 0.5 * (np.einsum("...a,...b->...ab", l1, l2)
+                   + np.einsum("...a,...b->...ab", l2, l1))
+    S = 0.5 * (l1l1 + l2l2)
+    g12 = sym12 - theta12[..., None, None] * S
+    g12_grad = (
+        -np.einsum("...ab,...cd->...abcd", sym12, S)
+        - np.einsum("...ab,...cd->...abcd", S, g12)
+        + 0.5 * theta12[..., None, None, None, None] * (
+            np.einsum("...ab,...cd->...abcd", l1l1, l1l1)
+            + np.einsum("...ab,...cd->...abcd", l2l2, l2l2)
+        )
+    )
+    return g12, g12_grad
+
+
 def push_forward_fiber(m, L):
     """Push a unit reference fiber through the current metric.
 
@@ -196,18 +248,15 @@ def push_forward_fiber(m, L):
     l : (2,) ndarray
         Contravariant current direction, unit against ``m.a_ab``.
     """
-    L = np.asarray(L, dtype=float).reshape(2)
-    lam = float(np.sqrt(L @ m.a_ab @ L))
-    return lam, L / lam
+    lam, l = _push_forward(m.a_ab, np.asarray(L, dtype=float).reshape(2))
+    return float(lam), l
 
 
 def fiber_state(m, f):
     """Return stretches, current unit directions and the current cosine."""
-    lambda1, l1 = push_forward_fiber(m, f.L1)
-    lambda2, l2 = push_forward_fiber(m, f.L2)
-    theta12 = float(l1 @ m.a_ab @ l2)
-    return FiberState(l1=l1, l2=l2, lambda1=lambda1, lambda2=lambda2,
-                      theta12=theta12)
+    lam1, lam2, l1, l2, theta12 = _fiber_arrays(m.a_ab, f.L1, f.L2)
+    return FiberState(l1=l1, l2=l2, lambda1=float(lam1),
+                      lambda2=float(lam2), theta12=float(theta12))
 
 
 def angle_measures(m, f):
@@ -230,19 +279,7 @@ def structural_tensors(m, fs):
     fs : FiberState
         Must have been computed at ``m``.
     """
-    l1l1 = np.outer(fs.l1, fs.l1)
-    l2l2 = np.outer(fs.l2, fs.l2)
-    sym12 = 0.5 * (np.outer(fs.l1, fs.l2) + np.outer(fs.l2, fs.l1))
-    S = 0.5 * (l1l1 + l2l2)
-    g12 = sym12 - fs.theta12 * S
-    g12_grad = (
-        -np.einsum("ab,gd->abgd", sym12, S)
-        - np.einsum("ab,gd->abgd", S, g12)
-        + 0.5 * fs.theta12 * (
-            np.einsum("ab,gd->abgd", l1l1, l1l1)
-            + np.einsum("ab,gd->abgd", l2l2, l2l2)
-        )
-    )
+    g12, g12_grad = _structural_arrays(fs.l1, fs.l2, fs.theta12)
     return StructuralTensors(g12=g12, g12_grad=g12_grad)
 
 
@@ -374,14 +411,19 @@ def surface_invariants(m, f, c=None):
         z = np.zeros(2)
         return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=z, K_g=z.copy(),
                                  T_g=z.copy())
-    db = c.b_ab - c.B_ab
-    dbb = c.bbar_ab - c.Bbar_ab
-    K_n = np.einsum("ia,ab,ib->i", L, db, L)
-    K_g = np.einsum("ia,ab,ib->i", L, dbb, L)
+    K_n, K_g, T_g = _bending_invariants(L, c)
+    return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=K_n, K_g=K_g, T_g=T_g)
+
+
+def _bending_invariants(L, c):
+    """Per-fiber ``(K_n, K_g, T_g)`` at a :class:`CurvaturePoint` ``c``,
+    for reference fiber directions given as the rows of ``L``."""
     c0 = np.asarray(c.c0, dtype=float).reshape(2, 2)
+    K_n = np.einsum("ia,ab,ib->i", L, c.b_ab - c.B_ab, L)
+    K_g = np.einsum("ia,ab,ib->i", L, c.bbar_ab - c.Bbar_ab, L)
     T_g = (np.einsum("ia,ab,ib->i", c0, c.b_ab, L)
            - np.einsum("ia,ab,ib->i", L, c.B_ab, c0))
-    return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=K_n, K_g=K_g, T_g=T_g)
+    return K_n, K_g, T_g
 
 
 # --- picture-frame rig -----------------------------------------------------

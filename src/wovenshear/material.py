@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import fiber_state, structural_tensors
+from .kinematics import _bending_invariants, fiber_state
 
 __all__ = [
     "ConvergenceError",
@@ -257,20 +257,6 @@ def yield_function(tau, q, p):
     return np.abs(tau) - f_iso(q, p)
 
 
-def _f_iso_raw(q, p):
-    # hardening stress without the domain check, for hot loops with q >= 0
-    return (p.tau_y
-            + p.A_h * np.arcsinh(p.a_h * q)
-            + p.B_h * np.tanh(p.b_h * q)
-            + p.C_h * np.power(q, p.c_h))
-
-
-def _f_iso_prime_raw(q, p):
-    return (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
-            + p.B_h * p.b_h / np.cosh(p.b_h * q) ** 2
-            + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
-
-
 def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
     """Vectorized backward-Euler return map over independent points.
 
@@ -312,7 +298,7 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
     phi_e = phi_new - phi_p          # trial elastic angle
     tau_tr = mu * phi_e
     h = np.where(tau_tr >= 0.0, 1.0, -1.0)
-    f_tr = h * tau_tr - _f_iso_raw(q, p)
+    f_tr = h * tau_tr - f_iso(q, p)
     plastic = f_tr > 0.0
 
     phi_e = phi_e.copy()
@@ -338,14 +324,14 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
         conv = np.zeros(idx.size, dtype=bool)
         for it in range(1, max_iter + 1):
             act = ~conv
-            gp = -mu - _f_iso_prime_raw(qi + x, p)
+            gp = -mu - f_iso_prime(qi + x, p)
             step = x - g / gp
             bad = ~np.isfinite(step) | (step <= lo) | (step > hi)
             step = np.where(bad, 0.5 * (lo + hi), step)
             x = np.where(act, step, x)
-            g_new = ti - mu * x - _f_iso_raw(qi + x, p)
-            g = np.where(act, g_new, g)
-            scale = np.maximum(mu, p.tau_y + _f_iso_raw(qi + x, p))
+            fk = f_iso(qi + x, p)
+            g = np.where(act, ti - mu * x - fk, g)
+            scale = np.maximum(mu, p.tau_y + fk)
             conv |= np.abs(g) <= tol * scale
             iterations = it
             if conv.all():
@@ -363,7 +349,7 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
                 "internal consistency violation: nonpositive plastic slip "
                 "increment on a plastic step")
         phi_e[idx] = phi_e[idx] - hs * x
-        gp = -mu - _f_iso_prime_raw(qi + x, p)
+        gp = -mu - f_iso_prime(qi + x, p)
         dtau[idx] = mu + mu ** 2 / gp
         phi_p_new[idx] = phi_p[idx] + hs * x
         q_new[idx] = qi + x
@@ -409,6 +395,31 @@ def return_map(phi_new, state_old, p, tol=1e-12, max_iter=50):
                         residual=float(res[0]))
 
 
+def _stress_arrays(tau, dtau, g12, g12_grad, eps_L=0.0, fibers=()):
+    """Membrane stress (..., 2, 2) and tangent (..., 2, 2, 2, 2).
+
+    The body of :func:`angle_stress_and_tangent`, :func:`membrane_stress`
+    and of the FE element kernel, over the leading axes of the return-map
+    stress ``tau`` and tangent ``dtau`` and of the structural tensors.
+    When ``eps_L`` is nonzero, each ``(lam, L)`` of ``fibers`` (stretch
+    and reference direction) adds its stretch stress and tangent in turn.
+    """
+    tau = np.asarray(tau)
+    dtau = np.asarray(dtau)
+    stress = 2.0 * tau[..., None, None] * g12
+    tangent = (4.0 * dtau[..., None, None, None, None]
+               * np.einsum("...ab,...cd->...abcd", g12, g12)
+               + 4.0 * tau[..., None, None, None, None] * g12_grad)
+    if eps_L != 0.0:
+        for lam, L in fibers:
+            lam = np.asarray(lam)
+            LL = np.einsum("...a,...b->...ab", L, L)
+            stress += (eps_L * (lam - 1.0) / lam)[..., None, None] * LL
+            tangent += (eps_L * lam ** -3.0)[..., None, None, None, None] \
+                * np.einsum("...ab,...cd->...abcd", LL, LL)
+    return stress, tangent
+
+
 def angle_stress_and_tangent(sr, st):
     """Angle contribution to membrane stress and material tangent.
 
@@ -426,10 +437,7 @@ def angle_stress_and_tangent(sr, st):
         Consistent tangent ``4 mu_eff g12 (x) g12 + 4 tau g12_grad`` with
         ``mu_eff = sr.dtau_dphi``.
     """
-    tau_a = 2.0 * sr.tau * st.g12
-    c_a = (4.0 * sr.dtau_dphi * np.einsum("ab,gd->abgd", st.g12, st.g12)
-           + 4.0 * sr.tau * st.g12_grad)
-    return tau_a, c_a
+    return _stress_arrays(sr.tau, sr.dtau_dphi, st.g12, st.g12_grad)
 
 
 def membrane_stress(m, f, sr, st, hp):
@@ -440,19 +448,9 @@ def membrane_stress(m, f, sr, st, hp):
     tau_total : (2, 2) ndarray
     c_total : (2, 2, 2, 2) ndarray
     """
-    tau_a, c_a = angle_stress_and_tangent(sr, st)
-    if hp.eps_L == 0.0:
-        return tau_a, c_a
     fs = fiber_state(m, f)
-    L1L1 = np.outer(f.L1, f.L1)
-    L2L2 = np.outer(f.L2, f.L2)
-    tau_total = tau_a + hp.eps_L * (
-        (fs.lambda1 - 1.0) / fs.lambda1 * L1L1
-        + (fs.lambda2 - 1.0) / fs.lambda2 * L2L2)
-    c_total = c_a + hp.eps_L * (
-        fs.lambda1 ** -3 * np.einsum("ab,gd->abgd", L1L1, L1L1)
-        + fs.lambda2 ** -3 * np.einsum("ab,gd->abgd", L2L2, L2L2))
-    return tau_total, c_total
+    return _stress_arrays(sr.tau, sr.dtau_dphi, st.g12, st.g12_grad,
+                          hp.eps_L, ((fs.lambda1, f.L1), (fs.lambda2, f.L2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,10 +476,7 @@ def moments_and_bending_tangents(m, f, c, hp):
     L = np.stack([f.L1, f.L2])
     c0 = np.asarray(c.c0, dtype=float).reshape(2, 2)
     LL = np.einsum("ia,ib->iab", L, L)
-    K_n = np.einsum("ia,ab,ib->i", L, c.b_ab - c.B_ab, L)
-    K_g = np.einsum("ia,ab,ib->i", L, c.bbar_ab - c.Bbar_ab, L)
-    T_g = (np.einsum("ia,ab,ib->i", c0, c.b_ab, L)
-           - np.einsum("ia,ab,ib->i", L, c.B_ab, c0))
+    K_n, K_g, T_g = _bending_invariants(L, c)
     cL = 0.5 * (np.einsum("ia,ib->iab", c0, L) + np.einsum("ia,ib->iab", L, c0))
     M0 = (hp.beta_n * np.einsum("i,iab->ab", K_n, LL)
           + hp.beta_tau * np.einsum("i,iab->ab", T_g, cL))
@@ -503,12 +498,7 @@ def strain_energy(m, f, c, phi_e, hp, ep):
     W = 0.5 * hp.eps_L * ((fs.lambda1 - 1.0) ** 2 + (fs.lambda2 - 1.0) ** 2)
     W += 0.5 * ep.mu_f * phi_e ** 2
     if c is not None:
-        L = np.stack([f.L1, f.L2])
-        c0 = np.asarray(c.c0, dtype=float).reshape(2, 2)
-        K_n = np.einsum("ia,ab,ib->i", L, c.b_ab - c.B_ab, L)
-        K_g = np.einsum("ia,ab,ib->i", L, c.bbar_ab - c.Bbar_ab, L)
-        T_g = (np.einsum("ia,ab,ib->i", c0, c.b_ab, L)
-               - np.einsum("ia,ab,ib->i", L, c.B_ab, c0))
+        K_n, K_g, T_g = _bending_invariants(np.stack([f.L1, f.L2]), c)
         W += 0.5 * (hp.beta_n * np.sum(K_n ** 2) + hp.beta_g * np.sum(K_g ** 2)
                     + hp.beta_tau * np.sum(T_g ** 2))
     return float(W)

@@ -80,7 +80,7 @@ class TestYieldAngle:
 
 class TestIntervalSolve:
     def test_zero_increment_is_identity(self, soft_params):
-        st0 = IntervalState(tau0=0.05, q0=0.2, alpha_p0=0.2)
+        st0 = IntervalState(tau0=0.05, q0=0.2)
         sol = interval_solve(0.0, st0, soft_params)
         assert sol.tau == st0.tau0 and not sol.plastic
         assert sol.q == st0.q0 and sol.delta_alpha == 0.0
@@ -132,7 +132,7 @@ class TestIntervalSolve:
         st1 = advance_interval(IntervalState(), mid, demo_params)
         rest = interval_solve(phi_bar - mid, st1, demo_params)
         assert rest.tau == pytest.approx(direct.tau, abs=5e-12)
-        assert st1.Q0 + rest.delta_alpha == pytest.approx(
+        assert st1.q0 + rest.delta_alpha == pytest.approx(
             direct.delta_alpha, abs=5e-12)
 
     def test_split_through_yield_onset(self, soft_params):
@@ -226,10 +226,9 @@ class TestAdvanceInterval:
         st1 = advance_interval(IntervalState(), 0.3, demo_params)
         sol = interval_solve(0.3, IntervalState(), demo_params)
         assert st1.tau0 == sol.tau and st1.q0 == sol.q
-        assert st1.alpha_p0 == sol.delta_alpha
-        assert st1.Q0 == sol.delta_alpha
+        assert st1.q0 == sol.delta_alpha
         st2 = advance_interval(st1, -0.1, demo_params)
-        assert st2.alpha_p0 >= st1.alpha_p0
+        assert st2.q0 >= st1.q0
 
 
 class TestFrameForce:

@@ -297,11 +297,6 @@ class TestTopLevel:
         assert "0.1.0" in result.output
         assert result.output.strip().endswith(wovenshear.__version__)
 
-    def test_seed_accepted(self, runner, demo_file, tmp_path):
-        run_ok(runner, ["--seed", "3", "picture-frame", "--mode", "analytic",
-                        "--params", str(demo_file), "--program", "5",
-                        "--out", str(tmp_path / "s")])
-
     def test_help_lists_commands(self, runner):
         result = run_ok(runner, ["--help"])
         for name in ("material-point", "picture-frame", "param-study",

@@ -16,7 +16,6 @@ from scipy.linalg import solve_banded
 
 from wovenshear import (
     ElastoplasticParams,
-    GaussPointState,
     HyperelasticParams,
     IntervalState,
     LoadProgram,
@@ -80,7 +79,7 @@ class TestElementResidualTangent:
         r, K, trial = element_residual_and_tangent(
             UNIT_SQUARE, UNIT_SQUARE, None, glass_params)
         assert np.abs(r).max() <= 1e-14
-        assert all(not s.plastic.q for s in trial)
+        assert all(not s.q for s in trial)
 
     def test_tangent_matches_finite_differences(self, glass_params):
         # plastic trial configuration: frame map at 15 degrees of shear
@@ -90,7 +89,7 @@ class TestElementResidualTangent:
         hp = HyperelasticParams(eps_L=glass_params.mu_f)
         r0, K, trial = element_residual_and_tangent(
             X, x, None, glass_params, hp)
-        assert any(s.plastic.q > 0.0 for s in trial)
+        assert any(s.q > 0.0 for s in trial)
         h = 1e-7
         K_fd = np.zeros((8, 8))
         for j in range(8):
@@ -115,18 +114,17 @@ class TestElementResidualTangent:
     def test_committed_states_pass_through(self, soft_params):
         # soft set: |trial stress| stays below f_iso, the step is elastic
         # and the trial history equals the committed one
-        states = [GaussPointState(PlasticState(phi_p=0.01, q=0.01,
-                                               alpha_p=0.01))
+        states = [PlasticState(phi_p=0.01, q=0.01, alpha_p=0.01)
                   for _ in range(4)]
         _, _, trial = element_residual_and_tangent(
             UNIT_SQUARE, UNIT_SQUARE, states, soft_params)
         for s in trial:
-            assert s.plastic.q == 0.01 and s.plastic.phi_p == 0.01
+            assert s.q == 0.01 and s.phi_p == 0.01
 
     def test_wrong_state_count_rejected(self, glass_params):
         with pytest.raises(ValueError, match="Gauss states"):
             element_residual_and_tangent(
-                UNIT_SQUARE, UNIT_SQUARE, [GaussPointState()], glass_params)
+                UNIT_SQUARE, UNIT_SQUARE, [PlasticState()], glass_params)
 
     def test_inversion_checked_at_quadrature_points(self, glass_params):
         # non-convex quad: positive Jacobian at the mesh's 2x2 check
@@ -160,7 +158,7 @@ class TestExactMap:
         sol = interval_solve(float(np.cos(theta)), IntervalState(),
                              glass_params)
         for s in trial:
-            assert s.plastic.q == pytest.approx(sol.q, rel=1e-12)
+            assert s.q == pytest.approx(sol.q, rel=1e-12)
 
     def test_patch_interior_nodes_follow_affine_map(self, glass_params):
         # Dirichlet boundary at the frame map: the converged interior is
@@ -367,7 +365,7 @@ class TestFESolutionOutput:
         sol = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
         states = sol.final_states
         assert len(states) == sol.phi_p.size
-        assert states[0].plastic.q == sol.q.ravel()[0]
+        assert states[0].q == sol.q.ravel()[0]
 
     def test_curve_means_match_gauss_fields(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([8.0])

@@ -28,6 +28,7 @@ from wovenshear import (
     params_from_dict,
     params_to_dict,
     picture_frame_metric,
+    push_forward_fiber,
     replace_params,
     return_map,
     return_map_batch,
@@ -36,8 +37,9 @@ from wovenshear import (
     structural_tensors,
     yield_function,
 )
-from wovenshear.kinematics import CurvaturePoint, MetricPoint, RefFiberPair
-from wovenshear.material import PARAM_JSON_KEYS
+from wovenshear.kinematics import (CurvaturePoint, MetricPoint, RefFiberPair,
+                                   _fiber_arrays, _structural_arrays)
+from wovenshear.material import PARAM_JSON_KEYS, _stress_arrays
 
 import oracles
 
@@ -327,6 +329,55 @@ class TestMembraneResponse:
             assert W >= 0.0
         m0 = MetricPoint.from_metrics(np.eye(2), np.eye(2))
         assert strain_energy(m0, f, None, 0.0, glass_hyper, glass_params) == 0.0
+
+    def test_array_bodies_equal_scalar_loop(self, glass_params, glass_hyper,
+                                            rng):
+        """The broadcast bodies the FE element kernel evaluates equal, bit
+        for bit, a loop of the scalar entry points that the
+        finite-difference checks test, on elastic and plastic points."""
+        n = 64
+        points = []
+        for _ in range(n):
+            A = oracles.random_spd(rng)
+            f = RefFiberPair.from_directions(rng.normal(size=2),
+                                             rng.normal(size=2), A)
+            points.append((MetricPoint.from_metrics(A, oracles.random_spd(rng)),
+                           f, PlasticState(phi_p=rng.uniform(-0.1, 0.1),
+                                           q=rng.uniform(0.0, 1.0))))
+        a_ab = np.stack([m.a_ab for m, _, _ in points])
+        L1 = np.stack([f.L1 for _, f, _ in points])
+        L2 = np.stack([f.L2 for _, f, _ in points])
+        Theta12 = np.array([f.Theta12 for _, f, _ in points])
+        lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, L1, L2)
+        history = [np.array([getattr(s, k) for _, _, s in points])
+                   for k in ("phi_p", "q", "alpha_p")]
+        rm = return_map_batch(theta12 - Theta12, *history, glass_params)
+        tau, dtau, plastic = rm[0], rm[2], rm[6]
+        assert plastic.any() and not plastic.all()
+        g12, g12_grad = _structural_arrays(l1, l2, theta12)
+        eps = glass_hyper.eps_L
+        stress, tangent = _stress_arrays(tau, dtau, g12, g12_grad, eps,
+                                         ((lam1, L1), (lam2, L2)))
+        angle = _stress_arrays(tau, dtau, g12, g12_grad)
+
+        for k, (m, f, state) in enumerate(points):
+            lam, l = push_forward_fiber(m, f.L1)
+            assert lam == lam1[k] and np.array_equal(l, l1[k])
+            fs = fiber_state(m, f)
+            assert (fs.lambda1, fs.lambda2, fs.theta12) == (
+                lam1[k], lam2[k], theta12[k])
+            assert np.array_equal(fs.l1, l1[k]) and np.array_equal(fs.l2, l2[k])
+            st_ = structural_tensors(m, fs)
+            assert np.array_equal(st_.g12, g12[k])
+            assert np.array_equal(st_.g12_grad, g12_grad[k])
+            sr = return_map(fs.theta12 - f.Theta12, state, glass_params)
+            assert sr.is_plastic == plastic[k] and sr.tau == tau[k]
+            tau_a, c_a = angle_stress_and_tangent(sr, st_)
+            assert np.array_equal(tau_a, angle[0][k])
+            assert np.array_equal(c_a, angle[1][k])
+            tau_t, c_t = membrane_stress(m, f, sr, st_, glass_hyper)
+            assert np.array_equal(tau_t, stress[k])
+            assert np.array_equal(c_t, tangent[k])
 
     def test_bending_moments_zero_without_curvature_change(self, glass_hyper):
         m, f, _ = picture_frame_metric(1.2)
