@@ -3,11 +3,12 @@
 In the picture-frame rig the deformation is homogeneous, both fiber
 stretches stay exactly one, and the only active variable is the fiber
 angle cosine theta12 = cos(theta).  The response over a monotone loading
-interval then reduces to a single scalar consistency equation, solved here
-to machine precision.  A load program is a chain of such intervals whose
-carried-over stress widens the elastic range of every later interval;
-interval states roll forward at each target so curves can be chained
-exactly.
+interval then reduces to a single scalar consistency equation, the return
+map's slip equation with another target stress, solved to machine
+precision by the return map's own slip solve.  A load program is a chain
+of such intervals whose carried-over stress widens the elastic range of
+every later interval; interval states roll forward at each target so
+curves can be chained exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .kinematics import (crosshead_rate, gamma_to_theta, theta_to_gamma,
                          _check_theta)
-from .material import ConvergenceError, f_iso, f_iso_prime
+from .material import _slip_solve, f_iso
 
 __all__ = [
     "LoadProgram",
@@ -123,7 +124,7 @@ def yield_angle(istate, p):
     return (f_iso(istate.q0, p) + abs(istate.tau0)) / p.mu_f
 
 
-def interval_solve_batch(phi_bar, istate, p, tol=1e-12, max_iter=50):
+def interval_solve_batch(phi_bar, istate, p, max_iter=50):
     """Closed-form response at each angle-cosine increment in ``phi_bar``.
 
     Solves the consistency condition for the plastic slip accumulated
@@ -134,9 +135,9 @@ def interval_solve_batch(phi_bar, istate, p, tol=1e-12, max_iter=50):
     at any intermediate point exact.
 
     Every increment is measured from the same interval start, so the
-    points are independent: each runs its own bracketed Newton-bisection
-    on the slip and stops on its own tolerance, with the arithmetic of a
-    one-point solve.  A point's result does not depend on the others.
+    points are independent: the return map's slip solve, with target
+    stress ``d tau0 + mu_f |phi_bar|`` and ``q0``, takes each to round-off
+    on its own.  A point's result does not depend on the others.
 
     Parameters
     ----------
@@ -144,6 +145,8 @@ def interval_solve_batch(phi_bar, istate, p, tol=1e-12, max_iter=50):
         theta12 - theta12(interval start), the angle-cosine increments.
     istate : IntervalState
     p : ElastoplasticParams
+    max_iter : int
+        Sweep cap of the slip solve.
 
     Returns
     -------
@@ -169,68 +172,39 @@ def interval_solve_batch(phi_bar, istate, p, tol=1e-12, max_iter=50):
     plastic = (d != 0.0) & ~(pb <= phi_y)
 
     x = np.zeros(phi_bar.shape)
-    g = np.zeros(phi_bar.shape)
+    residual = np.zeros(phi_bar.shape)
     iterations = np.zeros(phi_bar.shape, dtype=int)
-    # plastic: solve g(x) = d tau0 + mu (|phi_bar| - x) - f_iso(q0 + x) = 0,
-    # bracketed by g(0) = mu (|phi_bar| - phi_y) > 0 and g(hi) = -f_iso < 0;
-    # the arrays below hold the points still iterating
+    # plastic: g(x) = d tau0 + mu (|phi_bar| - x) - f_iso(q0 + x) = 0 with
+    # g(0) = mu (|phi_bar| - phi_y) > 0
     idx = np.flatnonzero(plastic)
-    dk = d.flat[idx]
     pk = pb.flat[idx]
-    lo = np.zeros(idx.size)
-    hi = pk + dk * tau0 / mu
-    xk = np.zeros(idx.size)
-    gk = mu * (pk - phi_y.flat[idx])
-    for it in range(1, max_iter + 1):
-        if not idx.size:
-            break
-        gp = -mu - f_iso_prime(q0 + xk, p)
-        step = xk - gk / gp
-        bad = ~np.isfinite(step) | (step <= lo) | (step > hi)
-        xk = np.where(bad, 0.5 * (lo + hi), step)
-        fk = f_iso(q0 + xk, p)
-        gk = dk * tau0 + mu * (pk - xk) - fk
-        scale = np.maximum(mu, p.tau_y + fk)
-        done = np.abs(gk) <= tol * scale
-        x.flat[idx[done]] = xk[done]
-        g.flat[idx[done]] = gk[done]
-        iterations.flat[idx[done]] = it
-        up = gk > 0.0
-        lo = np.where(up, xk, lo)
-        hi = np.where(up, hi, xk)
-        keep = ~done
-        idx, dk, pk, lo, hi, xk, gk = (
-            a[keep] for a in (idx, dk, pk, lo, hi, xk, gk))
-    if idx.size:
-        worst = float(np.abs(gk).max())
-        raise ConvergenceError(
-            f"interval solve failed to converge in {max_iter} iterations "
-            f"(|g| = {worst:.3e})", residual=worst)
+    x.flat[idx], residual.flat[idx], iterations.flat[idx], _ = _slip_solve(
+        d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p,
+        max_iter)
 
     tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
     return IntervalSolution(tau=tau, phi_p_bar=np.where(plastic, d * x, 0.0),
                             q=q0 + x, delta_alpha=x, plastic=plastic,
-                            iterations=iterations, residual=np.abs(g))
+                            iterations=iterations, residual=residual)
 
 
-def interval_solve(phi_bar, istate, p, tol=1e-12, max_iter=50):
+def interval_solve(phi_bar, istate, p, max_iter=50):
     """Closed-form response at one angle-cosine increment ``phi_bar``.
 
     The one-point form of :func:`interval_solve_batch`, with float fields.
     """
-    sol = interval_solve_batch([phi_bar], istate, p, tol=tol,
-                               max_iter=max_iter)
+    sol = interval_solve_batch([phi_bar], istate, p, max_iter=max_iter)
     return IntervalSolution(**{k: v.item() for k, v in vars(sol).items()})
 
 
-def advance_interval(istate, phi_bar, p, tol=1e-12, max_iter=50):
+def advance_interval(istate, phi_bar, p, max_iter=50):
     """Roll the interval state forward by an angle-cosine increment.
 
     Solves the current interval at ``phi_bar`` and starts a fresh interval
     there: the solved stress and hardening state become the new carried
     values.
     """
-    sol = interval_solve(phi_bar, istate, p, tol=tol, max_iter=max_iter)
+    sol = interval_solve(phi_bar, istate, p, max_iter=max_iter)
     return IntervalState(tau0=sol.tau, q0=sol.q)
 
 
@@ -313,7 +287,7 @@ def program_theta_grid(lp, steps_per_degree=2.0):
 
 
 def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
-                sampling="theta12", tol=1e-12, max_iter=50):
+                sampling="theta12", max_iter=50):
     """Evaluate the analytic response along a load program.
 
     Parameters
@@ -354,7 +328,7 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
             t12_targets = np.linspace(t12_anchor, t12_end, grid.size + 1)[1:]
             gammas = theta_to_gamma(np.arccos(np.clip(t12_targets, -1.0, 1.0)))
         sol = interval_solve_batch(t12_targets - t12_anchor, state, p,
-                                   tol=tol, max_iter=max_iter)
+                                   max_iter=max_iter)
         gamma.append(gammas)
         theta12.append(t12_targets)
         tau.append(sol.tau)

@@ -174,7 +174,8 @@ class SolverConfig:
     more correction is taken, and that iterate is accepted if it still
     meets the tolerance.  This polish correction takes the iterate to
     round-off, so the accuracy does not depend on the mesh size; it does
-    not count against ``newton_max_iter``.
+    not count against ``newton_max_iter``.  ``rm_max_iter`` caps the
+    return map's sweeps; it polishes each slip to round-off.
     """
 
     load_steps: int | None = None
@@ -183,14 +184,13 @@ class SolverConfig:
     newton_max_iter: int = 25
     quadrature_order: int = 2
     max_halvings: int = 5
-    rm_tol: float = 1e-12
     rm_max_iter: int = 50
 
     def __post_init__(self):
         if self.load_steps is not None and self.load_steps < 1:
             raise ValueError("load_steps must be >= 1")
         for name in ("steps_per_degree", "newton_tol", "newton_max_iter",
-                     "quadrature_order", "rm_tol", "rm_max_iter"):
+                     "quadrature_order", "rm_max_iter"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_halvings < 0:
@@ -222,12 +222,10 @@ class _FrameModel:
     are fixed by the mesh too.
     """
 
-    def __init__(self, mesh, ep, hp=None, quadrature_order=2,
-                 rm_tol=1e-12, rm_max_iter=50):
+    def __init__(self, mesh, ep, hp=None, quadrature_order=2, rm_max_iter=50):
         self.mesh = mesh
         self.ep = ep
         self.eps_L = hp.eps_L if hp is not None else 0.0
-        self.rm_tol = rm_tol
         self.rm_max_iter = rm_max_iter
         dN, w = _shape_gradients(quadrature_order)
         self.dN = dN
@@ -283,7 +281,7 @@ class _FrameModel:
 
         out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(),
                                alpha_p.ravel(), self.ep,
-                               tol=self.rm_tol, max_iter=self.rm_max_iter)
+                               max_iter=self.rm_max_iter)
         shape = phi.shape
         tau, phi_e, dtau = (v.reshape(shape) for v in out[0:3])
         phi_p_new, q_new, alpha_new = (v.reshape(shape) for v in out[3:6])
@@ -326,8 +324,7 @@ class _FrameModel:
 
 
 def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
-                                 hp=None, quadrature_order=2,
-                                 rm_tol=1e-12, rm_max_iter=50):
+                                 hp=None, quadrature_order=2, rm_max_iter=50):
     """Internal force and consistent tangent of one quadrilateral.
 
     Parameters
@@ -361,7 +358,7 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
     x_e = np.asarray(nodal_positions, dtype=float).reshape(4, 2)
     mesh = Mesh(nodes=X_e, elements=np.array([[0, 1, 2, 3]]),
                 boundary_nodes=np.array([], dtype=int))
-    model = _FrameModel(mesh, ep, hp, quadrature_order, rm_tol, rm_max_iter)
+    model = _FrameModel(mesh, ep, hp, quadrature_order, rm_max_iter)
     G = model.n_gauss
     if states is None:
         states = [PlasticState() for _ in range(G)]
@@ -506,8 +503,7 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     if hp is None:
         hp = HyperelasticParams(eps_L=ep.mu_f)
     cfg = cfg if cfg is not None else SolverConfig()
-    model = _FrameModel(mesh, ep, hp, cfg.quadrature_order,
-                        cfg.rm_tol, cfg.rm_max_iter)
+    model = _FrameModel(mesh, ep, hp, cfg.quadrature_order, cfg.rm_max_iter)
     lp = program
     if cfg.load_steps is not None:
         lp = dataclasses.replace(program, samples_per_interval=cfg.load_steps)

@@ -299,8 +299,9 @@ def _dual_fiber_covariant(m, f):
 def angle_split_metrics(m, f, phi_p):
     """Intermediate metrics encoding the elastic/plastic angle split.
 
-    ``a_bar`` reproduces the current fiber cosines at unit stretch (it is
-    the fiber-length-preserving part of the current metric); ``a_hat``
+    ``a_bar`` reproduces the current fiber cosine of :func:`fiber_state`
+    at unit stretch (it is the fiber-length-preserving part of the current
+    metric); ``a_hat``
     additionally replaces the fiber angle by its plastically rotated value
     ``Theta12 + phi_p``.  Both are assembled on the dual fiber basis.
 
@@ -314,16 +315,13 @@ def angle_split_metrics(m, f, phi_p):
         If the fiber metric is singular (parallel families).
     """
     Lsup_cov, _ = _dual_fiber_covariant(m, f)
-    fs = fiber_state(m, f)
-    ell = np.stack([fs.l1, fs.l2])
-    theta_cur = ell @ m.a_ab @ ell.T          # current fiber cosines
-    theta_hat = np.array([
-        [1.0, f.Theta12 + phi_p],
-        [f.Theta12 + phi_p, 1.0],
-    ])
-    a_bar = np.einsum("ia,jb,ij->ab", Lsup_cov, Lsup_cov, theta_cur)
-    a_hat = np.einsum("ia,jb,ij->ab", Lsup_cov, Lsup_cov, theta_hat)
-    return a_bar, a_hat
+
+    def on_dual_basis(cos12):
+        theta = np.array([[1.0, cos12], [cos12, 1.0]])
+        return np.einsum("ia,jb,ij->ab", Lsup_cov, Lsup_cov, theta)
+
+    return (on_dual_basis(fiber_state(m, f).theta12),
+            on_dual_basis(f.Theta12 + phi_p))
 
 
 def split_angle_measures(m, a_bar, a_hat, f):

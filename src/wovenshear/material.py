@@ -257,7 +257,65 @@ def yield_function(tau, q, p):
     return np.abs(tau) - f_iso(q, p)
 
 
-def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
+# relative stopping tolerance of the slip solve; the polish step that
+# follows takes the slip to round-off, so it is not a setting
+_SLIP_TOL = 1e-12
+
+
+def _slip_solve(t, q, g0, p, max_iter):
+    """Slip ``x > 0`` of ``g(x) = t - mu_f x - f_iso(q + x) = 0`` per point.
+
+    The consistency equation of the return map (``t = |tau_trial|``) and
+    of the interval solve (``t = d tau0 + mu_f |phi_bar|``), with
+    ``g0 = g(0) > 0`` and ``q`` an array like ``t`` or a float.  Each point
+    runs a safeguarded Newton iteration (``rtsafe``, Numerical Recipes
+    9.4) in its bracket, first ``(0, t / mu_f]``, bisecting when a step
+    leaves it, until ``|g| <= _SLIP_TOL * max(mu_f, f_iso(q + x))``; then
+    one polish step, a Newton step with the modulus at that ``x``, kept if
+    it stays in the bracket.  Points never mix.  Returns the slip, ``|g|``
+    there, each point's sweeps before the polish step, and the polish
+    step's modulus ``-mu_f - f_iso'``.  Raises ConvergenceError with the
+    largest unconverged ``|g|`` after ``max_iter`` sweeps, and
+    RuntimeError on a nonpositive slip.
+    """
+    mu = p.mu_f
+    lo = np.zeros_like(t)
+    hi = t / mu
+    x = lo
+    g = g0
+    gp = -mu - f_iso_prime(q + x, p)
+    iterations = np.zeros(t.shape, dtype=int)
+    act = np.ones(t.shape, dtype=bool)
+    for _ in range(max_iter):
+        if not act.any():
+            break
+        step = x - g / gp
+        inside = (step > lo) & (step <= hi)        # False on nan
+        x = np.where(act, np.where(inside, step, 0.5 * (lo + hi)), x)
+        # stopped points keep x, so g, gp, lo and hi repeat their values
+        fk = f_iso(q + x, p)
+        g = t - mu * x - fk
+        gp = -mu - f_iso_prime(q + x, p)
+        iterations += act
+        up = g > 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        act &= ~(np.abs(g) <= _SLIP_TOL * np.maximum(mu, fk))
+    if act.any():
+        worst = float(np.abs(g[act]).max())
+        raise ConvergenceError(
+            f"slip solve failed to converge in {max_iter} iterations "
+            f"(max |g| = {worst:.3e})", residual=worst)
+    step = x - g / gp
+    x = np.where((step > lo) & (step <= hi), step, x)
+    if (x <= 0.0).any():
+        raise RuntimeError(
+            "internal consistency violation: nonpositive plastic slip "
+            "increment on a plastic step")
+    return x, np.abs(t - mu * x - f_iso(q + x, p)), iterations, gp
+
+
+def return_map_batch(phi_new, phi_p, q, alpha_p, p, max_iter=50):
     """Vectorized backward-Euler return map over independent points.
 
     Parameters
@@ -267,11 +325,10 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
     phi_p, q, alpha_p : (n,) array_like
         Committed history at the start of the step.
     p : ElastoplasticParams
-    tol : float
-        Residual tolerance, relative to max(mu_f, tau_y + f_iso(q)).
     max_iter : int
-        Newton iteration cap; a bisection fallback keeps iterates inside
-        the bracket (0, |phi_e_trial|), where the residual changes sign.
+        Sweep cap of the slip solve, which brings ``|g|`` to round-off of
+        ``max(mu_f, f_iso(q_new))`` inside the bracket
+        ``(0, |phi_e_trial|]``, where the residual changes sign.
 
     Returns
     -------
@@ -312,56 +369,23 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, tol=1e-12, max_iter=50):
     idx = np.nonzero(plastic)[0]
     if idx.size:
         hs = h[idx]
-        ti = hs * tau_tr[idx]            # |tau_trial|
-        te = np.abs(phi_e[idx])
         qi = q[idx]
-        # root of g(x) = |tau_tr| - mu x - f_iso(q + x) lies in (0, te]:
-        # g(0) = f_tr > 0 and g(te) = -f_iso(q + te) <= 0
-        lo = np.zeros_like(ti)
-        hi = te.copy()
-        x = np.zeros_like(ti)
-        g = f_tr[idx].copy()
-        conv = np.zeros(idx.size, dtype=bool)
-        for it in range(1, max_iter + 1):
-            act = ~conv
-            gp = -mu - f_iso_prime(qi + x, p)
-            step = x - g / gp
-            bad = ~np.isfinite(step) | (step <= lo) | (step > hi)
-            step = np.where(bad, 0.5 * (lo + hi), step)
-            x = np.where(act, step, x)
-            fk = f_iso(qi + x, p)
-            g = np.where(act, ti - mu * x - fk, g)
-            scale = np.maximum(mu, p.tau_y + fk)
-            conv |= np.abs(g) <= tol * scale
-            iterations = it
-            if conv.all():
-                break
-            upd = ~conv
-            lo = np.where(upd & (g > 0.0), x, lo)
-            hi = np.where(upd & (g < 0.0), x, hi)
-        if not conv.all():
-            worst = float(np.abs(g[~conv]).max())
-            raise ConvergenceError(
-                f"return map failed to converge in {max_iter} iterations "
-                f"(max |g| = {worst:.3e})", residual=worst)
-        if (x <= 0.0).any():
-            raise RuntimeError(
-                "internal consistency violation: nonpositive plastic slip "
-                "increment on a plastic step")
+        x, residual[idx], its, gp = _slip_solve(
+            hs * tau_tr[idx], qi, f_tr[idx], p, max_iter)
         phi_e[idx] = phi_e[idx] - hs * x
-        gp = -mu - f_iso_prime(qi + x, p)
+        # consistent tangent, with the slope of the polish step
         dtau[idx] = mu + mu ** 2 / gp
         phi_p_new[idx] = phi_p[idx] + hs * x
         q_new[idx] = qi + x
         alpha_new[idx] = alpha_p[idx] + x
-        residual[idx] = np.abs(g)
+        iterations = int(its.max())
 
     tau = mu * phi_e
     return (tau, phi_e, dtau, phi_p_new, q_new, alpha_new, plastic,
             iterations, residual)
 
 
-def return_map(phi_new, state_old, p, tol=1e-12, max_iter=50):
+def return_map(phi_new, state_old, p, max_iter=50):
     """Backward-Euler return map at a single material point.
 
     Pure function: ``state_old`` is never mutated, and on an elastic step
@@ -382,7 +406,7 @@ def return_map(phi_new, state_old, p, tol=1e-12, max_iter=50):
     out = return_map_batch(
         np.array([phi_new]), np.array([state_old.phi_p]),
         np.array([state_old.q]), np.array([state_old.alpha_p]),
-        p, tol=tol, max_iter=max_iter)
+        p, max_iter=max_iter)
     tau, phi_e, dtau, phi_p_new, q_new, alpha_new, plastic, iters, res = out
     if plastic[0]:
         new_state = PlasticState(phi_p=float(phi_p_new[0]), q=float(q_new[0]),
@@ -516,7 +540,7 @@ class DriveResult:
     state_final: PlasticState
 
 
-def drive_angle_path(phi_path, p, state=None, tol=1e-12, max_iter=50):
+def drive_angle_path(phi_path, p, state=None, max_iter=50):
     """Drive a material point through a prescribed angle-change path.
 
     Each entry of ``phi_path`` is one committed step; states are committed
@@ -543,7 +567,7 @@ def drive_angle_path(phi_path, p, state=None, tol=1e-12, max_iter=50):
     phi_p = np.empty(n)
     q = np.empty(n)
     for k, phi in enumerate(phi_path):
-        sr = return_map(float(phi), state, p, tol=tol, max_iter=max_iter)
+        sr = return_map(float(phi), state, p, max_iter=max_iter)
         state = sr.new_state
         tau[k] = sr.tau
         phi_p[k] = state.phi_p

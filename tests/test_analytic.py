@@ -158,7 +158,7 @@ class TestIntervalSolve:
     def test_residual_reported(self, glass_params):
         sol = interval_solve(0.3, IntervalState(), glass_params)
         scale = max(glass_params.mu_f, f_iso(sol.q, glass_params))
-        assert sol.residual <= 1e-12 * scale
+        assert sol.residual <= 1e-14 * scale
         assert sol.iterations > 0
 
     def test_convergence_error(self, glass_params):
@@ -179,6 +179,9 @@ class TestIntervalSolveBatch:
            increments=_INCREMENTS, glass=st.booleans())
     @example(pre=[0.4], increments=[0.0, 0.05, -0.05, 0.3, -0.5, 1e-9],
              glass=False)
+    # a sub-ulp increment from a state on the yield surface: the slip is
+    # far below the round-off of the residual
+    @example(pre=[0.00737], increments=[2.1e-181], glass=True)
     @settings(max_examples=150, deadline=None)
     def test_equals_scalar_loop(self, pre, increments, glass, soft_params,
                                 glass_params):

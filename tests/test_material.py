@@ -1,10 +1,11 @@
 """Constitutive kernel tests.
 
 Verifies: hardening-curve values and admissibility, parameter
-(de)serialization, the return map against an independent bisection oracle,
-the algorithmic tangent against central differences, batch/scalar
-equivalence, the energy/stress consistency of the membrane response, and
-the incremental angle driver.
+(de)serialization, the return map and the slip solve it shares with the
+interval solve against an independent bisection oracle, the algorithmic
+tangent against central differences, batch/scalar equivalence, the
+energy/stress consistency of the membrane response, and the incremental
+angle driver.
 """
 
 import numpy as np
@@ -39,7 +40,7 @@ from wovenshear import (
 )
 from wovenshear.kinematics import (CurvaturePoint, MetricPoint, RefFiberPair,
                                    _fiber_arrays, _structural_arrays)
-from wovenshear.material import PARAM_JSON_KEYS, _stress_arrays
+from wovenshear.material import PARAM_JSON_KEYS, _slip_solve, _stress_arrays
 
 import oracles
 
@@ -179,6 +180,9 @@ class TestReturnMap:
         scale = max(glass_params.mu_f, f_iso(sr.new_state.q, glass_params))
         assert abs(yield_function(sr.tau, sr.new_state.q,
                                   glass_params)) <= 1e-11 * scale
+        # the slip solve's own residual, polished to round-off
+        assert sr.residual <= 1e-14 * scale
+        assert sr.iterations > 0
 
     def test_stress_elastic_relation_exact(self, glass_params):
         for phi in (0.01, 0.2, -0.35):
@@ -231,6 +235,17 @@ class TestReturnMap:
             assert tau_b[k] == sr.tau
             assert phi_e_b[k] == sr.phi_e
 
+    def test_repeat_at_the_committed_angle(self, soft_params):
+        # a returned state sits on the yield surface, so the same angle
+        # can test plastic again by round-off; the slip is then below the
+        # round-off of g, and the polish step must not take it to zero
+        for phi in (0.14134978412825766, 0.12714984853925596,
+                    0.11199279991512828, 0.12332735646227606):
+            first = return_map(phi, PlasticState(), soft_params)
+            again = return_map(phi, first.new_state, soft_params)
+            assert again.new_state.q >= first.new_state.q
+            assert again.tau == pytest.approx(first.tau, rel=1e-15)
+
     def test_convergence_error_carries_residual(self, glass_params):
         with pytest.raises(ConvergenceError) as err:
             return_map(0.5, PlasticState(), glass_params, max_iter=1)
@@ -242,6 +257,50 @@ class TestReturnMap:
             PlasticState(q=-0.1)
         with pytest.raises(ValueError):
             PlasticState(alpha_p=-0.1)
+
+
+class TestSlipSolve:
+    """The one slip solve behind the return map and the interval solve,
+    against the plain bisection of the oracles module."""
+
+    @given(name=st.sampled_from(["glass", "soft", "demo"]),
+           q=st.one_of(st.just(0.0), st.floats(1e-4, 0.6)),
+           interval=st.booleans(), carried=st.floats(-1.0, 1.0),
+           backward=st.booleans(), log_inc=st.floats(-9.0, 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisection(self, name, q, interval, carried, backward,
+                               log_inc, glass_params, soft_params,
+                               demo_params):
+        p = {"glass": glass_params, "soft": soft_params,
+             "demo": demo_params}[name]
+        mu = p.mu_f
+        fy = float(f_iso(q, p))
+        inc = 10.0 ** log_inc            # angle past the elastic range
+        if interval:
+            # interval_solve_batch's form: a carried stress on or inside
+            # the yield surface (none from a virgin start), loaded with or
+            # against it
+            tau0 = carried * fy if q > 0.0 else 0.0
+            d = -1.0 if backward else 1.0
+            phi_y = (fy - d * tau0) / mu
+            pb = phi_y + inc
+            t, g0 = d * tau0 + mu * pb, mu * (pb - phi_y)
+        else:
+            # return_map_batch's form: t = |tau_trial|
+            t = mu * (fy / mu + inc)
+            g0 = t - fy
+        x, res, its, _ = _slip_solve(np.array([t]), q, np.array([g0]), p, 50)
+        root = oracles.bisect_root(
+            lambda s: t - mu * s - ref_f_iso(q + s, p), 0.0, t / mu)
+        # g(x) carries round-off of about eps (t + f_iso'(q + x) (q + x)),
+        # which fixes the root only to that over the slope mu + f_iso'
+        eps = np.finfo(float).eps
+        hard = float(f_iso_prime(q + root, p))
+        tol = 4.0 * (np.spacing(root)
+                     + eps * (t + hard * (q + root)) / (mu + hard))
+        assert abs(x[0] - root) <= tol
+        assert res[0] <= 1e-14 * max(mu, float(f_iso(q + x[0], p)))
+        assert its[0] >= 1
 
 
 class TestDriver:
