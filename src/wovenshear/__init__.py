@@ -40,6 +40,7 @@ from .material import (
     HyperelasticParams,
     PlasticState,
     StressReturn,
+    BatchReturn,
     BendingResponse,
     DriveResult,
     PARAM_JSON_KEYS,

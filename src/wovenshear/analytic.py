@@ -107,7 +107,6 @@ class IntervalSolution:
     tau: float
     phi_p_bar: float
     q: float
-    delta_alpha: float
     plastic: bool
     iterations: int
     residual: float
@@ -124,7 +123,7 @@ def yield_angle(istate, p):
     return (f_iso(istate.q0, p) + abs(istate.tau0)) / p.mu_f
 
 
-def interval_solve_batch(phi_bar, istate, p, max_iter=50):
+def interval_solve_batch(phi_bar, istate, p):
     """Closed-form response at each angle-cosine increment in ``phi_bar``.
 
     Solves the consistency condition for the plastic slip accumulated
@@ -145,8 +144,6 @@ def interval_solve_batch(phi_bar, istate, p, max_iter=50):
         theta12 - theta12(interval start), the angle-cosine increments.
     istate : IntervalState
     p : ElastoplasticParams
-    max_iter : int
-        Sweep cap of the slip solve.
 
     Returns
     -------
@@ -157,7 +154,7 @@ def interval_solve_batch(phi_bar, istate, p, max_iter=50):
     Raises
     ------
     ConvergenceError
-        If any point is unconverged after ``max_iter`` iterations; the
+        If any point is unconverged after the slip solve's sweep cap; the
         residual is the largest unconverged ``|g|``.
     """
     phi_bar = np.asarray(phi_bar, dtype=float)
@@ -179,33 +176,50 @@ def interval_solve_batch(phi_bar, istate, p, max_iter=50):
     idx = np.flatnonzero(plastic)
     pk = pb.flat[idx]
     x.flat[idx], residual.flat[idx], iterations.flat[idx], _ = _slip_solve(
-        d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p,
-        max_iter)
+        d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p)
 
     tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
     return IntervalSolution(tau=tau, phi_p_bar=np.where(plastic, d * x, 0.0),
-                            q=q0 + x, delta_alpha=x, plastic=plastic,
+                            q=q0 + x, plastic=plastic,
                             iterations=iterations, residual=residual)
 
 
-def interval_solve(phi_bar, istate, p, max_iter=50):
+def interval_solve(phi_bar, istate, p):
     """Closed-form response at one angle-cosine increment ``phi_bar``.
 
     The one-point form of :func:`interval_solve_batch`, with float fields.
     """
-    sol = interval_solve_batch([phi_bar], istate, p, max_iter=max_iter)
+    sol = interval_solve_batch([phi_bar], istate, p)
     return IntervalSolution(**{k: v.item() for k, v in vars(sol).items()})
 
 
-def advance_interval(istate, phi_bar, p, max_iter=50):
+def advance_interval(istate, phi_bar, p):
     """Roll the interval state forward by an angle-cosine increment.
 
     Solves the current interval at ``phi_bar`` and starts a fresh interval
     there: the solved stress and hardening state become the new carried
     values.
     """
-    sol = interval_solve(phi_bar, istate, p, max_iter=max_iter)
+    sol = interval_solve(phi_bar, istate, p)
     return IntervalState(tau0=sol.tau, q0=sol.q)
+
+
+def _solve_legs(t12_legs, p):
+    """Closed-form solutions along the angle-cosine targets of each leg.
+
+    The legs chain from the virgin state: the last target of a leg is its
+    end, and the solution there starts the next leg.  Returns one
+    :class:`IntervalSolution` per leg.
+    """
+    sols = []
+    state = IntervalState()
+    t12_anchor = 0.0        # angle cosine at the interval start
+    for t12 in t12_legs:
+        sol = interval_solve_batch(t12 - t12_anchor, state, p)
+        sols.append(sol)
+        state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
+        t12_anchor = float(t12[-1])
+    return sols
 
 
 def frame_force(tau, theta, L0):
@@ -286,9 +300,11 @@ def program_theta_grid(lp, steps_per_degree=2.0):
     return grids
 
 
-def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
-                sampling="theta12", max_iter=50):
+def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):
     """Evaluate the analytic response along a load program.
+
+    Samples uniformly in the frame angle, on the grid of
+    :func:`program_theta_grid` that the FE solver steps through.
 
     Parameters
     ----------
@@ -300,48 +316,21 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0,
         Stress normalization for the force column.
     steps_per_degree : float
         Sampling density when the program does not fix a per-leg count.
-    sampling : {"theta12", "gamma"}
-        Uniform sampling in the angle cosine (natural for the solution) or
-        uniform in the frame angle (matches displacement-driven solvers).
 
     Returns
     -------
     ShearCurve
         Includes the initial zero row at theta = pi/2.
     """
-    if sampling not in ("theta12", "gamma"):
-        raise ValueError(f"unknown sampling {sampling!r}")
-    mu = p.mu_f
-    state = IntervalState()
-    t12_anchor = 0.0        # angle cosine at the interval start
-    gamma = [[0.0]]
-    theta12 = [[t12_anchor]]
-    tau = [[state.tau0]]
-    q = [[state.q0]]
-    for grid in program_theta_grid(lp, steps_per_degree):
-        t12_end = float(np.cos(grid[-1]))
-        if sampling == "gamma":
-            t12_targets = np.cos(grid)
-            t12_targets[-1] = t12_end
-            gammas = theta_to_gamma(grid)
-        else:
-            t12_targets = np.linspace(t12_anchor, t12_end, grid.size + 1)[1:]
-            gammas = theta_to_gamma(np.arccos(np.clip(t12_targets, -1.0, 1.0)))
-        sol = interval_solve_batch(t12_targets - t12_anchor, state, p,
-                                   max_iter=max_iter)
-        gamma.append(gammas)
-        theta12.append(t12_targets)
-        tau.append(sol.tau)
-        q.append(sol.q)
-        # the last target is t12_end, so its point starts the next leg
-        state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
-        t12_anchor = t12_end
-
-    gamma = np.concatenate(gamma)
-    theta12 = np.concatenate(theta12)
-    tau = np.concatenate(tau)
-    q = np.concatenate(q)
-    phi_e = tau / mu
+    grids = program_theta_grid(lp, steps_per_degree)
+    t12_legs = [np.cos(grid) for grid in grids]
+    sols = _solve_legs(t12_legs, p)
+    # the first row is the virgin state at theta = pi/2
+    gamma = np.concatenate([[0.0]] + [theta_to_gamma(g) for g in grids])
+    theta12 = np.concatenate([[0.0]] + t12_legs)
+    tau = np.concatenate([[0.0]] + [s.tau for s in sols])
+    q = np.concatenate([[0.0]] + [s.q for s in sols])
+    phi_e = tau / p.mu_f
     phi_p = theta12 - phi_e
     force = frame_force(tau, gamma_to_theta(gamma), L0)
     return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=tau, phi_e=phi_e,

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .analytic import LoadProgram, run_program
 from .calibrate import ExperimentCurve, staged_fit
-from .fe import Mesh, SolverConfig, solve_picture_frame, verify_against_analytic
+from .fe import (Mesh, SolverConfig, SolverError, solve_picture_frame,
+                 verify_against_analytic)
 from .material import (drive_angle_path, load_params, params_to_dict,
                        replace_params)
 
@@ -204,8 +205,7 @@ def picture_frame(ctx, **values):
     mode = rc["mode"]
 
     if mode == "analytic":
-        curve = run_program(program, ep, L0=L0, mu0=mu0,
-                            steps_per_degree=spd, sampling="gamma")
+        curve = run_program(program, ep, L0=L0, mu0=mu0, steps_per_degree=spd)
         dest = out / "analytic_curve.csv"
         curve.to_csv(dest)
         click.echo(f"wrote {dest} ({len(curve)} rows)")
@@ -218,7 +218,10 @@ def picture_frame(ctx, **values):
     # the membrane with unstable zero-energy modes; fall back to the
     # solver's stress-neutral default eps_L = mu_f
     hp_run = hp if hp.eps_L > 0.0 else None
-    sol = solve_picture_frame(mesh, program, cfg, ep, hp_run, mu0=mu0)
+    try:
+        sol = solve_picture_frame(mesh, program, cfg, ep, hp_run, mu0=mu0)
+    except SolverError as exc:
+        raise click.ClickException(str(exc))
     dest = out / "fe_curve.csv"
     sol.curve.to_csv(dest)
     fields = out / "fe_fields.csv"
@@ -228,8 +231,7 @@ def picture_frame(ctx, **values):
     if mode == "fe":
         return
 
-    curve = run_program(program, ep, L0=L0, mu0=mu0,
-                        steps_per_degree=spd, sampling="gamma")
+    curve = run_program(program, ep, L0=L0, mu0=mu0, steps_per_degree=spd)
     dest = out / "analytic_curve.csv"
     curve.to_csv(dest)
     click.echo(f"wrote {dest} ({len(curve)} rows)")
@@ -296,7 +298,7 @@ def param_study(ctx, **values):
             raise click.ClickException(
                 f"sweep value {name} = {v} rejected: {exc}")
         curve = run_program(program, epk, L0=L0, mu0=mu0,
-                            steps_per_degree=spd, sampling="gamma")
+                            steps_per_degree=spd)
         dest = out / f"study_{name}_{k}.csv"
         curve.to_csv(dest)
         files.append(dest.name)

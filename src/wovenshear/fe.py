@@ -18,22 +18,21 @@ tolerance, one more correction takes the iterate to round-off.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .analytic import (IntervalState, LoadProgram, ShearCurve, frame_force,
-                       interval_solve_batch, program_theta_grid)
+from .analytic import (LoadProgram, ShearCurve, _solve_legs, frame_force,
+                       program_theta_grid)
 # unused; perfbench/spans.py wraps these module bindings
 from .analytic import advance_interval, interval_solve
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _fiber_arrays,
                          _structural_arrays, crosshead_rate,
                          picture_frame_deformation, picture_frame_dF_dtheta,
                          theta_to_gamma)
-from .material import (HyperelasticParams, PlasticState, _stress_arrays,
-                       return_map_batch)
+from .material import (ConvergenceError, HyperelasticParams, PlasticState,
+                       _stress_arrays, return_map_batch)
 
 __all__ = [
     "ElementInversionError",
@@ -167,30 +166,26 @@ class Mesh:
 class SolverConfig:
     """Load stepping and Newton controls.
 
-    ``load_steps`` fixes the per-interval step count; when None the count
-    follows ``steps_per_degree``.  The Newton tolerance is applied to the
-    free-DOF residual norm against the reference force scale mu_f * L0:
-    once the residual first meets ``newton_tol * mu_f * L0``, exactly one
-    more correction is taken, and that iterate is accepted if it still
-    meets the tolerance.  This polish correction takes the iterate to
-    round-off, so the accuracy does not depend on the mesh size; it does
-    not count against ``newton_max_iter``.  ``rm_max_iter`` caps the
-    return map's sweeps; it polishes each slip to round-off.
+    The per-interval step count follows ``steps_per_degree`` unless the
+    load program fixes ``samples_per_interval``.  The Newton tolerance is
+    applied to the free-DOF residual norm against the reference force
+    scale mu_f * L0: once the residual first meets
+    ``newton_tol * mu_f * L0``, exactly one more correction is taken, and
+    that iterate is accepted if it still meets the tolerance.  This polish
+    correction takes the iterate to round-off, so the accuracy does not
+    depend on the mesh size; it does not count against
+    ``newton_max_iter``.
     """
 
-    load_steps: int | None = None
     steps_per_degree: float = 2.0
     newton_tol: float = 1e-13
     newton_max_iter: int = 25
     quadrature_order: int = 2
     max_halvings: int = 5
-    rm_max_iter: int = 50
 
     def __post_init__(self):
-        if self.load_steps is not None and self.load_steps < 1:
-            raise ValueError("load_steps must be >= 1")
         for name in ("steps_per_degree", "newton_tol", "newton_max_iter",
-                     "quadrature_order", "rm_max_iter"):
+                     "quadrature_order"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_halvings < 0:
@@ -208,7 +203,6 @@ class _EvalResult:
     phi_e: np.ndarray
     phi_p: np.ndarray
     q: np.ndarray
-    alpha_p: np.ndarray
 
 
 class _FrameModel:
@@ -222,11 +216,10 @@ class _FrameModel:
     are fixed by the mesh too.
     """
 
-    def __init__(self, mesh, ep, hp=None, quadrature_order=2, rm_max_iter=50):
+    def __init__(self, mesh, ep, hp=None, quadrature_order=2):
         self.mesh = mesh
         self.ep = ep
         self.eps_L = hp.eps_L if hp is not None else 0.0
-        self.rm_max_iter = rm_max_iter
         dN, w = _shape_gradients(quadrature_order)
         self.dN = dN
         # checked again at this order's points: a quad that passes the
@@ -265,11 +258,11 @@ class _FrameModel:
         self._band_slots = (self.bw + i - j) * nfree + j
         self._band_shape = (2 * self.bw + 1, nfree)
 
-    def evaluate(self, x, phi_p, q, alpha_p):
+    def evaluate(self, x, phi_p, q):
         """Residual/tangent contributions at nodal positions ``x`` (N, 2).
 
-        ``phi_p``, ``q``, ``alpha_p`` are the committed Gauss-point history
-        arrays (E, G); they are not modified.  Returns an :class:`_EvalResult`
+        ``phi_p`` and ``q`` are the committed Gauss-point history arrays
+        (E, G); they are not modified.  Returns an :class:`_EvalResult`
         whose state arrays are the trial (uncommitted) values.
         """
         dN = self.dN
@@ -279,12 +272,9 @@ class _FrameModel:
         lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, self.L1, self.L2)
         phi = theta12 - self.Theta12
 
-        out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(),
-                               alpha_p.ravel(), self.ep,
-                               max_iter=self.rm_max_iter)
-        shape = phi.shape
-        tau, phi_e, dtau = (v.reshape(shape) for v in out[0:3])
-        phi_p_new, q_new, alpha_new = (v.reshape(shape) for v in out[3:6])
+        out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(), self.ep)
+        tau, phi_e, dtau, phi_p_new, q_new = (
+            v.reshape(phi.shape) for v in out[0:5])
 
         g12, g12_grad = _structural_arrays(l1, l2, theta12)
         stress, tangent = _stress_arrays(
@@ -304,17 +294,16 @@ class _FrameModel:
         Kfull[:, :, 1, :, 1] += Kgeo
         return _EvalResult(
             r_e=r_e.reshape(E, 8), K_e=Kfull.reshape(E, 8, 8),
-            theta12=theta12, tau=tau, phi_e=phi_e, phi_p=phi_p_new,
-            q=q_new, alpha_p=alpha_new)
+            theta12=theta12, tau=tau, phi_e=phi_e, phi_p=phi_p_new, q=q_new)
 
-    def assemble(self, x, phi_p, q, alpha_p):
+    def assemble(self, x, phi_p, q):
         """Scatter element contributions into the global system.
 
         Returns the global residual (all DOFs), the free-free tangent in
         the band storage of :func:`scipy.linalg.solve_banded` with
         ``bw`` sub- and superdiagonals, and the evaluation.
         """
-        ev = self.evaluate(x, phi_p, q, alpha_p)
+        ev = self.evaluate(x, phi_p, q)
         r = np.bincount(self.dofs.ravel(), weights=ev.r_e.ravel(),
                         minlength=self.ndof)
         band = np.bincount(
@@ -324,7 +313,7 @@ class _FrameModel:
 
 
 def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
-                                 hp=None, quadrature_order=2, rm_max_iter=50):
+                                 hp=None, quadrature_order=2):
     """Internal force and consistent tangent of one quadrilateral.
 
     Parameters
@@ -358,7 +347,7 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
     x_e = np.asarray(nodal_positions, dtype=float).reshape(4, 2)
     mesh = Mesh(nodes=X_e, elements=np.array([[0, 1, 2, 3]]),
                 boundary_nodes=np.array([], dtype=int))
-    model = _FrameModel(mesh, ep, hp, quadrature_order, rm_max_iter)
+    model = _FrameModel(mesh, ep, hp, quadrature_order)
     G = model.n_gauss
     if states is None:
         states = [PlasticState() for _ in range(G)]
@@ -366,10 +355,8 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
         raise ValueError(f"need {G} Gauss states, got {len(states)}")
     phi_p = np.array([[s.phi_p for s in states]])
     q = np.array([[s.q for s in states]])
-    alpha_p = np.array([[s.alpha_p for s in states]])
-    ev = model.evaluate(x_e, phi_p, q, alpha_p)
-    trial = [PlasticState(phi_p=float(ev.phi_p[0, g]), q=float(ev.q[0, g]),
-                          alpha_p=float(ev.alpha_p[0, g]))
+    ev = model.evaluate(x_e, phi_p, q)
+    trial = [PlasticState(phi_p=float(ev.phi_p[0, g]), q=float(ev.q[0, g]))
              for g in range(G)]
     return ev.r_e[0], ev.K_e[0], trial
 
@@ -399,20 +386,18 @@ class FESolution:
     gp_q: np.ndarray
     phi_p: np.ndarray                  # final committed fields (E, G)
     q: np.ndarray
-    alpha_p: np.ndarray
     x: np.ndarray                      # final nodal positions (N, 2)
     committed_thetas: np.ndarray
     residual_history: list
-    program: LoadProgram               # with the effective per-leg sampling
+    program: LoadProgram
     config: SolverConfig
     mesh: Mesh
 
     @property
     def final_states(self):
         """Committed Gauss states in element-major order."""
-        return [PlasticState(phi_p=float(pp), q=float(qq), alpha_p=float(ap))
-                for pp, qq, ap in zip(self.phi_p.ravel(), self.q.ravel(),
-                                      self.alpha_p.ravel())]
+        return [PlasticState(phi_p=float(pp), q=float(qq))
+                for pp, qq in zip(self.phi_p.ravel(), self.q.ravel())]
 
     def to_field_csv(self, path):
         """Per-step Gauss-point dump with full double precision."""
@@ -426,28 +411,35 @@ class FESolution:
                    header=",".join(FIELD_COLUMNS), comments="")
 
 
-def _newton_step(model, x, phi_p, q, alpha_p, tol_abs, max_iter):
+def _newton_step(model, x, phi_p, q, tol_abs, max_iter):
     """Equilibrate the free DOFs at fixed boundary positions.
 
     Up to ``max_iter`` banded-LU corrections bring the free-DOF residual
     norm to ``tol_abs``; one more (polish) correction follows, and its
     iterate is accepted if it still meets ``tol_abs``.  A singular or
-    non-finite system fails the step.
+    non-finite system fails the step, and so does a slip solve that fails
+    at some Gauss point; its largest ``|g|`` then ends the residual list.
 
-    Returns (x, r, ev, residual_norms, converged); ``x``, ``r`` and ``ev``
-    are the last iterate's positions, global residual and evaluation.
+    Returns (x, r, ev, residual_norms, converged, cause); ``x``, ``r`` and
+    ``ev`` are the last iterate's positions, global residual and
+    evaluation, and ``cause`` is the slip solve's ConvergenceError or None.
     """
     free = model.free
     residuals = []
     polish = False
+    r = ev = None
     for it in range(max_iter + 2):
-        r, band, ev = model.assemble(x, phi_p, q, alpha_p)
+        try:
+            r, band, ev = model.assemble(x, phi_p, q)
+        except ConvergenceError as exc:
+            residuals.append(exc.residual)
+            return x, r, ev, residuals, False, exc
         rn = float(np.linalg.norm(r[free]))
         residuals.append(rn)
         if not np.isfinite(rn):
-            return x, r, ev, residuals, False
+            break
         if polish:
-            return x, r, ev, residuals, rn <= tol_abs
+            return x, r, ev, residuals, rn <= tol_abs, None
         polish = rn <= tol_abs
         if not polish and it == max_iter:
             break
@@ -455,13 +447,13 @@ def _newton_step(model, x, phi_p, q, alpha_p, tol_abs, max_iter):
             dx = solve_banded((model.bw, model.bw), band, -r[free],
                               overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
-            return x, r, ev, residuals, False
+            break
         if not np.all(np.isfinite(dx)):
-            return x, r, ev, residuals, False
+            break
         xf = x.reshape(-1).copy()
         xf[free] += dx
         x = xf.reshape(-1, 2)
-    return x, r, ev, residuals, False
+    return x, r, ev, residuals, False, None
 
 
 def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
@@ -503,16 +495,12 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     if hp is None:
         hp = HyperelasticParams(eps_L=ep.mu_f)
     cfg = cfg if cfg is not None else SolverConfig()
-    model = _FrameModel(mesh, ep, hp, cfg.quadrature_order, cfg.rm_max_iter)
-    lp = program
-    if cfg.load_steps is not None:
-        lp = dataclasses.replace(program, samples_per_interval=cfg.load_steps)
-    grids = program_theta_grid(lp, cfg.steps_per_degree)
+    model = _FrameModel(mesh, ep, hp, cfg.quadrature_order)
+    grids = program_theta_grid(program, cfg.steps_per_degree)
 
     E, G = model.n_elements, model.n_gauss
     phi_p = np.zeros((E, G))
     q = np.zeros((E, G))
-    alpha_p = np.zeros((E, G))
     x = mesh.nodes.copy()
     # last committed increment, the secant the next step extrapolates
     dx_last = np.zeros_like(x)
@@ -545,18 +533,18 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
                 scale = (th - theta_prev) / dth_last if dth_last else 0.0
                 xtrial = x + scale * dx_last
                 xtrial[bnodes] = XB @ picture_frame_deformation(th).T
-                xtrial, r, ev, residuals, ok = _newton_step(
-                    model, xtrial, phi_p, q, alpha_p,
-                    tol_abs, cfg.newton_max_iter)
+                xtrial, r, ev, residuals, ok, cause = _newton_step(
+                    model, xtrial, phi_p, q, tol_abs, cfg.newton_max_iter)
                 if not ok:
                     if depth >= cfg.max_halvings:
+                        why = (f"last residual norm {residuals[-1]:.3e}"
+                               if cause is None else str(cause))
                         raise SolverError(
                             f"Newton failed at load step {step_index} "
                             f"(theta = {th:.8f} rad) after "
-                            f"{cfg.max_halvings} bisections; last residual "
-                            f"norm {residuals[-1]:.3e}",
+                            f"{cfg.max_halvings} bisections; {why}",
                             step_index=step_index, theta=th,
-                            residual=residuals[-1])
+                            residual=residuals[-1]) from cause
                     mid = 0.5 * (theta_prev + th)
                     stack.append((th, depth + 1))
                     stack.append((mid, depth + 1))
@@ -566,7 +554,6 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
                 x = xtrial
                 phi_p = ev.phi_p
                 q = ev.q
-                alpha_p = ev.alpha_p
                 theta_prev = th
                 committed_thetas.append(th)
                 residual_history.append(residuals)
@@ -603,10 +590,10 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
         curve=curve, theta_steps=np.asarray(thetas),
         gp_theta12=gp_theta12, gp_tau=gp_tau, gp_phi_e=gp_phi_e,
         gp_phi_p=gp_phi_p, gp_q=gp_q,
-        phi_p=phi_p, q=q, alpha_p=alpha_p, x=x,
+        phi_p=phi_p, q=q, x=x,
         committed_thetas=np.asarray(committed_thetas),
         residual_history=residual_history,
-        program=lp, config=cfg, mesh=mesh)
+        program=program, config=cfg, mesh=mesh)
 
 
 def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
@@ -627,21 +614,10 @@ def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
     grids = program_theta_grid(sol.program, sol.config.steps_per_degree)
     if 1 + sum(g.size for g in grids) != thetas.size:
         raise ValueError("solution steps do not match its load program")
-    tau_an = np.zeros(thetas.size)
-    force_an = np.zeros(thetas.size)
-    state = IntervalState()
-    t12_anchor = 0.0
-    k = 1
-    for grid in grids:
-        leg = slice(k, k + grid.size)
-        t12 = np.cos(grid)
-        s = interval_solve_batch(t12 - t12_anchor, state, ep)
-        tau_an[leg] = s.tau
-        force_an[leg] = frame_force(s.tau, grid, L0)
-        k += grid.size
-        # the leg's last point starts the next leg
-        state = IntervalState(tau0=float(s.tau[-1]), q0=float(s.q[-1]))
-        t12_anchor = float(t12[-1])
+    sols = _solve_legs([np.cos(grid) for grid in grids], ep)
+    tau_an = np.concatenate([[0.0]] + [s.tau for s in sols])
+    force_an = np.concatenate(
+        [[0.0]] + [frame_force(s.tau, g, L0) for s, g in zip(sols, grids)])
 
     dtau = np.abs(sol.gp_tau - tau_an[:, None])
     tau_scale = np.abs(tau_an).max()

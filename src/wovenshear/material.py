@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "HyperelasticParams",
     "PlasticState",
     "StressReturn",
+    "BatchReturn",
     "f_iso",
     "f_iso_prime",
     "yield_function",
@@ -197,19 +199,15 @@ def replace_params(ep, updates):
 
 @dataclass(frozen=True)
 class PlasticState:
-    """History at one material point: plastic angle, hardening variable,
-    accumulated plastic slip.  ``q - alpha_p`` is invariant across steps
-    since both grow by the same slip increment."""
+    """History at one material point: plastic angle and hardening
+    variable, which grows by the plastic slip of every step."""
 
     phi_p: float = 0.0
     q: float = 0.0
-    alpha_p: float = 0.0
 
     def __post_init__(self):
         if self.q < 0.0:
             raise ValueError(f"q must be >= 0, got {self.q}")
-        if self.alpha_p < 0.0:
-            raise ValueError(f"alpha_p must be >= 0, got {self.alpha_p}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,24 @@ class StressReturn:
     is_plastic: bool
     iterations: int = 0
     residual: float = 0.0
+
+
+class BatchReturn(NamedTuple):
+    """Per-point arrays of :func:`return_map_batch`.
+
+    ``phi_p`` and ``q`` are the candidate history, ``residual`` is ``|g|``
+    at the accepted slip (zero on elastic points), and ``iterations`` the
+    sweeps of the slowest point.
+    """
+
+    tau: np.ndarray
+    phi_e: np.ndarray
+    dtau_dphi: np.ndarray
+    phi_p: np.ndarray
+    q: np.ndarray
+    residual: np.ndarray
+    plastic: np.ndarray
+    iterations: int
 
 
 def _check_q(q):
@@ -257,12 +273,13 @@ def yield_function(tau, q, p):
     return np.abs(tau) - f_iso(q, p)
 
 
-# relative stopping tolerance of the slip solve; the polish step that
-# follows takes the slip to round-off, so it is not a setting
+# relative stopping tolerance and sweep cap of the slip solve; the polish
+# step that follows takes the slip to round-off, so neither is a setting
 _SLIP_TOL = 1e-12
+_SLIP_MAX_ITER = 50
 
 
-def _slip_solve(t, q, g0, p, max_iter):
+def _slip_solve(t, q, g0, p):
     """Slip ``x > 0`` of ``g(x) = t - mu_f x - f_iso(q + x) = 0`` per point.
 
     The consistency equation of the return map (``t = |tau_trial|``) and
@@ -275,7 +292,7 @@ def _slip_solve(t, q, g0, p, max_iter):
     it stays in the bracket.  Points never mix.  Returns the slip, ``|g|``
     there, each point's sweeps before the polish step, and the polish
     step's modulus ``-mu_f - f_iso'``.  Raises ConvergenceError with the
-    largest unconverged ``|g|`` after ``max_iter`` sweeps, and
+    largest unconverged ``|g|`` after ``_SLIP_MAX_ITER`` sweeps, and
     RuntimeError on a nonpositive slip.
     """
     mu = p.mu_f
@@ -286,7 +303,7 @@ def _slip_solve(t, q, g0, p, max_iter):
     gp = -mu - f_iso_prime(q + x, p)
     iterations = np.zeros(t.shape, dtype=int)
     act = np.ones(t.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_SLIP_MAX_ITER):
         if not act.any():
             break
         step = x - g / gp
@@ -304,7 +321,7 @@ def _slip_solve(t, q, g0, p, max_iter):
     if act.any():
         worst = float(np.abs(g[act]).max())
         raise ConvergenceError(
-            f"slip solve failed to converge in {max_iter} iterations "
+            f"slip solve failed to converge in {_SLIP_MAX_ITER} iterations "
             f"(max |g| = {worst:.3e})", residual=worst)
     step = x - g / gp
     x = np.where((step > lo) & (step <= hi), step, x)
@@ -315,29 +332,24 @@ def _slip_solve(t, q, g0, p, max_iter):
     return x, np.abs(t - mu * x - f_iso(q + x, p)), iterations, gp
 
 
-def return_map_batch(phi_new, phi_p, q, alpha_p, p, max_iter=50):
+def return_map_batch(phi_new, phi_p, q, p):
     """Vectorized backward-Euler return map over independent points.
+
+    The slip solve brings ``|g|`` to round-off of ``max(mu_f, f_iso(q_new))``
+    inside the bracket ``(0, |phi_e_trial|]``, where the residual changes
+    sign.
 
     Parameters
     ----------
     phi_new : (n,) array_like
         Total angle change at the end of the step.
-    phi_p, q, alpha_p : (n,) array_like
+    phi_p, q : (n,) array_like
         Committed history at the start of the step.
     p : ElastoplasticParams
-    max_iter : int
-        Sweep cap of the slip solve, which brings ``|g|`` to round-off of
-        ``max(mu_f, f_iso(q_new))`` inside the bracket
-        ``(0, |phi_e_trial|]``, where the residual changes sign.
 
     Returns
     -------
-    tau, phi_e, dtau_dphi, phi_p_new, q_new, alpha_p_new : (n,) ndarray
-    plastic : (n,) bool ndarray
-    iterations : int
-        Newton sweeps used by the slowest point.
-    residual : (n,) ndarray
-        |g| at the accepted root (zero on elastic points).
+    BatchReturn
 
     Raises
     ------
@@ -350,7 +362,6 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, max_iter=50):
     phi_new = np.asarray(phi_new, dtype=float)
     phi_p = np.asarray(phi_p, dtype=float)
     q = np.asarray(q, dtype=float)
-    alpha_p = np.asarray(alpha_p, dtype=float)
 
     phi_e = phi_new - phi_p          # trial elastic angle
     tau_tr = mu * phi_e
@@ -362,7 +373,6 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, max_iter=50):
     dtau = np.full(phi_new.shape, mu)
     phi_p_new = phi_p.copy()
     q_new = q.copy()
-    alpha_new = alpha_p.copy()
     residual = np.zeros(phi_new.shape)
     iterations = 0
 
@@ -371,21 +381,19 @@ def return_map_batch(phi_new, phi_p, q, alpha_p, p, max_iter=50):
         hs = h[idx]
         qi = q[idx]
         x, residual[idx], its, gp = _slip_solve(
-            hs * tau_tr[idx], qi, f_tr[idx], p, max_iter)
+            hs * tau_tr[idx], qi, f_tr[idx], p)
         phi_e[idx] = phi_e[idx] - hs * x
         # consistent tangent, with the slope of the polish step
         dtau[idx] = mu + mu ** 2 / gp
         phi_p_new[idx] = phi_p[idx] + hs * x
         q_new[idx] = qi + x
-        alpha_new[idx] = alpha_p[idx] + x
         iterations = int(its.max())
 
-    tau = mu * phi_e
-    return (tau, phi_e, dtau, phi_p_new, q_new, alpha_new, plastic,
-            iterations, residual)
+    return BatchReturn(mu * phi_e, phi_e, dtau, phi_p_new, q_new, residual,
+                       plastic, iterations)
 
 
-def return_map(phi_new, state_old, p, max_iter=50):
+def return_map(phi_new, state_old, p):
     """Backward-Euler return map at a single material point.
 
     Pure function: ``state_old`` is never mutated, and on an elastic step
@@ -403,20 +411,17 @@ def return_map(phi_new, state_old, p, max_iter=50):
     -------
     StressReturn
     """
-    out = return_map_batch(
-        np.array([phi_new]), np.array([state_old.phi_p]),
-        np.array([state_old.q]), np.array([state_old.alpha_p]),
-        p, max_iter=max_iter)
-    tau, phi_e, dtau, phi_p_new, q_new, alpha_new, plastic, iters, res = out
-    if plastic[0]:
-        new_state = PlasticState(phi_p=float(phi_p_new[0]), q=float(q_new[0]),
-                                 alpha_p=float(alpha_new[0]))
+    out = return_map_batch(np.array([phi_new]), np.array([state_old.phi_p]),
+                           np.array([state_old.q]), p)
+    if out.plastic[0]:
+        new_state = PlasticState(phi_p=float(out.phi_p[0]), q=float(out.q[0]))
     else:
         new_state = state_old
-    return StressReturn(tau=float(tau[0]), phi_e=float(phi_e[0]),
-                        new_state=new_state, dtau_dphi=float(dtau[0]),
-                        is_plastic=bool(plastic[0]), iterations=iters,
-                        residual=float(res[0]))
+    return StressReturn(tau=float(out.tau[0]), phi_e=float(out.phi_e[0]),
+                        new_state=new_state, dtau_dphi=float(out.dtau_dphi[0]),
+                        is_plastic=bool(out.plastic[0]),
+                        iterations=out.iterations,
+                        residual=float(out.residual[0]))
 
 
 def _stress_arrays(tau, dtau, g12, g12_grad, eps_L=0.0, fibers=()):
@@ -540,7 +545,7 @@ class DriveResult:
     state_final: PlasticState
 
 
-def drive_angle_path(phi_path, p, state=None, max_iter=50):
+def drive_angle_path(phi_path, p, state=None):
     """Drive a material point through a prescribed angle-change path.
 
     Each entry of ``phi_path`` is one committed step; states are committed
@@ -567,7 +572,7 @@ def drive_angle_path(phi_path, p, state=None, max_iter=50):
     phi_p = np.empty(n)
     q = np.empty(n)
     for k, phi in enumerate(phi_path):
-        sr = return_map(float(phi), state, p, max_iter=max_iter)
+        sr = return_map(float(phi), state, p)
         state = sr.new_state
         tau[k] = sr.tau
         phi_p[k] = state.phi_p

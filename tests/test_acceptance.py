@@ -230,7 +230,7 @@ def test_criterion_08_parameter_sweeps(soft_params, locking_params):
     with acceptance_log.criterion(8) as info:
         def tau_of(p, end, spd=2.0):
             lp = LoadProgram.from_gamma_degrees([end])
-            c = run_program(lp, p, sampling="gamma", steps_per_degree=spd)
+            c = run_program(lp, p, steps_per_degree=spd)
             return c.gamma_deg, c.tau
 
         # yield-stress sweep: identical elastic segment, onset at its own

@@ -30,6 +30,7 @@ from wovenshear import (
     run_program,
     yield_angle,
 )
+from wovenshear import material
 from wovenshear.material import PlasticState
 
 import oracles
@@ -83,7 +84,7 @@ class TestIntervalSolve:
         st0 = IntervalState(tau0=0.05, q0=0.2)
         sol = interval_solve(0.0, st0, soft_params)
         assert sol.tau == st0.tau0 and not sol.plastic
-        assert sol.q == st0.q0 and sol.delta_alpha == 0.0
+        assert sol.q == st0.q0
 
     def test_elastic_branch_exact(self, soft_params):
         sol = interval_solve(0.05, IntervalState(), soft_params)
@@ -93,11 +94,11 @@ class TestIntervalSolve:
     def test_zero_yield_immediately_plastic(self, demo_params):
         sol = interval_solve(1e-6, IntervalState(), demo_params)
         assert sol.plastic
-        assert sol.delta_alpha > 0.0
+        assert sol.q > 0.0
 
     def test_plastic_frozen_oracle(self, demo_params):
         sol = interval_solve(0.3, IntervalState(), demo_params)
-        assert sol.delta_alpha == pytest.approx(
+        assert sol.q == pytest.approx(
             oracles.DELTA_ALPHA_DEMO_PHIBAR0P3, rel=1e-12)
         assert sol.tau == pytest.approx(oracles.TAU_DEMO_PHIBAR0P3, rel=1e-12)
 
@@ -109,7 +110,7 @@ class TestIntervalSolve:
                 lambda x: p.mu_f * (pb - x) - oracles.f_iso_ref(
                     x, p.tau_y, p.A_h, p.a_h, p.B_h, p.b_h, p.C_h, p.c_h),
                 0.0, float(pb))
-            assert sol.delta_alpha == pytest.approx(root, rel=1e-10)
+            assert sol.q == pytest.approx(root, rel=1e-10)
 
     def test_matches_return_map_one_step(self, glass_params):
         # single backward-Euler step from virgin state solves the same
@@ -132,8 +133,7 @@ class TestIntervalSolve:
         st1 = advance_interval(IntervalState(), mid, demo_params)
         rest = interval_solve(phi_bar - mid, st1, demo_params)
         assert rest.tau == pytest.approx(direct.tau, abs=5e-12)
-        assert st1.q0 + rest.delta_alpha == pytest.approx(
-            direct.delta_alpha, abs=5e-12)
+        assert rest.q == pytest.approx(direct.q, abs=5e-12)
 
     def test_split_through_yield_onset(self, soft_params):
         # split inside the elastic range, finish in the plastic range
@@ -161,9 +161,10 @@ class TestIntervalSolve:
         assert sol.residual <= 1e-14 * scale
         assert sol.iterations > 0
 
-    def test_convergence_error(self, glass_params):
+    def test_convergence_error(self, glass_params, monkeypatch):
+        monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            interval_solve(0.5, IntervalState(), glass_params, max_iter=1)
+            interval_solve(0.5, IntervalState(), glass_params)
 
 
 # signed zeros, small and large increments of either sign, so that one
@@ -194,8 +195,8 @@ class TestIntervalSolveBatch:
         phi_bar = np.array(increments)
         batch = interval_solve_batch(phi_bar, state, p)
         loop = [interval_solve(float(x), state, p) for x in phi_bar]
-        for name in ("tau", "q", "delta_alpha", "plastic", "iterations",
-                     "phi_p_bar", "residual"):
+        for name in ("tau", "q", "plastic", "iterations", "phi_p_bar",
+                     "residual"):
             assert np.array_equal(getattr(batch, name),
                                   [getattr(s, name) for s in loop]), name
 
@@ -211,16 +212,17 @@ class TestIntervalSolveBatch:
         assert (sol.iterations[sol.plastic] > 0).all()
         assert (sol.iterations[~sol.plastic] == 0).all()
 
-    def test_convergence_error_reports_worst_residual(self, glass_params):
+    def test_convergence_error_reports_worst_residual(self, glass_params,
+                                                      monkeypatch):
+        monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
         phi_bar = np.array([0.0, 1e-6, 0.5, -0.3])
         residuals = []
         for x in (0.5, -0.3):
             with pytest.raises(ConvergenceError) as exc:
-                interval_solve(x, IntervalState(), glass_params, max_iter=1)
+                interval_solve(x, IntervalState(), glass_params)
             residuals.append(exc.value.residual)
         with pytest.raises(ConvergenceError) as exc:
-            interval_solve_batch(phi_bar, IntervalState(), glass_params,
-                                 max_iter=1)
+            interval_solve_batch(phi_bar, IntervalState(), glass_params)
         assert exc.value.residual == max(residuals) > 0.0
 
 
@@ -229,7 +231,6 @@ class TestAdvanceInterval:
         st1 = advance_interval(IntervalState(), 0.3, demo_params)
         sol = interval_solve(0.3, IntervalState(), demo_params)
         assert st1.tau0 == sol.tau and st1.q0 == sol.q
-        assert st1.q0 == sol.delta_alpha
         st2 = advance_interval(st1, -0.1, demo_params)
         assert st2.q0 >= st1.q0
 
@@ -325,13 +326,6 @@ class TestRunProgram:
         assert not elastic[-1]
         assert np.allclose(dtau / dt12, demo_params.mu_f, rtol=1e-10)
 
-    def test_sampling_modes_agree_at_targets(self, demo_params):
-        lp = LoadProgram.from_gamma_degrees([40.0, 15.0])
-        ct = run_program(lp, demo_params, sampling="theta12")
-        cg = run_program(lp, demo_params, sampling="gamma")
-        assert ct.tau[-1] == pytest.approx(cg.tau[-1], rel=1e-13)
-        assert ct.gamma_deg[-1] == pytest.approx(cg.gamma_deg[-1], abs=1e-10)
-
     def test_force_column_definition(self, demo_params):
         lp = LoadProgram.from_gamma_degrees([30.0])
         L0, mu0 = 2.0, 3.0
@@ -347,10 +341,6 @@ class TestRunProgram:
         c2 = run_program(lp, demo_params, L0=2.5)
         assert np.allclose(c1.frame_force_normalized,
                            c2.frame_force_normalized, rtol=1e-13)
-
-    def test_unknown_sampling_rejected(self, demo_params, cycle_program):
-        with pytest.raises(ValueError):
-            run_program(cycle_program, demo_params, sampling="steps")
 
 
 class TestShearCurveCSV:

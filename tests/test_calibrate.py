@@ -98,7 +98,7 @@ class TestModelForces:
     def test_matches_curve_generator(self, demo_params):
         # pointwise virgin evaluation equals the sampled program curve
         lp = LoadProgram.from_gamma_degrees([40.0])
-        curve = run_program(lp, demo_params, sampling="gamma")
+        curve = run_program(lp, demo_params)
         forces = model_forces(curve.gamma_deg[1:], demo_params)
         assert np.allclose(forces, curve.frame_force_normalized[1:],
                            rtol=1e-13)

@@ -149,6 +149,24 @@ class TestPictureFrame:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code != 0
 
+    def test_solver_error_is_one_line(self, runner, glass_file, tmp_path,
+                                      monkeypatch):
+        # one slip sweep converges nowhere, so the FE step fails after all
+        # its bisections
+        monkeypatch.setattr(wovenshear.material, "_SLIP_MAX_ITER", 1)
+        result = runner.invoke(main, ["picture-frame", "--mode", "fe",
+                                      "--params", str(glass_file),
+                                      "--program", "10", "--mesh", "2x2",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: Newton failed at load step 1 ")
+        assert "theta = " in lines[0] and "max |g| = " in lines[0]
+        assert not (tmp_path / "x" / "fe_curve.csv").exists()
+
     def test_reruns_byte_identical(self, runner, demo_file, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"

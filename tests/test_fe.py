@@ -15,6 +15,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from wovenshear import (
+    ConvergenceError,
     ElastoplasticParams,
     HyperelasticParams,
     IntervalState,
@@ -26,11 +27,13 @@ from wovenshear import (
     interval_solve,
     picture_frame_deformation,
     program_theta_grid,
+    run_program,
     solve_picture_frame,
     verify_against_analytic,
 )
 from wovenshear.fe import (FIELD_COLUMNS, ElementInversionError, SolverError,
                            _FrameModel)
+from wovenshear import material
 from wovenshear.material import PlasticState
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -114,8 +117,7 @@ class TestElementResidualTangent:
     def test_committed_states_pass_through(self, soft_params):
         # soft set: |trial stress| stays below f_iso, the step is elastic
         # and the trial history equals the committed one
-        states = [PlasticState(phi_p=0.01, q=0.01, alpha_p=0.01)
-                  for _ in range(4)]
+        states = [PlasticState(phi_p=0.01, q=0.01) for _ in range(4)]
         _, _, trial = element_residual_and_tangent(
             UNIT_SQUARE, UNIT_SQUARE, states, soft_params)
         for s in trial:
@@ -190,7 +192,7 @@ class TestBandedSystem:
         b = mesh.boundary_nodes
         x[b] = mesh.nodes[b] @ picture_frame_deformation(
             gamma_to_theta(30.0)).T
-        r, band, ev = model.assemble(x, sol.phi_p, sol.q, sol.alpha_p)
+        r, band, ev = model.assemble(x, sol.phi_p, sol.q)
         assert np.any(ev.q > sol.q)
 
         # dense reference assembly of the same element arrays
@@ -231,6 +233,11 @@ class TestVerifyAcrossMeshes:
         assert rep["max_theta12_dev"] <= 1e-13
         assert rep["max_tau_rel_scale"] <= 1e-13
         assert rep["max_force_rel"] <= 1e-13
+        # the committed history, which verify does not compare
+        curve = run_program(cycle_program, demo_params)
+        for fe_rows, an in ((sol.gp_q, curve.q), (sol.gp_phi_p, curve.phi_p)):
+            dev = np.abs(fe_rows - an[:, None]).max()
+            assert dev <= 1e-13 * np.abs(an).max()
         if n == 24:
             assert sol.committed_thetas.size == sol.theta_steps.size - 1
 
@@ -314,6 +321,24 @@ class TestSolvePictureFrame:
         assert err.value.theta is not None
         assert err.value.residual is not None
 
+    def test_slip_failure_is_bisected_then_reported(self, glass_params,
+                                                    monkeypatch):
+        # one slip sweep converges nowhere, so every bisection of the first
+        # step fails and the error locates the last, smallest one
+        monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
+        cfg = SolverConfig()
+        with pytest.raises(SolverError) as err:
+            solve_picture_frame(Mesh.square(2),
+                                LoadProgram.from_gamma_degrees([10.0]),
+                                cfg, glass_params)
+        first = gamma_to_theta(1.0 / cfg.steps_per_degree)
+        smallest = np.pi / 2.0 + (first - np.pi / 2.0) / 2 ** cfg.max_halvings
+        assert err.value.step_index == 1
+        assert err.value.theta == pytest.approx(smallest, rel=1e-14)
+        cause = err.value.__cause__
+        assert isinstance(cause, ConvergenceError)
+        assert err.value.residual == cause.residual > 0.0
+
     def test_quadratic_residual_decay(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([10.0])
         sol = solve_picture_frame(Mesh.square(3), lp, None, glass_params)
@@ -330,10 +355,10 @@ class TestSolvePictureFrame:
             assert polish <= tol_abs
             assert hist[-1] / hist[0] < 1e-10
 
-    def test_load_steps_override(self, glass_params):
-        lp = LoadProgram.from_gamma_degrees([10.0, 5.0])
-        cfg = SolverConfig(load_steps=4)
-        sol = solve_picture_frame(Mesh.square(1), lp, cfg, glass_params)
+    def test_samples_per_interval_override(self, glass_params):
+        lp = LoadProgram.from_gamma_degrees([10.0, 5.0],
+                                            samples_per_interval=4)
+        sol = solve_picture_frame(Mesh.square(1), lp, None, glass_params)
         assert len(sol.curve) == 1 + 2 * 4
         assert sol.program.samples_per_interval == 4
 
@@ -342,8 +367,6 @@ class TestSolvePictureFrame:
             solve_picture_frame(Mesh.square(1), cycle_program)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(load_steps=0)
         with pytest.raises(ValueError):
             SolverConfig(newton_tol=0.0)
         with pytest.raises(ValueError):

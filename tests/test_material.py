@@ -38,6 +38,7 @@ from wovenshear import (
     structural_tensors,
     yield_function,
 )
+from wovenshear import material
 from wovenshear.kinematics import (CurvaturePoint, MetricPoint, RefFiberPair,
                                    _fiber_arrays, _structural_arrays)
 from wovenshear.material import PARAM_JSON_KEYS, _slip_solve, _stress_arrays
@@ -161,7 +162,7 @@ class TestReturnMap:
     def test_plastic_frozen_oracle(self, glass_params):
         sr = return_map(0.1, PlasticState(), glass_params)
         assert sr.is_plastic
-        assert sr.new_state.alpha_p == pytest.approx(
+        assert sr.new_state.q == pytest.approx(
             oracles.DELTA_ALPHA_GLASS_PHI0P1, rel=1e-12)
         assert sr.tau == pytest.approx(oracles.TAU_GLASS_PHI0P1, rel=1e-12)
 
@@ -172,7 +173,7 @@ class TestReturnMap:
             root = oracles.bisect_root(
                 lambda x: p.mu_f * phi - p.mu_f * x - ref_f_iso(x, p),
                 0.0, float(phi))
-            assert sr.new_state.alpha_p == pytest.approx(root, rel=1e-10)
+            assert sr.new_state.q == pytest.approx(root, rel=1e-10)
 
     def test_consistency_at_solution(self, glass_params):
         sr = return_map(0.3, PlasticState(), glass_params)
@@ -213,13 +214,11 @@ class TestReturnMap:
     @settings(max_examples=120, deadline=None)
     def test_step_invariants(self, phi, q0, phi_p0, glass_params):
         """Split additivity, monotone slip, admissibility, dissipation."""
-        state = PlasticState(phi_p=phi_p0, q=q0, alpha_p=q0)
+        state = PlasticState(phi_p=phi_p0, q=q0)
         sr = return_map(phi, state, glass_params)
         ns = sr.new_state
         assert abs(phi - (sr.phi_e + ns.phi_p)) <= 1e-14
-        assert ns.alpha_p >= state.alpha_p
-        assert ns.q - ns.alpha_p == pytest.approx(state.q - state.alpha_p,
-                                                  abs=1e-14)
+        assert ns.q >= state.q
         scale = max(glass_params.mu_f, f_iso(ns.q, glass_params))
         assert yield_function(sr.tau, ns.q, glass_params) <= 1e-11 * scale
         # plastic dissipation tau * dphi_p is nonnegative
@@ -227,8 +226,7 @@ class TestReturnMap:
 
     def test_batch_matches_scalar(self, glass_params, rng):
         phi = rng.uniform(-0.6, 0.6, size=40)
-        out = return_map_batch(phi, np.zeros(40), np.zeros(40), np.zeros(40),
-                               glass_params)
+        out = return_map_batch(phi, np.zeros(40), np.zeros(40), glass_params)
         tau_b, phi_e_b = out[0], out[1]
         for k in range(40):
             sr = return_map(float(phi[k]), PlasticState(), glass_params)
@@ -246,17 +244,17 @@ class TestReturnMap:
             assert again.new_state.q >= first.new_state.q
             assert again.tau == pytest.approx(first.tau, rel=1e-15)
 
-    def test_convergence_error_carries_residual(self, glass_params):
+    def test_convergence_error_carries_residual(self, glass_params,
+                                                monkeypatch):
+        monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            return_map(0.5, PlasticState(), glass_params, max_iter=1)
+            return_map(0.5, PlasticState(), glass_params)
         assert err.value.residual is not None
         assert err.value.residual > 0.0
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
             PlasticState(q=-0.1)
-        with pytest.raises(ValueError):
-            PlasticState(alpha_p=-0.1)
 
 
 class TestSlipSolve:
@@ -289,7 +287,7 @@ class TestSlipSolve:
             # return_map_batch's form: t = |tau_trial|
             t = mu * (fy / mu + inc)
             g0 = t - fy
-        x, res, its, _ = _slip_solve(np.array([t]), q, np.array([g0]), p, 50)
+        x, res, its, _ = _slip_solve(np.array([t]), q, np.array([g0]), p)
         root = oracles.bisect_root(
             lambda s: t - mu * s - ref_f_iso(q + s, p), 0.0, t / mu)
         # g(x) carries round-off of about eps (t + f_iso'(q + x) (q + x)),
@@ -409,7 +407,7 @@ class TestMembraneResponse:
         Theta12 = np.array([f.Theta12 for _, f, _ in points])
         lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, L1, L2)
         history = [np.array([getattr(s, k) for _, _, s in points])
-                   for k in ("phi_p", "q", "alpha_p")]
+                   for k in ("phi_p", "q")]
         rm = return_map_batch(theta12 - Theta12, *history, glass_params)
         tau, dtau, plastic = rm[0], rm[2], rm[6]
         assert plastic.any() and not plastic.all()
