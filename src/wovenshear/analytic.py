@@ -19,7 +19,7 @@ import numpy as np
 
 from .kinematics import (crosshead_rate, gamma_to_theta, theta_to_gamma,
                          _check_theta)
-from .material import _slip_solve, f_iso
+from .material import ConvergenceError, _slip_solve, f_iso
 
 __all__ = [
     "LoadProgram",
@@ -209,13 +209,20 @@ def _solve_legs(t12_legs, p):
 
     The legs chain from the virgin state: the last target of a leg is its
     end, and the solution there starts the next leg.  Returns one
-    :class:`IntervalSolution` per leg.
+    :class:`IntervalSolution` per leg; a slip failure is raised again
+    with the leg (from 1) and its cosine range.
     """
     sols = []
     state = IntervalState()
     t12_anchor = 0.0        # angle cosine at the interval start
-    for t12 in t12_legs:
-        sol = interval_solve_batch(t12 - t12_anchor, state, p)
+    for leg, t12 in enumerate(t12_legs, start=1):
+        try:
+            sol = interval_solve_batch(t12 - t12_anchor, state, p)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"closed-form solve failed on leg {leg} (theta12 "
+                f"{t12_anchor:.6g} to {t12[-1]:.6g}): {exc}",
+                exc.residual) from exc
         sols.append(sol)
         state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
         t12_anchor = float(t12[-1])

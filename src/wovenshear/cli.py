@@ -24,8 +24,8 @@ from .analytic import LoadProgram, run_program
 from .calibrate import ExperimentCurve, staged_fit
 from .fe import (Mesh, SolverConfig, SolverError, solve_picture_frame,
                  verify_against_analytic)
-from .material import (drive_angle_path, load_params, params_to_dict,
-                       replace_params)
+from .material import (ConvergenceError, drive_angle_path, load_params,
+                       params_to_dict, replace_params)
 
 __all__ = ["main", "RunConfig"]
 
@@ -125,7 +125,17 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-@click.group()
+class _Commands(click.Group):
+    """Report a failed solve as a one-line error (exit 1), not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConvergenceError, SolverError) as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Woven-fabric shear: curves, FE verification, sweeps, calibration."""
@@ -218,10 +228,7 @@ def picture_frame(ctx, **values):
     # the membrane with unstable zero-energy modes; fall back to the
     # solver's stress-neutral default eps_L = mu_f
     hp_run = hp if hp.eps_L > 0.0 else None
-    try:
-        sol = solve_picture_frame(mesh, program, cfg, ep, hp_run, mu0=mu0)
-    except SolverError as exc:
-        raise click.ClickException(str(exc))
+    sol = solve_picture_frame(mesh, program, cfg, ep, hp_run, mu0=mu0)
     dest = out / "fe_curve.csv"
     sol.curve.to_csv(dest)
     fields = out / "fe_fields.csv"

@@ -8,6 +8,11 @@ residuals.  Since the exact solution of this problem is affine, bilinear
 elements represent it exactly and the solver doubles as a machine-precision
 verifier of the material kernel against the closed-form response.
 
+The element kernel works in the fiber basis: precomputed reference fiber
+gradients ``n_I = dN . L_I`` give the current fiber vectors
+``f_I = x_e^T n_I``, the material body acts on their metric
+``C_IJ = f_I . f_J`` in Voigt order, and ``B = dC / dx`` assembles it.
+
 Each load step starts from a secant prediction: the committed positions
 extrapolated along the last committed increment.  Newton's method then
 equilibrates the free DOFs with the consistent tangent, kept in LAPACK
@@ -18,6 +23,7 @@ tolerance, one more correction takes the iterate to round-off.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +33,9 @@ from .analytic import (LoadProgram, ShearCurve, _solve_legs, frame_force,
                        program_theta_grid)
 # unused; perfbench/spans.py wraps these module bindings
 from .analytic import advance_interval, interval_solve
-from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _fiber_arrays,
-                         _structural_arrays, crosshead_rate,
-                         picture_frame_deformation, picture_frame_dF_dtheta,
-                         theta_to_gamma)
+from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_arrays,
+                         crosshead_rate, picture_frame_deformation,
+                         picture_frame_dF_dtheta, theta_to_gamma)
 from .material import (ConvergenceError, HyperelasticParams, PlasticState,
                        _stress_arrays, return_map_batch)
 
@@ -65,23 +70,14 @@ class SolverError(RuntimeError):
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _quadrature(order):
-    """Tensor-product Gauss points and weights on [-1, 1]^2."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    pts = np.array([(xi, eta) for eta in xg for xi in xg])
-    w = np.array([wi * wj for wj in wg for wi in wg])
-    return pts, w
-
-
 def _shape_gradients(order):
-    """Shape-function gradients dN[g, a, alpha] at the Gauss points."""
-    pts, w = _quadrature(order)
-    G = pts.shape[0]
-    dN = np.empty((G, 4, 2))
-    for g, (xi, eta) in enumerate(pts):
-        dN[g, :, 0] = 0.25 * _CORNERS[:, 0] * (1.0 + _CORNERS[:, 1] * eta)
-        dN[g, :, 1] = 0.25 * _CORNERS[:, 1] * (1.0 + _CORNERS[:, 0] * xi)
-    return dN, w
+    """Shape-function gradients dN[g, a, alpha] and weights w[g] at the
+    tensor-product Gauss points on [-1, 1]^2."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xi, eta = (v.reshape(-1, 1) for v in np.meshgrid(xg, xg))  # xi fastest
+    a, b = _CORNERS.T
+    dN = 0.25 * np.stack([a * (1.0 + b * eta), b * (1.0 + a * xi)], axis=-1)
+    return dN, np.outer(wg, wg).ravel()
 
 
 def _reference_jacobians(nodes, elements, dN):
@@ -147,19 +143,12 @@ class Mesh:
         X = (S - T) / np.sqrt(2.0)
         Y = (S + T) / np.sqrt(2.0)
         nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-        def idx(i, j):
-            return i * (n + 1) + j
-
-        elements = []
-        for i in range(n):
-            for j in range(n):
-                elements.append(
-                    [idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)])
-        boundary = [idx(i, j) for i in range(n + 1) for j in range(n + 1)
-                    if i in (0, n) or j in (0, n)]
-        return cls(nodes=nodes, elements=np.array(elements),
-                   boundary_nodes=np.array(boundary), L0=float(L0))
+        idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)   # node (i, j)
+        elements = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],
+                             idx[:-1, 1:]], axis=-1).reshape(-1, 4)
+        boundary = np.r_[idx[[0, n]].ravel(), idx[:, [0, n]].ravel()]
+        return cls(nodes=nodes, elements=elements, boundary_nodes=boundary,
+                   L0=float(L0))
 
 
 @dataclass(frozen=True)
@@ -192,28 +181,18 @@ class SolverConfig:
             raise ValueError("max_halvings must be >= 0")
 
 
-@dataclass(eq=False)
-class _EvalResult:
-    """Per-element arrays from one global evaluation at trial positions."""
-
-    r_e: np.ndarray          # (E, 8)
-    K_e: np.ndarray          # (E, 8, 8)
-    theta12: np.ndarray      # (E, G)
-    tau: np.ndarray
-    phi_e: np.ndarray
-    phi_p: np.ndarray
-    q: np.ndarray
+# per-element arrays of one evaluation at trial positions: r_e (E, 8),
+# K_e (E, 8, 8), and the trial theta12, tau, phi_e, phi_p and q (E, G)
+_EvalResult = namedtuple("_EvalResult", "r_e K_e theta12 tau phi_e phi_p q")
 
 
 class _FrameModel:
     """Precomputed reference geometry and batched element evaluation.
 
-    Reference Jacobians, convected fiber components and quadrature weights
-    are fixed by the mesh; :meth:`evaluate` turns trial nodal positions and
-    committed Gauss history into residual and tangent contributions in one
-    vectorized pass over all elements.  The free-DOF mask and the map from
-    element-matrix entries into the band storage of the free-free tangent
-    are fixed by the mesh too.
+    The reference fiber gradients ``n_I = dN . L_I``, quadrature weights,
+    free-DOF mask and band-storage map are fixed by the mesh;
+    :meth:`evaluate` turns trial positions and committed Gauss history into
+    element contributions in one pass over all Gauss points ``e G + g``.
     """
 
     def __init__(self, mesh, ep, hp=None, quadrature_order=2):
@@ -221,29 +200,32 @@ class _FrameModel:
         self.ep = ep
         self.eps_L = hp.eps_L if hp is not None else 0.0
         dN, w = _shape_gradients(quadrature_order)
-        self.dN = dN
         # checked again at this order's points: a quad that passes the
         # mesh's 2x2 check can still invert at the 3x3 points
         J0, det = _reference_jacobians(mesh.nodes, mesh.elements, dN)
-        self.wdet = w[None, :] * det                         # (E, G)
+        self.wdet = (w[None, :] * det).ravel()               # (P,)
         E, G = det.shape
-        self.n_elements = E
-        self.n_gauss = G
+        self.n_elements, self.n_gauss = E, G
         # convected fiber components: A_beta L^beta equals the Cartesian
         # diagonal directions
         Lhat = np.stack([FRAME_FIBER_1, FRAME_FIBER_2], axis=1)   # columns
-        rhs = np.tile(Lhat, (E, G, 1, 1))
-        Lconv = np.linalg.solve(J0, rhs)
-        self.L1 = Lconv[..., 0]                              # (E, G, 2)
-        self.L2 = Lconv[..., 1]
-        A_ab = np.einsum("egma,egmb->egab", J0, J0)
-        self.Theta12 = np.einsum("ega,egab,egb->eg", self.L1, A_ab, self.L2)
+        Lconv = np.linalg.solve(J0, np.tile(Lhat, (E, G, 1, 1)))
+        # n_I[a] in rows (e, g, I) for f_I = sum_a n_Ia x_a, and n[I, a, p]
+        n = (dN @ Lconv).transpose(0, 1, 3, 2)               # (E, G, 2, 4)
+        self._n_rows = n.reshape(E, 2 * G, 4)
+        self.n = np.ascontiguousarray(n.reshape(-1, 2, 4).transpose(1, 2, 0))
+        # d2 C / dx dx in rows (e, Voigt component, g): geometric stiffness
+        n1, n2 = n[:, :, 0, :, None], n[:, :, 1, :, None]   # (E, G, 4, 1)
+        m1, m2 = n1.swapaxes(2, 3), n2.swapaxes(2, 3)
+        self.geo = np.stack([2.0 * n1 * m1, 2.0 * n2 * m2, n1 * m2 + n2 * m1],
+                            axis=1).reshape(E, 3 * G, 16)
+        # the reference fibers are the diagonals at every point
+        self.Theta12 = float(FRAME_FIBER_1 @ FRAME_FIBER_2)
         self.dofs = (2 * mesh.elements[:, :, None]
                      + np.arange(2)[None, None, :]).reshape(E, 8)
         self.ndof = 2 * mesh.nodes.shape[0]
         self.free = np.ones(self.ndof, dtype=bool)
-        self.free[2 * mesh.boundary_nodes] = False
-        self.free[2 * mesh.boundary_nodes + 1] = False
+        self.free[np.add.outer(2 * mesh.boundary_nodes, [0, 1])] = False
         # band storage of the free-free tangent in the natural DOF order
         # (for Mesh.square a bandwidth of about 2n; reverse Cuthill-McKee
         # widens it): entry (i, j) lives at band[bw + i - j, j]
@@ -262,39 +244,48 @@ class _FrameModel:
         """Residual/tangent contributions at nodal positions ``x`` (N, 2).
 
         ``phi_p`` and ``q`` are the committed Gauss-point history arrays
-        (E, G); they are not modified.  Returns an :class:`_EvalResult`
-        whose state arrays are the trial (uncommitted) values.
+        (E, G); they are not modified.  Returns an ``_EvalResult``: residual
+        ``sum_g w B^T s``, stiffness ``sum_g w (B^T T B + s d2C/dx2)`` and
+        the trial (uncommitted) state arrays.
         """
-        dN = self.dN
-        xe = x[self.mesh.elements]                           # (E, 4, 2)
-        acols = np.einsum("eam,gab->egmb", xe, dN)           # deformed a_beta
-        a_ab = np.einsum("egma,egmb->egab", acols, acols)
-        lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, self.L1, self.L2)
-        phi = theta12 - self.Theta12
+        E, G = self.n_elements, self.n_gauss
+        # current fiber vectors f[I] (2, 2, P) and their metric f_I . f_J
+        f = (self._n_rows @ np.take(x, self.mesh.elements, axis=0)).reshape(
+            -1, 2, 2).transpose(1, 2, 0)
+        lam, theta12, gamma, Gamma = _angle_arrays(np.stack([
+            f[0, 0] * f[0, 0] + f[0, 1] * f[0, 1],
+            f[1, 0] * f[1, 0] + f[1, 1] * f[1, 1],
+            f[0, 0] * f[1, 0] + f[0, 1] * f[1, 1]]))
 
-        out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(), self.ep)
-        tau, phi_e, dtau, phi_p_new, q_new = (
-            v.reshape(phi.shape) for v in out[0:5])
+        out = return_map_batch(theta12 - self.Theta12, phi_p.ravel(),
+                               q.ravel(), self.ep)
+        s, T = _stress_arrays(out.tau, out.dtau_dphi, gamma, Gamma,
+                              self.eps_L, lam)
 
-        g12, g12_grad = _structural_arrays(l1, l2, theta12)
-        stress, tangent = _stress_arrays(
-            tau, dtau, g12, g12_grad, self.eps_L,
-            ((lam1, self.L1), (lam2, self.L2)))
-
-        tw = self.wdet[..., None, None] * stress
-        cw = self.wdet[..., None, None, None, None] * tangent
-        D = np.einsum("gia,egmb->egimab", dN, acols)
-        r_e = np.einsum("egimab,egab->eim", D, tw)
-        K_e = np.einsum("egimab,egabcd,egjncd->eimjn", D, cw, D,
-                        optimize=True)
-        Kgeo = np.einsum("gia,egab,gjb->eij", dN, tw, dN)
-        E = self.n_elements
-        Kfull = K_e.reshape(E, 4, 2, 4, 2)
-        Kfull[:, :, 0, :, 0] += Kgeo
-        Kfull[:, :, 1, :, 1] += Kgeo
-        return _EvalResult(
-            r_e=r_e.reshape(E, 8), K_e=Kfull.reshape(E, 8, 8),
-            theta12=theta12, tau=tau, phi_e=phi_e, phi_p=phi_p_new, q=q_new)
+        n1, n2 = self.n[0][:, None], self.n[1][:, None]      # (4, 1, P)
+        f1, f2 = f[0][None], f[1][None]                      # (1, 2, P)
+        # B = dC / dx, written in place: stacking temporaries costs more
+        B = np.empty((3, 4, 2, E * G))
+        np.multiply(n1, f1, out=B[0])
+        np.multiply(n2, f2, out=B[1])
+        np.multiply(n1, f2, out=B[2])
+        B[2] += n2 * f1
+        B[:2] *= 2.0
+        wTB = np.einsum("klp,lip->kip", self.wdet * T,
+                        B.reshape(3, 8, -1)).reshape(3, 8, E, G)
+        # element-major layouts with the (Voigt, Gauss) pairs summed over
+        Bt = B.reshape(3, 8, E, G).transpose(2, 1, 0, 3).reshape(E, 8, 3 * G)
+        ws = (self.wdet * s).reshape(3, E, G).transpose(1, 0, 2).reshape(
+            E, 3 * G, 1)
+        r_e = (Bt @ ws)[..., 0]
+        K_e = (Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)).reshape(
+            E, 4, 2, 4, 2)
+        Kgeo = (ws.transpose(0, 2, 1) @ self.geo).reshape(E, 4, 4)
+        K_e[:, :, 0, :, 0] += Kgeo
+        K_e[:, :, 1, :, 1] += Kgeo
+        return _EvalResult(r_e, K_e.reshape(E, 8, 8), *(
+            v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
+                                      out.q)))
 
     def assemble(self, x, phi_p, q):
         """Scatter element contributions into the global system.
@@ -402,11 +393,9 @@ class FESolution:
     def to_field_csv(self, path):
         """Per-step Gauss-point dump with full double precision."""
         S, M = self.gp_tau.shape
-        step = np.repeat(np.arange(S), M)
-        gp = np.tile(np.arange(M), S)
-        data = np.column_stack([
-            step, gp, self.gp_theta12.ravel(), self.gp_tau.ravel(),
-            self.gp_phi_e.ravel(), self.gp_phi_p.ravel(), self.gp_q.ravel()])
+        data = np.column_stack(
+            [np.repeat(np.arange(S), M), np.tile(np.arange(M), S)]
+            + [getattr(self, f"gp_{k}").ravel() for k in FIELD_COLUMNS[2:]])
         np.savetxt(path, data, fmt="%.17g", delimiter=",",
                    header=",".join(FIELD_COLUMNS), comments="")
 
@@ -499,8 +488,7 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     grids = program_theta_grid(program, cfg.steps_per_degree)
 
     E, G = model.n_elements, model.n_gauss
-    phi_p = np.zeros((E, G))
-    q = np.zeros((E, G))
+    phi_p = q = np.zeros((E, G))
     x = mesh.nodes.copy()
     # last committed increment, the secant the next step extrapolates
     dx_last = np.zeros_like(x)
@@ -512,11 +500,9 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     # recorded rows, starting from the undeformed state
     thetas = [np.pi / 2.0]
     gamma = [0.0]
-    t12_rows = [model.Theta12.ravel().copy()]
-    tau_rows = [np.zeros(E * G)]
-    phie_rows = [np.zeros(E * G)]
-    phip_rows = [np.zeros(E * G)]
-    q_rows = [np.zeros(E * G)]
+    fields = FIELD_COLUMNS[2:]
+    rows = {k: [np.zeros(E * G)] for k in fields}
+    rows["theta12"] = [np.full(E * G, model.Theta12)]
     force = [0.0]
     committed_thetas = []
     residual_history = []
@@ -565,31 +551,19 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
             pull = float(np.sum(R * V) / crosshead_rate(theta_prev, mesh.L0))
             thetas.append(theta_prev)
             gamma.append(float(theta_to_gamma(theta_prev)))
-            t12_rows.append(ev.theta12.ravel().copy())
-            tau_rows.append(ev.tau.ravel().copy())
-            phie_rows.append(ev.phi_e.ravel().copy())
-            phip_rows.append(ev.phi_p.ravel().copy())
-            q_rows.append(ev.q.ravel().copy())
+            for k in fields:
+                rows[k].append(getattr(ev, k).ravel())
             force.append(pull)
 
-    gp_theta12 = np.vstack(t12_rows)
-    gp_tau = np.vstack(tau_rows)
-    gp_phi_e = np.vstack(phie_rows)
-    gp_phi_p = np.vstack(phip_rows)
-    gp_q = np.vstack(q_rows)
+    gp = {k: np.vstack(v) for k, v in rows.items()}
     curve = ShearCurve(
         gamma_deg=np.asarray(gamma),
-        theta12=gp_theta12.mean(axis=1),
-        tau=gp_tau.mean(axis=1),
-        phi_e=gp_phi_e.mean(axis=1),
-        phi_p=gp_phi_p.mean(axis=1),
-        q=gp_q.mean(axis=1),
+        **{k: gp[k].mean(axis=1) for k in fields},
         frame_force_normalized=np.asarray(force) / (mesh.L0 * mu0),
         label="fe")
     return FESolution(
         curve=curve, theta_steps=np.asarray(thetas),
-        gp_theta12=gp_theta12, gp_tau=gp_tau, gp_phi_e=gp_phi_e,
-        gp_phi_p=gp_phi_p, gp_q=gp_q,
+        **{f"gp_{k}": gp[k] for k in fields},
         phi_p=phi_p, q=q, x=x,
         committed_thetas=np.asarray(committed_thetas),
         residual_history=residual_history,

@@ -138,35 +138,42 @@ class RefFiberPair:
         _check_spd(A, "A_ab")
         d1 = np.asarray(d1, dtype=float).reshape(2)
         d2 = np.asarray(d2, dtype=float).reshape(2)
-        L1 = d1 / np.sqrt(d1 @ A @ d1)
-        L2 = d2 / np.sqrt(d2 @ A @ d2)
-        return cls(L1=L1, L2=L2, Theta12=float(L1 @ A @ L2))
+        lam, Theta12, _, _ = _angle_arrays(_fiber_metric(A, d1, d2))
+        return cls(L1=d1 / lam[0], L2=d2 / lam[1], Theta12=float(Theta12))
 
 
 @dataclass(frozen=True, eq=False)
 class FiberState:
-    """Pushed-forward fiber data: stretches, unit directions, angle cosine."""
+    """Pushed-forward fiber data: stretches, unit directions, angle cosine,
+    the fiber metric ``C = (C11, C22, C12)`` with ``C_IJ = L_I . a . L_J``,
+    and the fiber ``dyads`` (3, 2, 2) ``L1 L1``, ``L2 L2``, ``sym(L1 L2)``,
+    the chart tensors ``dC / da``."""
 
     l1: np.ndarray
     l2: np.ndarray
     lambda1: float
     lambda2: float
     theta12: float
+    C: np.ndarray
+    dyads: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class StructuralTensors:
     """Shear structural tensor and its metric derivative.
 
-    ``g12`` is the contravariant second-order tensor conjugate to the angle
-    cosine (``delta theta12 = g12 : delta a``); ``g12_grad`` is its
-    derivative with respect to the covariant current metric,
-    ``g12_grad[a, b, g, d] = d g12[a, b] / d a[g, d]``, minor-symmetric in
-    both index pairs.
+    ``gamma`` (3,) and ``Gamma`` (3, 3), the first and second derivatives
+    of the angle cosine by the fiber metric, expand on the fiber ``dyads``
+    to ``g12`` (``delta theta12 = g12 : delta a``) and
+    ``g12_grad[a, b, g, d] = d g12[a, b] / d a[g, d]``.
     """
 
-    g12: np.ndarray
-    g12_grad: np.ndarray
+    gamma: np.ndarray
+    Gamma: np.ndarray
+    dyads: np.ndarray
+
+    g12 = property(lambda self: _chart(self.gamma, self.dyads))
+    g12_grad = property(lambda self: _chart4(self.Gamma, self.dyads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,43 +200,51 @@ def _metric_product(u, a_ab, v):
             + u[..., 1] * a_ab[..., 1, 1] * v[..., 1])
 
 
-def _push_forward(a_ab, L):
-    """Stretch ``sqrt(L . a . L)`` (...) and current unit direction
-    ``L / lam`` (..., 2) of unit reference fibers ``L`` (..., 2) under
-    current metrics ``a_ab`` (..., 2, 2)."""
-    lam = np.sqrt(_metric_product(L, a_ab, L))
-    return lam, L / lam[..., None]
+def _fiber_metric(a_ab, L1, L2):
+    """Fiber metric ``(C11, C22, C12)`` (3, ...) of reference fibers
+    (..., 2) under current metrics (..., 2, 2)."""
+    return np.stack([_metric_product(L1, a_ab, L1),
+                     _metric_product(L2, a_ab, L2),
+                     _metric_product(L1, a_ab, L2)])
 
 
-def _fiber_arrays(a_ab, L1, L2):
-    """``(lam1, lam2, l1, l2, theta12)`` of a fiber pair over leading
-    axes: the body of :func:`fiber_state` and of the FE element kernel."""
-    lam1, l1 = _push_forward(a_ab, L1)
-    lam2, l2 = _push_forward(a_ab, L2)
-    theta12 = _metric_product(l1, a_ab, l2)
-    return lam1, lam2, l1, l2, theta12
+def _fiber_dyads(L1, L2):
+    """``L1 L1``, ``L2 L2``, ``sym(L1 L2)`` (3, 2, 2, ...) of (..., 2)."""
+    u, v = np.moveaxis(L1, -1, 0), np.moveaxis(L2, -1, 0)
+    return np.stack([u[:, None] * u[None], v[:, None] * v[None],
+                     0.5 * (u[:, None] * v[None] + v[:, None] * u[None])])
 
 
-def _structural_arrays(l1, l2, theta12):
-    """``g12`` (..., 2, 2) and ``g12_grad`` (..., 2, 2, 2, 2) from current
-    unit directions ``l1``, ``l2`` (..., 2) and their cosine (...): the
-    body of :func:`structural_tensors` and of the FE element kernel."""
-    theta12 = np.asarray(theta12)
-    l1l1 = np.einsum("...a,...b->...ab", l1, l1)
-    l2l2 = np.einsum("...a,...b->...ab", l2, l2)
-    sym12 = 0.5 * (np.einsum("...a,...b->...ab", l1, l2)
-                   + np.einsum("...a,...b->...ab", l2, l1))
-    S = 0.5 * (l1l1 + l2l2)
-    g12 = sym12 - theta12[..., None, None] * S
-    g12_grad = (
-        -np.einsum("...ab,...cd->...abcd", sym12, S)
-        - np.einsum("...ab,...cd->...abcd", S, g12)
-        + 0.5 * theta12[..., None, None, None, None] * (
-            np.einsum("...ab,...cd->...abcd", l1l1, l1l1)
-            + np.einsum("...ab,...cd->...abcd", l2l2, l2l2)
-        )
-    )
-    return g12, g12_grad
+def _chart(v, dyads):
+    """``sum_I v_I M_I`` (2, 2, ...) of a Voigt vector (3, ...) on the
+    dyads (3, 2, 2, ...), in a fixed order for one point or a stack."""
+    return v[0] * dyads[0] + v[1] * dyads[1] + v[2] * dyads[2]
+
+
+def _chart4(T, dyads):
+    """``sum_IJ T_IJ M_I (x) M_J`` (2, 2, 2, 2, ...) of (3, 3, ...)."""
+    return sum(_chart(T[:, j], dyads)[:, :, None, None] * dyads[j]
+               for j in range(3))
+
+
+def _angle_arrays(C):
+    """Stretches ``lam`` (2, ...), cosine ``theta12 = C12 / (lam1 lam2)``
+    and its gradient ``gamma`` (3, ...) and Hessian ``Gamma`` (3, 3, ...)
+    by the fiber metric ``C`` (3, ...): the body of :func:`fiber_state`,
+    :func:`structural_tensors` and the FE element kernel.  With
+    ``h_I = 1 / (2 C_II)`` and ``r = 1 / (lam1 lam2)``: gradient
+    ``(-theta12 h1, -theta12 h2, r)``; Hessian entries ``3 theta12 h_I^2``,
+    ``theta12 h1 h2``, ``-r h_I`` and zero at ``(C12, C12)``."""
+    lam = np.sqrt(C[:2])
+    r12 = 1.0 / (lam[0] * lam[1])
+    theta12 = C[2] * r12
+    h = 0.5 / C[:2]
+    th = theta12 * h
+    Gamma = np.zeros((3,) + C.shape)
+    Gamma[[0, 1], [0, 1]] = 3.0 * th * h
+    Gamma[0, 1] = Gamma[1, 0] = th[0] * h[1]
+    Gamma[:2, 2] = Gamma[2, :2] = -r12 * h
+    return lam, theta12, np.concatenate([-th, r12[None]]), Gamma
 
 
 def push_forward_fiber(m, L):
@@ -248,15 +263,19 @@ def push_forward_fiber(m, L):
     l : (2,) ndarray
         Contravariant current direction, unit against ``m.a_ab``.
     """
-    lam, l = _push_forward(m.a_ab, np.asarray(L, dtype=float).reshape(2))
-    return float(lam), l
+    L = np.asarray(L, dtype=float).reshape(2)
+    lam = np.sqrt(_metric_product(L, m.a_ab, L))
+    return float(lam), L / lam
 
 
 def fiber_state(m, f):
-    """Return stretches, current unit directions and the current cosine."""
-    lam1, lam2, l1, l2, theta12 = _fiber_arrays(m.a_ab, f.L1, f.L2)
-    return FiberState(l1=l1, l2=l2, lambda1=float(lam1),
-                      lambda2=float(lam2), theta12=float(theta12))
+    """Return stretches, unit directions, cosine, fiber metric and dyads."""
+    C = _fiber_metric(m.a_ab, f.L1, f.L2)
+    lam, theta12, _, _ = _angle_arrays(C)
+    return FiberState(l1=f.L1 / lam[0], l2=f.L2 / lam[1],
+                      lambda1=float(lam[0]), lambda2=float(lam[1]),
+                      theta12=float(theta12), C=C,
+                      dyads=_fiber_dyads(f.L1, f.L2))
 
 
 def angle_measures(m, f):
@@ -266,21 +285,12 @@ def angle_measures(m, f):
 
 
 def structural_tensors(m, fs):
-    """Shear structural tensor g12 and its current-metric derivative.
-
-    The variation of the angle cosine under a metric variation is
-    ``delta theta12 = g12 : delta a_ab``; the tangent of the angle energy
-    needs ``d g12 / d a_ab`` as well.  Both tensors are built from the
-    current unit directions carried by ``fs``.
-
-    Parameters
-    ----------
-    m : MetricPoint
-    fs : FiberState
-        Must have been computed at ``m``.
-    """
-    g12, g12_grad = _structural_arrays(fs.l1, fs.l2, fs.theta12)
-    return StructuralTensors(g12=g12, g12_grad=g12_grad)
+    """Shear structural tensor g12 (``delta theta12 = g12 : delta a_ab``)
+    and its current-metric derivative, which the tangent of the angle
+    energy needs, from the derivatives of the cosine by the fiber metric
+    of ``fs``, a :class:`FiberState` computed at ``m``."""
+    _, _, gamma, Gamma = _angle_arrays(fs.C)
+    return StructuralTensors(gamma=gamma, Gamma=Gamma, dyads=fs.dyads)
 
 
 def _dual_fiber_covariant(m, f):
@@ -403,13 +413,12 @@ def surface_invariants(m, f, c=None):
     built from the reference curvature form.
     """
     I1 = float(np.sum(m.A_inv * m.a_ab))
-    L = np.stack([f.L1, f.L2])
-    Lambda = np.einsum("ia,ab,ib->i", L, m.a_ab, L)
+    Lambda = _fiber_metric(m.a_ab, f.L1, f.L2)[:2]
     if c is None:
         z = np.zeros(2)
         return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=z, K_g=z.copy(),
                                  T_g=z.copy())
-    K_n, K_g, T_g = _bending_invariants(L, c)
+    K_n, K_g, T_g = _bending_invariants(np.stack([f.L1, f.L2]), c)
     return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=K_n, K_g=K_g, T_g=T_g)
 
 

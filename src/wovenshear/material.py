@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import _bending_invariants, fiber_state
+from .kinematics import _bending_invariants, _chart, _chart4, fiber_state
 
 __all__ = [
     "ConvergenceError",
@@ -66,11 +66,14 @@ _Q_CHECK = np.linspace(0.0, 1.5, 1501)
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solve fails; carries the last residual."""
+    """Raised when an iterative solve fails; carries the last residual, and
+    from :func:`drive_angle_path` the failing step's index and ``phi``."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, step_index=None, phi=None):
         super().__init__(message)
         self.residual = residual
+        self.step_index = step_index
+        self.phi = phi
 
 
 @dataclass(frozen=True)
@@ -424,28 +427,19 @@ def return_map(phi_new, state_old, p):
                         residual=float(out.residual[0]))
 
 
-def _stress_arrays(tau, dtau, g12, g12_grad, eps_L=0.0, fibers=()):
-    """Membrane stress (..., 2, 2) and tangent (..., 2, 2, 2, 2).
-
-    The body of :func:`angle_stress_and_tangent`, :func:`membrane_stress`
-    and of the FE element kernel, over the leading axes of the return-map
-    stress ``tau`` and tangent ``dtau`` and of the structural tensors.
-    When ``eps_L`` is nonzero, each ``(lam, L)`` of ``fibers`` (stretch
-    and reference direction) adds its stretch stress and tangent in turn.
-    """
-    tau = np.asarray(tau)
-    dtau = np.asarray(dtau)
-    stress = 2.0 * tau[..., None, None] * g12
-    tangent = (4.0 * dtau[..., None, None, None, None]
-               * np.einsum("...ab,...cd->...abcd", g12, g12)
-               + 4.0 * tau[..., None, None, None, None] * g12_grad)
+def _stress_arrays(tau, dtau, gamma, Gamma, eps_L=0.0, lam=None):
+    """Voigt stress ``s = dW/dC`` (3, ...) and tangent ``T = d2W/dC2``
+    (3, 3, ...) by the fiber metric: the body of
+    :func:`angle_stress_and_tangent`, :func:`membrane_stress` and the FE
+    element kernel.  The angle part is ``tau gamma`` and
+    ``dtau gamma gamma^T + tau Gamma``; the stretches ``lam`` (2, ...) add
+    ``eps_L (lam - 1) / (2 lam)`` and ``eps_L / (4 lam^3)``.  The chart
+    forms are ``2 s_I M_I`` and ``4 T_IJ M_I (x) M_J`` on the dyads ``M``."""
+    stress = tau * gamma
+    tangent = dtau * (gamma[:, None] * gamma[None]) + tau * Gamma
     if eps_L != 0.0:
-        for lam, L in fibers:
-            lam = np.asarray(lam)
-            LL = np.einsum("...a,...b->...ab", L, L)
-            stress += (eps_L * (lam - 1.0) / lam)[..., None, None] * LL
-            tangent += (eps_L * lam ** -3.0)[..., None, None, None, None] \
-                * np.einsum("...ab,...cd->...abcd", LL, LL)
+        stress[:2] += 0.5 * eps_L * (lam - 1.0) / lam
+        tangent[[0, 1], [0, 1]] += 0.25 * eps_L / (lam * lam * lam)
     return stress, tangent
 
 
@@ -464,13 +458,15 @@ def angle_stress_and_tangent(sr, st):
         Contravariant stress components ``2 tau g12``.
     c_a : (2, 2, 2, 2) ndarray
         Consistent tangent ``4 mu_eff g12 (x) g12 + 4 tau g12_grad`` with
-        ``mu_eff = sr.dtau_dphi``.
+        ``mu_eff = sr.dtau_dphi``, expanded from :func:`_stress_arrays`.
     """
-    return _stress_arrays(sr.tau, sr.dtau_dphi, st.g12, st.g12_grad)
+    _, tangent = _stress_arrays(sr.tau, sr.dtau_dphi, st.gamma, st.Gamma)
+    return 2.0 * sr.tau * st.g12, 4.0 * _chart4(tangent, st.dyads)
 
 
 def membrane_stress(m, f, sr, st, hp):
-    """Total membrane stress and tangent: fiber stretch plus angle parts.
+    """Total membrane stress and tangent: fiber stretch plus angle parts,
+    expanded from the Voigt arrays of :func:`_stress_arrays`.
 
     Returns
     -------
@@ -478,8 +474,10 @@ def membrane_stress(m, f, sr, st, hp):
     c_total : (2, 2, 2, 2) ndarray
     """
     fs = fiber_state(m, f)
-    return _stress_arrays(sr.tau, sr.dtau_dphi, st.g12, st.g12_grad,
-                          hp.eps_L, ((fs.lambda1, f.L1), (fs.lambda2, f.L2)))
+    stress, tangent = _stress_arrays(
+        sr.tau, sr.dtau_dphi, st.gamma, st.Gamma, hp.eps_L,
+        np.array([fs.lambda1, fs.lambda2]))
+    return 2.0 * _chart(stress, st.dyads), 4.0 * _chart4(tangent, st.dyads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,7 +570,12 @@ def drive_angle_path(phi_path, p, state=None):
     phi_p = np.empty(n)
     q = np.empty(n)
     for k, phi in enumerate(phi_path):
-        sr = return_map(float(phi), state, p)
+        try:
+            sr = return_map(float(phi), state, p)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"return map failed at phi_path[{k}] = {float(phi)!r}: {exc}",
+                exc.residual, k, float(phi)) from exc
         state = sr.new_state
         tau[k] = sr.tau
         phi_p[k] = state.phi_p

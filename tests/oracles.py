@@ -101,3 +101,86 @@ def embedded_fiber_measures(F, v1, v2):
     n1 = float(np.linalg.norm(w1))
     n2 = float(np.linalg.norm(w2))
     return n1, n2, float(w1 @ w2) / (n1 * n2)
+
+
+def fiber_metric_cosine(C):
+    """Angle cosine C12 / sqrt(C11 C22) of a Voigt fiber metric."""
+    return C[2] / math.sqrt(C[0] * C[1])
+
+
+def chart_membrane_elements(X_e, x_e, dN, w, fiber_dirs, eps_L, stress_of):
+    """Membrane element residuals and tangents assembled in chart tensors.
+
+    The element arithmetic of the FE kernel before its fiber-metric Voigt
+    form, kept as a reference: covariant metrics from the deformed chart
+    basis, the structural tensor ``g12`` and its metric gradient from the
+    current unit fibers, the chart stress ``2 tau g12`` and tangent
+    ``4 dtau g12 g12 + 4 tau g12_grad`` plus the fiber-stretch terms, and
+    ``K = D : c : D`` with ``D = dN (x) a_beta`` plus the geometric
+    stiffness ``dN . stress . dN``.
+
+    Parameters
+    ----------
+    X_e, x_e : (E, 4, 2) reference and current corner positions.
+    dN : (G, 4, 2) shape-function gradients at the Gauss points.
+    w : (G,) Gauss weights.
+    fiber_dirs : (2, 2) Cartesian reference fiber directions as columns.
+    eps_L : fiber-stretch stiffness.
+    stress_of : callable mapping the angle changes phi (E, G) to the
+        return-map stress and tangent ``(tau, dtau)``.
+
+    Returns
+    -------
+    r_e (E, 8), K_e (E, 8, 8) and theta12 (E, G).
+    """
+    J0 = np.einsum("eam,gab->egmb", X_e, dN)
+    wdet = w[None, :] * np.linalg.det(J0)
+    E, G = wdet.shape
+    Lconv = np.linalg.solve(J0, np.tile(fiber_dirs, (E, G, 1, 1)))
+    L1, L2 = Lconv[..., 0], Lconv[..., 1]
+    A_ab = np.einsum("egma,egmb->egab", J0, J0)
+    Theta12 = np.einsum("ega,egab,egb->eg", L1, A_ab, L2)
+    acols = np.einsum("eam,gab->egmb", x_e, dN)
+    a_ab = np.einsum("egma,egmb->egab", acols, acols)
+
+    def push_forward(L):
+        lam = np.sqrt(np.einsum("ega,egab,egb->eg", L, a_ab, L))
+        return lam, L / lam[..., None]
+
+    lam1, l1 = push_forward(L1)
+    lam2, l2 = push_forward(L2)
+    theta12 = np.einsum("ega,egab,egb->eg", l1, a_ab, l2)
+    tau, dtau = stress_of(theta12 - Theta12)
+
+    def dyad(u, v):
+        return np.einsum("...a,...b->...ab", u, v)
+
+    def outer(A, B):
+        return np.einsum("...ab,...cd->...abcd", A, B)
+
+    l1l1, l2l2 = dyad(l1, l1), dyad(l2, l2)
+    sym12 = 0.5 * (dyad(l1, l2) + dyad(l2, l1))
+    S = 0.5 * (l1l1 + l2l2)
+    t = theta12[..., None, None]
+    g12 = sym12 - t * S
+    g12_grad = (-outer(sym12, S) - outer(S, g12)
+                + 0.5 * t[..., None, None] * (outer(l1l1, l1l1)
+                                              + outer(l2l2, l2l2)))
+    stress = 2.0 * tau[..., None, None] * g12
+    tangent = (4.0 * dtau[..., None, None, None, None] * outer(g12, g12)
+               + 4.0 * tau[..., None, None, None, None] * g12_grad)
+    for lam, L in ((lam1, L1), (lam2, L2)):
+        LL = dyad(L, L)
+        stress += (eps_L * (lam - 1.0) / lam)[..., None, None] * LL
+        tangent += (eps_L * lam ** -3.0)[..., None, None, None, None] \
+            * outer(LL, LL)
+
+    tw = wdet[..., None, None] * stress
+    cw = wdet[..., None, None, None, None] * tangent
+    D = np.einsum("gia,egmb->egimab", dN, acols)
+    r_e = np.einsum("egimab,egab->eim", D, tw)
+    K_e = np.einsum("egimab,egabcd,egjncd->eimjn", D, cw, D, optimize=True)
+    Kgeo = np.einsum("gia,egab,gjb->eij", dN, tw, dN)
+    K_e[:, :, 0, :, 0] += Kgeo
+    K_e[:, :, 1, :, 1] += Kgeo
+    return r_e.reshape(E, 8), K_e.reshape(E, 8, 8), theta12

@@ -167,6 +167,40 @@ class TestPictureFrame:
         assert "theta = " in lines[0] and "max |g| = " in lines[0]
         assert not (tmp_path / "x" / "fe_curve.csv").exists()
 
+    @pytest.mark.parametrize("args, where", [
+        (["material-point", "--program", "0.5"],
+         "return map failed at phi_path[1] = 0.005: "),
+        (["picture-frame", "--mode", "analytic", "--program", "10"],
+         "closed-form solve failed on leg 1 "),
+        (["param-study", "--sweep", "tau_y=0,0.1", "--program", "10"],
+         "closed-form solve failed on leg 1 "),
+        # the FE half converges and the analytic half fails
+        (["picture-frame", "--mode", "verify", "--program", "10",
+          "--mesh", "2x2"], "closed-form solve failed on leg 1 "),
+    ])
+    def test_slip_failure_is_one_line(self, runner, glass_file, tmp_path,
+                                      monkeypatch, args, where):
+        run_program = wovenshear.cli.run_program
+
+        def failing_run_program(*a, **kw):
+            monkeypatch.setattr(wovenshear.material, "_SLIP_MAX_ITER", 1)
+            return run_program(*a, **kw)
+
+        if "verify" in args:
+            monkeypatch.setattr(wovenshear.cli, "run_program",
+                                failing_run_program)
+        else:
+            monkeypatch.setattr(wovenshear.material, "_SLIP_MAX_ITER", 1)
+        result = runner.invoke(main, args + ["--params", str(glass_file),
+                                             "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        lines = result.output.strip().splitlines()
+        assert lines[-1].startswith("Error: " + where), result.output
+        assert "max |g| = " in lines[-1]
+        assert not any(line.startswith("Error") for line in lines[:-1])
+
     def test_reruns_byte_identical(self, runner, demo_file, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"

@@ -32,9 +32,12 @@ from wovenshear import (
     verify_against_analytic,
 )
 from wovenshear.fe import (FIELD_COLUMNS, ElementInversionError, SolverError,
-                           _FrameModel)
+                           _FrameModel, _shape_gradients)
 from wovenshear import material
-from wovenshear.material import PlasticState
+from wovenshear.kinematics import FRAME_FIBER_1, FRAME_FIBER_2
+from wovenshear.material import PlasticState, return_map_batch
+
+import oracles
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -144,6 +147,59 @@ class TestElementResidualTangent:
         assert np.abs(r).max() <= 1e-14
 
 
+def distorted_square(n, amplitude, seed):
+    """``Mesh.square(n)`` with every interior node moved by ``amplitude``
+    times the element size, in a seeded random direction."""
+    mesh = Mesh.square(n)
+    rng = np.random.default_rng(seed)
+    inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), mesh.boundary_nodes)
+    angle = rng.uniform(0.0, 2.0 * np.pi, inner.size)
+    nodes = mesh.nodes.copy()
+    nodes[inner] += amplitude * mesh.L0 / n * np.column_stack(
+        [np.cos(angle), np.sin(angle)])
+    return Mesh(nodes=nodes, elements=mesh.elements,
+                boundary_nodes=mesh.boundary_nodes, L0=mesh.L0)
+
+
+class TestVoigtKernel:
+    """The fiber-metric Voigt kernel against the chart-tensor element
+    arithmetic it replaced (``oracles.chart_membrane_elements``)."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("eps_L", [0.0, 1.0])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3])
+    def test_matches_chart_oracle(self, demo_params, order, eps_L,
+                                  amplitude):
+        mesh = distorted_square(4, amplitude, seed=11)
+        model = _FrameModel(mesh, demo_params,
+                            HyperelasticParams(eps_L=eps_L), order)
+        rng = np.random.default_rng(order)
+        # the frame map, disturbed so that the stretches leave one
+        F = picture_frame_deformation(gamma_to_theta(20.0))
+        x = mesh.nodes @ F.T + 0.0125 * rng.standard_normal(mesh.nodes.shape)
+        # tau_y = 0: virgin points flow, points at q = 1 stay elastic
+        shape = (model.n_elements, model.n_gauss)
+        q = np.where(rng.random(shape) < 0.5, 0.0, 1.0)
+        phi_p = np.zeros(shape)
+        ev = model.evaluate(x, phi_p, q)
+        plastic = ev.q > q
+        assert plastic.any() and not plastic.all()
+
+        def stress_of(phi):
+            out = return_map_batch(phi.ravel(), phi_p.ravel(), q.ravel(),
+                                   demo_params)
+            return out.tau.reshape(shape), out.dtau_dphi.reshape(shape)
+
+        dN, w = _shape_gradients(order)
+        r_ref, K_ref, t12_ref = oracles.chart_membrane_elements(
+            mesh.nodes[mesh.elements], x[mesh.elements], dN, w,
+            np.stack([FRAME_FIBER_1, FRAME_FIBER_2], axis=1), eps_L,
+            stress_of)
+        assert np.abs(ev.theta12 - t12_ref).max() <= 1e-14
+        assert np.abs(ev.r_e - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
+        assert np.abs(ev.K_e - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+
 def diamond_element(theta):
     """Fiber-ruled single element mapped by the frame deformation."""
     mesh = Mesh.square(1)
@@ -240,6 +296,19 @@ class TestVerifyAcrossMeshes:
             assert dev <= 1e-13 * np.abs(an).max()
         if n == 24:
             assert sol.committed_thetas.size == sol.theta_steps.size - 1
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("amplitude", [0.15, 0.3])
+    def test_distorted_mesh(self, demo_params, cycle_program, n, amplitude):
+        # the exact solution is affine on any mesh, so moving the interior
+        # nodes off the grid keeps every deviation at round-off (the patch
+        # test)
+        sol = solve_picture_frame(distorted_square(n, amplitude, seed=n),
+                                  cycle_program, SolverConfig(), demo_params)
+        rep = verify_against_analytic(sol, demo_params)
+        assert rep["passed"], rep
+        for key in ("max_theta12_dev", "max_tau_rel_scale", "max_force_rel"):
+            assert rep[key] <= 1e-13, (key, rep)
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_perturbed_demo_set(self, demo_params, cycle_program, seed):

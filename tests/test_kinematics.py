@@ -36,7 +36,7 @@ from wovenshear import (
     surface_invariants,
     theta_to_gamma,
 )
-from wovenshear.kinematics import CurvaturePoint
+from wovenshear.kinematics import CurvaturePoint, _angle_arrays
 
 import oracles
 
@@ -150,6 +150,31 @@ class TestStructuralTensors:
             fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
             scale = np.abs(st_.g12_grad).max()
             assert np.abs(fd - st_.g12_grad).max() <= 1e-6 * scale
+
+    @given(c11=st.floats(0.5, 2.0), c22=st.floats(0.5, 2.0),
+           cos=st.floats(-0.95, 0.95))
+    @settings(max_examples=100, deadline=None)
+    def test_voigt_derivatives_match_central_differences(self, c11, c22,
+                                                          cos):
+        """gamma and Gamma of the fiber-metric body are the first and
+        second central differences of theta12(C) = C12 / sqrt(C11 C22)."""
+        C = np.array([c11, c22, cos * np.sqrt(c11 * c22)])
+        lam, theta12, gamma, Gamma = _angle_arrays(C)
+        cosine = oracles.fiber_metric_cosine
+        assert theta12 == pytest.approx(cosine(C), rel=1e-14, abs=1e-15)
+        assert np.array_equal(lam, np.sqrt(C[:2]))
+        assert np.array_equal(Gamma, Gamma.T)
+        e = np.eye(3)
+        fd = [oracles.central_diff(lambda t: cosine(C + t * e[i]), 0.0, 1e-6)
+              for i in range(3)]
+        assert np.abs(fd - gamma).max() <= 1e-8 * (1.0 + np.abs(gamma).max())
+        h = 1e-4
+        fd2 = np.array([[(cosine(C + h * (e[i] + e[j]))
+                          - cosine(C + h * (e[i] - e[j]))
+                          - cosine(C - h * (e[i] - e[j]))
+                          + cosine(C - h * (e[i] + e[j]))) / (4.0 * h * h)
+                         for j in range(3)] for i in range(3)])
+        assert np.abs(fd2 - Gamma).max() <= 1e-6 * (1.0 + np.abs(Gamma).max())
 
     def test_g12_grad_symmetries(self, rng):
         m, f = random_point(rng)

@@ -40,7 +40,8 @@ from wovenshear import (
 )
 from wovenshear import material
 from wovenshear.kinematics import (CurvaturePoint, MetricPoint, RefFiberPair,
-                                   _fiber_arrays, _structural_arrays)
+                                   _angle_arrays, _chart, _chart4,
+                                   _fiber_dyads, _fiber_metric)
 from wovenshear.material import PARAM_JSON_KEYS, _slip_solve, _stress_arrays
 
 import oracles
@@ -329,6 +330,18 @@ class TestDriver:
         assert rest.tau[-1] == pytest.approx(full.tau[-1], rel=1e-14)
         assert rest.q[-1] == pytest.approx(full.q[-1], rel=1e-14)
 
+    def test_slip_failure_is_located(self, glass_params, monkeypatch):
+        # the two zero steps are elastic; one slip sweep cannot converge
+        # the plastic third
+        monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError) as err:
+            drive_angle_path([0.0, 0.0, 0.5, 0.6], glass_params)
+        assert err.value.step_index == 2 and err.value.phi == 0.5
+        assert "phi_path[2] = 0.5:" in str(err.value)
+        cause = err.value.__cause__
+        assert isinstance(cause, ConvergenceError)
+        assert err.value.residual == cause.residual > 0.0
+
 
 class TestMembraneResponse:
     def test_stretch_term_vanishes_in_frame(self, glass_params, glass_hyper):
@@ -405,36 +418,43 @@ class TestMembraneResponse:
         L1 = np.stack([f.L1 for _, f, _ in points])
         L2 = np.stack([f.L2 for _, f, _ in points])
         Theta12 = np.array([f.Theta12 for _, f, _ in points])
-        lam1, lam2, l1, l2, theta12 = _fiber_arrays(a_ab, L1, L2)
+        C = _fiber_metric(a_ab, L1, L2)
+        lam, theta12, gamma, Gamma = _angle_arrays(C)
+        dyads = _fiber_dyads(L1, L2)
         history = [np.array([getattr(s, k) for _, _, s in points])
                    for k in ("phi_p", "q")]
         rm = return_map_batch(theta12 - Theta12, *history, glass_params)
         tau, dtau, plastic = rm[0], rm[2], rm[6]
         assert plastic.any() and not plastic.all()
-        g12, g12_grad = _structural_arrays(l1, l2, theta12)
-        eps = glass_hyper.eps_L
-        stress, tangent = _stress_arrays(tau, dtau, g12, g12_grad, eps,
-                                         ((lam1, L1), (lam2, L2)))
-        angle = _stress_arrays(tau, dtau, g12, g12_grad)
+        g12, g12_grad = _chart(gamma, dyads), _chart4(Gamma, dyads)
+        s, T = _stress_arrays(tau, dtau, gamma, Gamma, glass_hyper.eps_L, lam)
+        stress, tangent = 2.0 * _chart(s, dyads), 4.0 * _chart4(T, dyads)
+        angle = (2.0 * tau * g12,
+                 4.0 * _chart4(_stress_arrays(tau, dtau, gamma, Gamma)[1],
+                               dyads))
 
         for k, (m, f, state) in enumerate(points):
-            lam, l = push_forward_fiber(m, f.L1)
-            assert lam == lam1[k] and np.array_equal(l, l1[k])
+            lam1, l = push_forward_fiber(m, f.L1)
+            assert lam1 == lam[0, k] and np.array_equal(l, L1[k] / lam[0, k])
             fs = fiber_state(m, f)
             assert (fs.lambda1, fs.lambda2, fs.theta12) == (
-                lam1[k], lam2[k], theta12[k])
-            assert np.array_equal(fs.l1, l1[k]) and np.array_equal(fs.l2, l2[k])
+                lam[0, k], lam[1, k], theta12[k])
+            assert np.array_equal(fs.l1, L1[k] / lam[0, k])
+            assert np.array_equal(fs.l2, L2[k] / lam[1, k])
+            assert np.array_equal(fs.C, C[:, k])
             st_ = structural_tensors(m, fs)
-            assert np.array_equal(st_.g12, g12[k])
-            assert np.array_equal(st_.g12_grad, g12_grad[k])
+            assert np.array_equal(st_.gamma, gamma[:, k])
+            assert np.array_equal(st_.Gamma, Gamma[..., k])
+            assert np.array_equal(st_.g12, g12[..., k])
+            assert np.array_equal(st_.g12_grad, g12_grad[..., k])
             sr = return_map(fs.theta12 - f.Theta12, state, glass_params)
             assert sr.is_plastic == plastic[k] and sr.tau == tau[k]
             tau_a, c_a = angle_stress_and_tangent(sr, st_)
-            assert np.array_equal(tau_a, angle[0][k])
-            assert np.array_equal(c_a, angle[1][k])
+            assert np.array_equal(tau_a, angle[0][..., k])
+            assert np.array_equal(c_a, angle[1][..., k])
             tau_t, c_t = membrane_stress(m, f, sr, st_, glass_hyper)
-            assert np.array_equal(tau_t, stress[k])
-            assert np.array_equal(c_t, tangent[k])
+            assert np.array_equal(tau_t, stress[..., k])
+            assert np.array_equal(c_t, tangent[..., k])
 
     def test_bending_moments_zero_without_curvature_change(self, glass_hyper):
         m, f, _ = picture_frame_metric(1.2)
