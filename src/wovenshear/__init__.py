@@ -78,7 +78,6 @@ from .fe import (
     ElementInversionError,
     SolverError,
     Mesh,
-    SolverConfig,
     FESolution,
     FIELD_COLUMNS,
     element_residual_and_tangent,

@@ -42,13 +42,11 @@ class LoadProgram:
     """Sequence of target frame angles theta (radians), starting at pi/2.
 
     Consecutive targets must differ and lie in (0, pi/2]; each leg is one
-    monotone loading interval.  ``samples_per_interval`` fixes the sampling
-    count per leg for curve output; when None, consumers sample by angular
-    density (2 steps per degree by default).
+    monotone loading interval.  Consumers sample each leg by angular
+    density (see :func:`program_theta_grid`).
     """
 
     targets: tuple
-    samples_per_interval: int | None = None
 
     def __post_init__(self):
         targets = tuple(float(t) for t in self.targets)
@@ -61,23 +59,20 @@ class LoadProgram:
                 raise ValueError(f"zero-length program leg at theta = {t}")
             prev = t
         object.__setattr__(self, "targets", targets)
-        if self.samples_per_interval is not None and self.samples_per_interval < 1:
-            raise ValueError("samples_per_interval must be >= 1")
 
     @classmethod
-    def from_gamma_degrees(cls, targets_deg, samples_per_interval=None):
+    def from_gamma_degrees(cls, targets_deg):
         """Build from shear-angle targets in degrees (figure convention)."""
-        return cls(targets=tuple(float(gamma_to_theta(g)) for g in targets_deg),
-                   samples_per_interval=samples_per_interval)
+        return cls(tuple(float(gamma_to_theta(g)) for g in targets_deg))
 
     @classmethod
-    def from_string(cls, text, samples_per_interval=None):
+    def from_string(cls, text):
         """Parse a comma-separated gamma target list like ``"50,20,50"``."""
         try:
             targets_deg = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValueError(f"cannot parse load program {text!r}") from exc
-        return cls.from_gamma_degrees(targets_deg, samples_per_interval)
+        return cls.from_gamma_degrees(targets_deg)
 
     @property
     def gamma_targets_deg(self):
@@ -291,17 +286,17 @@ class ShearCurve:
 def program_theta_grid(lp, steps_per_degree=2.0):
     """Per-interval frame-angle grids (radians), excluding interval starts.
 
-    Uniform in theta within each leg; each grid ends exactly on its target.
-    ``lp.samples_per_interval`` overrides the per-degree density.
+    Uniform in theta within each leg, at ``steps_per_degree`` (> 0) steps
+    per degree and at least one; each grid ends exactly on its target.
     """
+    if not steps_per_degree > 0.0:
+        raise ValueError(
+            f"steps_per_degree must be positive, got {steps_per_degree}")
     grids = []
     prev = np.pi / 2.0
     for tgt in lp.targets:
-        if lp.samples_per_interval is not None:
-            n = int(lp.samples_per_interval)
-        else:
-            span_deg = abs(np.rad2deg(tgt - prev))
-            n = max(1, int(round(span_deg * steps_per_degree)))
+        span_deg = abs(np.rad2deg(tgt - prev))
+        n = max(1, int(round(span_deg * steps_per_degree)))
         grids.append(np.linspace(prev, tgt, n + 1)[1:])
         prev = tgt
     return grids
@@ -322,7 +317,7 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):
     mu0 : float
         Stress normalization for the force column.
     steps_per_degree : float
-        Sampling density when the program does not fix a per-leg count.
+        Sampling density per leg.
 
     Returns
     -------

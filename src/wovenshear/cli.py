@@ -22,23 +22,27 @@ import numpy as np
 from . import __version__
 from .analytic import LoadProgram, run_program
 from .calibrate import ExperimentCurve, staged_fit
-from .fe import (Mesh, SolverConfig, SolverError, solve_picture_frame,
-                 verify_against_analytic)
+from .fe import Mesh, SolverError, solve_picture_frame, verify_against_analytic
 from .material import (ConvergenceError, drive_angle_path, load_params,
                        params_to_dict, replace_params)
 
 __all__ = ["main", "RunConfig"]
 
 _SWEEPABLE = ("mu_f", "tau_y", "A", "a", "B", "b", "C", "c")
+# settings that must be positive, with their types; entries from a config
+# file bypass click's types, so the merged values are checked
+_POSITIVE = {"l0": float, "mu0": float, "steps_per_degree": float,
+             "dphi": float, "tol": float, "max_evals": int}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Merged settings of one command invocation.
 
-    Checks the filesystem preconditions up front: referenced input files
-    must exist and the output directory must be writable (it is created
-    when missing).
+    Checks the preconditions up front: referenced input files must exist,
+    the settings of ``_POSITIVE`` must be finite and positive when given,
+    and the output directory must be writable (it is created when
+    missing).
     """
 
     command: str
@@ -50,6 +54,15 @@ class RunConfig:
             if path is not None and not Path(path).is_file():
                 raise click.UsageError(
                     f"{self.command}: {key} file not found: {path}")
+        for key, kind in _POSITIVE.items():
+            val = self.options.get(key)
+            try:
+                ok = val is None or 0 < kind(val) < math.inf
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise click.UsageError(
+                    f"{self.command}: {key} must be positive, got {val!r}")
         out = self.options.get("out")
         if out is not None:
             out = Path(out)
@@ -162,8 +175,6 @@ def material_point(ctx, **values):
     ep, _ = load_params(rc["params"])
     targets = _parse_floats(rc["program"], "program")
     dphi = float(rc["dphi"])
-    if not dphi > 0.0:
-        raise click.UsageError("--dphi must be positive")
     path = [0.0]
     for tgt in targets:
         delta = tgt - path[-1]
@@ -209,8 +220,7 @@ def picture_frame(ctx, **values):
     ep, hp = load_params(rc["params"])
     program, spd = _load_program(rc["program"], rc["steps_per_degree"])
     L0 = float(rc["l0"])
-    mu0 = rc["mu0"]
-    mu0 = ep.mu_f if mu0 is None else float(mu0)
+    mu0 = ep.mu_f if rc["mu0"] is None else float(rc["mu0"])
     out = Path(rc["out"])
     mode = rc["mode"]
 
@@ -223,12 +233,8 @@ def picture_frame(ctx, **values):
 
     n = _parse_mesh(rc["mesh"])
     mesh = Mesh.square(n, L0=L0)
-    cfg = SolverConfig(steps_per_degree=spd)
-    # a parameter file without a positive fiber-stretch stiffness leaves
-    # the membrane with unstable zero-energy modes; fall back to the
-    # solver's stress-neutral default eps_L = mu_f
-    hp_run = hp if hp.eps_L > 0.0 else None
-    sol = solve_picture_frame(mesh, program, cfg, ep, hp_run, mu0=mu0)
+    sol = solve_picture_frame(mesh, program, ep, hp, mu0=mu0,
+                              steps_per_degree=spd)
     dest = out / "fe_curve.csv"
     sol.curve.to_csv(dest)
     fields = out / "fe_fields.csv"
@@ -242,8 +248,7 @@ def picture_frame(ctx, **values):
     dest = out / "analytic_curve.csv"
     curve.to_csv(dest)
     click.echo(f"wrote {dest} ({len(curve)} rows)")
-    report = verify_against_analytic(sol, ep, tau_tol=float(rc["tol"]),
-                                     L0=L0, mu0=mu0)
+    report = verify_against_analytic(sol, tau_tol=float(rc["tol"]))
     dest = out / "verify_report.json"
     _write_json(dest, report)
     click.echo(f"wrote {dest}")
@@ -294,8 +299,7 @@ def param_study(ctx, **values):
             f"{', '.join(_SWEEPABLE)}")
     vals = _parse_floats(tail, "sweep values")
     L0 = float(rc["l0"])
-    mu0 = rc["mu0"]
-    mu0 = ep.mu_f if mu0 is None else float(mu0)
+    mu0 = ep.mu_f if rc["mu0"] is None else float(rc["mu0"])
     out = Path(rc["out"])
     files = []
     for k, v in enumerate(vals):

@@ -18,7 +18,8 @@ extrapolated along the last committed increment.  Newton's method then
 equilibrates the free DOFs with the consistent tangent, kept in LAPACK
 band storage and solved by banded LU with partial pivoting (the tangent
 turns indefinite under plastic flow).  Once the residual meets the
-tolerance, one more correction takes the iterate to round-off.
+tolerance, one more correction takes the iterate to round-off.  The
+Newton settings are fixed constants, like the slip solve's.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .analytic import advance_interval, interval_solve
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_arrays,
                          crosshead_rate, picture_frame_deformation,
                          picture_frame_dF_dtheta, theta_to_gamma)
-from .material import (ConvergenceError, HyperelasticParams, PlasticState,
-                       _stress_arrays, return_map_batch)
+from .material import (ConvergenceError, ElastoplasticParams,
+                       HyperelasticParams, PlasticState, _stress_arrays,
+                       return_map_batch)
 
 __all__ = [
     "ElementInversionError",
     "SolverError",
     "Mesh",
-    "SolverConfig",
     "FESolution",
     "FIELD_COLUMNS",
     "element_residual_and_tangent",
@@ -151,34 +152,18 @@ class Mesh:
                    L0=float(L0))
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Load stepping and Newton controls.
+# Newton controls: once the free-DOF residual norm first meets
+# _NEWTON_TOL * mu_f * L0, one more (polish) correction, not counted
+# against _NEWTON_MAX_ITER, takes the iterate to round-off at any mesh
+# size; a failed step is bisected up to _MAX_HALVINGS times
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 25
+_MAX_HALVINGS = 5
 
-    The per-interval step count follows ``steps_per_degree`` unless the
-    load program fixes ``samples_per_interval``.  The Newton tolerance is
-    applied to the free-DOF residual norm against the reference force
-    scale mu_f * L0: once the residual first meets
-    ``newton_tol * mu_f * L0``, exactly one more correction is taken, and
-    that iterate is accepted if it still meets the tolerance.  This polish
-    correction takes the iterate to round-off, so the accuracy does not
-    depend on the mesh size; it does not count against
-    ``newton_max_iter``.
-    """
-
-    steps_per_degree: float = 2.0
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 25
-    quadrature_order: int = 2
-    max_halvings: int = 5
-
-    def __post_init__(self):
-        for name in ("steps_per_degree", "newton_tol", "newton_max_iter",
-                     "quadrature_order"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be >= 0")
+# verify limits on the Gauss-point angle-cosine spread and on the
+# reaction-force deviation; the stress limit is verify's tau_tol
+_THETA12_TOL = 1e-12
+_FORCE_TOL = 1e-8
 
 
 # per-element arrays of one evaluation at trial positions: r_e (E, 8),
@@ -365,7 +350,8 @@ class FESolution:
     lists the Newton residual norms of every committed step (including
     bisected sub-steps), aligned with ``committed_thetas``; the last entry
     of each list is the accepted polish iterate, the one before it the
-    first to meet the tolerance.
+    first to meet the tolerance.  ``ep``, ``mu0`` and ``steps_per_degree``
+    are the run's own, so that verify needs nothing else.
     """
 
     curve: ShearCurve
@@ -375,14 +361,24 @@ class FESolution:
     gp_phi_e: np.ndarray
     gp_phi_p: np.ndarray
     gp_q: np.ndarray
-    phi_p: np.ndarray                  # final committed fields (E, G)
-    q: np.ndarray
     x: np.ndarray                      # final nodal positions (N, 2)
     committed_thetas: np.ndarray
     residual_history: list
     program: LoadProgram
-    config: SolverConfig
+    ep: ElastoplasticParams
+    mu0: float
+    steps_per_degree: float
     mesh: Mesh
+
+    @property
+    def phi_p(self):
+        """Final committed plastic angle (E, G), the last recorded row."""
+        return self.gp_phi_p[-1].reshape(len(self.mesh.elements), -1)
+
+    @property
+    def q(self):
+        """Final committed hardening variable (E, G)."""
+        return self.gp_q[-1].reshape(len(self.mesh.elements), -1)
 
     @property
     def final_states(self):
@@ -400,12 +396,12 @@ class FESolution:
                    header=",".join(FIELD_COLUMNS), comments="")
 
 
-def _newton_step(model, x, phi_p, q, tol_abs, max_iter):
+def _newton_step(model, x, phi_p, q, tol_abs):
     """Equilibrate the free DOFs at fixed boundary positions.
 
-    Up to ``max_iter`` banded-LU corrections bring the free-DOF residual
-    norm to ``tol_abs``; one more (polish) correction follows, and its
-    iterate is accepted if it still meets ``tol_abs``.  A singular or
+    Up to ``_NEWTON_MAX_ITER`` banded-LU corrections bring the free-DOF
+    residual norm to ``tol_abs``; one more (polish) correction follows, and
+    its iterate is accepted if it still meets ``tol_abs``.  A singular or
     non-finite system fails the step, and so does a slip solve that fails
     at some Gauss point; its largest ``|g|`` then ends the residual list.
 
@@ -417,7 +413,7 @@ def _newton_step(model, x, phi_p, q, tol_abs, max_iter):
     residuals = []
     polish = False
     r = ev = None
-    for it in range(max_iter + 2):
+    for it in range(_NEWTON_MAX_ITER + 2):
         try:
             r, band, ev = model.assemble(x, phi_p, q)
         except ConvergenceError as exc:
@@ -430,7 +426,7 @@ def _newton_step(model, x, phi_p, q, tol_abs, max_iter):
         if polish:
             return x, r, ev, residuals, rn <= tol_abs, None
         polish = rn <= tol_abs
-        if not polish and it == max_iter:
+        if not polish and it == _NEWTON_MAX_ITER:
             break
         try:
             dx = solve_banded((model.bw, model.bw), band, -r[free],
@@ -445,7 +441,8 @@ def _newton_step(model, x, phi_p, q, tol_abs, max_iter):
     return x, r, ev, residuals, False, None
 
 
-def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
+def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
+                        steps_per_degree=2.0):
     """Run the Dirichlet-driven picture frame over a load program.
 
     Every boundary node follows the homogeneous frame map at each target
@@ -454,38 +451,35 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     step.  Each step, bisected sub-steps included, starts from the
     committed positions extrapolated along the last committed increment,
     scaled by the ratio of the angle increments.  On Newton failure the
-    step is bisected up to ``cfg.max_halvings`` times before raising
-    :class:`SolverError`.
+    step is bisected up to ``_MAX_HALVINGS`` times before raising
+    :class:`SolverError`.  Elements use 2x2 Gauss quadrature.
 
     Parameters
     ----------
     mesh : Mesh
     program : LoadProgram
-    cfg : SolverConfig, optional
     ep : ElastoplasticParams
     hp : HyperelasticParams, optional
-        When omitted, the fiber-stretch stiffness defaults to
-        eps_L = mu_f.  A membrane carrying only the angle stress has
-        zero-energy fiber-stretch modes that turn unstable under plastic
-        flow (the tangent goes indefinite), so some stretch stiffness is
-        required; its value does not affect the converged stresses or
-        forces here because the frame deformation keeps both fiber
-        stretches exactly one.  Pass an explicit HyperelasticParams (even
-        with eps_L = 0) to override.
+        Only ``eps_L`` is used.  When hp is omitted or its eps_L is 0, the
+        fiber-stretch stiffness is eps_L = mu_f: a membrane carrying only
+        the angle stress has zero-energy fiber-stretch modes that turn
+        unstable under plastic flow (the tangent goes indefinite), so some
+        stretch stiffness is required.  Its value does not affect the
+        converged stresses or forces here, because the frame deformation
+        keeps both fiber stretches exactly one.
     mu0 : float
         Stress normalization for the force column of the curve.
+    steps_per_degree : float
+        Load-step density of :func:`program_theta_grid`.
 
     Returns
     -------
     FESolution
     """
-    if ep is None:
-        raise TypeError("ep (ElastoplasticParams) is required")
-    if hp is None:
+    if hp is None or hp.eps_L == 0.0:
         hp = HyperelasticParams(eps_L=ep.mu_f)
-    cfg = cfg if cfg is not None else SolverConfig()
-    model = _FrameModel(mesh, ep, hp, cfg.quadrature_order)
-    grids = program_theta_grid(program, cfg.steps_per_degree)
+    model = _FrameModel(mesh, ep, hp)
+    grids = program_theta_grid(program, steps_per_degree)
 
     E, G = model.n_elements, model.n_gauss
     phi_p = q = np.zeros((E, G))
@@ -493,7 +487,7 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     # last committed increment, the secant the next step extrapolates
     dx_last = np.zeros_like(x)
     dth_last = 0.0
-    tol_abs = cfg.newton_tol * ep.mu_f * mesh.L0
+    tol_abs = _NEWTON_TOL * ep.mu_f * mesh.L0
     bnodes = mesh.boundary_nodes
     XB = mesh.nodes[bnodes]
 
@@ -520,15 +514,15 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
                 xtrial = x + scale * dx_last
                 xtrial[bnodes] = XB @ picture_frame_deformation(th).T
                 xtrial, r, ev, residuals, ok, cause = _newton_step(
-                    model, xtrial, phi_p, q, tol_abs, cfg.newton_max_iter)
+                    model, xtrial, phi_p, q, tol_abs)
                 if not ok:
-                    if depth >= cfg.max_halvings:
+                    if depth >= _MAX_HALVINGS:
                         why = (f"last residual norm {residuals[-1]:.3e}"
                                if cause is None else str(cause))
                         raise SolverError(
                             f"Newton failed at load step {step_index} "
                             f"(theta = {th:.8f} rad) after "
-                            f"{cfg.max_halvings} bisections; {why}",
+                            f"{_MAX_HALVINGS} bisections; {why}",
                             step_index=step_index, theta=th,
                             residual=residuals[-1]) from cause
                     mid = 0.5 * (theta_prev + th)
@@ -564,14 +558,12 @@ def solve_picture_frame(mesh, program, cfg=None, ep=None, hp=None, mu0=1.0):
     return FESolution(
         curve=curve, theta_steps=np.asarray(thetas),
         **{f"gp_{k}": gp[k] for k in fields},
-        phi_p=phi_p, q=q, x=x,
-        committed_thetas=np.asarray(committed_thetas),
-        residual_history=residual_history,
-        program=program, config=cfg, mesh=mesh)
+        x=x, committed_thetas=np.asarray(committed_thetas),
+        residual_history=residual_history, program=program, ep=ep, mu0=mu0,
+        steps_per_degree=steps_per_degree, mesh=mesh)
 
 
-def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
-                            theta12_tol=1e-12, L0=None, mu0=1.0):
+def verify_against_analytic(sol, *, tau_tol=1e-9):
     """Compare a finite-element run against the closed-form response.
 
     Chains the interval solution over the run's own load program and
@@ -579,16 +571,18 @@ def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
     stress deviation max|dtau| / max|tau|, the pointwise stress deviation
     (denominator floored at 1% of the peak stress), the reaction-force
     deviation relative to the closed-form pull force, and the spread of the
-    Gauss-point angle cosines around the applied cos(theta).
+    Gauss-point angle cosines around the applied cos(theta).  Material,
+    frame size, force normalization and step grid are the run's own.
 
-    Returns a report dict with the measured maxima and a ``passed`` flag.
+    Returns a report dict with the measured maxima, the limits and a
+    ``passed`` flag.
     """
-    L0 = sol.mesh.L0 if L0 is None else L0
+    L0, mu0 = sol.mesh.L0, sol.mu0
     thetas = sol.theta_steps
-    grids = program_theta_grid(sol.program, sol.config.steps_per_degree)
+    grids = program_theta_grid(sol.program, sol.steps_per_degree)
     if 1 + sum(g.size for g in grids) != thetas.size:
         raise ValueError("solution steps do not match its load program")
-    sols = _solve_legs([np.cos(grid) for grid in grids], ep)
+    sols = _solve_legs([np.cos(grid) for grid in grids], sol.ep)
     tau_an = np.concatenate([[0.0]] + [s.tau for s in sols])
     force_an = np.concatenate(
         [[0.0]] + [frame_force(s.tau, g, L0) for s, g in zip(sols, grids)])
@@ -606,15 +600,15 @@ def verify_against_analytic(sol, ep, tau_tol=1e-9, force_tol=1e-8,
     fscale = np.abs(force_an).max()
     max_force_rel = float(np.abs(f_fe - force_an).max() / fscale)
     passed = (max_rel_scale <= tau_tol
-              and max_theta12_dev <= theta12_tol
-              and max_force_rel <= force_tol)
+              and max_theta12_dev <= _THETA12_TOL
+              and max_force_rel <= _FORCE_TOL)
     return {
         "max_tau_rel_scale": max_rel_scale,
         "max_tau_rel_pointwise": max_rel_pointwise,
         "max_theta12_dev": max_theta12_dev,
         "max_force_rel": max_force_rel,
         "tau_tol": tau_tol,
-        "force_tol": force_tol,
-        "theta12_tol": theta12_tol,
+        "force_tol": _FORCE_TOL,
+        "theta12_tol": _THETA12_TOL,
         "passed": bool(passed),
     }

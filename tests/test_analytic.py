@@ -56,10 +56,6 @@ class TestLoadProgram:
         with pytest.raises(ValueError):
             LoadProgram(targets=(np.pi / 2.0, 0.4))   # theta must move
 
-    def test_samples_per_interval_validated(self):
-        with pytest.raises(ValueError):
-            LoadProgram.from_gamma_degrees([30.0], samples_per_interval=0)
-
     def test_parse_error(self):
         with pytest.raises(ValueError):
             LoadProgram.from_string("50,x,20")
@@ -289,11 +285,10 @@ class TestProgramGrid:
         assert grids[1][-1] == cycle_program.targets[1]
         assert grids[0][0] != np.pi / 2.0     # interval start excluded
 
-    def test_samples_override(self):
-        lp = LoadProgram.from_gamma_degrees([30.0, 10.0],
-                                            samples_per_interval=7)
-        grids = program_theta_grid(lp)
-        assert [g.size for g in grids] == [7, 7]
+    @pytest.mark.parametrize("density", [0.0, -1.0])
+    def test_nonpositive_density_rejected(self, cycle_program, density):
+        with pytest.raises(ValueError, match="steps_per_degree"):
+            program_theta_grid(cycle_program, density)
 
 
 class TestRunProgram:

@@ -1,8 +1,8 @@
 """Command-line interface tests.
 
 Verifies: all four subcommands end to end in a temporary directory, flag
-and config-file precedence, error exits without partial output, and
-byte-identical reruns.
+and config-file precedence, range checks on numeric settings, error exits
+without partial output, and byte-identical reruns.
 """
 
 import filecmp
@@ -341,6 +341,60 @@ class TestConfigFile:
                                       str(demo_file), "--config", str(cfg),
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+
+class TestNumericSettings:
+    # a non-positive length, stress, density, tolerance or budget is a
+    # usage error, given as a flag or as a config-file entry (which click
+    # does not type-check), and nothing is written
+    CASES = [
+        (["picture-frame", "--mode", "analytic"], "steps_per_degree", 0),
+        (["picture-frame", "--mode", "analytic"], "steps_per_degree", -1),
+        (["picture-frame", "--mode", "verify", "--mesh", "1x1"],
+         "steps_per_degree", 0),
+        (["picture-frame", "--mode", "analytic"], "mu0", 0),
+        (["picture-frame", "--mode", "analytic"], "l0", -1),
+        (["picture-frame", "--mode", "verify", "--mesh", "1x1"], "l0", 0),
+        (["picture-frame", "--mode", "verify", "--mesh", "1x1"], "tol", -1),
+        (["param-study", "--sweep", "tau_y=0"], "steps_per_degree", 0),
+        (["material-point"], "dphi", 0),
+        (["calibrate"], "max_evals", 0),
+    ]
+
+    @pytest.fixture
+    def data_file(self, soft_params, tmp_path):
+        path = tmp_path / "data.csv"
+        synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1)).to_csv(path)
+        return path
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("args, key, value", CASES)
+    def test_rejected(self, runner, soft_file, data_file, tmp_path, args,
+                      key, value, via):
+        out = tmp_path / "out"
+        argv = args + ["--params", str(soft_file), "--out", str(out)]
+        if args[0] == "calibrate":
+            argv += ["--data", str(data_file)]
+        if via == "flag":
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be positive" in result.output
+        assert not out.exists()
+
+    def test_non_number_in_config_rejected(self, runner, demo_file,
+                                           tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "analytic", "l0": "long"}))
+        result = runner.invoke(main, ["picture-frame", "--params",
+                                      str(demo_file), "--config", str(cfg),
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "l0 must be positive" in result.output
 
 
 class TestTopLevel:

@@ -21,7 +21,6 @@ from wovenshear import (
     IntervalState,
     LoadProgram,
     Mesh,
-    SolverConfig,
     element_residual_and_tangent,
     gamma_to_theta,
     interval_solve,
@@ -33,7 +32,7 @@ from wovenshear import (
 )
 from wovenshear.fe import (FIELD_COLUMNS, ElementInversionError, SolverError,
                            _FrameModel, _shape_gradients)
-from wovenshear import material
+from wovenshear import fe, material
 from wovenshear.kinematics import FRAME_FIBER_1, FRAME_FIBER_2
 from wovenshear.material import PlasticState, return_map_batch
 
@@ -223,7 +222,7 @@ class TestExactMap:
         # affine and every Gauss point sees theta12 = cos(theta)
         lp = LoadProgram.from_gamma_degrees([18.0])
         mesh = Mesh.square(3)
-        sol = solve_picture_frame(mesh, lp, SolverConfig(), glass_params)
+        sol = solve_picture_frame(mesh, lp, glass_params)
         theta = gamma_to_theta(18.0)
         x_affine = mesh.nodes @ picture_frame_deformation(theta).T
         assert np.abs(sol.x - x_affine).max() <= 1e-12
@@ -241,7 +240,7 @@ class TestBandedSystem:
         # boundary moved to 30 degrees and the interior left behind
         mesh = Mesh.square(4)
         sol = solve_picture_frame(mesh, LoadProgram.from_gamma_degrees([10.0]),
-                                  None, glass_params)
+                                  glass_params)
         model = _FrameModel(mesh, glass_params,
                             HyperelasticParams(eps_L=glass_params.mu_f))
         x = sol.x.copy()
@@ -282,9 +281,8 @@ class TestVerifyAcrossMeshes:
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_demo_cycle(self, demo_params, cycle_program, n):
-        sol = solve_picture_frame(Mesh.square(n), cycle_program,
-                                  SolverConfig(), demo_params)
-        rep = verify_against_analytic(sol, demo_params)
+        sol = solve_picture_frame(Mesh.square(n), cycle_program, demo_params)
+        rep = verify_against_analytic(sol)
         assert rep["passed"], rep
         assert rep["max_theta12_dev"] <= 1e-13
         assert rep["max_tau_rel_scale"] <= 1e-13
@@ -304,8 +302,8 @@ class TestVerifyAcrossMeshes:
         # nodes off the grid keeps every deviation at round-off (the patch
         # test)
         sol = solve_picture_frame(distorted_square(n, amplitude, seed=n),
-                                  cycle_program, SolverConfig(), demo_params)
-        rep = verify_against_analytic(sol, demo_params)
+                                  cycle_program, demo_params)
+        rep = verify_against_analytic(sol)
         assert rep["passed"], rep
         for key in ("max_theta12_dev", "max_tau_rel_scale", "max_force_rel"):
             assert rep[key] <= 1e-13, (key, rep)
@@ -317,9 +315,8 @@ class TestVerifyAcrossMeshes:
         ep = dataclasses.replace(demo_params, **{
             k: getattr(demo_params, k) * rng.uniform(0.97, 1.03)
             for k in ("A_h", "B_h", "C_h", "c_h")})
-        sol = solve_picture_frame(Mesh.square(16), cycle_program,
-                                  SolverConfig(), ep)
-        rep = verify_against_analytic(sol, ep)
+        sol = solve_picture_frame(Mesh.square(16), cycle_program, ep)
+        rep = verify_against_analytic(sol)
         assert rep["passed"], rep
         assert rep["max_theta12_dev"] <= 1e-13
 
@@ -327,8 +324,8 @@ class TestVerifyAcrossMeshes:
 class TestSolvePictureFrame:
     def test_machine_precision_vs_analytic(self, glass_params, cycle_program):
         sol = solve_picture_frame(Mesh.square(4), cycle_program,
-                                  SolverConfig(), glass_params)
-        rep = verify_against_analytic(sol, glass_params)
+                                  glass_params)
+        rep = verify_against_analytic(sol)
         assert rep["passed"], rep
         assert rep["max_tau_rel_scale"] <= 1e-9
         assert rep["max_theta12_dev"] <= 1e-12
@@ -337,8 +334,8 @@ class TestSolvePictureFrame:
     def test_mesh_independence(self, demo_params):
         # the exact solution is homogeneous, so element count cannot matter
         lp = LoadProgram.from_gamma_degrees([30.0])
-        c1 = solve_picture_frame(Mesh.square(1), lp, None, demo_params).curve
-        c4 = solve_picture_frame(Mesh.square(4), lp, None, demo_params).curve
+        c1 = solve_picture_frame(Mesh.square(1), lp, demo_params).curve
+        c4 = solve_picture_frame(Mesh.square(4), lp, demo_params).curve
         scale = np.abs(c4.tau).max()
         assert np.abs(c1.tau - c4.tau).max() <= 1e-10 * scale
         fscale = np.abs(c4.frame_force_normalized).max()
@@ -347,8 +344,8 @@ class TestSolvePictureFrame:
 
     def test_deterministic(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([12.0])
-        s1 = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
-        s2 = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
+        s1 = solve_picture_frame(Mesh.square(2), lp, glass_params)
+        s2 = solve_picture_frame(Mesh.square(2), lp, glass_params)
         assert np.array_equal(s1.curve.tau, s2.curve.tau)
         assert np.array_equal(s1.gp_q, s2.gp_q)
         assert np.array_equal(s1.x, s2.x)
@@ -358,34 +355,43 @@ class TestSolvePictureFrame:
         # converged stresses
         lp = LoadProgram.from_gamma_degrees([20.0])
         mesh = Mesh.square(2)
-        s_def = solve_picture_frame(mesh, lp, None, glass_params)
-        s_big = solve_picture_frame(mesh, lp, None, glass_params,
+        s_def = solve_picture_frame(mesh, lp, glass_params)
+        s_big = solve_picture_frame(mesh, lp, glass_params,
                                     hp=HyperelasticParams(
                                         eps_L=7.0 * glass_params.mu_f))
         scale = np.abs(s_def.gp_tau).max()
         assert np.abs(s_def.gp_tau - s_big.gp_tau).max() <= 1e-10 * scale
+        # a zero stretch stiffness falls back to the default eps_L = mu_f
+        s_zero = solve_picture_frame(mesh, lp, glass_params,
+                                     hp=HyperelasticParams(eps_L=0.0))
+        assert np.array_equal(s_zero.x, s_def.x)
+        for k in FIELD_COLUMNS[2:]:
+            assert np.array_equal(getattr(s_zero, f"gp_{k}"),
+                                  getattr(s_def, f"gp_{k}"))
+        assert np.array_equal(s_zero.curve.frame_force_normalized,
+                              s_def.curve.frame_force_normalized)
 
-    def test_step_bisection_recovers(self, glass_params):
+    def test_step_bisection_recovers(self, glass_params, monkeypatch):
         # two Newton iterations are not enough for a 10 degree step, even
         # from the secant prediction, so the solver must bisect; the
         # recorded targets and accuracy are kept
+        monkeypatch.setattr(fe, "_NEWTON_MAX_ITER", 2)
+        monkeypatch.setattr(fe, "_MAX_HALVINGS", 8)
         lp = LoadProgram.from_gamma_degrees([20.0])
-        cfg = SolverConfig(steps_per_degree=0.1, newton_max_iter=2,
-                           max_halvings=8)
-        sol = solve_picture_frame(Mesh.square(2), lp, cfg, glass_params)
+        sol = solve_picture_frame(Mesh.square(2), lp, glass_params,
+                                  steps_per_degree=0.1)
         assert sol.committed_thetas.size > sol.theta_steps.size - 1
-        assert verify_against_analytic(sol, glass_params)["passed"]
-        targets = np.concatenate(
-            program_theta_grid(sol.program, cfg.steps_per_degree))
+        assert verify_against_analytic(sol)["passed"]
+        targets = np.concatenate(program_theta_grid(sol.program, 0.1))
         assert np.allclose(sol.theta_steps[1:], targets, atol=1e-15)
 
-    def test_solver_error_reports_step(self, glass_params):
-        cfg = SolverConfig(steps_per_degree=0.25, newton_max_iter=1,
-                           max_halvings=0)
+    def test_solver_error_reports_step(self, glass_params, monkeypatch):
+        monkeypatch.setattr(fe, "_NEWTON_MAX_ITER", 1)
+        monkeypatch.setattr(fe, "_MAX_HALVINGS", 0)
         with pytest.raises(SolverError) as err:
             solve_picture_frame(Mesh.square(2),
                                 LoadProgram.from_gamma_degrees([20.0]),
-                                cfg, glass_params)
+                                glass_params, steps_per_degree=0.25)
         assert err.value.step_index == 1
         assert err.value.theta is not None
         assert err.value.residual is not None
@@ -395,13 +401,12 @@ class TestSolvePictureFrame:
         # one slip sweep converges nowhere, so every bisection of the first
         # step fails and the error locates the last, smallest one
         monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
-        cfg = SolverConfig()
         with pytest.raises(SolverError) as err:
             solve_picture_frame(Mesh.square(2),
                                 LoadProgram.from_gamma_degrees([10.0]),
-                                cfg, glass_params)
-        first = gamma_to_theta(1.0 / cfg.steps_per_degree)
-        smallest = np.pi / 2.0 + (first - np.pi / 2.0) / 2 ** cfg.max_halvings
+                                glass_params)
+        first = gamma_to_theta(0.5)     # the default 2 steps per degree
+        smallest = np.pi / 2.0 + (first - np.pi / 2.0) / 2 ** fe._MAX_HALVINGS
         assert err.value.step_index == 1
         assert err.value.theta == pytest.approx(smallest, rel=1e-14)
         cause = err.value.__cause__
@@ -410,8 +415,8 @@ class TestSolvePictureFrame:
 
     def test_quadratic_residual_decay(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([10.0])
-        sol = solve_picture_frame(Mesh.square(3), lp, None, glass_params)
-        tol_abs = sol.config.newton_tol * glass_params.mu_f
+        sol = solve_picture_frame(Mesh.square(3), lp, glass_params)
+        tol_abs = fe._NEWTON_TOL * glass_params.mu_f
         deep = [h for h in sol.residual_history if len(h) >= 4]
         assert deep, "expected at least one step with several iterations"
         for hist in deep:
@@ -424,28 +429,15 @@ class TestSolvePictureFrame:
             assert polish <= tol_abs
             assert hist[-1] / hist[0] < 1e-10
 
-    def test_samples_per_interval_override(self, glass_params):
-        lp = LoadProgram.from_gamma_degrees([10.0, 5.0],
-                                            samples_per_interval=4)
-        sol = solve_picture_frame(Mesh.square(1), lp, None, glass_params)
-        assert len(sol.curve) == 1 + 2 * 4
-        assert sol.program.samples_per_interval == 4
-
     def test_requires_material(self, cycle_program):
         with pytest.raises(TypeError):
             solve_picture_frame(Mesh.square(1), cycle_program)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(newton_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_halvings=-1)
 
 
 class TestFESolutionOutput:
     def test_field_csv(self, glass_params, tmp_path):
         lp = LoadProgram.from_gamma_degrees([5.0])
-        sol = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
+        sol = solve_picture_frame(Mesh.square(2), lp, glass_params)
         path = tmp_path / "fields.csv"
         sol.to_field_csv(path)
         with open(path) as fh:
@@ -458,14 +450,15 @@ class TestFESolutionOutput:
 
     def test_final_states_roundtrip(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([15.0])
-        sol = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
+        sol = solve_picture_frame(Mesh.square(2), lp, glass_params)
         states = sol.final_states
+        assert sol.phi_p.shape == sol.q.shape == (4, 4)     # (E, G)
         assert len(states) == sol.phi_p.size
         assert states[0].q == sol.q.ravel()[0]
 
     def test_curve_means_match_gauss_fields(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([8.0])
-        sol = solve_picture_frame(Mesh.square(2), lp, None, glass_params)
+        sol = solve_picture_frame(Mesh.square(2), lp, glass_params)
         assert np.allclose(sol.curve.tau, sol.gp_tau.mean(axis=1), rtol=0.0,
                            atol=0.0)
 
@@ -473,23 +466,33 @@ class TestFESolutionOutput:
 class TestVerifyAgainstAnalytic:
     def test_report_fields(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
-        sol = solve_picture_frame(Mesh.square(1), lp, None, glass_params)
-        rep = verify_against_analytic(sol, glass_params)
+        sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
+        rep = verify_against_analytic(sol)
         for key in ("max_tau_rel_scale", "max_tau_rel_pointwise",
                     "max_theta12_dev", "max_force_rel", "passed"):
             assert key in rep
         assert rep["passed"]
 
+    def test_frame_size_and_normalization_from_the_run(self, glass_params):
+        # the force column is normalized by L0 * mu0 of the run, which
+        # verify takes from the solution rather than from its caller
+        lp = LoadProgram.from_gamma_degrees([20.0])
+        sol = solve_picture_frame(Mesh.square(2, L0=2.5), lp, glass_params,
+                                  mu0=glass_params.mu_f)
+        rep = verify_against_analytic(sol)
+        assert rep["passed"], rep
+        assert rep["max_force_rel"] <= 1e-13
+
     def test_program_mismatch_detected(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
-        sol = solve_picture_frame(Mesh.square(1), lp, None, glass_params)
+        sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
         sol.program = LoadProgram.from_gamma_degrees([6.0, 3.0])
         with pytest.raises(ValueError, match="load program"):
-            verify_against_analytic(sol, glass_params)
+            verify_against_analytic(sol)
 
     def test_fails_on_tampered_stress(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
-        sol = solve_picture_frame(Mesh.square(1), lp, None, glass_params)
+        sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
         sol.gp_tau = sol.gp_tau * 1.001
-        rep = verify_against_analytic(sol, glass_params)
+        rep = verify_against_analytic(sol)
         assert not rep["passed"]
