@@ -238,6 +238,42 @@ def frame_force(tau, theta, L0):
     return dtheta12 / crosshead_rate(theta, L0)
 
 
+# rows that _write_csv formats and joins at a time; bounds its memory
+_CSV_BLOCK_ROWS = 8192
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length ``columns`` as comma-separated rows under ``header``.
+
+    The file holds the same bytes as ``np.savetxt(path,
+    np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
+    comments="")``: 17 significant digits, which read back to the same
+    doubles.  Rows go out in blocks of ``_CSV_BLOCK_ROWS``, and within a
+    block each distinct value of a column is formatted once.  The frame
+    deforms homogeneously, so a Gauss-point dump repeats each value across
+    the points of a step, and most of its cells reuse a formatted string.
+    """
+    cols = [np.asarray(c).reshape(-1) for c in columns]
+    ends = [","] * (len(cols) - 1) + ["\n"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+            part = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS], dtype=float)
+                    for c in cols]
+            block = np.empty((part[0].size, len(cols)), dtype=object)
+            for j, (col, end) in enumerate(zip(part, ends)):
+                # distinct by bits, so -0.0 and 0.0 (and NaN payloads) stay
+                # apart and each prints as its own rows would
+                bits, inverse = np.unique(col.view(np.int64),
+                                          return_inverse=True)
+                # one bulk format; each cell keeps its separator, NUL ends it
+                text = (("%.17g" + end + "\0") * bits.size
+                        % tuple(bits.view(np.float64).tolist()))
+                cells = np.array(text.split("\0")[:-1], dtype=object)
+                block[:, j] = cells[inverse]
+            fh.write("".join(block.ravel().tolist()))
+
+
 CURVE_COLUMNS = ("gamma_deg", "theta12", "tau", "phi_e", "phi_p", "q",
                  "frame_force_normalized")
 
@@ -263,14 +299,10 @@ class ShearCurve:
     def __len__(self):
         return self.gamma_deg.size
 
-    def column_stack(self):
-        """Rows in CSV column order."""
-        return np.column_stack([getattr(self, name) for name in CURVE_COLUMNS])
-
     def to_csv(self, path):
         """Write the curve with full double precision (17 significant digits)."""
-        np.savetxt(path, self.column_stack(), fmt="%.17g", delimiter=",",
-                   header=",".join(CURVE_COLUMNS), comments="")
+        _write_csv(path, ",".join(CURVE_COLUMNS),
+                   [getattr(self, name) for name in CURVE_COLUMNS])
 
     @classmethod
     def from_csv(cls, path, label=""):

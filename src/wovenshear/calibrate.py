@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .analytic import IntervalState, frame_force, interval_solve_batch
+from .analytic import (IntervalState, _write_csv, frame_force,
+                       interval_solve_batch)
 from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
 from .kinematics import gamma_to_theta
 from .material import ConvergenceError, replace_params
@@ -84,9 +85,8 @@ class ExperimentCurve:
                 for g, f in zip(self.gamma_deg, self.force_norm)]
 
     def to_csv(self, path):
-        np.savetxt(path, np.column_stack([self.gamma_deg, self.force_norm]),
-                   fmt="%.17g", delimiter=",", header="gamma_deg,force_norm",
-                   comments="")
+        _write_csv(path, "gamma_deg,force_norm",
+                   [self.gamma_deg, self.force_norm])
 
     @classmethod
     def from_csv(cls, path, label=""):

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .analytic import LoadProgram, run_program
+from .analytic import LoadProgram, _write_csv, run_program
 from .calibrate import ExperimentCurve, staged_fit
 from .fe import Mesh, SolverError, solve_picture_frame, verify_against_analytic
 from .material import (ConvergenceError, drive_angle_path, load_params,
@@ -108,7 +108,19 @@ def _parse_floats(text, what):
         raise click.UsageError(f"cannot parse {what}: {text!r}")
     if not vals:
         raise click.UsageError(f"empty {what}: {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise click.UsageError(f"non-finite value in {what}: {text!r}")
     return vals
+
+
+def _load_params(path):
+    """Parameter sets of a ``--params`` file; a bad file is a one-line error
+    (exit 1).  Calls ``load_params`` through this module's binding, which
+    perfbench/spans.py wraps."""
+    try:
+        return load_params(path)
+    except (OSError, TypeError, ValueError) as exc:
+        raise click.ClickException(f"bad params file {path}: {exc}")
 
 
 def _parse_mesh(text):
@@ -172,20 +184,23 @@ def material_point(ctx, **values):
     phi,tau,phi_e,phi_p,q.
     """
     rc = _merge_config(ctx, "material-point", values)
-    ep, _ = load_params(rc["params"])
+    ep, _ = _load_params(rc["params"])
     targets = _parse_floats(rc["program"], "program")
     dphi = float(rc["dphi"])
     path = [0.0]
     for tgt in targets:
-        delta = tgt - path[-1]
-        n = max(1, math.ceil(abs(delta) / dphi))
+        steps = abs(tgt - float(path[-1])) / dphi
+        if not math.isfinite(steps):
+            raise click.UsageError(
+                f"program leg to {tgt!r} has no finite step count at "
+                f"dphi = {dphi!r}")
+        n = max(1, math.ceil(steps))
         path.extend(np.linspace(path[-1], tgt, n + 1)[1:])
     res = drive_angle_path(np.asarray(path), ep)
-    rows = np.column_stack([res.phi, res.tau, res.phi_e, res.phi_p, res.q])
     out = Path(rc["out"]) / "material_point.csv"
-    np.savetxt(out, rows, fmt="%.17g", delimiter=",",
-               header="phi,tau,phi_e,phi_p,q", comments="")
-    click.echo(f"wrote {out} ({rows.shape[0]} rows)")
+    _write_csv(out, "phi,tau,phi_e,phi_p,q",
+               [res.phi, res.tau, res.phi_e, res.phi_p, res.q])
+    click.echo(f"wrote {out} ({res.phi.size} rows)")
 
 
 @main.command("picture-frame")
@@ -217,7 +232,7 @@ def picture_frame(ctx, **values):
     verify_report.json, prints PASS/FAIL, and exits nonzero on FAIL.
     """
     rc = _merge_config(ctx, "picture-frame", values)
-    ep, hp = load_params(rc["params"])
+    ep, hp = _load_params(rc["params"])
     program, spd = _load_program(rc["program"], rc["steps_per_degree"])
     L0 = float(rc["l0"])
     mu0 = ep.mu_f if rc["mu0"] is None else float(rc["mu0"])
@@ -285,7 +300,7 @@ def param_study(ctx, **values):
     files to values.
     """
     rc = _merge_config(ctx, "param-study", values)
-    ep, _ = load_params(rc["params"])
+    ep, _ = _load_params(rc["params"])
     program, spd = _load_program(rc["program"], rc["steps_per_degree"])
     sweep = str(rc["sweep"])
     if "=" not in sweep:
@@ -343,7 +358,7 @@ def calibrate_cmd(ctx, **values):
     (per-stage diagnostics and the final whole-curve rms).
     """
     rc = _merge_config(ctx, "calibrate", values)
-    ep, hp = load_params(rc["params"])
+    ep, hp = _load_params(rc["params"])
     try:
         curve = ExperimentCurve.from_csv(rc["data"],
                                          label=Path(rc["data"]).stem)

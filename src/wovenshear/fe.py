@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .analytic import (LoadProgram, ShearCurve, _solve_legs, frame_force,
-                       program_theta_grid)
+from .analytic import (LoadProgram, ShearCurve, _solve_legs, _write_csv,
+                       frame_force, program_theta_grid)
 # unused; perfbench/spans.py wraps these module bindings
 from .analytic import advance_interval, interval_solve
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_arrays,
@@ -389,11 +389,9 @@ class FESolution:
     def to_field_csv(self, path):
         """Per-step Gauss-point dump with full double precision."""
         S, M = self.gp_tau.shape
-        data = np.column_stack(
-            [np.repeat(np.arange(S), M), np.tile(np.arange(M), S)]
-            + [getattr(self, f"gp_{k}").ravel() for k in FIELD_COLUMNS[2:]])
-        np.savetxt(path, data, fmt="%.17g", delimiter=",",
-                   header=",".join(FIELD_COLUMNS), comments="")
+        _write_csv(path, ",".join(FIELD_COLUMNS),
+                   [np.repeat(np.arange(S), M), np.tile(np.arange(M), S)]
+                   + [getattr(self, f"gp_{k}") for k in FIELD_COLUMNS[2:]])
 
 
 def _newton_step(model, x, phi_p, q, tol_abs):

@@ -12,7 +12,8 @@ in one call.  Stress-like parameters are in force per reference length
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,14 @@ class ConvergenceError(RuntimeError):
         self.phi = phi
 
 
+def _check_finite(params):
+    """Reject a NaN or infinite field, which passes every range check."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ElastoplasticParams:
     """Shear stiffness and isotropic hardening constants.
@@ -85,6 +94,7 @@ class ElastoplasticParams:
     ``c_h >= 1`` keeps the derivative finite at q = 0, and construction
     verifies that ``f_iso'(q) > 0`` across the working range q in [0, 1.5]
     (sampled at 1e-3), so a strictly hardening response is guaranteed.
+    Every field must be finite.
     """
 
     mu_f: float
@@ -97,6 +107,7 @@ class ElastoplasticParams:
     c_h: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if self.mu_f <= 0.0:
             raise ValueError(f"mu_f must be > 0, got {self.mu_f}")
         if self.tau_y < 0.0:
@@ -117,8 +128,9 @@ class ElastoplasticParams:
     @classmethod
     def from_dict(cls, d):
         """Build from a flat mapping with the JSON field names."""
-        if "mu_f" not in d:
-            raise ValueError("missing required parameter: mu_f")
+        for key in ("mu_f", "tau_y"):
+            if key not in d:
+                raise ValueError(f"missing required parameter: {key}")
         kwargs = {field: float(d[key])
                   for key, field in _EP_FIELD_BY_KEY.items() if key in d}
         return cls(**kwargs)
@@ -134,7 +146,8 @@ class HyperelasticParams:
 
     ``eps_L`` is the tensile fabric stiffness (force/length); ``beta_n``,
     ``beta_g``, ``beta_tau`` the out-of-plane bending, in-plane bending and
-    torsion stiffnesses (force times length).
+    torsion stiffnesses (force times length).  Every field must be finite
+    and non-negative.
     """
 
     eps_L: float = 0.0
@@ -143,6 +156,7 @@ class HyperelasticParams:
     beta_tau: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("eps_L", "beta_n", "beta_g", "beta_tau"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -184,3 +184,10 @@ def chart_membrane_elements(X_e, x_e, dN, w, fiber_dirs, eps_L, stress_of):
     K_e[:, :, 0, :, 0] += Kgeo
     K_e[:, :, 1, :, 1] += Kgeo
     return r_e.reshape(E, 8), K_e.reshape(E, 8, 8), theta12
+
+
+def savetxt_csv(path, header, columns):
+    """CSV file as numpy writes it: the columns side by side, 17
+    significant digits, comma separated, under a one-line header."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=header, comments="")

@@ -4,8 +4,8 @@ Verifies: load-program parsing and validation, the direction-aware elastic
 range, the interval consistency solve against a bisection oracle, the
 batched solve against the one-point solve bit for bit, exact interval
 chaining (splitting a monotone leg anywhere changes nothing), the
-pull-force formula, curve generation over multi-leg programs, and CSV
-round trips.
+pull-force formula, curve generation over multi-leg programs, CSV
+round trips, and the CSV writer against numpy's.
 """
 
 import numpy as np
@@ -31,6 +31,7 @@ from wovenshear import (
     yield_angle,
 )
 from wovenshear import material
+from wovenshear.analytic import _CSV_BLOCK_ROWS, _write_csv
 from wovenshear.material import PlasticState
 
 import oracles
@@ -353,3 +354,57 @@ class TestShearCurveCSV:
         path.write_text("gamma,tau\n0,0\n")
         with pytest.raises(ValueError, match="header"):
             ShearCurve.from_csv(path)
+
+
+# bit patterns a column can hold that %.17g prints in its own way: signed
+# zeros, NaNs with either sign and another payload, the infinities, the
+# smallest subnormal, the largest double, and integers stored as floats
+_SPECIAL_BITS = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0,
+              2.0 ** 53, 1e16, 0.1]).view(np.int64),
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000],
+             dtype=np.int64)])
+
+
+def _csv_column(kind, rows, rng):
+    if kind == "special":
+        return rng.choice(_SPECIAL_BITS, rows).view(np.float64)
+    if kind == "repeated":
+        return rng.choice(rng.standard_normal(rng.integers(1, 20)), rows)
+    if kind == "distinct":
+        return rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300)
+    if kind == "integer":
+        return rng.integers(-1000, 1000, rows).astype(float)
+    return rng.integers(0, 300, rows)          # an int64 column, like "step"
+
+
+class TestWriteCSV:
+    @given(rows=st.sampled_from([1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                 _CSV_BLOCK_ROWS + 1,
+                                 2 * _CSV_BLOCK_ROWS + 3]),
+           kinds=st.lists(st.sampled_from(["special", "repeated", "distinct",
+                                           "integer", "int64"]),
+                          min_size=1, max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_savetxt(self, rows, kinds, seed, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        columns = [_csv_column(kind, rows, rng) for kind in kinds]
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        tmp = tmp_path_factory.mktemp("csv")
+        _write_csv(tmp / "ours.csv", header, columns)
+        oracles.savetxt_csv(tmp / "numpy.csv", header, columns)
+        assert (tmp / "ours.csv").read_bytes() == \
+            (tmp / "numpy.csv").read_bytes()
+
+    def test_every_special_value(self, tmp_path):
+        # each special value once, in a column with 0.0 and -0.0 side by side
+        column = _SPECIAL_BITS.view(np.float64)
+        _write_csv(tmp_path / "ours.csv", "x,y", [column, column[::-1]])
+        oracles.savetxt_csv(tmp_path / "numpy.csv", "x,y",
+                            [column, column[::-1]])
+        text = (tmp_path / "ours.csv").read_text()
+        assert text == (tmp_path / "numpy.csv").read_text()
+        assert [line.split(",")[0] for line in text.splitlines()[1:3]] == \
+            ["0", "-0"]

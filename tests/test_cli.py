@@ -2,7 +2,8 @@
 
 Verifies: all four subcommands end to end in a temporary directory, flag
 and config-file precedence, range checks on numeric settings, error exits
-without partial output, and byte-identical reruns.
+without partial output (bad parameter files, non-finite numbers), and
+byte-identical reruns.
 """
 
 import filecmp
@@ -395,6 +396,73 @@ class TestNumericSettings:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "l0 must be positive" in result.output
+
+
+class TestBadInput:
+    # argv of each command that reads --params, with a data file for calibrate
+    COMMANDS = [
+        ["material-point"],
+        ["picture-frame", "--mode", "analytic"],
+        ["param-study", "--sweep", "tau_y=0"],
+        ["calibrate"],
+    ]
+
+    @pytest.fixture
+    def data_file(self, soft_params, tmp_path):
+        path = tmp_path / "data.csv"
+        synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1)).to_csv(path)
+        return path
+
+    @pytest.mark.parametrize("content, reason", [
+        ('{"mu_f": -1, "tau_y": 0, "A": 1}', "mu_f must be > 0"),
+        ('{"mu_f": NaN, "tau_y": 0, "A": 1}', "mu_f must be finite"),
+        ('{"mu_f": 1, "tau_y": 0, "A": 1, "zeta": 2}', "unknown parameter"),
+        ('{"mu_f": 1, "A": 1}', "missing required parameter: tau_y"),
+        ('{"mu_f": 1,', "Expecting"),
+    ], ids=["negative", "nan", "unknown-key", "missing-key", "malformed"])
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_bad_params_file_is_one_line(self, runner, data_file, tmp_path,
+                                         args, content, reason):
+        params = tmp_path / "bad.json"
+        params.write_text(content)
+        out = tmp_path / "out"
+        argv = args + ["--params", str(params), "--out", str(out)]
+        if args[0] == "calibrate":
+            argv += ["--data", str(data_file)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(f"Error: bad params file {params}: ")
+        assert reason in result.output
+        assert len(result.output.splitlines()) == 1
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["material-point", "--program", "nan"],
+        ["material-point", "--program", "0.5,inf"],
+        ["material-point", "--program", "-inf"],
+        ["param-study", "--sweep", "tau_y=0,nan"],
+        ["param-study", "--sweep", "A=inf"],
+    ])
+    def test_non_finite_value_is_usage_error(self, runner, soft_file,
+                                             tmp_path, args):
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + ["--params", str(soft_file),
+                                             "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "non-finite value" in result.output
+        assert not any(out.iterdir())
+
+    def test_step_count_overflow_is_usage_error(self, runner, soft_file,
+                                                tmp_path):
+        # |1e308 - 0.5| / dphi overflows; a huge but finite count is not
+        # run here, since it would allocate the whole path
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["material-point", "--program",
+                                      "0.5,1e308", "--params",
+                                      str(soft_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "no finite step count" in result.output
+        assert not any(out.iterdir())
 
 
 class TestTopLevel:

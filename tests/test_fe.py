@@ -435,18 +435,26 @@ class TestSolvePictureFrame:
 
 
 class TestFESolutionOutput:
-    def test_field_csv(self, glass_params, tmp_path):
-        lp = LoadProgram.from_gamma_degrees([5.0])
-        sol = solve_picture_frame(Mesh.square(2), lp, glass_params)
-        path = tmp_path / "fields.csv"
-        sol.to_field_csv(path)
-        with open(path) as fh:
-            header = fh.readline().strip()
-        assert header == ",".join(FIELD_COLUMNS)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        steps, m = sol.gp_tau.shape
-        assert data.shape == (steps * m, len(FIELD_COLUMNS))
-        assert np.array_equal(data[:, 3], sol.gp_tau.ravel())
+    def test_field_csv(self, glass_params, cycle_program, tmp_path):
+        # the 4x4 cycle writes 14,144 rows, across the writer's row blocks
+        for n, lp in ((2, LoadProgram.from_gamma_degrees([5.0])),
+                      (4, cycle_program)):
+            sol = solve_picture_frame(Mesh.square(n), lp, glass_params)
+            path = tmp_path / f"fields_{n}.csv"
+            sol.to_field_csv(path)
+            with open(path) as fh:
+                header = fh.readline().strip()
+            assert header == ",".join(FIELD_COLUMNS)
+            data = np.loadtxt(path, delimiter=",", skiprows=1)
+            steps, m = sol.gp_tau.shape
+            assert data.shape == (steps * m, len(FIELD_COLUMNS))
+            assert np.array_equal(data[:, 3], sol.gp_tau.ravel())
+            oracle = tmp_path / f"oracle_{n}.csv"
+            oracles.savetxt_csv(
+                oracle, header,
+                [np.repeat(np.arange(steps), m), np.tile(np.arange(m), steps)]
+                + [getattr(sol, f"gp_{k}").ravel() for k in FIELD_COLUMNS[2:]])
+            assert path.read_bytes() == oracle.read_bytes()
 
     def test_final_states_roundtrip(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([15.0])

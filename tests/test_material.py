@@ -8,6 +8,8 @@ energy/stress consistency of the membrane response, and the incremental
 angle driver.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,16 @@ class TestParamValidation:
     def test_hyper_rejects_negative(self):
         with pytest.raises(ValueError):
             HyperelasticParams(eps_L=-1.0)
+
+    def test_rejects_non_finite(self, glass_params, glass_hyper):
+        # NaN passes every range check, so each field is checked for
+        # finiteness first and named
+        for params in (glass_params, glass_hyper):
+            for field in dataclasses.fields(params):
+                for bad in (np.nan, np.inf, -np.inf):
+                    with pytest.raises(ValueError,
+                                       match=f"{field.name} must be finite"):
+                        dataclasses.replace(params, **{field.name: bad})
 
     def test_dict_round_trip(self, glass_params, glass_hyper):
         d = params_to_dict(glass_params, glass_hyper)
