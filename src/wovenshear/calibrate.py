@@ -1,11 +1,15 @@
 """Calibration of the shear response to picture-frame force curves.
 
 The normalized pull force of a monotone frame test is a closed-form
-function of the elastoplastic parameters, so fitting reduces to a
-derivative-free least-squares search against digitized data points.  The
-staged fit isolates parameters by the loading phase that exposes them:
-the initial slope pins the shear stiffness, the mid range pins the primary
-hardening terms, and the locking range pins the power-law pair.
+function of the elastoplastic parameters, so fitting is a bounded
+least-squares problem on the residual vector at the digitized data
+points, solved by a trust-region method.  The staged fit isolates
+parameters by the loading phase that exposes them: the initial slope
+pins the shear stiffness, the mid range pins the primary hardening terms,
+and the locking range pins the power-law pair.  Each stage has a budget
+of model evaluations (``max_evals``), finite-difference Jacobian columns
+included, and reports how well its Jacobian identifies the free
+parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import svd
+from scipy.optimize import least_squares
 
 from .analytic import (IntervalState, _write_csv, frame_force,
                        interval_solve_batch)
@@ -144,12 +149,14 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, their RMS misfit, and the search budget used."""
+    """Best parameters found, their RMS misfit, the model evaluations
+    used, and what the final Jacobian says about identifiability."""
 
     params: object
     rms_error: float
     evals_used: int
     converged: bool
+    identifiability: dict | None = None
 
 
 def model_forces(gamma_deg, p, L0=1.0, mu0=1.0):
@@ -162,6 +169,20 @@ def model_forces(gamma_deg, p, L0=1.0, mu0=1.0):
     theta = gamma_to_theta(np.asarray(gamma_deg, dtype=float).reshape(-1))
     sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
     return frame_force(sol.tau, theta, L0) / (L0 * mu0)
+
+
+def _window(curve, mask):
+    """Angles and forces of the curve, restricted to ``mask`` if given."""
+    g = curve.gamma_deg
+    f = curve.force_norm
+    if mask is None:
+        return g, f
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != g.shape:
+        raise ValueError("mask shape does not match the curve")
+    if not mask.any():
+        raise ValueError("objective mask selects no data points")
+    return g[mask], f[mask]
 
 
 def objective(params, curve, L0=1.0, mu0=1.0, mask=None):
@@ -178,16 +199,7 @@ def objective(params, curve, L0=1.0, mu0=1.0, mask=None):
     mask : array_like of bool, optional
         Restrict the misfit to a subset of the data points.
     """
-    g = curve.gamma_deg
-    f = curve.force_norm
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != g.shape:
-            raise ValueError("mask shape does not match the curve")
-        if not mask.any():
-            raise ValueError("objective mask selects no data points")
-        g = g[mask]
-        f = f[mask]
+    g, f = _window(curve, mask)
     try:
         model = model_forces(g, params, L0=L0, mu0=mu0)
     except ConvergenceError:
@@ -203,43 +215,50 @@ def _decode(key, value):
     return float(np.exp(value)) if key in _LOG_KEYS else float(value)
 
 
-def _initial_simplex(u0, keys, ubounds):
-    """Nonsingular start simplex with scale-aware steps.
+# relative forward-difference step of the Jacobian columns (scipy's default)
+_FD_STEP = np.finfo(float).eps ** 0.5
 
-    Log-scaled keys step by 0.10 in log space; linear keys by 2% of their
-    start value (falling back to a small absolute step at zero).  Steps are
-    kept inside the bounds by flipping direction if needed.
-    """
-    n = u0.size
-    simplex = np.tile(u0, (n + 1, 1))
-    for k, key in enumerate(keys):
-        if key in _LOG_KEYS:
-            step = 0.10
-        else:
-            step = 0.02 * abs(u0[k]) if u0[k] != 0.0 else 0.01
-        lo, hi = ubounds[k]
-        if u0[k] + step > hi:
-            step = -step
-        simplex[k + 1, k] = min(max(u0[k] + step, lo), hi)
-        if simplex[k + 1, k] == u0[k]:
-            simplex[k + 1, k] = 0.5 * (u0[k] + hi)
-    return simplex
+
+class _BudgetSpent(Exception):
+    """The fit asked for one model evaluation more than its budget."""
+
+
+def _identifiability(jac, keys):
+    """Singular values of the residual Jacobian in the encoded parameters,
+    their condition number, and the weakest right singular vector keyed by
+    free parameter (sign fixed so that its largest entry is positive).
+    Uses scipy's SVD, which the trust-region steps have loaded already."""
+    _, s, vt = svd(jac, full_matrices=False)
+    weak = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
+    return {"singular_values": s.tolist(),
+            "condition_number": float(s[0] / s[-1]) if s[-1] > 0.0
+            else float("inf"),
+            "weakest_direction": {key: float(v) for key, v in zip(keys, weak)}}
 
 
 def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
-    """Bounded simplex search over the free parameters.
+    """Bounded least-squares fit of the free parameters.
 
-    Derivative-free (the objective has elastic/plastic kinks), bounded,
-    and deterministic.  Non-free parameters pass through bit-identical;
-    candidates violating the parameter-set invariants score infinite and
-    are never returned.
+    Minimizes the residual vector ``model_forces - force`` over the masked
+    points with scipy's trust-region reflective method (Branch, Coleman &
+    Li 1999), ``x_scale="jac"``, in the encoded parameters: ``a``, ``b``
+    and ``c`` in log space, the others as they are, with the bounds of
+    ``cfg`` encoded alike.  The Jacobian is a forward difference, one model
+    evaluation per free parameter.  Deterministic.  Non-free parameters
+    pass through bit-identical.  A candidate that ``replace_params``
+    rejects or whose slip solve fails is a rejected step (the trust region
+    shrinks) or a zero Jacobian column, and is never returned; a start that
+    cannot be evaluated raises.
 
     Returns
     -------
     FitResult
-        ``converged`` is False when the evaluation budget ran out before
-        the simplex collapsed; the best-so-far parameters are returned
-        either way.
+        ``evals_used`` counts every model evaluation, Jacobian columns
+        included, and never exceeds ``cfg.max_evals``.  ``converged`` is
+        True when a tolerance of the trust-region method was met, and False
+        when the budget ran out first; the best iterate is returned either
+        way.  ``identifiability`` is :func:`_identifiability` of the last
+        Jacobian computed.
     """
     keys = cfg.free_params
     start = initial.to_dict()
@@ -249,30 +268,70 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
             raise ValueError(
                 f"initial {key} = {start[key]} outside bounds [{lo}, {hi}]")
     u0 = np.array([_encode(key, start[key]) for key in keys])
-    ubounds = [(_encode(key, max(cfg.bounds[key][0], 1e-300))
-                if key in _LOG_KEYS else cfg.bounds[key][0],
-                _encode(key, cfg.bounds[key][1]))
-               for key in keys]
+    lb = np.array([_encode(key, max(cfg.bounds[key][0], 1e-300))
+                   if key in _LOG_KEYS else cfg.bounds[key][0]
+                   for key in keys])
+    ub = np.array([_encode(key, cfg.bounds[key][1]) for key in keys])
+    g, f = _window(curve, mask)
+    evals = 0
+    best = None     # (cost, params, residual) of the current iterate
+    last_jac = None
 
-    def score(u):
+    def evaluate(u):
+        nonlocal evals
+        if evals == cfg.max_evals:
+            raise _BudgetSpent
+        evals += 1
         updates = {key: _decode(key, u[k]) for k, key in enumerate(keys)}
         try:
             cand = replace_params(initial, updates)
-        except ValueError:
-            return float("inf")
-        return objective(cand, curve, L0=L0, mu0=mu0, mask=mask)
+            return cand, model_forces(g, cand, L0=L0, mu0=mu0) - f
+        except (ValueError, ConvergenceError):
+            if best is None:
+                raise
+            return None, None
 
-    res = minimize(score, u0, method="Nelder-Mead", bounds=ubounds,
-                   options={
-                       "maxfev": cfg.max_evals,
-                       "xatol": 1e-9,
-                       "fatol": 1e-14,
-                       "initial_simplex": _initial_simplex(u0, keys, ubounds),
-                   })
-    updates = {key: _decode(key, res.x[k]) for k, key in enumerate(keys)}
-    best = replace_params(initial, updates)
-    return FitResult(params=best, rms_error=float(res.fun),
-                     evals_used=int(res.nfev), converged=bool(res.success))
+    def residuals(u):
+        # trf accepts a step exactly when its cost falls below the
+        # iterate's, so the best evaluation is the current iterate
+        nonlocal best
+        cand, r = evaluate(u)
+        if cand is None:
+            return np.full(f.size, np.inf)
+        cost = float(r @ r)
+        if best is None or cost < best[0]:
+            best = (cost, cand, r)
+        return r
+
+    def jacobian(u):
+        nonlocal last_jac
+        r0 = best[2]
+        jac = np.zeros((f.size, u.size))
+        for k in range(u.size):
+            h = _FD_STEP * max(1.0, abs(u[k]))
+            uk = u.copy()
+            uk[k] = u[k] + h if u[k] + h <= ub[k] else u[k] - h
+            cand, r = evaluate(uk)
+            if cand is not None:
+                jac[:, k] = (r - r0) / (uk[k] - u[k])
+        last_jac = jac
+        return jac
+
+    # scipy's max_nfev counts trial points only; at max_evals it can never
+    # stop the fit before the exact count in evaluate does
+    try:
+        res = least_squares(residuals, u0, jac=jacobian, bounds=(lb, ub),
+                            method="trf", x_scale="jac",
+                            max_nfev=cfg.max_evals)
+        converged = res.status > 0
+    except _BudgetSpent:
+        converged = False
+    _, params, r = best
+    return FitResult(
+        params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),
+        evals_used=evals, converged=converged,
+        identifiability=(None if last_jac is None
+                         else _identifiability(last_jac, keys)))
 
 
 # stage number -> (free parameters, gamma-window selector)
@@ -300,7 +359,9 @@ def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
         ``converged`` requires every executed stage to have converged.
     report : dict
         Per-stage entries (free parameters, points used, rms before/after,
-        evaluations) plus the final whole-curve rms.
+        model evaluations, convergence, and the singular values, condition
+        number and weakest direction of the stage's final Jacobian) plus
+        the final whole-curve rms.
     """
     params = initial
     report = {"stages": [], "label": curve.label}
@@ -327,6 +388,7 @@ def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
         entry["rms_after"] = res.rms_error
         entry["evals"] = res.evals_used
         entry["converged"] = res.converged
+        entry.update(res.identifiability or {})
         report["stages"].append(entry)
     final_rms = objective(params, curve, L0=L0, mu0=mu0)
     report["rms_full_curve"] = final_rms

@@ -33,6 +33,9 @@ _SWEEPABLE = ("mu_f", "tau_y", "A", "a", "B", "b", "C", "c")
 # file bypass click's types, so the merged values are checked
 _POSITIVE = {"l0": float, "mu0": float, "steps_per_degree": float,
              "dphi": float, "tol": float, "max_evals": int}
+# step cap of material-point: the path and its five result columns take
+# 48 bytes a step in memory, and the CSV about 100 bytes a row
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -187,16 +190,23 @@ def material_point(ctx, **values):
     ep, _ = _load_params(rc["params"])
     targets = _parse_floats(rc["program"], "program")
     dphi = float(rc["dphi"])
-    path = [0.0]
-    for tgt in targets:
-        steps = abs(tgt - float(path[-1])) / dphi
+    legs = list(zip([0.0] + targets, targets))
+    counts = []
+    for start, tgt in legs:
+        steps = abs(tgt - start) / dphi
         if not math.isfinite(steps):
             raise click.UsageError(
                 f"program leg to {tgt!r} has no finite step count at "
                 f"dphi = {dphi!r}")
-        n = max(1, math.ceil(steps))
-        path.extend(np.linspace(path[-1], tgt, n + 1)[1:])
-    res = drive_angle_path(np.asarray(path), ep)
+        counts.append(max(1, math.ceil(steps)))
+    if sum(counts) > _MAX_STEPS:
+        raise click.UsageError(
+            f"program takes {sum(counts)} steps at dphi = {dphi!r}; "
+            f"at most {_MAX_STEPS} are driven")
+    path = np.concatenate([[0.0]] + [
+        np.linspace(start, tgt, n + 1)[1:]
+        for (start, tgt), n in zip(legs, counts)])
+    res = drive_angle_path(path, ep)
     out = Path(rc["out"]) / "material_point.csv"
     _write_csv(out, "phi,tau,phi_e,phi_p,q",
                [res.phi, res.tau, res.phi_e, res.phi_p, res.q])
@@ -342,7 +352,8 @@ def param_study(ctx, **values):
 @click.option("--stages", default="1,2,3", show_default=True,
               help="Comma-separated stage list from {1,2,3}.")
 @click.option("--max-evals", type=int, default=400, show_default=True,
-              help="Objective evaluation budget per stage.")
+              help="Model evaluations per stage, Jacobian columns "
+                   "included; a stage that runs out stops unconverged.")
 @click.option("--l0", "--L0", "l0", type=float, default=1.0,
               show_default=True)
 @click.option("--mu0", type=float, default=1.0, show_default=True,
@@ -355,7 +366,8 @@ def calibrate_cmd(ctx, **values):
     """Staged fit of a measured shear curve.
 
     Writes fitted_params.json (full parameter set) and fit_report.json
-    (per-stage diagnostics and the final whole-curve rms).
+    (per-stage model evaluations, convergence and Jacobian
+    identifiability, and the final whole-curve rms).
     """
     rc = _merge_config(ctx, "calibrate", values)
     ep, hp = _load_params(rc["params"])

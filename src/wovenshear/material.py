@@ -268,21 +268,31 @@ def _check_q(q):
         raise ValueError("hardening variable q must be >= 0")
 
 
-def f_iso(q, p):
-    """Isotropic hardening stress at hardening variable q >= 0."""
-    _check_q(q)
+# unchecked bodies of f_iso and f_iso_prime, for callers that have checked
+# q >= 0 already
+def _f_iso(q, p):
     return (p.tau_y
             + p.A_h * np.arcsinh(p.a_h * q)
             + p.B_h * np.tanh(p.b_h * q)
             + p.C_h * np.power(q, p.c_h))
 
 
-def f_iso_prime(q, p):
-    """Hardening modulus d f_iso / d q at q >= 0."""
-    _check_q(q)
+def _f_iso_prime(q, p):
     return (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
             + p.B_h * p.b_h / np.cosh(p.b_h * q) ** 2
             + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
+
+
+def f_iso(q, p):
+    """Isotropic hardening stress at hardening variable q >= 0."""
+    _check_q(q)
+    return _f_iso(q, p)
+
+
+def f_iso_prime(q, p):
+    """Hardening modulus d f_iso / d q at q >= 0."""
+    _check_q(q)
+    return _f_iso_prime(q, p)
 
 
 def yield_function(tau, q, p):
@@ -312,12 +322,15 @@ def _slip_solve(t, q, g0, p):
     largest unconverged ``|g|`` after ``_SLIP_MAX_ITER`` sweeps, and
     RuntimeError on a nonpositive slip.
     """
+    # every iterate q + x stays in [q, q + t / mu_f], so checking q once
+    # covers the unchecked hardening bodies of the sweeps
+    _check_q(q)
     mu = p.mu_f
     lo = np.zeros_like(t)
     hi = t / mu
     x = lo
     g = g0
-    gp = -mu - f_iso_prime(q + x, p)
+    gp = -mu - _f_iso_prime(q + x, p)
     iterations = np.zeros(t.shape, dtype=int)
     act = np.ones(t.shape, dtype=bool)
     for _ in range(_SLIP_MAX_ITER):
@@ -327,9 +340,9 @@ def _slip_solve(t, q, g0, p):
         inside = (step > lo) & (step <= hi)        # False on nan
         x = np.where(act, np.where(inside, step, 0.5 * (lo + hi)), x)
         # stopped points keep x, so g, gp, lo and hi repeat their values
-        fk = f_iso(q + x, p)
+        fk = _f_iso(q + x, p)
         g = t - mu * x - fk
-        gp = -mu - f_iso_prime(q + x, p)
+        gp = -mu - _f_iso_prime(q + x, p)
         iterations += act
         up = g > 0.0
         lo = np.where(up, x, lo)
@@ -346,7 +359,7 @@ def _slip_solve(t, q, g0, p):
         raise RuntimeError(
             "internal consistency violation: nonpositive plastic slip "
             "increment on a plastic step")
-    return x, np.abs(t - mu * x - f_iso(q + x, p)), iterations, gp
+    return x, np.abs(t - mu * x - _f_iso(q + x, p)), iterations, gp
 
 
 def return_map_batch(phi_new, phi_p, q, p):

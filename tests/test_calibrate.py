@@ -2,10 +2,11 @@
 
 Verifies: experiment-curve validation and CSV round trips, the pointwise
 model forces against the curve generator and against a per-point scalar
-solve, the RMS objective and its rejection of failed solves, bounded
-simplex fitting (recovery, pass-through, determinism), the staged
-workflow with its window selection and skip logic, and the synthetic data
-generator.
+solve, the RMS objective and its rejection of failed solves, the bounded
+least-squares fit (recovery across the elastic/plastic kink, pass-through,
+determinism, rejected candidates, the exact evaluation budget), the staged
+workflow with its window selection, skip logic and identifiability report,
+and the synthetic data generator.
 """
 
 import numpy as np
@@ -197,12 +198,73 @@ class TestFit:
             fit(soft_params, curve, cfg)
 
     def test_budget_reported(self, soft_params):
+        # the fit needs about ten evaluations: the start, a Jacobian column
+        # and one trial step use up three, before it can converge
         curve = synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1))
         start = replace_params(soft_params, {"mu_f": 1.3})
         res = fit(start, curve, FitConfig(free_params=("mu_f",),
-                                          max_evals=10))
-        assert res.evals_used <= 10 + 2
+                                          max_evals=3))
+        assert res.evals_used <= 3
         assert not res.converged
+        assert res.rms_error < objective(start, curve)
+
+    def test_kink_in_stage1_window(self, soft_params):
+        # the yield angle falls inside the stage-1 window (gamma <= 1 deg)
+        # and moves across the data points as mu_f changes, so the
+        # residuals have elastic/plastic kinks in mu_f
+        truth = replace_params(soft_params, {"tau_y": 0.01})
+        grid = np.arange(0.1, 1.01, 0.1)
+        elastic = np.cos(gamma_to_theta(grid)) * truth.mu_f <= truth.tau_y
+        assert elastic.any() and not elastic.all()
+        curve = synthetic_curve(truth, grid)
+        start = replace_params(truth, {"mu_f": 1.3})
+        res, report = staged_fit(start, curve, stages=(1,))
+        entry = report["stages"][0]
+        assert res.converged
+        assert res.params.mu_f == pytest.approx(1.0, rel=1e-5)
+        assert entry["rms_after"] < 1e-5 * entry["rms_before"]
+
+    @pytest.mark.parametrize("by", ["replace_params", "slip_solve"])
+    def test_rejected_candidates_near_bound(self, soft_params, monkeypatch,
+                                            by):
+        # the data are fitted best at c = 1 and the start is next to the
+        # edge of the sets the fit can evaluate, past which candidates are
+        # rejected: by replace_params (c < 1, inside a widened search box)
+        # or by a slip solve that fails (c < 1.0005)
+        truth = replace_params(soft_params, {"c": 1.0})
+        curve = synthetic_curve(truth, np.arange(36.0, 55.01, 1.0),
+                                rel_noise=0.01, seed=0)
+        start = replace_params(truth, {"C": 0.6, "c": 1.001})
+        rejected = []
+        if by == "replace_params":
+            edge, bounds = 1.0, {"c": (0.5, 80.0)}
+
+            def counting(ep, updates):
+                try:
+                    return replace_params(ep, updates)
+                except ValueError:
+                    rejected.append(updates["c"])
+                    raise
+
+            monkeypatch.setattr(calibrate, "replace_params", counting)
+        else:
+            edge, bounds = 1.0005, None
+            solve = calibrate.interval_solve_batch
+
+            def failing(phi_bar, istate, p):
+                if p.c_h < edge:
+                    rejected.append(p.c_h)
+                    raise ConvergenceError("no convergence", residual=1.0)
+                return solve(phi_bar, istate, p)
+
+            monkeypatch.setattr(calibrate, "interval_solve_batch", failing)
+        res = fit(start, curve, FitConfig(free_params=("C", "c"),
+                                          bounds=bounds))
+        assert rejected and all(c < edge for c in rejected)
+        assert res.params.c_h >= edge
+        assert np.isfinite(res.rms_error)
+        assert res.rms_error == objective(res.params, curve)
+        assert res.rms_error < objective(start, curve)
 
 
 class TestStagedFit:
@@ -237,6 +299,27 @@ class TestStagedFit:
         assert report["rms_full_curve"] == res.rms_error
         entry = report["stages"][0]
         assert entry["rms_after"] < entry["rms_before"]
+
+
+    def test_identifiability_flags_A_a_ridge(self, glass_params):
+        # asinh(a q) ~ a q over the stage-2 window, so only A * a is
+        # identified: the weakest direction of the stage-2 Jacobian in the
+        # encoded parameters (A, log a, B, log b) is almost all A and log a
+        curve = synthetic_curve(glass_params, AC9_GRID, rel_noise=0.01,
+                                seed=0)
+        start = replace_params(glass_params, {"A": 8.8 * 1.02,
+                                              "a": 0.0024 * 0.97})
+        _, report = staged_fit(start, curve, stages=(2,))
+        entry = report["stages"][0]
+        weak = entry["weakest_direction"]
+        assert list(weak) == ["A", "a", "B", "b"]
+        assert np.linalg.norm(list(weak.values())) == pytest.approx(1.0)
+        assert weak["A"] * weak["a"] < 0.0
+        assert np.hypot(weak["A"], weak["a"]) > 0.99
+        assert entry["condition_number"] > 1e8
+        s = entry["singular_values"]
+        assert len(s) == 4 and s == sorted(s, reverse=True)
+        assert entry["condition_number"] == pytest.approx(s[0] / s[-1])
 
 
 class TestSyntheticCurve:

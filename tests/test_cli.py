@@ -464,6 +464,22 @@ class TestBadInput:
         assert "no finite step count" in result.output
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("program, dphi", [
+        ("0.6", "1e-300"),
+        # each leg under the cap, the three together over it
+        ("0.6,0,0.6", "1.5e-7"),
+    ])
+    def test_step_count_over_cap_is_usage_error(self, runner, soft_file,
+                                                tmp_path, program, dphi):
+        # rejected from the leg arithmetic alone, before the path is built
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["material-point", "--program",
+                                      program, "--dphi", dphi, "--params",
+                                      str(soft_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"at most {wovenshear.cli._MAX_STEPS} are driven" in result.output
+        assert not any(out.iterdir())
+
 
 class TestTopLevel:
     def test_version(self, runner):
