@@ -14,8 +14,6 @@ from .kinematics import (
     FiberState,
     StructuralTensors,
     AngleSplit,
-    CurvaturePoint,
-    SurfaceInvariants,
     push_forward_fiber,
     fiber_state,
     angle_measures,
@@ -23,7 +21,6 @@ from .kinematics import (
     angle_split_metrics,
     split_angle_measures,
     angle_split,
-    surface_invariants,
     picture_frame_deformation,
     picture_frame_dF_dtheta,
     picture_frame_metric,
@@ -41,7 +38,6 @@ from .material import (
     PlasticState,
     StressReturn,
     BatchReturn,
-    BendingResponse,
     DriveResult,
     PARAM_JSON_KEYS,
     f_iso,
@@ -51,7 +47,6 @@ from .material import (
     return_map_batch,
     angle_stress_and_tangent,
     membrane_stress,
-    moments_and_bending_tangents,
     strain_energy,
     drive_angle_path,
     params_from_dict,

@@ -74,10 +74,6 @@ class LoadProgram:
             raise ValueError(f"cannot parse load program {text!r}") from exc
         return cls.from_gamma_degrees(targets_deg)
 
-    @property
-    def gamma_targets_deg(self):
-        return tuple(float(theta_to_gamma(t)) for t in self.targets)
-
 
 @dataclass(frozen=True)
 class IntervalState:

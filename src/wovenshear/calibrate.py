@@ -84,11 +84,6 @@ class ExperimentCurve:
     def __len__(self):
         return self.gamma_deg.size
 
-    @property
-    def points(self):
-        return [(float(g), float(f))
-                for g, f in zip(self.gamma_deg, self.force_norm)]
-
     def to_csv(self, path):
         _write_csv(path, "gamma_deg,force_norm",
                    [self.gamma_deg, self.force_norm])

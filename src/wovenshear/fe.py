@@ -380,12 +380,6 @@ class FESolution:
         """Final committed hardening variable (E, G)."""
         return self.gp_q[-1].reshape(len(self.mesh.elements), -1)
 
-    @property
-    def final_states(self):
-        """Committed Gauss states in element-major order."""
-        return [PlasticState(phi_p=float(pp), q=float(qq))
-                for pp, qq in zip(self.phi_p.ravel(), self.q.ravel())]
-
     def to_field_csv(self, path):
         """Per-step Gauss-point dump with full double precision."""
         S, M = self.gp_tau.shape
@@ -458,13 +452,13 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     program : LoadProgram
     ep : ElastoplasticParams
     hp : HyperelasticParams, optional
-        Only ``eps_L`` is used.  When hp is omitted or its eps_L is 0, the
-        fiber-stretch stiffness is eps_L = mu_f: a membrane carrying only
-        the angle stress has zero-energy fiber-stretch modes that turn
-        unstable under plastic flow (the tangent goes indefinite), so some
-        stretch stiffness is required.  Its value does not affect the
-        converged stresses or forces here, because the frame deformation
-        keeps both fiber stretches exactly one.
+        Its ``eps_L`` is the fiber-stretch stiffness.  When hp is omitted
+        or its eps_L is 0, the stiffness is eps_L = mu_f: a membrane
+        carrying only the angle stress has zero-energy fiber-stretch modes
+        that turn unstable under plastic flow (the tangent goes
+        indefinite), so some stretch stiffness is required.  Its value does
+        not affect the converged stresses or forces here, because the frame
+        deformation keeps both fiber stretches exactly one.
     mu0 : float
         Stress normalization for the force column of the curve.
     steps_per_degree : float

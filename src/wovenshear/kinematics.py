@@ -22,8 +22,6 @@ __all__ = [
     "FiberState",
     "StructuralTensors",
     "AngleSplit",
-    "CurvaturePoint",
-    "SurfaceInvariants",
     "push_forward_fiber",
     "fiber_state",
     "angle_measures",
@@ -31,7 +29,6 @@ __all__ = [
     "angle_split_metrics",
     "split_angle_measures",
     "angle_split",
-    "surface_invariants",
     "picture_frame_deformation",
     "picture_frame_dF_dtheta",
     "picture_frame_metric",
@@ -369,68 +366,6 @@ def angle_split(m, f, phi_p):
     phi, phi_e, phi_p_out = split_angle_measures(m, a_bar, a_hat, f)
     return AngleSplit(phi=phi, phi_e=phi_e, phi_p=phi_p_out,
                       a_bar=a_bar, a_hat=a_hat)
-
-
-@dataclass(frozen=True, eq=False)
-class CurvaturePoint:
-    """Second fundamental forms and reference in-plane directors.
-
-    ``b_ab``/``B_ab`` are the current/reference normal curvature forms,
-    ``bbar_ab``/``Bbar_ab`` their geodesic (in-plane) counterparts, and
-    ``c0`` holds one reference director per fiber (shape (2, 2), row I is
-    the director paired with fiber I in the twist measure).
-    """
-
-    b_ab: np.ndarray
-    B_ab: np.ndarray
-    bbar_ab: np.ndarray
-    Bbar_ab: np.ndarray
-    c0: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SurfaceInvariants:
-    """Deformation invariants of the fiber-decorated surface.
-
-    ``I1`` is the metric trace invariant, ``Lambda`` the squared fiber
-    stretches, and ``K_n``, ``K_g``, ``T_g`` the per-fiber normal-curvature,
-    geodesic-curvature and twist changes (zero without curvature data).
-    """
-
-    I1: float
-    Lambda: np.ndarray
-    K_n: np.ndarray
-    K_g: np.ndarray
-    T_g: np.ndarray
-
-
-def surface_invariants(m, f, c=None):
-    """Evaluate the invariant set at one surface point.
-
-    Membrane invariants come from the metrics alone; the bending and twist
-    invariants need a :class:`CurvaturePoint` and are returned as zeros
-    when ``c`` is None.  The twist invariant subtracts the reference offset
-    built from the reference curvature form.
-    """
-    I1 = float(np.sum(m.A_inv * m.a_ab))
-    Lambda = _fiber_metric(m.a_ab, f.L1, f.L2)[:2]
-    if c is None:
-        z = np.zeros(2)
-        return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=z, K_g=z.copy(),
-                                 T_g=z.copy())
-    K_n, K_g, T_g = _bending_invariants(np.stack([f.L1, f.L2]), c)
-    return SurfaceInvariants(I1=I1, Lambda=Lambda, K_n=K_n, K_g=K_g, T_g=T_g)
-
-
-def _bending_invariants(L, c):
-    """Per-fiber ``(K_n, K_g, T_g)`` at a :class:`CurvaturePoint` ``c``,
-    for reference fiber directions given as the rows of ``L``."""
-    c0 = np.asarray(c.c0, dtype=float).reshape(2, 2)
-    K_n = np.einsum("ia,ab,ib->i", L, c.b_ab - c.B_ab, L)
-    K_g = np.einsum("ia,ab,ib->i", L, c.bbar_ab - c.Bbar_ab, L)
-    T_g = (np.einsum("ia,ab,ib->i", c0, c.b_ab, L)
-           - np.einsum("ia,ab,ib->i", L, c.B_ab, c0))
-    return K_n, K_g, T_g
 
 
 # --- picture-frame rig -----------------------------------------------------

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import _bending_invariants, _chart, _chart4, fiber_state
+from .kinematics import _chart, _chart4, fiber_state
 
 __all__ = [
     "ConvergenceError",
@@ -34,8 +34,6 @@ __all__ = [
     "return_map_batch",
     "angle_stress_and_tangent",
     "membrane_stress",
-    "BendingResponse",
-    "moments_and_bending_tangents",
     "strain_energy",
     "drive_angle_path",
     "DriveResult",
@@ -49,18 +47,14 @@ __all__ = [
 
 # flat JSON schema shared by parameter files, in canonical order
 PARAM_JSON_KEYS = (
-    "mu_f", "tau_y", "A", "a", "B", "b", "C", "c",
-    "eps_L", "beta_n", "beta_g", "beta_tau",
+    "mu_f", "tau_y", "A", "a", "B", "b", "C", "c", "eps_L",
 )
 
 _EP_FIELD_BY_KEY = {
     "mu_f": "mu_f", "tau_y": "tau_y",
     "A": "A_h", "a": "a_h", "B": "B_h", "b": "b_h", "C": "C_h", "c": "c_h",
 }
-_HP_FIELD_BY_KEY = {
-    "eps_L": "eps_L", "beta_n": "beta_n", "beta_g": "beta_g",
-    "beta_tau": "beta_tau",
-}
+_HP_FIELD_BY_KEY = {"eps_L": "eps_L"}
 
 # admissibility grid for the constructor check of f_iso' > 0
 _Q_CHECK = np.linspace(0.0, 1.5, 1501)
@@ -142,24 +136,17 @@ class ElastoplasticParams:
 
 @dataclass(frozen=True)
 class HyperelasticParams:
-    """Elastic stiffnesses outside the angle mechanism.
-
-    ``eps_L`` is the tensile fabric stiffness (force/length); ``beta_n``,
-    ``beta_g``, ``beta_tau`` the out-of-plane bending, in-plane bending and
-    torsion stiffnesses (force times length).  Every field must be finite
-    and non-negative.
+    """Elastic stiffness outside the angle mechanism: ``eps_L``, the
+    tensile fabric stiffness (force/length) of the fiber stretch energy.
+    It must be finite and non-negative.
     """
 
     eps_L: float = 0.0
-    beta_n: float = 0.0
-    beta_g: float = 0.0
-    beta_tau: float = 0.0
 
     def __post_init__(self):
         _check_finite(self)
-        for name in ("eps_L", "beta_n", "beta_g", "beta_tau"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.eps_L < 0.0:
+            raise ValueError(f"eps_L must be >= 0, got {self.eps_L}")
 
     @classmethod
     def from_dict(cls, d):
@@ -507,54 +494,15 @@ def membrane_stress(m, f, sr, st, hp):
     return 2.0 * _chart(stress, st.dyads), 4.0 * _chart4(tangent, st.dyads)
 
 
-@dataclass(frozen=True, eq=False)
-class BendingResponse:
-    """Moments conjugate to the two curvature forms and their tangents.
+def strain_energy(m, f, phi_e, hp, ep):
+    """Stored membrane energy per reference area at a material point.
 
-    The cross tangents between the normal and geodesic curvature forms
-    vanish for this quadratic energy, so only the diagonal blocks appear.
-    """
-
-    M0: np.ndarray
-    Mbar0: np.ndarray
-    f_tan: np.ndarray
-    fbar_tan: np.ndarray
-
-
-def moments_and_bending_tangents(m, f, c, hp):
-    """Elastic bending/twist moments at a material point.
-
-    Quadratic energy in the per-fiber normal-curvature, geodesic-curvature
-    and twist invariants; state-free.
-    """
-    L = np.stack([f.L1, f.L2])
-    c0 = np.asarray(c.c0, dtype=float).reshape(2, 2)
-    LL = np.einsum("ia,ib->iab", L, L)
-    K_n, K_g, T_g = _bending_invariants(L, c)
-    cL = 0.5 * (np.einsum("ia,ib->iab", c0, L) + np.einsum("ia,ib->iab", L, c0))
-    M0 = (hp.beta_n * np.einsum("i,iab->ab", K_n, LL)
-          + hp.beta_tau * np.einsum("i,iab->ab", T_g, cL))
-    Mbar0 = hp.beta_g * np.einsum("i,iab->ab", K_g, LL)
-    f_tan = (hp.beta_n * np.einsum("iab,igd->abgd", LL, LL)
-             + hp.beta_tau * np.einsum("iab,igd->abgd", cL, cL))
-    fbar_tan = hp.beta_g * np.einsum("iab,igd->abgd", LL, LL)
-    return BendingResponse(M0=M0, Mbar0=Mbar0, f_tan=f_tan, fbar_tan=fbar_tan)
-
-
-def strain_energy(m, f, c, phi_e, hp, ep):
-    """Stored energy per reference area at a material point.
-
-    Quadratic in the fiber stretches, the elastic angle change, and (when
-    curvature data is given) the bending/twist invariants.  Nonnegative by
-    construction.
+    Quadratic in the fiber stretches and the elastic angle change;
+    nonnegative by construction.
     """
     fs = fiber_state(m, f)
     W = 0.5 * hp.eps_L * ((fs.lambda1 - 1.0) ** 2 + (fs.lambda2 - 1.0) ** 2)
     W += 0.5 * ep.mu_f * phi_e ** 2
-    if c is not None:
-        K_n, K_g, T_g = _bending_invariants(np.stack([f.L1, f.L2]), c)
-        W += 0.5 * (hp.beta_n * np.sum(K_n ** 2) + hp.beta_g * np.sum(K_g ** 2)
-                    + hp.beta_tau * np.sum(T_g ** 2))
     return float(W)
 
 

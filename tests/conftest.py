@@ -23,8 +23,7 @@ def glass_params():
 
 @pytest.fixture(scope="session")
 def glass_hyper():
-    return HyperelasticParams(eps_L=110.0, beta_n=3.023, beta_g=3.023,
-                              beta_tau=3.023)
+    return HyperelasticParams(eps_L=110.0)
 
 
 @pytest.fixture(scope="session")

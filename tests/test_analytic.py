@@ -28,6 +28,7 @@ from wovenshear import (
     program_theta_grid,
     return_map,
     run_program,
+    theta_to_gamma,
     yield_angle,
 )
 from wovenshear import material
@@ -40,7 +41,8 @@ import oracles
 class TestLoadProgram:
     def test_from_string(self):
         lp = LoadProgram.from_string("50,20,50")
-        assert lp.gamma_targets_deg == pytest.approx((50.0, 20.0, 50.0))
+        assert theta_to_gamma(np.array(lp.targets)) == pytest.approx(
+            [50.0, 20.0, 50.0])
         assert lp.targets[0] == pytest.approx(gamma_to_theta(50.0))
 
     def test_rejects_empty_and_repeated(self):

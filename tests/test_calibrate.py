@@ -45,7 +45,8 @@ class TestExperimentCurve:
 
     def test_points_property(self):
         c = ExperimentCurve(gamma_deg=[1.0, 2.0], force_norm=[0.1, 0.2])
-        assert c.points == [(1.0, 0.1), (2.0, 0.2)]
+        assert list(zip(c.gamma_deg, c.force_norm)) == [(1.0, 0.1),
+                                                        (2.0, 0.2)]
         assert len(c) == 2
 
     def test_csv_round_trip(self, tmp_path):

@@ -419,7 +419,15 @@ class TestBadInput:
         ('{"mu_f": 1, "tau_y": 0, "A": 1, "zeta": 2}', "unknown parameter"),
         ('{"mu_f": 1, "A": 1}', "missing required parameter: tau_y"),
         ('{"mu_f": 1,', "Expecting"),
-    ], ids=["negative", "nan", "unknown-key", "missing-key", "malformed"])
+        # the bending stiffnesses are no longer parameters
+        ('{"mu_f": 1, "tau_y": 0, "A": 1, "beta_n": 3}',
+         "unknown parameter keys: ['beta_n']"),
+        ('{"mu_f": 1, "tau_y": 0, "A": 1, "beta_g": 3}',
+         "unknown parameter keys: ['beta_g']"),
+        ('{"mu_f": 1, "tau_y": 0, "A": 1, "beta_tau": 3}',
+         "unknown parameter keys: ['beta_tau']"),
+    ], ids=["negative", "nan", "unknown-key", "missing-key", "malformed",
+            "beta_n", "beta_g", "beta_tau"])
     @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
     def test_bad_params_file_is_one_line(self, runner, data_file, tmp_path,
                                          args, content, reason):

@@ -3,8 +3,8 @@
 Verifies: metric and fiber-pair validation, push-forward against a plain
 Cartesian embedding, the structural tensor and its metric derivative
 against central differences, the elastic/plastic angle split identities,
-surface invariants, and the picture-frame map (length preservation, angle
-cosine, crosshead travel and rate).
+and the picture-frame map (length preservation, angle cosine, crosshead
+travel and rate).
 """
 
 import numpy as np
@@ -33,10 +33,9 @@ from wovenshear import (
     push_forward_fiber,
     split_angle_measures,
     structural_tensors,
-    surface_invariants,
     theta_to_gamma,
 )
-from wovenshear.kinematics import CurvaturePoint, _angle_arrays
+from wovenshear.kinematics import _angle_arrays
 
 import oracles
 
@@ -237,43 +236,6 @@ class TestAngleSplit:
                          Theta12=1.0 - 1e-9)
         with pytest.raises(DegenerateFiberError):
             split_angle_measures(m, np.eye(2), np.eye(2), f)
-
-
-class TestSurfaceInvariants:
-    def test_membrane_invariants(self, rng):
-        m, f = random_point(rng)
-        inv = surface_invariants(m, f)
-        assert inv.I1 == pytest.approx(np.trace(m.A_inv @ m.a_ab), rel=1e-14)
-        fs = fiber_state(m, f)
-        assert inv.Lambda[0] == pytest.approx(fs.lambda1 ** 2, rel=1e-14)
-        assert inv.Lambda[1] == pytest.approx(fs.lambda2 ** 2, rel=1e-14)
-        assert np.all(inv.K_n == 0.0) and np.all(inv.T_g == 0.0)
-
-    def test_curvature_invariants_vanish_at_reference(self, rng):
-        m, f = random_point(rng)
-        b = oracles.random_spd(rng)
-        c = CurvaturePoint(b_ab=b, B_ab=b.copy(), bbar_ab=b, Bbar_ab=b.copy(),
-                           c0=np.eye(2))
-        inv = surface_invariants(m, f, c)
-        assert np.abs(inv.K_n).max() == 0.0
-        assert np.abs(inv.K_g).max() == 0.0
-        # twist compares current against reference forms, both equal here
-        assert np.abs(inv.T_g).max() <= 1e-15
-
-    def test_curvature_invariants_direct_contraction(self, rng):
-        m, f = random_point(rng)
-        b = oracles.random_spd(rng)
-        B = oracles.random_spd(rng)
-        c = CurvaturePoint(b_ab=b, B_ab=B, bbar_ab=0.5 * b, Bbar_ab=0.5 * B,
-                           c0=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        inv = surface_invariants(m, f, c)
-        for i, L in enumerate((f.L1, f.L2)):
-            assert inv.K_n[i] == pytest.approx(L @ (b - B) @ L, rel=1e-14)
-            assert inv.K_g[i] == pytest.approx(0.5 * L @ (b - B) @ L,
-                                               rel=1e-14)
-            c0i = c.c0[i]
-            assert inv.T_g[i] == pytest.approx(c0i @ b @ L - L @ B @ c0i,
-                                               rel=1e-13, abs=1e-15)
 
 
 class TestPictureFrame:

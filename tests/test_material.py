@@ -27,7 +27,6 @@ from wovenshear import (
     fiber_state,
     load_params,
     membrane_stress,
-    moments_and_bending_tangents,
     params_from_dict,
     params_to_dict,
     picture_frame_metric,
@@ -41,9 +40,9 @@ from wovenshear import (
     yield_function,
 )
 from wovenshear import material
-from wovenshear.kinematics import (CurvaturePoint, MetricPoint, RefFiberPair,
-                                   _angle_arrays, _chart, _chart4,
-                                   _fiber_dyads, _fiber_metric)
+from wovenshear.kinematics import (MetricPoint, RefFiberPair, _angle_arrays,
+                                   _chart, _chart4, _fiber_dyads,
+                                   _fiber_metric)
 from wovenshear.material import PARAM_JSON_KEYS, _slip_solve, _stress_arrays
 
 import oracles
@@ -378,7 +377,7 @@ class TestMembraneResponse:
         def energy(a):
             m = MetricPoint.from_metrics(np.eye(2), a)
             fs = fiber_state(m, f)
-            return strain_energy(m, f, None, fs.theta12 - f.Theta12, hp, p)
+            return strain_energy(m, f, fs.theta12 - f.Theta12, hp, p)
 
         for _ in range(10):
             a = oracles.random_spd(rng)
@@ -406,11 +405,11 @@ class TestMembraneResponse:
             a = oracles.random_spd(rng)
             m = MetricPoint.from_metrics(np.eye(2), a)
             fs = fiber_state(m, f)
-            W = strain_energy(m, f, None, fs.theta12 - f.Theta12,
-                              glass_hyper, glass_params)
+            W = strain_energy(m, f, fs.theta12 - f.Theta12, glass_hyper,
+                              glass_params)
             assert W >= 0.0
         m0 = MetricPoint.from_metrics(np.eye(2), np.eye(2))
-        assert strain_energy(m0, f, None, 0.0, glass_hyper, glass_params) == 0.0
+        assert strain_energy(m0, f, 0.0, glass_hyper, glass_params) == 0.0
 
     def test_array_bodies_equal_scalar_loop(self, glass_params, glass_hyper,
                                             rng):
@@ -467,26 +466,3 @@ class TestMembraneResponse:
             tau_t, c_t = membrane_stress(m, f, sr, st_, glass_hyper)
             assert np.array_equal(tau_t, stress[..., k])
             assert np.array_equal(c_t, tangent[..., k])
-
-    def test_bending_moments_zero_without_curvature_change(self, glass_hyper):
-        m, f, _ = picture_frame_metric(1.2)
-        b = np.array([[0.2, 0.05], [0.05, 0.1]])
-        c = CurvaturePoint(b_ab=b, B_ab=b.copy(), bbar_ab=b, Bbar_ab=b.copy(),
-                           c0=np.eye(2))
-        br = moments_and_bending_tangents(m, f, c, glass_hyper)
-        # twist couples current b against reference B, equal forms cancel
-        assert np.abs(br.M0).max() <= 1e-15
-        assert np.abs(br.Mbar0).max() <= 1e-15
-
-    def test_bending_tangents_positive_semidefinite(self, glass_hyper, rng):
-        m, f, _ = picture_frame_metric(1.2)
-        c = CurvaturePoint(b_ab=oracles.random_spd(rng),
-                           B_ab=oracles.random_spd(rng),
-                           bbar_ab=oracles.random_spd(rng),
-                           Bbar_ab=oracles.random_spd(rng),
-                           c0=np.eye(2))
-        br = moments_and_bending_tangents(m, f, c, glass_hyper)
-        for T in (br.f_tan, br.fbar_tan):
-            M = T.reshape(4, 4)
-            w = np.linalg.eigvalsh(0.5 * (M + M.T))
-            assert w.min() >= -1e-12 * max(1.0, w.max())
