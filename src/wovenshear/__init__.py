@@ -14,12 +14,9 @@ from .kinematics import (
     FiberState,
     StructuralTensors,
     AngleSplit,
-    push_forward_fiber,
     fiber_state,
     angle_measures,
     structural_tensors,
-    angle_split_metrics,
-    split_angle_measures,
     angle_split,
     picture_frame_deformation,
     picture_frame_dF_dtheta,
@@ -45,9 +42,6 @@ from .material import (
     yield_function,
     return_map,
     return_map_batch,
-    angle_stress_and_tangent,
-    membrane_stress,
-    strain_energy,
     drive_angle_path,
     params_from_dict,
     params_to_dict,

@@ -29,8 +29,8 @@ from .material import (ConvergenceError, drive_angle_path, load_params,
 __all__ = ["main", "RunConfig"]
 
 _SWEEPABLE = ("mu_f", "tau_y", "A", "a", "B", "b", "C", "c")
-# settings that must be positive, with their types; entries from a config
-# file bypass click's types, so the merged values are checked
+# settings that must be positive, with their types; RunConfig checks the
+# merged values, so a config entry gets the same message as a flag
 _POSITIVE = {"l0": float, "mu0": float, "steps_per_degree": float,
              "dphi": float, "tol": float, "max_evals": int}
 # step cap of material-point: the path and its five result columns take
@@ -82,11 +82,14 @@ def _merge_config(ctx, command, values):
     """Apply config-file entries under flag precedence.
 
     Explicit command-line flags override the config file; config entries
-    override built-in defaults.  Unknown config keys are rejected.
+    override built-in defaults.  Unknown config keys are rejected; the
+    others go through their option's click type, except the settings of
+    ``_POSITIVE``, which RunConfig checks.
     """
     merged = dict(values)
     config = values.get("config")
     if config:
+        options = {param.name: param for param in ctx.command.params}
         try:
             with open(config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -99,8 +102,15 @@ def _merge_config(ctx, command, values):
                 raise click.UsageError(
                     f"config {config}: unknown setting {key!r}")
             src = ctx.get_parameter_source(key)
-            if src is None or src.name != "COMMANDLINE":
-                merged[key] = val
+            if src is not None and src.name == "COMMANDLINE":
+                continue
+            if key not in _POSITIVE:
+                try:
+                    val = options[key].type_cast_value(ctx, val)
+                except click.BadParameter as exc:
+                    raise click.UsageError(
+                        f"config {config}: {exc.format_message()}")
+            merged[key] = val
     return RunConfig(command=command, options=merged)
 
 

@@ -22,12 +22,9 @@ __all__ = [
     "FiberState",
     "StructuralTensors",
     "AngleSplit",
-    "push_forward_fiber",
     "fiber_state",
     "angle_measures",
     "structural_tensors",
-    "angle_split_metrics",
-    "split_angle_measures",
     "angle_split",
     "picture_frame_deformation",
     "picture_frame_dF_dtheta",
@@ -75,34 +72,23 @@ class MetricPoint:
         Reference covariant metric, symmetric positive definite.
     a_ab : (2, 2) ndarray
         Current covariant metric, symmetric positive definite.
-    A_inv : (2, 2) ndarray
-        Contravariant reference metric; must invert ``A_ab`` to 1e-14
-        (scaled by the magnitude of the pair).
     """
 
     A_ab: np.ndarray
     a_ab: np.ndarray
-    A_inv: np.ndarray
 
     def __post_init__(self):
         A = _as_matrix(self.A_ab, "A_ab")
         a = _as_matrix(self.a_ab, "a_ab")
-        Ainv = _as_matrix(self.A_inv, "A_inv")
         _check_spd(A, "A_ab")
         _check_spd(a, "a_ab")
-        scale = 1.0 + np.abs(A).max() * np.abs(Ainv).max()
-        if np.abs(Ainv @ A - np.eye(2)).max() > 1e-14 * scale:
-            raise InvalidMetricError("A_inv does not invert A_ab to 1e-14")
         object.__setattr__(self, "A_ab", A)
         object.__setattr__(self, "a_ab", a)
-        object.__setattr__(self, "A_inv", Ainv)
 
     @classmethod
     def from_metrics(cls, A_ab, a_ab):
-        """Build a MetricPoint, computing the inverse reference metric."""
-        A = _as_matrix(A_ab, "A_ab")
-        _check_spd(A, "A_ab")
-        return cls(A_ab=A, a_ab=a_ab, A_inv=np.linalg.inv(A))
+        """Build a MetricPoint from the reference and current metrics."""
+        return cls(A_ab=A_ab, a_ab=a_ab)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,27 +230,6 @@ def _angle_arrays(C):
     return lam, theta12, np.concatenate([-th, r12[None]]), Gamma
 
 
-def push_forward_fiber(m, L):
-    """Push a unit reference fiber through the current metric.
-
-    Parameters
-    ----------
-    m : MetricPoint
-    L : (2,) array_like
-        Contravariant reference direction, unit against ``m.A_ab``.
-
-    Returns
-    -------
-    lam : float
-        Fiber stretch ``sqrt(L . a . L)``.
-    l : (2,) ndarray
-        Contravariant current direction, unit against ``m.a_ab``.
-    """
-    L = np.asarray(L, dtype=float).reshape(2)
-    lam = np.sqrt(_metric_product(L, m.a_ab, L))
-    return float(lam), L / lam
-
-
 def fiber_state(m, f):
     """Return stretches, unit directions, cosine, fiber metric and dyads."""
     C = _fiber_metric(m.a_ab, f.L1, f.L2)
@@ -290,8 +255,23 @@ def structural_tensors(m, fs):
     return StructuralTensors(gamma=gamma, Gamma=Gamma, dyads=fs.dyads)
 
 
-def _dual_fiber_covariant(m, f):
-    """Covariant components of the dual fiber basis, and the fiber metric."""
+def angle_split(m, f, phi_p):
+    """Elastic/plastic split of the angle change via intermediate metrics.
+
+    ``a_bar`` reproduces the current fiber cosine of :func:`fiber_state`
+    at unit stretch (it is the fiber-length-preserving part of the current
+    metric); ``a_hat`` additionally replaces the fiber angle by its
+    plastically rotated value ``Theta12 + phi_p``.  Both are assembled on
+    the dual fiber basis.  ``phi``, ``phi_e`` and ``phi_p`` are the
+    contractions of the metric differences with the primal fiber dyad
+    ``L1 (x) L2``; ``phi = phi_e + phi_p`` holds exactly because the three
+    differences telescope.
+
+    Raises
+    ------
+    DegenerateFiberError
+        If the reference fiber metric is singular (parallel families).
+    """
     L = np.stack([f.L1, f.L2])                # (2 fibers, 2 components)
     Theta_IJ = L @ m.A_ab @ L.T               # reference fiber metric
     det = Theta_IJ[0, 0] * Theta_IJ[1, 1] - Theta_IJ[0, 1] * Theta_IJ[1, 0]
@@ -299,72 +279,19 @@ def _dual_fiber_covariant(m, f):
         raise DegenerateFiberError(
             f"fiber metric is singular (det = {det:.3e}); families are parallel"
         )
-    Lsup = np.linalg.inv(Theta_IJ) @ L        # dual directions, contravariant
-    return Lsup @ m.A_ab, Theta_IJ
-
-
-def angle_split_metrics(m, f, phi_p):
-    """Intermediate metrics encoding the elastic/plastic angle split.
-
-    ``a_bar`` reproduces the current fiber cosine of :func:`fiber_state`
-    at unit stretch (it is the fiber-length-preserving part of the current
-    metric); ``a_hat``
-    additionally replaces the fiber angle by its plastically rotated value
-    ``Theta12 + phi_p``.  Both are assembled on the dual fiber basis.
-
-    Returns
-    -------
-    a_bar, a_hat : (2, 2) ndarray
-
-    Raises
-    ------
-    DegenerateFiberError
-        If the fiber metric is singular (parallel families).
-    """
-    Lsup_cov, _ = _dual_fiber_covariant(m, f)
+    # covariant components of the dual fiber basis
+    Lsup_cov = np.linalg.inv(Theta_IJ) @ L @ m.A_ab
 
     def on_dual_basis(cos12):
         theta = np.array([[1.0, cos12], [cos12, 1.0]])
         return np.einsum("ia,jb,ij->ab", Lsup_cov, Lsup_cov, theta)
 
-    return (on_dual_basis(fiber_state(m, f).theta12),
-            on_dual_basis(f.Theta12 + phi_p))
-
-
-def split_angle_measures(m, a_bar, a_hat, f):
-    """Extract (phi, phi_e, phi_p) from the intermediate metrics.
-
-    Contractions of the metric differences with the primal fiber dyad
-    ``L1 (x) L2``; the triple satisfies ``phi = phi_e + phi_p`` exactly
-    because the three differences telescope.
-
-    Parameters
-    ----------
-    m : MetricPoint
-    a_bar, a_hat : (2, 2) array_like
-        As produced by :func:`angle_split_metrics`.
-    f : RefFiberPair
-
-    Returns
-    -------
-    phi, phi_e, phi_p : float
-    """
-    # raises for degenerate pairs even though the duals are not needed here
-    _dual_fiber_covariant(m, f)
-    a_bar = np.asarray(a_bar, dtype=float)
-    a_hat = np.asarray(a_hat, dtype=float)
+    a_bar = on_dual_basis(fiber_state(m, f).theta12)
+    a_hat = on_dual_basis(f.Theta12 + phi_p)
     L12 = np.outer(f.L1, f.L2)
-    phi = float(np.sum(L12 * (a_bar - m.A_ab)))
-    phi_e = float(np.sum(L12 * (a_bar - a_hat)))
-    phi_p = float(np.sum(L12 * (a_hat - m.A_ab)))
-    return phi, phi_e, phi_p
-
-
-def angle_split(m, f, phi_p):
-    """Build the intermediate metrics and extract the split in one call."""
-    a_bar, a_hat = angle_split_metrics(m, f, phi_p)
-    phi, phi_e, phi_p_out = split_angle_measures(m, a_bar, a_hat, f)
-    return AngleSplit(phi=phi, phi_e=phi_e, phi_p=phi_p_out,
+    return AngleSplit(phi=float(np.sum(L12 * (a_bar - m.A_ab))),
+                      phi_e=float(np.sum(L12 * (a_bar - a_hat))),
+                      phi_p=float(np.sum(L12 * (a_hat - m.A_ab))),
                       a_bar=a_bar, a_hat=a_hat)
 
 

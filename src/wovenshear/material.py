@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import _chart, _chart4, fiber_state
-
 __all__ = [
     "ConvergenceError",
     "ElastoplasticParams",
@@ -32,9 +30,6 @@ __all__ = [
     "yield_function",
     "return_map",
     "return_map_batch",
-    "angle_stress_and_tangent",
-    "membrane_stress",
-    "strain_energy",
     "drive_angle_path",
     "DriveResult",
     "params_from_dict",
@@ -443,67 +438,18 @@ def return_map(phi_new, state_old, p):
 
 def _stress_arrays(tau, dtau, gamma, Gamma, eps_L=0.0, lam=None):
     """Voigt stress ``s = dW/dC`` (3, ...) and tangent ``T = d2W/dC2``
-    (3, 3, ...) by the fiber metric: the body of
-    :func:`angle_stress_and_tangent`, :func:`membrane_stress` and the FE
-    element kernel.  The angle part is ``tau gamma`` and
-    ``dtau gamma gamma^T + tau Gamma``; the stretches ``lam`` (2, ...) add
-    ``eps_L (lam - 1) / (2 lam)`` and ``eps_L / (4 lam^3)``.  The chart
-    forms are ``2 s_I M_I`` and ``4 T_IJ M_I (x) M_J`` on the dyads ``M``."""
+    (3, 3, ...) by the fiber metric, of the energy
+    ``W = mu_f phi_e^2 / 2 + eps_L ((lam1 - 1)^2 + (lam2 - 1)^2) / 2``: the
+    body of the FE element kernel, ``fe._FrameModel.evaluate``.  The angle
+    part is ``tau gamma`` and ``dtau gamma gamma^T + tau Gamma``; the
+    stretches ``lam`` (2, ...) add ``eps_L (lam - 1) / (2 lam)`` and
+    ``eps_L / (4 lam^3)``."""
     stress = tau * gamma
     tangent = dtau * (gamma[:, None] * gamma[None]) + tau * Gamma
     if eps_L != 0.0:
         stress[:2] += 0.5 * eps_L * (lam - 1.0) / lam
         tangent[[0, 1], [0, 1]] += 0.25 * eps_L / (lam * lam * lam)
     return stress, tangent
-
-
-def angle_stress_and_tangent(sr, st):
-    """Angle contribution to membrane stress and material tangent.
-
-    Parameters
-    ----------
-    sr : StressReturn
-    st : StructuralTensors
-        From the same kinematic point the return map was driven with.
-
-    Returns
-    -------
-    tau_a : (2, 2) ndarray
-        Contravariant stress components ``2 tau g12``.
-    c_a : (2, 2, 2, 2) ndarray
-        Consistent tangent ``4 mu_eff g12 (x) g12 + 4 tau g12_grad`` with
-        ``mu_eff = sr.dtau_dphi``, expanded from :func:`_stress_arrays`.
-    """
-    _, tangent = _stress_arrays(sr.tau, sr.dtau_dphi, st.gamma, st.Gamma)
-    return 2.0 * sr.tau * st.g12, 4.0 * _chart4(tangent, st.dyads)
-
-
-def membrane_stress(m, f, sr, st, hp):
-    """Total membrane stress and tangent: fiber stretch plus angle parts,
-    expanded from the Voigt arrays of :func:`_stress_arrays`.
-
-    Returns
-    -------
-    tau_total : (2, 2) ndarray
-    c_total : (2, 2, 2, 2) ndarray
-    """
-    fs = fiber_state(m, f)
-    stress, tangent = _stress_arrays(
-        sr.tau, sr.dtau_dphi, st.gamma, st.Gamma, hp.eps_L,
-        np.array([fs.lambda1, fs.lambda2]))
-    return 2.0 * _chart(stress, st.dyads), 4.0 * _chart4(tangent, st.dyads)
-
-
-def strain_energy(m, f, phi_e, hp, ep):
-    """Stored membrane energy per reference area at a material point.
-
-    Quadratic in the fiber stretches and the elastic angle change;
-    nonnegative by construction.
-    """
-    fs = fiber_state(m, f)
-    W = 0.5 * hp.eps_L * ((fs.lambda1 - 1.0) ** 2 + (fs.lambda2 - 1.0) ** 2)
-    W += 0.5 * ep.mu_f * phi_e ** 2
-    return float(W)
 
 
 @dataclass(frozen=True, eq=False)

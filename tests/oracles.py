@@ -103,6 +103,39 @@ def embedded_fiber_measures(F, v1, v2):
     return n1, n2, float(w1 @ w2) / (n1 * n2)
 
 
+def membrane_energy(X_e, x_e, fiber_dirs, mu_f, eps_L, order=2):
+    """Stored energy of one bilinear quadrilateral in an elastic state.
+
+    At each tensor-product Gauss point the deformation gradient
+    ``F = (dx/dxi) (dX/dxi)^-1`` maps the two Cartesian reference fiber
+    directions, :func:`embedded_fiber_measures` gives their stretches and
+    angle cosine, and the energy density
+    ``mu_f (cos12 - Cos12)^2 / 2 + eps_L ((lam1 - 1)^2 + (lam2 - 1)^2) / 2``
+    (``Cos12`` the reference cosine) is summed with the weights
+    ``w det(dX/dxi)``.  Corners are counterclockwise at
+    ``(-1, -1), (1, -1), (1, 1), (-1, 1)`` of the chart.
+    """
+    X_e = np.asarray(X_e, dtype=float)
+    x_e = np.asarray(x_e, dtype=float)
+    v1, v2 = fiber_dirs
+    cos0 = embedded_fiber_measures(np.eye(2), v1, v2)[2]
+    a = np.array([-1.0, 1.0, 1.0, -1.0])
+    b = np.array([-1.0, -1.0, 1.0, 1.0])
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    energy = 0.0
+    for xi, w_xi in zip(xg, wg):
+        for eta, w_eta in zip(xg, wg):
+            dN = 0.25 * np.column_stack([a * (1.0 + b * eta),
+                                         b * (1.0 + a * xi)])
+            J0 = X_e.T @ dN
+            F = (x_e.T @ dN) @ np.linalg.inv(J0)
+            lam1, lam2, cos12 = embedded_fiber_measures(F, v1, v2)
+            density = 0.5 * (mu_f * (cos12 - cos0) ** 2
+                             + eps_L * ((lam1 - 1.0) ** 2 + (lam2 - 1.0) ** 2))
+            energy += w_xi * w_eta * np.linalg.det(J0) * density
+    return energy
+
+
 def fiber_metric_cosine(C):
     """Angle cosine C12 / sqrt(C11 C22) of a Voigt fiber metric."""
     return C[2] / math.sqrt(C[0] * C[1])

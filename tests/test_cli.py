@@ -335,6 +335,30 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert "unknown setting" in result.output
 
+    def test_config_choice_checked(self, runner, demo_file, tmp_path):
+        # a config entry goes through the option's click.Choice like a flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "bogus"}))
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["picture-frame", "--params",
+                                      str(demo_file), "--mesh", "1x1",
+                                      "--config", str(cfg), "--out",
+                                      str(out)])
+        assert result.exit_code == 2, result.output
+        assert "'bogus' is not one of" in result.output
+        assert not out.exists()
+
+    def test_config_number_read_as_text(self, runner, demo_file, tmp_path):
+        # a string option given a JSON number reads it as its text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"program": 50, "mode": "analytic"}))
+        out = tmp_path / "c3"
+        run_ok(runner, ["picture-frame", "--params", str(demo_file),
+                        "--config", str(cfg), "--out", str(out)])
+        data = np.loadtxt(out / "analytic_curve.csv", delimiter=",",
+                          skiprows=1)
+        assert data[-1, 0] == pytest.approx(50.0, abs=1e-12)
+
     def test_config_must_be_object(self, runner, demo_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
