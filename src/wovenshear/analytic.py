@@ -65,15 +65,6 @@ class LoadProgram:
         """Build from shear-angle targets in degrees (figure convention)."""
         return cls(tuple(float(gamma_to_theta(g)) for g in targets_deg))
 
-    @classmethod
-    def from_string(cls, text):
-        """Parse a comma-separated gamma target list like ``"50,20,50"``."""
-        try:
-            targets_deg = [float(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ValueError(f"cannot parse load program {text!r}") from exc
-        return cls.from_gamma_degrees(targets_deg)
-
 
 @dataclass(frozen=True)
 class IntervalState:

@@ -24,7 +24,8 @@ from .analytic import (IntervalState, _write_csv, frame_force,
                        interval_solve_batch)
 from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
 from .kinematics import gamma_to_theta
-from .material import ConvergenceError, replace_params
+from .material import (ConvergenceError, _EP_FIELD_BY_KEY, params_to_dict,
+                       replace_params)
 
 __all__ = [
     "ExperimentCurve",
@@ -39,7 +40,7 @@ __all__ = [
     "synthetic_curve",
 ]
 
-FIT_KEYS = ("mu_f", "tau_y", "A", "a", "B", "b", "C", "c")
+FIT_KEYS = tuple(_EP_FIELD_BY_KEY)
 # parameters spanning decades are searched in log space
 _LOG_KEYS = frozenset({"a", "b", "c"})
 
@@ -256,7 +257,7 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
         Jacobian computed.
     """
     keys = cfg.free_params
-    start = initial.to_dict()
+    start = params_to_dict(initial)
     for key in keys:
         lo, hi = cfg.bounds[key]
         if not lo <= start[key] <= hi:
@@ -337,8 +338,8 @@ _STAGES = {
 }
 
 
-def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
-               L0=1.0, mu0=1.0):
+def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, L0=1.0,
+               mu0=1.0):
     """Phase-by-phase calibration of a shear-frame curve.
 
     Stage 1 fits the shear stiffness on the initial slope (gamma <= 1 deg),
@@ -373,7 +374,7 @@ def staged_fit(initial, curve, stages=(1, 2, 3), bounds=None, max_evals=400,
             entry["skipped"] = "not enough data points in the stage window"
             report["stages"].append(entry)
             continue
-        cfg = FitConfig(free_params=keys, bounds=bounds, max_evals=max_evals)
+        cfg = FitConfig(free_params=keys, max_evals=max_evals)
         entry["rms_before"] = objective(params, curve, L0=L0, mu0=mu0,
                                         mask=mask)
         res = fit(params, curve, cfg, L0=L0, mu0=mu0, mask=mask)

@@ -1,8 +1,10 @@
 """Command-line front end: curves, FE verification, sweeps, calibration.
 
 Every command reads a JSON parameter file, takes an optional JSON config
-file whose entries act as flag defaults (explicit flags win), and writes
-CSV/JSON outputs with full double precision into an output directory.
+file whose entries act as flag defaults (explicit flags win, and each
+entry goes through its option's type and callback like the flag text),
+and writes CSV/JSON outputs with full double precision into an output
+directory; every usage error comes before that directory is made.
 Angles at this boundary are shear angles gamma in degrees (the figure
 convention); the material-point command drives the angle cosine directly.
 All commands are deterministic; re-runs produce byte-identical files.
@@ -13,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -21,109 +22,128 @@ import numpy as np
 
 from . import __version__
 from .analytic import LoadProgram, _write_csv, run_program
-from .calibrate import ExperimentCurve, staged_fit
+from .calibrate import FIT_KEYS, ExperimentCurve, staged_fit
 from .fe import Mesh, SolverError, solve_picture_frame, verify_against_analytic
 from .material import (ConvergenceError, drive_angle_path, load_params,
                        params_to_dict, replace_params)
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-_SWEEPABLE = ("mu_f", "tau_y", "A", "a", "B", "b", "C", "c")
-# settings that must be positive, with their types; RunConfig checks the
-# merged values, so a config entry gets the same message as a flag
-_POSITIVE = {"l0": float, "mu0": float, "steps_per_degree": float,
-             "dphi": float, "tol": float, "max_evals": int}
 # step cap of material-point: the path and its five result columns take
 # 48 bytes a step in memory, and the CSV about 100 bytes a row
 _MAX_STEPS = 10**7
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged settings of one command invocation.
+class _Positive(click.ParamType):
+    """A finite number above zero of type ``kind`` (float or int).
 
-    Checks the preconditions up front: referenced input files must exist,
-    the settings of ``_POSITIVE`` must be finite and positive when given,
-    and the output directory must be writable (it is created when
-    missing).
+    It is parsed from its text, so a config-file entry is read as its flag
+    would be: ``2.5`` is not an integer and ``true`` is not a number.
     """
 
-    command: str
-    options: dict
+    def __init__(self, kind):
+        self.kind = kind
+        self.name = "integer" if kind is int else "float"
 
-    def __post_init__(self):
-        for key in ("params", "data", "config"):
-            path = self.options.get(key)
-            if path is not None and not Path(path).is_file():
-                raise click.UsageError(
-                    f"{self.command}: {key} file not found: {path}")
-        for key, kind in _POSITIVE.items():
-            val = self.options.get(key)
-            try:
-                ok = val is None or 0 < kind(val) < math.inf
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise click.UsageError(
-                    f"{self.command}: {key} must be positive, got {val!r}")
-        out = self.options.get("out")
-        if out is not None:
-            out = Path(out)
-            out.mkdir(parents=True, exist_ok=True)
-            if not os.access(out, os.W_OK):
-                raise click.UsageError(
-                    f"{self.command}: output directory not writable: {out}")
-
-    def __getitem__(self, key):
-        return self.options[key]
-
-
-def _merge_config(ctx, command, values):
-    """Apply config-file entries under flag precedence.
-
-    Explicit command-line flags override the config file; config entries
-    override built-in defaults.  Unknown config keys are rejected; the
-    others go through their option's click type, except the settings of
-    ``_POSITIVE``, which RunConfig checks.
-    """
-    merged = dict(values)
-    config = values.get("config")
-    if config:
-        options = {param.name: param for param in ctx.command.params}
+    def convert(self, value, param, ctx):
         try:
-            with open(config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot read config {config}: {exc}")
-        if not isinstance(data, dict):
-            raise click.UsageError(f"config {config} must be a JSON object")
-        for key, val in data.items():
-            if key not in values or key == "config":
-                raise click.UsageError(
-                    f"config {config}: unknown setting {key!r}")
-            src = ctx.get_parameter_source(key)
-            if src is not None and src.name == "COMMANDLINE":
-                continue
-            if key not in _POSITIVE:
-                try:
-                    val = options[key].type_cast_value(ctx, val)
-                except click.BadParameter as exc:
-                    raise click.UsageError(
-                        f"config {config}: {exc.format_message()}")
-            merged[key] = val
-    return RunConfig(command=command, options=merged)
+            num = self.kind(str(value))
+            if 0 < num < math.inf:
+                return num
+        except (ValueError, OverflowError):
+            pass
+        self.fail(f"{param.name} must be positive, got {value!r}", param, ctx)
+
+
+def _read_config(ctx, param, path):
+    """Make the entries of a JSON config file the command's defaults.
+
+    Click then reads each entry through its option's type and callback as
+    it reads the flag, and an explicit flag still wins.  A JSON null
+    leaves the option at its default.
+    """
+    if path is None:
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise click.UsageError(f"cannot read config {path}: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config {path} must be a JSON object")
+    names = {p.name for p in ctx.command.params if p.expose_value}
+    for key in data:
+        if key not in names:
+            raise click.UsageError(f"config {path}: unknown setting {key!r}")
+    ctx.default_map = {k: v for k, v in data.items() if v is not None}
+
+
+def _existing_file(ctx, param, path):
+    if path is not None and not Path(path).is_file():
+        raise click.BadParameter(f"{param.name} file not found: {path}")
+    return path
 
 
 def _parse_floats(text, what):
     try:
-        vals = [float(tok) for tok in str(text).split(",") if tok.strip()]
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise click.UsageError(f"cannot parse {what}: {text!r}")
+        raise click.BadParameter(f"cannot parse {what}: {text!r}")
     if not vals:
-        raise click.UsageError(f"empty {what}: {text!r}")
+        raise click.BadParameter(f"empty {what}: {text!r}")
     if not all(map(math.isfinite, vals)):
-        raise click.UsageError(f"non-finite value in {what}: {text!r}")
+        raise click.BadParameter(f"non-finite value in {what}: {text!r}")
     return vals
+
+
+def _floats(ctx, param, text):
+    return _parse_floats(text, param.name)
+
+
+def _gamma_program(ctx, param, text):
+    """Shear-angle targets in degrees as a LoadProgram."""
+    try:
+        return LoadProgram.from_gamma_degrees(_floats(ctx, param, text))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
+def _mesh(ctx, param, text):
+    parts = text.lower().split("x")
+    try:
+        dims = [int(p) for p in parts]
+    except ValueError:
+        raise click.BadParameter(f"cannot parse mesh size: {text!r}")
+    if len(dims) == 1:
+        dims = dims * 2
+    if len(dims) != 2 or dims[0] != dims[1] or dims[0] < 1:
+        raise click.BadParameter(
+            f"mesh must be a square NxN subdivision, got {text!r}")
+    return dims[0]
+
+
+def _sweep(ctx, param, text):
+    """``name=v1,v2,...`` as the name and its values."""
+    name, eq, tail = text.partition("=")
+    name = name.strip()
+    if not eq:
+        raise click.BadParameter(
+            f"must look like name=v1,v2,..., got {text!r}")
+    if name not in FIT_KEYS:
+        raise click.BadParameter(
+            f"unknown sweep parameter {name!r}; choose from "
+            f"{', '.join(FIT_KEYS)}")
+    return name, _parse_floats(tail, "sweep values")
+
+
+def _stages(ctx, param, text):
+    try:
+        stages = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise click.BadParameter(f"cannot parse stages: {text!r}")
+    if not stages or any(s not in (1, 2, 3) for s in stages):
+        raise click.BadParameter("stages must be a nonempty subset of 1,2,3")
+    return stages
 
 
 def _load_params(path):
@@ -136,25 +156,13 @@ def _load_params(path):
         raise click.ClickException(f"bad params file {path}: {exc}")
 
 
-def _parse_mesh(text):
-    parts = str(text).lower().split("x")
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise click.UsageError(f"cannot parse mesh size: {text!r}")
-    if len(dims) == 1:
-        dims = dims * 2
-    if len(dims) != 2 or dims[0] != dims[1] or dims[0] < 1:
-        raise click.UsageError(
-            f"mesh must be a square NxN subdivision, got {text!r}")
-    return dims[0]
-
-
-def _load_program(text, steps_per_degree):
-    try:
-        return LoadProgram.from_string(text), float(steps_per_degree)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _out_dir(path):
+    """The output directory, made when missing; it must be writable."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    if not os.access(out, os.W_OK):
+        raise click.UsageError(f"output directory not writable: {out}")
+    return out
 
 
 def _write_json(path, payload):
@@ -179,28 +187,39 @@ def main():
     """Woven-fabric shear: curves, FE verification, sweeps, calibration."""
 
 
+# options that several commands share
+_params_option = click.option("--params", required=True,
+                              callback=_existing_file,
+                              help="JSON parameter file.")
+_l0_option = click.option("--l0", "--L0", "l0", type=_Positive(float),
+                          default=1.0, show_default=True,
+                          help="Frame side length.")
+_spd_option = click.option("--steps-per-degree", type=_Positive(float),
+                           default=2.0, show_default=True)
+_out_option = click.option("--out", default=".", show_default=True,
+                           help="Output directory.")
+_config_option = click.option("--config", is_eager=True, expose_value=False,
+                              callback=_read_config,
+                              help="JSON config with flag defaults.")
+
+
 @main.command("material-point")
-@click.option("--params", required=True, type=str,
-              help="JSON parameter file.")
+@_params_option
 @click.option("--program", default="0.6", show_default=True,
+              callback=_floats,
               help="Comma-separated angle-cosine targets, e.g. 0.6,-0.2,0.6.")
-@click.option("--dphi", type=float, default=0.005, show_default=True,
-              help="Angle-cosine increment per step.")
-@click.option("--out", default=".", show_default=True,
-              help="Output directory.")
-@click.option("--config", default=None, help="JSON config with flag defaults.")
-@click.pass_context
-def material_point(ctx, **values):
+@click.option("--dphi", type=_Positive(float), default=0.005,
+              show_default=True, help="Angle-cosine increment per step.")
+@_out_option
+@_config_option
+def material_point(params, program, dphi, out):
     """Drive the return map over an angle-cosine program.
 
     Writes material_point.csv with one row per step:
     phi,tau,phi_e,phi_p,q.
     """
-    rc = _merge_config(ctx, "material-point", values)
-    ep, _ = _load_params(rc["params"])
-    targets = _parse_floats(rc["program"], "program")
-    dphi = float(rc["dphi"])
-    legs = list(zip([0.0] + targets, targets))
+    ep, _ = _load_params(params)
+    legs = list(zip([0.0] + program, program))
     counts = []
     for start, tgt in legs:
         steps = abs(tgt - start) / dphi
@@ -213,11 +232,11 @@ def material_point(ctx, **values):
         raise click.UsageError(
             f"program takes {sum(counts)} steps at dphi = {dphi!r}; "
             f"at most {_MAX_STEPS} are driven")
+    out = _out_dir(out) / "material_point.csv"
     path = np.concatenate([[0.0]] + [
         np.linspace(start, tgt, n + 1)[1:]
         for (start, tgt), n in zip(legs, counts)])
     res = drive_angle_path(path, ep)
-    out = Path(rc["out"]) / "material_point.csv"
     _write_csv(out, "phi,tau,phi_e,phi_p,q",
                [res.phi, res.tau, res.phi_e, res.phi_p, res.q])
     click.echo(f"wrote {out} ({res.phi.size} rows)")
@@ -226,64 +245,51 @@ def material_point(ctx, **values):
 @main.command("picture-frame")
 @click.option("--mode", type=click.Choice(["analytic", "fe", "verify"]),
               default="verify", show_default=True)
-@click.option("--params", required=True, type=str,
-              help="JSON parameter file.")
+@_params_option
 @click.option("--program", default="50,20,50", show_default=True,
+              callback=_gamma_program,
               help="Comma-separated shear-angle targets in degrees.")
-@click.option("--mesh", default="8x8", show_default=True,
+@click.option("--mesh", default="8x8", show_default=True, callback=_mesh,
               help="Square mesh subdivision NxN.")
-@click.option("--l0", "--L0", "l0", type=float, default=1.0,
-              show_default=True, help="Frame side length.")
-@click.option("--mu0", type=float, default=None,
+@_l0_option
+@click.option("--mu0", type=_Positive(float), default=None,
               help="Force normalization stress [default: mu_f].")
-@click.option("--steps-per-degree", type=float, default=2.0,
-              show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@_spd_option
+@click.option("--tol", type=_Positive(float), default=1e-9,
+              show_default=True,
               help="Verify-mode stress tolerance (scale-relative).")
-@click.option("--out", default=".", show_default=True,
-              help="Output directory.")
-@click.option("--config", default=None, help="JSON config with flag defaults.")
+@_out_option
+@_config_option
 @click.pass_context
-def picture_frame(ctx, **values):
+def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
+                  steps_per_degree, tol, out):
     """Closed-form and/or FE picture-frame curves; verify compares them.
 
     analytic: writes analytic_curve.csv.  fe: writes fe_curve.csv and
     fe_fields.csv.  verify: runs both, writes all of the above plus
     verify_report.json, prints PASS/FAIL, and exits nonzero on FAIL.
     """
-    rc = _merge_config(ctx, "picture-frame", values)
-    ep, hp = _load_params(rc["params"])
-    program, spd = _load_program(rc["program"], rc["steps_per_degree"])
-    L0 = float(rc["l0"])
-    mu0 = ep.mu_f if rc["mu0"] is None else float(rc["mu0"])
-    out = Path(rc["out"])
-    mode = rc["mode"]
-
-    if mode == "analytic":
-        curve = run_program(program, ep, L0=L0, mu0=mu0, steps_per_degree=spd)
+    ep, hp = _load_params(params)
+    mu0 = ep.mu_f if mu0 is None else mu0
+    out = _out_dir(out)
+    if mode != "analytic":
+        sol = solve_picture_frame(Mesh.square(mesh, L0=l0), program, ep, hp,
+                                  mu0=mu0, steps_per_degree=steps_per_degree)
+        dest = out / "fe_curve.csv"
+        sol.curve.to_csv(dest)
+        fields = out / "fe_fields.csv"
+        sol.to_field_csv(fields)
+        click.echo(f"wrote {dest} ({len(sol.curve)} rows)")
+        click.echo(f"wrote {fields}")
+    if mode != "fe":
+        curve = run_program(program, ep, L0=l0, mu0=mu0,
+                            steps_per_degree=steps_per_degree)
         dest = out / "analytic_curve.csv"
         curve.to_csv(dest)
         click.echo(f"wrote {dest} ({len(curve)} rows)")
+    if mode != "verify":
         return
-
-    n = _parse_mesh(rc["mesh"])
-    mesh = Mesh.square(n, L0=L0)
-    sol = solve_picture_frame(mesh, program, ep, hp, mu0=mu0,
-                              steps_per_degree=spd)
-    dest = out / "fe_curve.csv"
-    sol.curve.to_csv(dest)
-    fields = out / "fe_fields.csv"
-    sol.to_field_csv(fields)
-    click.echo(f"wrote {dest} ({len(sol.curve)} rows)")
-    click.echo(f"wrote {fields}")
-    if mode == "fe":
-        return
-
-    curve = run_program(program, ep, L0=L0, mu0=mu0, steps_per_degree=spd)
-    dest = out / "analytic_curve.csv"
-    curve.to_csv(dest)
-    click.echo(f"wrote {dest} ({len(curve)} rows)")
-    report = verify_against_analytic(sol, tau_tol=float(rc["tol"]))
+    report = verify_against_analytic(sol, tau_tol=tol)
     dest = out / "verify_report.json"
     _write_json(dest, report)
     click.echo(f"wrote {dest}")
@@ -297,45 +303,29 @@ def picture_frame(ctx, **values):
 
 
 @main.command("param-study")
-@click.option("--params", required=True, type=str,
+@click.option("--params", required=True, callback=_existing_file,
               help="JSON parameter file with the base set.")
-@click.option("--sweep", required=True,
+@click.option("--sweep", required=True, callback=_sweep,
               help="Sweep definition name=v1,v2,..., e.g. tau_y=0,0.25,0.5.")
 @click.option("--program", default="60", show_default=True,
+              callback=_gamma_program,
               help="Comma-separated shear-angle targets in degrees.")
-@click.option("--l0", "--L0", "l0", type=float, default=1.0,
-              show_default=True)
-@click.option("--mu0", type=float, default=None,
+@_l0_option
+@click.option("--mu0", type=_Positive(float), default=None,
               help="Force normalization stress [default: mu_f of the base].")
-@click.option("--steps-per-degree", type=float, default=2.0,
-              show_default=True)
-@click.option("--out", default=".", show_default=True,
-              help="Output directory.")
-@click.option("--config", default=None, help="JSON config with flag defaults.")
-@click.pass_context
-def param_study(ctx, **values):
+@_spd_option
+@_out_option
+@_config_option
+def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
     """One analytic curve per value of a swept parameter.
 
     Writes study_<name>_<k>.csv per value plus study_manifest.json mapping
     files to values.
     """
-    rc = _merge_config(ctx, "param-study", values)
-    ep, _ = _load_params(rc["params"])
-    program, spd = _load_program(rc["program"], rc["steps_per_degree"])
-    sweep = str(rc["sweep"])
-    if "=" not in sweep:
-        raise click.UsageError(
-            f"--sweep must look like name=v1,v2,..., got {sweep!r}")
-    name, _, tail = sweep.partition("=")
-    name = name.strip()
-    if name not in _SWEEPABLE:
-        raise click.UsageError(
-            f"unknown sweep parameter {name!r}; choose from "
-            f"{', '.join(_SWEEPABLE)}")
-    vals = _parse_floats(tail, "sweep values")
-    L0 = float(rc["l0"])
-    mu0 = ep.mu_f if rc["mu0"] is None else float(rc["mu0"])
-    out = Path(rc["out"])
+    ep, _ = _load_params(params)
+    name, vals = sweep
+    mu0 = ep.mu_f if mu0 is None else mu0
+    out = _out_dir(out)
     files = []
     for k, v in enumerate(vals):
         try:
@@ -343,8 +333,8 @@ def param_study(ctx, **values):
         except ValueError as exc:
             raise click.ClickException(
                 f"sweep value {name} = {v} rejected: {exc}")
-        curve = run_program(program, epk, L0=L0, mu0=mu0,
-                            steps_per_degree=spd)
+        curve = run_program(program, epk, L0=l0, mu0=mu0,
+                            steps_per_degree=steps_per_degree)
         dest = out / f"study_{name}_{k}.csv"
         curve.to_csv(dest)
         files.append(dest.name)
@@ -355,48 +345,37 @@ def param_study(ctx, **values):
 
 
 @main.command("calibrate")
-@click.option("--data", required=True, type=str,
+@click.option("--data", required=True, callback=_existing_file,
               help="Experiment CSV (gamma_deg,force_norm).")
-@click.option("--params", required=True, type=str,
+@click.option("--params", required=True, callback=_existing_file,
               help="JSON parameter file with the starting set.")
 @click.option("--stages", default="1,2,3", show_default=True,
+              callback=_stages,
               help="Comma-separated stage list from {1,2,3}.")
-@click.option("--max-evals", type=int, default=400, show_default=True,
+@click.option("--max-evals", type=_Positive(int), default=400,
+              show_default=True,
               help="Model evaluations per stage, Jacobian columns "
                    "included; a stage that runs out stops unconverged.")
-@click.option("--l0", "--L0", "l0", type=float, default=1.0,
-              show_default=True)
-@click.option("--mu0", type=float, default=1.0, show_default=True,
+@_l0_option
+@click.option("--mu0", type=_Positive(float), default=1.0, show_default=True,
               help="Force normalization of the data.")
-@click.option("--out", default=".", show_default=True,
-              help="Output directory.")
-@click.option("--config", default=None, help="JSON config with flag defaults.")
-@click.pass_context
-def calibrate_cmd(ctx, **values):
+@_out_option
+@_config_option
+def calibrate_cmd(data, params, stages, max_evals, l0, mu0, out):
     """Staged fit of a measured shear curve.
 
     Writes fitted_params.json (full parameter set) and fit_report.json
     (per-stage model evaluations, convergence and Jacobian
     identifiability, and the final whole-curve rms).
     """
-    rc = _merge_config(ctx, "calibrate", values)
-    ep, hp = _load_params(rc["params"])
+    ep, hp = _load_params(params)
     try:
-        curve = ExperimentCurve.from_csv(rc["data"],
-                                         label=Path(rc["data"]).stem)
+        curve = ExperimentCurve.from_csv(data, label=Path(data).stem)
     except ValueError as exc:
-        raise click.ClickException(f"bad data file {rc['data']}: {exc}")
-    try:
-        stages = tuple(int(tok) for tok in str(rc["stages"]).split(",")
-                       if tok.strip())
-    except ValueError:
-        raise click.UsageError(f"cannot parse stages: {rc['stages']!r}")
-    if not stages or any(s not in (1, 2, 3) for s in stages):
-        raise click.UsageError("stages must be a nonempty subset of 1,2,3")
+        raise click.ClickException(f"bad data file {data}: {exc}")
+    out = _out_dir(out)
     result, report = staged_fit(ep, curve, stages=stages,
-                                max_evals=int(rc["max_evals"]),
-                                L0=float(rc["l0"]), mu0=float(rc["mu0"]))
-    out = Path(rc["out"])
+                                max_evals=max_evals, L0=l0, mu0=mu0)
     _write_json(out / "fitted_params.json",
                 params_to_dict(result.params, hp))
     report["converged"] = result.converged

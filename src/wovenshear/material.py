@@ -40,16 +40,13 @@ __all__ = [
     "PARAM_JSON_KEYS",
 ]
 
-# flat JSON schema shared by parameter files, in canonical order
-PARAM_JSON_KEYS = (
-    "mu_f", "tau_y", "A", "a", "B", "b", "C", "c", "eps_L",
-)
-
+# JSON name -> field of ElastoplasticParams
 _EP_FIELD_BY_KEY = {
     "mu_f": "mu_f", "tau_y": "tau_y",
     "A": "A_h", "a": "a_h", "B": "B_h", "b": "b_h", "C": "C_h", "c": "c_h",
 }
-_HP_FIELD_BY_KEY = {"eps_L": "eps_L"}
+# flat JSON schema shared by parameter files, in canonical order
+PARAM_JSON_KEYS = (*_EP_FIELD_BY_KEY, "eps_L")
 
 # admissibility grid for the constructor check of f_iso' > 0
 _Q_CHECK = np.linspace(0.0, 1.5, 1501)
@@ -114,20 +111,6 @@ class ElastoplasticParams:
                 "inadmissible hardening: f_iso'(q) must stay positive on "
                 "q in [0, 1.5]")
 
-    @classmethod
-    def from_dict(cls, d):
-        """Build from a flat mapping with the JSON field names."""
-        for key in ("mu_f", "tau_y"):
-            if key not in d:
-                raise ValueError(f"missing required parameter: {key}")
-        kwargs = {field: float(d[key])
-                  for key, field in _EP_FIELD_BY_KEY.items() if key in d}
-        return cls(**kwargs)
-
-    def to_dict(self):
-        return {key: getattr(self, field)
-                for key, field in _EP_FIELD_BY_KEY.items()}
-
 
 @dataclass(frozen=True)
 class HyperelasticParams:
@@ -143,34 +126,31 @@ class HyperelasticParams:
         if self.eps_L < 0.0:
             raise ValueError(f"eps_L must be >= 0, got {self.eps_L}")
 
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {field: float(d[key])
-                  for key, field in _HP_FIELD_BY_KEY.items() if key in d}
-        return cls(**kwargs)
-
-    def to_dict(self):
-        return {key: getattr(self, field)
-                for key, field in _HP_FIELD_BY_KEY.items()}
-
 
 def params_from_dict(d):
     """Split a flat JSON-named mapping into the two parameter objects.
 
-    Unknown keys raise ValueError so that typos in parameter files fail
-    loudly instead of silently falling back to defaults.
+    ``mu_f`` and ``tau_y`` are required.  Unknown keys raise ValueError so
+    that typos in parameter files fail loudly instead of silently falling
+    back to defaults.
     """
     unknown = set(d) - set(PARAM_JSON_KEYS)
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    return ElastoplasticParams.from_dict(d), HyperelasticParams.from_dict(d)
+    for key in ("mu_f", "tau_y"):
+        if key not in d:
+            raise ValueError(f"missing required parameter: {key}")
+    ep = ElastoplasticParams(**{field: float(d[key]) for key, field
+                                in _EP_FIELD_BY_KEY.items() if key in d})
+    return ep, HyperelasticParams(float(d.get("eps_L", 0.0)))
 
 
 def params_to_dict(ep, hp=None):
-    """Flat JSON-named mapping for both parameter objects."""
-    d = ep.to_dict()
-    d.update((hp or HyperelasticParams()).to_dict())
-    return {key: d[key] for key in PARAM_JSON_KEYS}
+    """Flat JSON-named mapping for both parameter objects, in the order of
+    ``PARAM_JSON_KEYS``."""
+    d = {key: getattr(ep, field) for key, field in _EP_FIELD_BY_KEY.items()}
+    d["eps_L"] = (hp or HyperelasticParams()).eps_L
+    return d
 
 
 def load_params(path):

@@ -28,7 +28,6 @@ from wovenshear import (
     program_theta_grid,
     return_map,
     run_program,
-    theta_to_gamma,
     yield_angle,
 )
 from wovenshear import material
@@ -39,12 +38,6 @@ import oracles
 
 
 class TestLoadProgram:
-    def test_from_string(self):
-        lp = LoadProgram.from_string("50,20,50")
-        assert theta_to_gamma(np.array(lp.targets)) == pytest.approx(
-            [50.0, 20.0, 50.0])
-        assert lp.targets[0] == pytest.approx(gamma_to_theta(50.0))
-
     def test_rejects_empty_and_repeated(self):
         with pytest.raises(ValueError):
             LoadProgram(targets=())
@@ -58,10 +51,6 @@ class TestLoadProgram:
             LoadProgram.from_gamma_degrees([95.0])
         with pytest.raises(ValueError):
             LoadProgram(targets=(np.pi / 2.0, 0.4))   # theta must move
-
-    def test_parse_error(self):
-        with pytest.raises(ValueError):
-            LoadProgram.from_string("50,x,20")
 
 
 class TestYieldAngle:

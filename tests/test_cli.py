@@ -150,6 +150,25 @@ class TestPictureFrame:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code != 0
 
+    def test_bad_mesh_checked_in_analytic_mode(self, runner, glass_file,
+                                               tmp_path):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["picture-frame", "--mode", "analytic",
+                                      "--params", str(glass_file), "--mesh",
+                                      "2x3", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "mesh must be a square NxN subdivision" in result.output
+        assert not out.exists()
+
+    def test_program_parse_error(self, runner, glass_file, tmp_path):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["picture-frame", "--params",
+                                      str(glass_file), "--program",
+                                      "50,x,20", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "cannot parse program: '50,x,20'" in result.output
+        assert not out.exists()
+
     def test_solver_error_is_one_line(self, runner, glass_file, tmp_path,
                                       monkeypatch):
         # one slip sweep converges nowhere, so the FE step fails after all
@@ -359,6 +378,47 @@ class TestConfigFile:
                           skiprows=1)
         assert data[-1, 0] == pytest.approx(50.0, abs=1e-12)
 
+    def test_config_supplies_required_options(self, runner, soft_file,
+                                              tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": str(soft_file),
+                                   "sweep": "tau_y=0.1,0.3",
+                                   "program": "20"}))
+        out = tmp_path / "c4"
+        run_ok(runner, ["param-study", "--config", str(cfg),
+                        "--out", str(out)])
+        manifest = json.loads((out / "study_manifest.json").read_text())
+        assert manifest["parameter"] == "tau_y"
+        assert manifest["values"] == [0.1, 0.3]
+
+    def test_config_equals_flags(self, runner, demo_file, tmp_path):
+        settings = {"mode": "analytic", "program": "30,10", "l0": 2.5,
+                    "mu0": 3, "steps_per_degree": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        flags = []
+        for key, val in settings.items():
+            flags += [f"--{key.replace('_', '-')}", str(val)]
+        base = ["picture-frame", "--params", str(demo_file)]
+        run_ok(runner, base + ["--config", str(cfg),
+                               "--out", str(tmp_path / "cfg")])
+        run_ok(runner, base + flags + ["--out", str(tmp_path / "flag")])
+        assert filecmp.cmp(tmp_path / "cfg" / "analytic_curve.csv",
+                           tmp_path / "flag" / "analytic_curve.csv",
+                           shallow=False)
+
+    def test_config_null_keeps_default(self, runner, demo_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "analytic", "l0": None}))
+        base = ["picture-frame", "--params", str(demo_file), "--mode",
+                "analytic"]
+        run_ok(runner, base + ["--config", str(cfg),
+                               "--out", str(tmp_path / "cfg")])
+        run_ok(runner, base + ["--out", str(tmp_path / "flag")])
+        assert filecmp.cmp(tmp_path / "cfg" / "analytic_curve.csv",
+                           tmp_path / "flag" / "analytic_curve.csv",
+                           shallow=False)
+
     def test_config_must_be_object(self, runner, demo_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
@@ -371,7 +431,7 @@ class TestConfigFile:
 class TestNumericSettings:
     # a non-positive length, stress, density, tolerance or budget is a
     # usage error, given as a flag or as a config-file entry (which click
-    # does not type-check), and nothing is written
+    # reads through the flag's type), and nothing is written
     CASES = [
         (["picture-frame", "--mode", "analytic"], "steps_per_degree", 0),
         (["picture-frame", "--mode", "analytic"], "steps_per_degree", -1),
@@ -409,6 +469,29 @@ class TestNumericSettings:
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, result.output
         assert f"{key} must be positive" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, key, value", [
+        # read as its flag text, 2.5 is not an integer and true is not a
+        # number; int() and float() of the JSON value would take them as
+        # 2 and 1
+        (["calibrate"], "max_evals", 2.5),
+        (["calibrate"], "max_evals", True),
+        (["picture-frame", "--mode", "analytic"], "l0", True),
+    ])
+    def test_config_entry_read_as_flag_text(self, runner, soft_file,
+                                            data_file, tmp_path, args, key,
+                                            value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        argv = args + ["--params", str(soft_file), "--config", str(cfg),
+                       "--out", str(out)]
+        if args[0] == "calibrate":
+            argv += ["--data", str(data_file)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert f"{key} must be positive, got {value!r}" in result.output
         assert not out.exists()
 
     def test_non_number_in_config_rejected(self, runner, demo_file,
@@ -482,7 +565,7 @@ class TestBadInput:
                                              "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "non-finite value" in result.output
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_step_count_overflow_is_usage_error(self, runner, soft_file,
                                                 tmp_path):
@@ -494,7 +577,7 @@ class TestBadInput:
                                       str(soft_file), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "no finite step count" in result.output
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("program, dphi", [
         ("0.6", "1e-300"),
@@ -510,7 +593,7 @@ class TestBadInput:
                                       str(soft_file), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"at most {wovenshear.cli._MAX_STEPS} are driven" in result.output
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestTopLevel:
