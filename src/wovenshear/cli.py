@@ -157,9 +157,14 @@ def _load_params(path):
 
 
 def _out_dir(path):
-    """The output directory, made when missing; it must be writable."""
+    """The output directory, made when missing; it must be writable.  A path
+    that names a file, or runs through one, is a usage error."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(
+            f"cannot make output directory {out}: {exc.strerror}")
     if not os.access(out, os.W_OK):
         raise click.UsageError(f"output directory not writable: {out}")
     return out

@@ -15,11 +15,14 @@ gradients ``n_I = dN . L_I`` give the current fiber vectors
 
 Each load step starts from a secant prediction: the committed positions
 extrapolated along the last committed increment.  Newton's method then
-equilibrates the free DOFs with the consistent tangent, kept in LAPACK
-band storage and solved by banded LU with partial pivoting (the tangent
-turns indefinite under plastic flow).  Once the residual meets the
-tolerance, one more correction takes the iterate to round-off.  The
-Newton settings are fixed constants, like the slip solve's.
+equilibrates the free DOFs with the consistent tangent, scattered straight
+into LAPACK ``gbtrf`` band storage and factored by banded LU with partial
+pivoting (the tangent turns indefinite under plastic flow).  An evaluation
+gives the residual alone; the tangent is built only when a correction
+factors it.  Once the residual meets the tolerance, one more (polish)
+correction on the last factors takes the iterate to round-off, so neither
+that iterate nor the accepted one builds a tangent.  The Newton settings
+are fixed constants, like the slip solve's.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .analytic import (LoadProgram, ShearCurve, _solve_legs, _write_csv,
                        frame_force, program_theta_grid)
@@ -166,9 +169,12 @@ _THETA12_TOL = 1e-12
 _FORCE_TOL = 1e-8
 
 
-# per-element arrays of one evaluation at trial positions: r_e (E, 8),
-# K_e (E, 8, 8), and the trial theta12, tau, phi_e, phi_p and q (E, G)
-_EvalResult = namedtuple("_EvalResult", "r_e K_e theta12 tau phi_e phi_p q")
+# per-element arrays of one evaluation at trial positions: r_e (E, 8) and
+# the trial theta12, tau, phi_e, phi_p and q (E, G); the tangent is built
+# from B = dC/dx (3, 4, 2, P), its element-major copy Bt (E, 8, 3 G), the
+# stress tangent T (3, 3, P) and the weighted stresses ws (E, 3 G, 1)
+_EvalResult = namedtuple("_EvalResult",
+                         "r_e theta12 tau phi_e phi_p q B Bt T ws")
 
 
 class _FrameModel:
@@ -177,7 +183,9 @@ class _FrameModel:
     The reference fiber gradients ``n_I = dN . L_I``, quadrature weights,
     free-DOF mask and band-storage map are fixed by the mesh;
     :meth:`evaluate` turns trial positions and committed Gauss history into
-    element contributions in one pass over all Gauss points ``e G + g``.
+    element residuals in one pass over all Gauss points ``e G + g``, and
+    :meth:`tangent` turns an evaluation into element stiffnesses only when
+    a caller needs them.
     """
 
     def __init__(self, mesh, ep, hp=None, quadrature_order=2):
@@ -211,9 +219,12 @@ class _FrameModel:
         self.ndof = 2 * mesh.nodes.shape[0]
         self.free = np.ones(self.ndof, dtype=bool)
         self.free[np.add.outer(2 * mesh.boundary_nodes, [0, 1])] = False
-        # band storage of the free-free tangent in the natural DOF order
-        # (for Mesh.square a bandwidth of about 2n; reverse Cuthill-McKee
-        # widens it): entry (i, j) lives at band[bw + i - j, j]
+        # LAPACK gbtrf band storage of the free-free tangent in the natural
+        # DOF order (for Mesh.square a bandwidth of about 2n; reverse
+        # Cuthill-McKee widens it): entry (i, j) lives at
+        # band[2 bw + i - j, j], the top bw rows being the room gbtrf needs
+        # for its fill-in; the band is laid out column by column (Fortran
+        # order), so that LAPACK factors it in place
         nfree = int(self.free.sum())
         fidx = np.cumsum(self.free) - 1
         rows = np.broadcast_to(self.dofs[:, :, None], (E, 8, 8)).ravel()
@@ -222,16 +233,17 @@ class _FrameModel:
         i = fidx[rows[self._band_entries]]
         j = fidx[cols[self._band_entries]]
         self.bw = int(np.abs(i - j).max(initial=0))
-        self._band_slots = (self.bw + i - j) * nfree + j
-        self._band_shape = (2 * self.bw + 1, nfree)
+        self.nfree = nfree
+        self._band_rows = 3 * self.bw + 1
+        self._band_slots = j * self._band_rows + 2 * self.bw + i - j
 
     def evaluate(self, x, phi_p, q):
-        """Residual/tangent contributions at nodal positions ``x`` (N, 2).
+        """Element residuals at nodal positions ``x`` (N, 2).
 
         ``phi_p`` and ``q`` are the committed Gauss-point history arrays
         (E, G); they are not modified.  Returns an ``_EvalResult``: residual
-        ``sum_g w B^T s``, stiffness ``sum_g w (B^T T B + s d2C/dx2)`` and
-        the trial (uncommitted) state arrays.
+        ``sum_g w B^T s``, the trial (uncommitted) state arrays, and what
+        :meth:`tangent` builds the stiffness from.
         """
         E, G = self.n_elements, self.n_gauss
         # current fiber vectors f[I] (2, 2, P) and their metric f_I . f_J
@@ -256,36 +268,44 @@ class _FrameModel:
         np.multiply(n1, f2, out=B[2])
         B[2] += n2 * f1
         B[:2] *= 2.0
-        wTB = np.einsum("klp,lip->kip", self.wdet * T,
-                        B.reshape(3, 8, -1)).reshape(3, 8, E, G)
         # element-major layouts with the (Voigt, Gauss) pairs summed over
         Bt = B.reshape(3, 8, E, G).transpose(2, 1, 0, 3).reshape(E, 8, 3 * G)
         ws = (self.wdet * s).reshape(3, E, G).transpose(1, 0, 2).reshape(
             E, 3 * G, 1)
-        r_e = (Bt @ ws)[..., 0]
-        K_e = (Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)).reshape(
-            E, 4, 2, 4, 2)
-        Kgeo = (ws.transpose(0, 2, 1) @ self.geo).reshape(E, 4, 4)
+        return _EvalResult((Bt @ ws)[..., 0], *(
+            v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
+                                      out.q)), B, Bt, T, ws)
+
+    def tangent(self, ev):
+        """Element stiffnesses ``sum_g w (B^T T B + s d2C/dx2)`` (E, 8, 8)
+        of the evaluation ``ev``."""
+        E, G = self.n_elements, self.n_gauss
+        wTB = np.einsum("klp,lip->kip", self.wdet * ev.T,
+                        ev.B.reshape(3, 8, -1)).reshape(3, 8, E, G)
+        K_e = (ev.Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)
+               ).reshape(E, 4, 2, 4, 2)
+        Kgeo = (ev.ws.transpose(0, 2, 1) @ self.geo).reshape(E, 4, 4)
         K_e[:, :, 0, :, 0] += Kgeo
         K_e[:, :, 1, :, 1] += Kgeo
-        return _EvalResult(r_e, K_e.reshape(E, 8, 8), *(
-            v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
-                                      out.q)))
+        return K_e.reshape(E, 8, 8)
 
-    def assemble(self, x, phi_p, q):
-        """Scatter element contributions into the global system.
-
-        Returns the global residual (all DOFs), the free-free tangent in
-        the band storage of :func:`scipy.linalg.solve_banded` with
-        ``bw`` sub- and superdiagonals, and the evaluation.
-        """
+    def residual(self, x, phi_p, q):
+        """Global residual (all DOFs) at positions ``x`` and its
+        evaluation."""
         ev = self.evaluate(x, phi_p, q)
-        r = np.bincount(self.dofs.ravel(), weights=ev.r_e.ravel(),
-                        minlength=self.ndof)
+        return np.bincount(self.dofs.ravel(), weights=ev.r_e.ravel(),
+                           minlength=self.ndof), ev
+
+    def assemble(self, ev):
+        """Scatter the tangent of ``ev`` into the band storage of LAPACK
+        ``gbtrf`` with ``bw`` sub- and superdiagonals: a Fortran-ordered
+        (3 bw + 1, nfree) array whose top ``bw`` rows are zero, ready to be
+        factored in place."""
         band = np.bincount(
-            self._band_slots, weights=ev.K_e.ravel()[self._band_entries],
-            minlength=self._band_shape[0] * self._band_shape[1])
-        return r, band.reshape(self._band_shape), ev
+            self._band_slots,
+            weights=self.tangent(ev).ravel()[self._band_entries],
+            minlength=self._band_rows * self.nfree)
+        return band.reshape(self.nfree, self._band_rows).T
 
 
 def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
@@ -334,7 +354,7 @@ def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
     ev = model.evaluate(x_e, phi_p, q)
     trial = [PlasticState(phi_p=float(ev.phi_p[0, g]), q=float(ev.q[0, g]))
              for g in range(G)]
-    return ev.r_e[0], ev.K_e[0], trial
+    return ev.r_e[0], model.tangent(ev)[0], trial
 
 
 FIELD_COLUMNS = ("step", "gp_index", "theta12", "tau", "phi_e", "phi_p", "q")
@@ -348,9 +368,12 @@ class FESolution:
     per recorded step.  The ``gp_*`` arrays hold every Gauss point at every
     recorded step, row 0 being the undeformed state.  ``residual_history``
     lists the Newton residual norms of every committed step (including
-    bisected sub-steps), aligned with ``committed_thetas``; the last entry
-    of each list is the accepted polish iterate, the one before it the
-    first to meet the tolerance.  ``ep``, ``mu0`` and ``steps_per_degree``
+    bisected sub-steps), aligned with ``committed_thetas``, one entry per
+    evaluation; the last entry of each list is the accepted polish iterate,
+    the one before it the first to meet the tolerance.  The polish
+    correction solves on the LU factors of the last full correction (a
+    step whose predictor already meets the tolerance factors once for
+    it).  ``ep``, ``mu0`` and ``steps_per_degree``
     are the run's own, so that verify needs nothing else.
     """
 
@@ -391,23 +414,28 @@ class FESolution:
 def _newton_step(model, x, phi_p, q, tol_abs):
     """Equilibrate the free DOFs at fixed boundary positions.
 
-    Up to ``_NEWTON_MAX_ITER`` banded-LU corrections bring the free-DOF
-    residual norm to ``tol_abs``; one more (polish) correction follows, and
-    its iterate is accepted if it still meets ``tol_abs``.  A singular or
-    non-finite system fails the step, and so does a slip solve that fails
-    at some Gauss point; its largest ``|g|`` then ends the residual list.
+    Up to ``_NEWTON_MAX_ITER`` corrections, each on a freshly built and
+    LU-factored band tangent (LAPACK ``gbtrf``/``gbtrs``, partial
+    pivoting), bring the free-DOF residual norm to ``tol_abs``; one more
+    (polish) correction follows on the last factors, a modified-Newton
+    step, and its iterate is accepted if it still meets ``tol_abs``.  No
+    tangent is built at the iterate that meets the tolerance or at the
+    accepted one, unless the step's predictor met it and no factors exist
+    yet.  A singular or non-finite system fails the step, and so
+    does a slip solve that fails at some Gauss point; its largest ``|g|``
+    then ends the residual list.
 
     Returns (x, r, ev, residual_norms, converged, cause); ``x``, ``r`` and
     ``ev`` are the last iterate's positions, global residual and
     evaluation, and ``cause`` is the slip solve's ConvergenceError or None.
     """
-    free = model.free
+    free, bw = model.free, model.bw
     residuals = []
     polish = False
-    r = ev = None
+    r = ev = lu = None
     for it in range(_NEWTON_MAX_ITER + 2):
         try:
-            r, band, ev = model.assemble(x, phi_p, q)
+            r, ev = model.residual(x, phi_p, q)
         except ConvergenceError as exc:
             residuals.append(exc.residual)
             return x, r, ev, residuals, False, exc
@@ -420,11 +448,15 @@ def _newton_step(model, x, phi_p, q, tol_abs):
         polish = rn <= tol_abs
         if not polish and it == _NEWTON_MAX_ITER:
             break
-        try:
-            dx = solve_banded((model.bw, model.bw), band, -r[free],
-                              overwrite_ab=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            break
+        if not model.nfree:
+            # every node is driven: nothing to solve (gbtrs rejects n = 0)
+            continue
+        if lu is None or not polish:
+            lu, piv, info = dgbtrf(model.assemble(ev), bw, bw,
+                                   overwrite_ab=True)
+            if info > 0:    # an exactly zero pivot: singular
+                break
+        dx, _ = dgbtrs(lu, bw, bw, -r[free], piv, overwrite_b=True)
         if not np.all(np.isfinite(dx)):
             break
         xf = x.reshape(-1).copy()

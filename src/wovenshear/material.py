@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -132,7 +133,8 @@ def params_from_dict(d):
 
     ``mu_f`` and ``tau_y`` are required.  Unknown keys raise ValueError so
     that typos in parameter files fail loudly instead of silently falling
-    back to defaults.
+    back to defaults, and a value that is not a real number (a string or a
+    bool, which ``float`` would take) raises TypeError.
     """
     unknown = set(d) - set(PARAM_JSON_KEYS)
     if unknown:
@@ -140,6 +142,9 @@ def params_from_dict(d):
     for key in ("mu_f", "tau_y"):
         if key not in d:
             raise ValueError(f"missing required parameter: {key}")
+    for key, value in d.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{key} must be a number, got {value!r}")
     ep = ElastoplasticParams(**{field: float(d[key]) for key, field
                                 in _EP_FIELD_BY_KEY.items() if key in d})
     return ep, HyperelasticParams(float(d.get("eps_L", 0.0)))

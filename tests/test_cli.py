@@ -2,8 +2,8 @@
 
 Verifies: all four subcommands end to end in a temporary directory, flag
 and config-file precedence, range checks on numeric settings, error exits
-without partial output (bad parameter files, non-finite numbers), and
-byte-identical reruns.
+without partial output (bad parameter files, non-finite numbers, an
+``--out`` that names a file), and byte-identical reruns.
 """
 
 import filecmp
@@ -533,8 +533,13 @@ class TestBadInput:
          "unknown parameter keys: ['beta_g']"),
         ('{"mu_f": 1, "tau_y": 0, "A": 1, "beta_tau": 3}',
          "unknown parameter keys: ['beta_tau']"),
+        # float() would take both
+        ('{"mu_f": true, "tau_y": 0, "A": 1}',
+         "mu_f must be a number, got True"),
+        ('{"mu_f": "1.5", "tau_y": 0, "A": 1}',
+         "mu_f must be a number, got '1.5'"),
     ], ids=["negative", "nan", "unknown-key", "missing-key", "malformed",
-            "beta_n", "beta_g", "beta_tau"])
+            "beta_n", "beta_g", "beta_tau", "bool", "string"])
     @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
     def test_bad_params_file_is_one_line(self, runner, data_file, tmp_path,
                                          args, content, reason):
@@ -550,6 +555,25 @@ class TestBadInput:
         assert reason in result.output
         assert len(result.output.splitlines()) == 1
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_out_naming_a_file_is_usage_error(self, runner, soft_file,
+                                              data_file, tmp_path, args):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        before = sorted(tmp_path.iterdir())
+        argv = args + ["--params", str(soft_file), "--out", str(out)]
+        if args[0] == "calibrate":
+            argv += ["--data", str(data_file)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        error = [ln for ln in result.output.splitlines()
+                 if ln.startswith("Error:")]
+        assert len(error) == 1
+        assert error[0].startswith(
+            f"Error: cannot make output directory {out}: ")
+        assert sorted(tmp_path.iterdir()) == before
+        assert out.read_text() == "keep\n"
 
     @pytest.mark.parametrize("args", [
         ["material-point", "--program", "nan"],

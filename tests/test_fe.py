@@ -6,15 +6,17 @@ central-difference gradient of an independent stored energy
 residual, the affine patch test, machine-precision
 agreement of the full solver with the closed-form response, mesh
 independence (the exact solution is homogeneous), the banded global system
-against a dense reference, verify margins across mesh sizes, step bisection
-and failure reporting, determinism, and the field CSV dump.
+against a dense reference, one LU factorization per full Newton correction
+and none for the polish, a mesh with no free DOF, verify margins across
+mesh sizes, step bisection and failure reporting, determinism, and the
+field CSV dump.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from wovenshear import (
     ConvergenceError,
@@ -208,6 +210,7 @@ class TestVoigtKernel:
         q = np.where(rng.random(shape) < 0.5, 0.0, 1.0)
         phi_p = np.zeros(shape)
         ev = model.evaluate(x, phi_p, q)
+        K_e = model.tangent(ev)
         plastic = ev.q > q
         assert plastic.any() and not plastic.all()
 
@@ -223,7 +226,7 @@ class TestVoigtKernel:
             stress_of)
         assert np.abs(ev.theta12 - t12_ref).max() <= 1e-14
         assert np.abs(ev.r_e - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
-        assert np.abs(ev.K_e - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+        assert np.abs(K_e - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
 
 
 def diamond_element(theta):
@@ -274,15 +277,19 @@ class TestBandedSystem:
         b = mesh.boundary_nodes
         x[b] = mesh.nodes[b] @ picture_frame_deformation(
             gamma_to_theta(30.0)).T
-        r, band, ev = model.assemble(x, sol.phi_p, sol.q)
+        r, ev = model.residual(x, sol.phi_p, sol.q)
+        band = model.assemble(ev)
         assert np.any(ev.q > sol.q)
+        # gbtrf factors it in place: no copy into Fortran order
+        assert band.flags.f_contiguous
 
         # dense reference assembly of the same element arrays
         dofs, free = model.dofs, model.free
         r_ref = np.zeros(model.ndof)
         np.add.at(r_ref, dofs.ravel(), ev.r_e.ravel())
         K_ref = np.zeros((model.ndof, model.ndof))
-        np.add.at(K_ref, (dofs[:, :, None], dofs[:, None, :]), ev.K_e)
+        np.add.at(K_ref, (dofs[:, :, None], dofs[:, None, :]),
+                  model.tangent(ev))
         K_ff = K_ref[np.ix_(free, free)]
         assert np.linalg.eigvalsh(0.5 * (K_ff + K_ff.T)).min() < 0.0
         assert np.array_equal(r, r_ref)
@@ -291,13 +298,45 @@ class TestBandedSystem:
         k = np.arange(K_ff.shape[0])
         i, j = np.nonzero(np.abs(k[:, None] - k[None, :]) <= bw)
         K_band = np.zeros_like(K_ff)
-        K_band[i, j] = band[bw + i - j, j]
+        K_band[i, j] = band[2 * bw + i - j, j]
         assert np.array_equal(K_band, K_ff)
         assert np.count_nonzero(band) == np.count_nonzero(K_ff)
 
-        dx = solve_banded((bw, bw), band, -r[free])
+        lu, piv, info = dgbtrf(band, bw, bw)
+        assert info == 0
+        dx, info = dgbtrs(lu, bw, bw, -r[free], piv)
         dx_ref = np.linalg.solve(K_ff, -r[free])
         assert np.abs(dx - dx_ref).max() <= 1e-12 * np.abs(dx_ref).max()
+
+    def test_polish_solves_on_the_last_factors(self, demo_params,
+                                               cycle_program, monkeypatch):
+        # one LU factorization per full correction and none for the polish,
+        # except in a step whose predictor already meets the tolerance:
+        # that step has no factors of its own to polish on
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(fe, "dgbtrf", counting)
+        sol = solve_picture_frame(Mesh.square(4), cycle_program, demo_params)
+        history = sol.residual_history
+        assert sol.committed_thetas.size == sol.theta_steps.size - 1
+        full = sum(len(h) - 2 for h in history)
+        bare = sum(len(h) == 2 for h in history)
+        assert full and bare            # both kinds of step occur
+        assert len(calls) == full + bare
+        assert set(calls) == {(3 * 9 + 1, 18)}      # bw = 9, 9 free nodes
+
+    def test_no_free_dofs(self, demo_params, cycle_program):
+        # a 1x1 mesh drives every node, so nothing is factored or solved;
+        # each step still records its predictor and polish evaluations
+        mesh = Mesh.square(1)
+        assert _FrameModel(mesh, demo_params).nfree == 0
+        sol = solve_picture_frame(mesh, cycle_program, demo_params)
+        assert all(h == [0.0, 0.0] for h in sol.residual_history)
+        assert verify_against_analytic(sol)["passed"]
 
 
 class TestVerifyAcrossMeshes:
