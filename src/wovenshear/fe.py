@@ -10,19 +10,24 @@ verifier of the material kernel against the closed-form response.
 
 The element kernel works in the fiber basis: precomputed reference fiber
 gradients ``n_I = dN . L_I`` give the current fiber vectors
-``f_I = x_e^T n_I``, the material body acts on their metric
-``C_IJ = f_I . f_J`` in Voigt order, and ``B = dC / dx`` assembles it.
+``f_I = x_e^T n_I``, and the material body acts on their metric
+``C_IJ = f_I . f_J`` in Voigt order.  The residual needs only the fiber
+forces ``g_1 = w (2 s11 f_1 + s12 f_2)`` and ``g_2 = w (2 s22 f_2 + s12 f_1)``
+of the stress ``s``, as ``r_a = sum n_Ia g_I``; the tangent is assembled
+through ``B = dC / dx``, which only the tangent builds.
 
 Each load step starts from a secant prediction: the committed positions
-extrapolated along the last committed increment.  Newton's method then
-equilibrates the free DOFs with the consistent tangent, scattered straight
-into LAPACK ``gbtrf`` band storage and factored by banded LU with partial
-pivoting (the tangent turns indefinite under plastic flow).  An evaluation
-gives the residual alone; the tangent is built only when a correction
-factors it.  Once the residual meets the tolerance, one more (polish)
-correction on the last factors takes the iterate to round-off, so neither
-that iterate nor the accepted one builds a tangent.  The Newton settings
-are fixed constants, like the slip solve's.
+extrapolated along the last committed increment, and each Gauss point's
+slip solve from its last committed slip increment, scaled alike.  Newton's
+method then equilibrates the free DOFs with the consistent tangent,
+scattered straight into LAPACK ``gbtrf`` band storage and factored by
+banded LU with partial pivoting (the tangent turns indefinite under plastic
+flow).  An evaluation gives the residual alone, its slip solves started
+from the slips of the evaluation before; the tangent is built only when a
+correction factors it.  Once the residual meets the tolerance, one more
+(polish) correction on the last factors takes the iterate to round-off, so
+neither that iterate nor the accepted one builds a tangent.  The Newton
+settings are fixed constants, like the slip solve's.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ from .analytic import (LoadProgram, ShearCurve, _solve_legs, _write_csv,
                        frame_force, program_theta_grid)
 # unused; perfbench/spans.py wraps these module bindings
 from .analytic import advance_interval, interval_solve
-from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_arrays,
-                         crosshead_rate, picture_frame_deformation,
-                         picture_frame_dF_dtheta, theta_to_gamma)
+from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_gradient,
+                         _angle_hessian, crosshead_rate,
+                         picture_frame_deformation, picture_frame_dF_dtheta,
+                         theta_to_gamma)
 from .material import (ConvergenceError, ElastoplasticParams,
-                       HyperelasticParams, PlasticState, _stress_arrays,
-                       return_map_batch)
+                       HyperelasticParams, PlasticState, _voigt_stress,
+                       _voigt_tangent, return_map_batch)
 
 __all__ = [
     "ElementInversionError",
@@ -170,11 +176,12 @@ _FORCE_TOL = 1e-8
 
 
 # per-element arrays of one evaluation at trial positions: r_e (E, 8) and
-# the trial theta12, tau, phi_e, phi_p and q (E, G); the tangent is built
-# from B = dC/dx (3, 4, 2, P), its element-major copy Bt (E, 8, 3 G), the
-# stress tangent T (3, 3, P) and the weighted stresses ws (E, 3 G, 1)
+# the trial theta12, tau, phi_e, phi_p and q (E, G); what only the tangent
+# reads, per Gauss point: the fiber vectors f (2, 2, P), the fiber metric C,
+# the cosine gradient gamma and the weighted stresses ws (3, P), the
+# stretches lam (2, P) and the stress slope dtau (P,)
 _EvalResult = namedtuple("_EvalResult",
-                         "r_e theta12 tau phi_e phi_p q B Bt T ws")
+                         "r_e theta12 tau phi_e phi_p q f C gamma ws lam dtau")
 
 
 class _FrameModel:
@@ -206,6 +213,7 @@ class _FrameModel:
         # n_I[a] in rows (e, g, I) for f_I = sum_a n_Ia x_a, and n[I, a, p]
         n = (dN @ Lconv).transpose(0, 1, 3, 2)               # (E, G, 2, 4)
         self._n_rows = n.reshape(E, 2 * G, 4)
+        self._n_cols = np.ascontiguousarray(self._n_rows.transpose(0, 2, 1))
         self.n = np.ascontiguousarray(n.reshape(-1, 2, 4).transpose(1, 2, 0))
         # d2 C / dx dx in rows (e, Voigt component, g): geometric stiffness
         n1, n2 = n[:, :, 0, :, None], n[:, :, 1, :, None]   # (E, G, 4, 1)
@@ -237,31 +245,51 @@ class _FrameModel:
         self._band_rows = 3 * self.bw + 1
         self._band_slots = j * self._band_rows + 2 * self.bw + i - j
 
-    def evaluate(self, x, phi_p, q):
+    def evaluate(self, x, phi_p, q, slip0=None):
         """Element residuals at nodal positions ``x`` (N, 2).
 
         ``phi_p`` and ``q`` are the committed Gauss-point history arrays
-        (E, G); they are not modified.  Returns an ``_EvalResult``: residual
-        ``sum_g w B^T s``, the trial (uncommitted) state arrays, and what
+        (E, G); they are not modified.  ``slip0`` (E, G), if given, starts
+        each point's slip solve.  Returns an ``_EvalResult``: residual
+        ``sum_I n_I g_I``, the trial (uncommitted) state arrays, and what
         :meth:`tangent` builds the stiffness from.
         """
         E, G = self.n_elements, self.n_gauss
-        # current fiber vectors f[I] (2, 2, P) and their metric f_I . f_J
-        f = (self._n_rows @ np.take(x, self.mesh.elements, axis=0)).reshape(
-            -1, 2, 2).transpose(1, 2, 0)
-        lam, theta12, gamma, Gamma = _angle_arrays(np.stack([
-            f[0, 0] * f[0, 0] + f[0, 1] * f[0, 1],
-            f[1, 0] * f[1, 0] + f[1, 1] * f[1, 1],
-            f[0, 0] * f[1, 0] + f[0, 1] * f[1, 1]]))
+        # current fiber vectors f[I] (2, 2, P) and their metric f_I . f_J;
+        # the arithmetic on f runs contiguous, which pays for the copy
+        f = np.ascontiguousarray((self._n_rows @ np.take(
+            x, self.mesh.elements, axis=0)).reshape(-1, 2, 2).transpose(
+                1, 2, 0))
+        C = np.stack([f[0, 0] * f[0, 0] + f[0, 1] * f[0, 1],
+                      f[1, 0] * f[1, 0] + f[1, 1] * f[1, 1],
+                      f[0, 0] * f[1, 0] + f[0, 1] * f[1, 1]])
+        lam, theta12, gamma = _angle_gradient(C)
 
-        out = return_map_batch(theta12 - self.Theta12, phi_p.ravel(),
-                               q.ravel(), self.ep)
-        s, T = _stress_arrays(out.tau, out.dtau_dphi, gamma, Gamma,
-                              self.eps_L, lam)
+        out = return_map_batch(
+            theta12 - self.Theta12, phi_p.ravel(), q.ravel(), self.ep,
+            None if slip0 is None else slip0.ravel())
+        ws = self.wdet * _voigt_stress(out.tau, gamma, self.eps_L, lam)
+        # fiber forces g[I] (2, 2, P), summed over rows (e, g, I) by n
+        g = np.empty_like(f)
+        np.multiply(2.0 * ws[0], f[0], out=g[0])
+        g[0] += ws[2] * f[1]
+        np.multiply(2.0 * ws[1], f[1], out=g[1])
+        g[1] += ws[2] * f[0]
+        r_e = self._n_cols @ g.transpose(2, 0, 1).reshape(E, 2 * G, 2)
+        return _EvalResult(r_e.reshape(E, 8), *(
+            v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
+                                      out.q)), f, C, gamma, ws, lam,
+            out.dtau_dphi)
 
+    def tangent(self, ev):
+        """Element stiffnesses ``sum_g w (B^T T B + s d2C/dx2)`` (E, 8, 8)
+        of the evaluation ``ev``, with ``B = dC / dx`` (3, 4, 2, P)."""
+        E, G = self.n_elements, self.n_gauss
+        T = _voigt_tangent(ev.tau.ravel(), ev.dtau, ev.gamma,
+                           _angle_hessian(ev.C, ev.gamma), self.eps_L, ev.lam)
         n1, n2 = self.n[0][:, None], self.n[1][:, None]      # (4, 1, P)
-        f1, f2 = f[0][None], f[1][None]                      # (1, 2, P)
-        # B = dC / dx, written in place: stacking temporaries costs more
+        f1, f2 = ev.f[0][None], ev.f[1][None]                # (1, 2, P)
+        # written in place: stacking temporaries costs more
         B = np.empty((3, 4, 2, E * G))
         np.multiply(n1, f1, out=B[0])
         np.multiply(n2, f2, out=B[1])
@@ -270,29 +298,20 @@ class _FrameModel:
         B[:2] *= 2.0
         # element-major layouts with the (Voigt, Gauss) pairs summed over
         Bt = B.reshape(3, 8, E, G).transpose(2, 1, 0, 3).reshape(E, 8, 3 * G)
-        ws = (self.wdet * s).reshape(3, E, G).transpose(1, 0, 2).reshape(
-            E, 3 * G, 1)
-        return _EvalResult((Bt @ ws)[..., 0], *(
-            v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
-                                      out.q)), B, Bt, T, ws)
-
-    def tangent(self, ev):
-        """Element stiffnesses ``sum_g w (B^T T B + s d2C/dx2)`` (E, 8, 8)
-        of the evaluation ``ev``."""
-        E, G = self.n_elements, self.n_gauss
-        wTB = np.einsum("klp,lip->kip", self.wdet * ev.T,
-                        ev.B.reshape(3, 8, -1)).reshape(3, 8, E, G)
-        K_e = (ev.Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)
+        wTB = np.einsum("klp,lip->kip", self.wdet * T,
+                        B.reshape(3, 8, -1)).reshape(3, 8, E, G)
+        K_e = (Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)
                ).reshape(E, 4, 2, 4, 2)
-        Kgeo = (ev.ws.transpose(0, 2, 1) @ self.geo).reshape(E, 4, 4)
+        ws = ev.ws.reshape(3, E, G).transpose(1, 0, 2).reshape(E, 1, 3 * G)
+        Kgeo = (ws @ self.geo).reshape(E, 4, 4)
         K_e[:, :, 0, :, 0] += Kgeo
         K_e[:, :, 1, :, 1] += Kgeo
         return K_e.reshape(E, 8, 8)
 
-    def residual(self, x, phi_p, q):
+    def residual(self, x, phi_p, q, slip0=None):
         """Global residual (all DOFs) at positions ``x`` and its
-        evaluation."""
-        ev = self.evaluate(x, phi_p, q)
+        evaluation, the slip solves started from ``slip0`` if given."""
+        ev = self.evaluate(x, phi_p, q, slip0)
         return np.bincount(self.dofs.ravel(), weights=ev.r_e.ravel(),
                            minlength=self.ndof), ev
 
@@ -411,7 +430,7 @@ class FESolution:
                    + [getattr(self, f"gp_{k}") for k in FIELD_COLUMNS[2:]])
 
 
-def _newton_step(model, x, phi_p, q, tol_abs):
+def _newton_step(model, x, phi_p, q, slip0, tol_abs):
     """Equilibrate the free DOFs at fixed boundary positions.
 
     Up to ``_NEWTON_MAX_ITER`` corrections, each on a freshly built and
@@ -423,7 +442,9 @@ def _newton_step(model, x, phi_p, q, tol_abs):
     accepted one, unless the step's predictor met it and no factors exist
     yet.  A singular or non-finite system fails the step, and so
     does a slip solve that fails at some Gauss point; its largest ``|g|``
-    then ends the residual list.
+    then ends the residual list.  The first evaluation starts its slip
+    solves from ``slip0`` (E, G), each later one from the slips of the
+    evaluation before.
 
     Returns (x, r, ev, residual_norms, converged, cause); ``x``, ``r`` and
     ``ev`` are the last iterate's positions, global residual and
@@ -435,10 +456,11 @@ def _newton_step(model, x, phi_p, q, tol_abs):
     r = ev = lu = None
     for it in range(_NEWTON_MAX_ITER + 2):
         try:
-            r, ev = model.residual(x, phi_p, q)
+            r, ev = model.residual(x, phi_p, q, slip0)
         except ConvergenceError as exc:
             residuals.append(exc.residual)
             return x, r, ev, residuals, False, exc
+        slip0 = ev.q - q
         rn = float(np.linalg.norm(r[free]))
         residuals.append(rn)
         if not np.isfinite(rn):
@@ -474,9 +496,10 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     consistent tangent, and Gauss histories are committed per converged
     step.  Each step, bisected sub-steps included, starts from the
     committed positions extrapolated along the last committed increment,
-    scaled by the ratio of the angle increments.  On Newton failure the
-    step is bisected up to ``_MAX_HALVINGS`` times before raising
-    :class:`SolverError`.  Elements use 2x2 Gauss quadrature.
+    scaled by the ratio of the angle increments, and its first slip solves
+    from the last committed slip increments, scaled alike.  On Newton
+    failure the step is bisected up to ``_MAX_HALVINGS`` times before
+    raising :class:`SolverError`.  Elements use 2x2 Gauss quadrature.
 
     Parameters
     ----------
@@ -508,8 +531,9 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     E, G = model.n_elements, model.n_gauss
     phi_p = q = np.zeros((E, G))
     x = mesh.nodes.copy()
-    # last committed increment, the secant the next step extrapolates
+    # last committed increments, the secant the next step extrapolates
     dx_last = np.zeros_like(x)
+    dq_last = np.zeros((E, G))
     dth_last = 0.0
     tol_abs = _NEWTON_TOL * ep.mu_f * mesh.L0
     bnodes = mesh.boundary_nodes
@@ -538,7 +562,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
                 xtrial = x + scale * dx_last
                 xtrial[bnodes] = XB @ picture_frame_deformation(th).T
                 xtrial, r, ev, residuals, ok, cause = _newton_step(
-                    model, xtrial, phi_p, q, tol_abs)
+                    model, xtrial, phi_p, q, scale * dq_last, tol_abs)
                 if not ok:
                     if depth >= _MAX_HALVINGS:
                         why = (f"last residual norm {residuals[-1]:.3e}"
@@ -554,7 +578,8 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
                     stack.append((mid, depth + 1))
                     continue
                 # commit
-                dx_last, dth_last = xtrial - x, th - theta_prev
+                dx_last, dq_last = xtrial - x, ev.q - q
+                dth_last = th - theta_prev
                 x = xtrial
                 phi_p = ev.phi_p
                 q = ev.q

@@ -121,7 +121,7 @@ class RefFiberPair:
         _check_spd(A, "A_ab")
         d1 = np.asarray(d1, dtype=float).reshape(2)
         d2 = np.asarray(d2, dtype=float).reshape(2)
-        lam, Theta12, _, _ = _angle_arrays(_fiber_metric(A, d1, d2))
+        lam, Theta12, _ = _angle_gradient(_fiber_metric(A, d1, d2))
         return cls(L1=d1 / lam[0], L2=d2 / lam[1], Theta12=float(Theta12))
 
 
@@ -210,30 +210,44 @@ def _chart4(T, dyads):
                for j in range(3))
 
 
-def _angle_arrays(C):
+def _angle_gradient(C):
     """Stretches ``lam`` (2, ...), cosine ``theta12 = C12 / (lam1 lam2)``
-    and its gradient ``gamma`` (3, ...) and Hessian ``Gamma`` (3, 3, ...)
-    by the fiber metric ``C`` (3, ...): the body of :func:`fiber_state`,
-    :func:`structural_tensors` and the FE element kernel.  With
-    ``h_I = 1 / (2 C_II)`` and ``r = 1 / (lam1 lam2)``: gradient
-    ``(-theta12 h1, -theta12 h2, r)``; Hessian entries ``3 theta12 h_I^2``,
-    ``theta12 h1 h2``, ``-r h_I`` and zero at ``(C12, C12)``."""
+    and its gradient ``gamma`` (3, ...) by the fiber metric ``C`` (3, ...).
+    With ``h_I = 1 / (2 C_II)`` and ``r = 1 / (lam1 lam2)`` the gradient is
+    ``(-theta12 h1, -theta12 h2, r)``."""
     lam = np.sqrt(C[:2])
     r12 = 1.0 / (lam[0] * lam[1])
     theta12 = C[2] * r12
+    th = theta12 * (0.5 / C[:2])
+    return lam, theta12, np.concatenate([-th, r12[None]])
+
+
+def _angle_hessian(C, gamma):
+    """Hessian ``Gamma`` (3, 3, ...) of the cosine by the fiber metric
+    ``C``, from the gradient ``gamma`` of :func:`_angle_gradient`: entries
+    ``3 theta12 h_I^2``, ``theta12 h1 h2``, ``-r h_I`` and zero at
+    ``(C12, C12)``."""
     h = 0.5 / C[:2]
-    th = theta12 * h
+    th = -gamma[:2]
     Gamma = np.zeros((3,) + C.shape)
     Gamma[[0, 1], [0, 1]] = 3.0 * th * h
     Gamma[0, 1] = Gamma[1, 0] = th[0] * h[1]
-    Gamma[:2, 2] = Gamma[2, :2] = -r12 * h
-    return lam, theta12, np.concatenate([-th, r12[None]]), Gamma
+    Gamma[:2, 2] = Gamma[2, :2] = -gamma[2] * h
+    return Gamma
+
+
+def _angle_arrays(C):
+    """``lam``, ``theta12``, ``gamma`` and ``Gamma`` of the fiber metric
+    ``C``: the body of :func:`fiber_state`, :func:`structural_tensors` and
+    the FE element kernel, which builds ``Gamma`` only for its tangent."""
+    lam, theta12, gamma = _angle_gradient(C)
+    return lam, theta12, gamma, _angle_hessian(C, gamma)
 
 
 def fiber_state(m, f):
     """Return stretches, unit directions, cosine, fiber metric and dyads."""
     C = _fiber_metric(m.a_ab, f.L1, f.L2)
-    lam, theta12, _, _ = _angle_arrays(C)
+    lam, theta12, _ = _angle_gradient(C)
     return FiberState(l1=f.L1 / lam[0], l2=f.L2 / lam[1],
                       lambda1=float(lam[0]), lambda2=float(lam[1]),
                       theta12=float(theta12), C=C,

@@ -273,33 +273,46 @@ _SLIP_TOL = 1e-12
 _SLIP_MAX_ITER = 50
 
 
-def _slip_solve(t, q, g0, p):
+def _slip_solve(t, q, g0, p, x0=None):
     """Slip ``x > 0`` of ``g(x) = t - mu_f x - f_iso(q + x) = 0`` per point.
 
     The consistency equation of the return map (``t = |tau_trial|``) and
     of the interval solve (``t = d tau0 + mu_f |phi_bar|``), with
-    ``g0 = g(0) > 0`` and ``q`` an array like ``t`` or a float.  Each point
-    runs a safeguarded Newton iteration (``rtsafe``, Numerical Recipes
-    9.4) in its bracket, first ``(0, t / mu_f]``, bisecting when a step
-    leaves it, until ``|g| <= _SLIP_TOL * max(mu_f, f_iso(q + x))``; then
-    one polish step, a Newton step with the modulus at that ``x``, kept if
-    it stays in the bracket.  Points never mix.  Returns the slip, ``|g|``
-    there, each point's sweeps before the polish step, and the polish
-    step's modulus ``-mu_f - f_iso'``.  Raises ConvergenceError with the
-    largest unconverged ``|g|`` after ``_SLIP_MAX_ITER`` sweeps, and
-    RuntimeError on a nonpositive slip.
+    ``g0 = g(0) > 0`` and ``q`` an array like ``t`` or a float, which the
+    caller has checked to be ``>= 0``.  Each point runs a safeguarded Newton
+    iteration (``rtsafe``, Numerical Recipes 9.4) in its bracket, first
+    ``(0, t / mu_f]``, bisecting when a step leaves it, until
+    ``|g| <= _SLIP_TOL * max(mu_f, f_iso(q + x))``; then one polish step,
+    a Newton step with the modulus at that ``x``, kept if it stays in the
+    bracket.  The iteration starts at ``x = 0``, or, given a start slip
+    ``x0`` like ``t`` (the slip of a nearby solve), at ``x0`` clipped into
+    the bracket, where ``g`` is evaluated first and the bracket narrowed;
+    a start that already meets the tolerance takes no sweep.  Points never
+    mix.  Returns the slip, ``|g|`` there, each point's sweeps before the
+    polish step, and the polish step's modulus ``-mu_f - f_iso'``.  Raises
+    ConvergenceError with the largest unconverged ``|g|`` after
+    ``_SLIP_MAX_ITER`` sweeps, and RuntimeError on a nonpositive slip.
     """
-    # every iterate q + x stays in [q, q + t / mu_f], so checking q once
-    # covers the unchecked hardening bodies of the sweeps
-    _check_q(q)
+    # every iterate q + x stays in [q, q + t / mu_f], so the caller's
+    # check of q covers the unchecked hardening bodies
     mu = p.mu_f
     lo = np.zeros_like(t)
     hi = t / mu
-    x = lo
-    g = g0
-    gp = -mu - _f_iso_prime(q + x, p)
-    iterations = np.zeros(t.shape, dtype=int)
     act = np.ones(t.shape, dtype=bool)
+    if x0 is None:
+        x = lo
+        g = g0
+        gp = -mu - _f_iso_prime(q + x, p)
+    else:
+        x = np.minimum(np.maximum(x0, 0.0), hi)
+        fk = _f_iso(q + x, p)
+        g = t - mu * x - fk
+        gp = -mu - _f_iso_prime(q + x, p)
+        up = g > 0.0
+        lo = np.where(up, x, lo)
+        hi = np.where(up, hi, x)
+        act &= ~(np.abs(g) <= _SLIP_TOL * np.maximum(mu, fk))
+    iterations = np.zeros(t.shape, dtype=int)
     for _ in range(_SLIP_MAX_ITER):
         if not act.any():
             break
@@ -329,7 +342,7 @@ def _slip_solve(t, q, g0, p):
     return x, np.abs(t - mu * x - _f_iso(q + x, p)), iterations, gp
 
 
-def return_map_batch(phi_new, phi_p, q, p):
+def return_map_batch(phi_new, phi_p, q, p, slip0=None):
     """Vectorized backward-Euler return map over independent points.
 
     The slip solve brings ``|g|`` to round-off of ``max(mu_f, f_iso(q_new))``
@@ -343,6 +356,10 @@ def return_map_batch(phi_new, phi_p, q, p):
     phi_p, q : (n,) array_like
         Committed history at the start of the step.
     p : ElastoplasticParams
+    slip0 : (n,) array_like, optional
+        Start slip of each point's solve, for example the slip of the last
+        solve at a nearby angle; the solve starts at zero by default.  The
+        start changes the slip only at round-off.
 
     Returns
     -------
@@ -359,27 +376,29 @@ def return_map_batch(phi_new, phi_p, q, p):
     phi_new = np.asarray(phi_new, dtype=float)
     phi_p = np.asarray(phi_p, dtype=float)
     q = np.asarray(q, dtype=float)
+    _check_q(q)
 
     phi_e = phi_new - phi_p          # trial elastic angle
     tau_tr = mu * phi_e
     h = np.where(tau_tr >= 0.0, 1.0, -1.0)
-    f_tr = h * tau_tr - f_iso(q, p)
+    f_tr = h * tau_tr - _f_iso(q, p)
     plastic = f_tr > 0.0
 
-    phi_e = phi_e.copy()
     dtau = np.full(phi_new.shape, mu)
     phi_p_new = phi_p.copy()
     q_new = q.copy()
     residual = np.zeros(phi_new.shape)
     iterations = 0
-
-    idx = np.nonzero(plastic)[0]
-    if idx.size:
+    if plastic.any():
+        # while every point yields, basic slices view the arrays, with no
+        # gather or scatter
+        idx = slice(None) if plastic.all() else np.flatnonzero(plastic)
         hs = h[idx]
         qi = q[idx]
         x, residual[idx], its, gp = _slip_solve(
-            hs * tau_tr[idx], qi, f_tr[idx], p)
-        phi_e[idx] = phi_e[idx] - hs * x
+            hs * tau_tr[idx], qi, f_tr[idx], p,
+            None if slip0 is None else np.asarray(slip0, dtype=float)[idx])
+        phi_e[idx] -= hs * x
         # consistent tangent, with the slope of the polish step
         dtau[idx] = mu + mu ** 2 / gp
         phi_p_new[idx] = phi_p[idx] + hs * x
@@ -421,20 +440,27 @@ def return_map(phi_new, state_old, p):
                         residual=float(out.residual[0]))
 
 
-def _stress_arrays(tau, dtau, gamma, Gamma, eps_L=0.0, lam=None):
-    """Voigt stress ``s = dW/dC`` (3, ...) and tangent ``T = d2W/dC2``
-    (3, 3, ...) by the fiber metric, of the energy
-    ``W = mu_f phi_e^2 / 2 + eps_L ((lam1 - 1)^2 + (lam2 - 1)^2) / 2``: the
-    body of the FE element kernel, ``fe._FrameModel.evaluate``.  The angle
-    part is ``tau gamma`` and ``dtau gamma gamma^T + tau Gamma``; the
-    stretches ``lam`` (2, ...) add ``eps_L (lam - 1) / (2 lam)`` and
-    ``eps_L / (4 lam^3)``."""
+def _voigt_stress(tau, gamma, eps_L=0.0, lam=None):
+    """Voigt stress ``s = dW/dC`` (3, ...) by the fiber metric, of the
+    energy ``W = mu_f phi_e^2 / 2 + eps_L ((lam1 - 1)^2 + (lam2 - 1)^2) / 2``:
+    the body of the FE element residual, ``fe._FrameModel.evaluate``.  The
+    angle part is ``tau gamma``; the stretches ``lam`` (2, ...) add
+    ``eps_L (lam - 1) / (2 lam)``."""
     stress = tau * gamma
-    tangent = dtau * (gamma[:, None] * gamma[None]) + tau * Gamma
     if eps_L != 0.0:
         stress[:2] += 0.5 * eps_L * (lam - 1.0) / lam
+    return stress
+
+
+def _voigt_tangent(tau, dtau, gamma, Gamma, eps_L=0.0, lam=None):
+    """Tangent ``T = d2W/dC2`` (3, 3, ...) of the energy of
+    :func:`_voigt_stress`: the body of ``fe._FrameModel.tangent``.  The
+    angle part is ``dtau gamma gamma^T + tau Gamma``; the stretches add
+    ``eps_L / (4 lam^3)``."""
+    tangent = dtau * (gamma[:, None] * gamma[None]) + tau * Gamma
+    if eps_L != 0.0:
         tangent[[0, 1], [0, 1]] += 0.25 * eps_L / (lam * lam * lam)
-    return stress, tangent
+    return tangent
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,17 +501,21 @@ def drive_angle_path(phi_path, p, state=None):
     tau = np.empty(n)
     phi_p = np.empty(n)
     q = np.empty(n)
-    for k, phi in enumerate(phi_path):
+    # the committed history as the batch kernel's one-point arrays
+    hist_p, hist_q = np.array([state.phi_p]), np.array([state.q])
+    for k in range(n):
         try:
-            sr = return_map(float(phi), state, p)
+            out = return_map_batch(phi_path[k:k + 1], hist_p, hist_q, p)
         except ConvergenceError as exc:
+            phi = float(phi_path[k])
             raise ConvergenceError(
-                f"return map failed at phi_path[{k}] = {float(phi)!r}: {exc}",
-                exc.residual, k, float(phi)) from exc
-        state = sr.new_state
-        tau[k] = sr.tau
-        phi_p[k] = state.phi_p
-        q[k] = state.q
-    phi_e = phi_path - phi_p
-    return DriveResult(phi=phi_path.copy(), tau=tau, phi_e=phi_e,
-                       phi_p=phi_p, q=q, state_final=state)
+                f"return map failed at phi_path[{k}] = {phi!r}: {exc}",
+                exc.residual, k, phi) from exc
+        tau[k] = out.tau[0]
+        hist_p, hist_q = out.phi_p, out.q
+        phi_p[k] = hist_p[0]
+        q[k] = hist_q[0]
+    return DriveResult(phi=phi_path.copy(), tau=tau, phi_e=phi_path - phi_p,
+                       phi_p=phi_p, q=q,
+                       state_final=PlasticState(phi_p=float(hist_p[0]),
+                                                q=float(hist_q[0])))

@@ -3,13 +3,13 @@
 Verifies: mesh construction and validation, the element residual as the
 central-difference gradient of an independent stored energy
 (``oracles.membrane_energy``) and the element tangent as that of the
-residual, the affine patch test, machine-precision
-agreement of the full solver with the closed-form response, mesh
-independence (the exact solution is homogeneous), the banded global system
-against a dense reference, one LU factorization per full Newton correction
-and none for the polish, a mesh with no free DOF, verify margins across
-mesh sizes, step bisection and failure reporting, determinism, and the
-field CSV dump.
+residual, warm-started slip solves against cold ones, the affine patch
+test, machine-precision agreement of the full solver with the
+closed-form response, mesh independence (the exact solution is
+homogeneous), the banded global system against a dense reference, one LU
+factorization per full Newton correction and none for the polish, a mesh
+with no free DOF, verify margins across mesh sizes, step bisection and
+failure reporting, determinism, and the field CSV dump.
 """
 
 import dataclasses
@@ -227,6 +227,42 @@ class TestVoigtKernel:
         assert np.abs(ev.theta12 - t12_ref).max() <= 1e-14
         assert np.abs(ev.r_e - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
         assert np.abs(K_e - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+
+class TestSlipWarmStart:
+    def test_warm_residual_equals_cold(self, demo_params, monkeypatch):
+        """Slip solves started from the slips of a nearby evaluation give
+        the cold evaluation to round-off, in fewer sweeps."""
+        mesh = distorted_square(6, 0.2, seed=5)
+        model = _FrameModel(mesh, demo_params,
+                            HyperelasticParams(eps_L=demo_params.mu_f))
+        shape = (model.n_elements, model.n_gauss)
+        phi_p, q = np.full(shape, 0.05), np.full(shape, 0.05)
+        # the last correction's iterate and the next, interior nodes moved
+        x0 = mesh.nodes @ picture_frame_deformation(gamma_to_theta(30.0)).T
+        x1 = x0.copy()
+        interior = np.setdiff1d(np.arange(len(x0)), mesh.boundary_nodes)
+        rng = np.random.default_rng(3)
+        x1[interior] += 1e-5 * rng.standard_normal((interior.size, 2))
+        _, ev0 = model.residual(x0, phi_p, q)
+
+        sweeps = []
+
+        def counted(*args, **kwargs):
+            out = return_map_batch(*args, **kwargs)
+            sweeps.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(fe, "return_map_batch", counted)
+        r_cold, cold = model.residual(x1, phi_p, q)
+        r_warm, warm = model.residual(x1, phi_p, q, ev0.q - q)
+        assert (cold.q > q).all()
+        assert sweeps[1] < sweeps[0]
+        assert np.abs(r_warm - r_cold).max() <= 1e-14 * np.abs(r_cold).max()
+        for k in ("tau", "phi_e", "phi_p", "q"):
+            a, b = getattr(warm, k), getattr(cold, k)
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        assert np.array_equal(warm.theta12, cold.theta12)
 
 
 def diamond_element(theta):

@@ -2,11 +2,12 @@
 
 Verifies: hardening-curve values and admissibility, parameter
 (de)serialization, the return map and the slip solve it shares with the
-interval solve against an independent bisection oracle, the algorithmic
-tangent against central differences, batch/scalar equivalence of the
-kinematics and return map bodies the FE element kernel evaluates, and the
-incremental angle driver.  The energy/stress consistency of the membrane
-response is checked on the element kernel itself, in ``test_fe.py``.
+interval solve against an independent bisection oracle, from a cold and
+a warm start, the algorithmic tangent against central differences,
+batch/scalar equivalence of the kinematics and return map bodies the FE
+element kernel evaluates, and the incremental angle driver.  The
+energy/stress consistency of the membrane response is checked on the
+element kernel itself, in ``test_fe.py``.
 """
 
 import dataclasses
@@ -265,6 +266,21 @@ class TestReturnMap:
             PlasticState(q=-0.1)
 
 
+def bisection_slip(t, q, p):
+    """Root of the slip equation ``g(x) = t - mu_f x - f_iso(q + x)`` by
+    the oracles' bisection, and how closely a solve can fix it."""
+    mu = p.mu_f
+    root = oracles.bisect_root(
+        lambda s: t - mu * s - ref_f_iso(q + s, p), 0.0, t / mu)
+    # g(x) carries round-off of about eps (t + f_iso'(q + x) (q + x)),
+    # which fixes the root only to that over the slope mu + f_iso'
+    eps = np.finfo(float).eps
+    hard = float(f_iso_prime(q + root, p))
+    tol = 4.0 * (np.spacing(root)
+                 + eps * (t + hard * (q + root)) / (mu + hard))
+    return root, tol
+
+
 class TestSlipSolve:
     """The one slip solve behind the return map and the interval solve,
     against the plain bisection of the oracles module."""
@@ -296,17 +312,79 @@ class TestSlipSolve:
             t = mu * (fy / mu + inc)
             g0 = t - fy
         x, res, its, _ = _slip_solve(np.array([t]), q, np.array([g0]), p)
-        root = oracles.bisect_root(
-            lambda s: t - mu * s - ref_f_iso(q + s, p), 0.0, t / mu)
-        # g(x) carries round-off of about eps (t + f_iso'(q + x) (q + x)),
-        # which fixes the root only to that over the slope mu + f_iso'
-        eps = np.finfo(float).eps
-        hard = float(f_iso_prime(q + root, p))
-        tol = 4.0 * (np.spacing(root)
-                     + eps * (t + hard * (q + root)) / (mu + hard))
+        root, tol = bisection_slip(t, q, p)
         assert abs(x[0] - root) <= tol
         assert res[0] <= 1e-14 * max(mu, float(f_iso(q + x[0], p)))
         assert its[0] >= 1
+
+    @given(name=st.sampled_from(["glass", "soft", "demo"]),
+           q=st.one_of(st.just(0.0), st.floats(1e-4, 0.6)),
+           log_inc=st.floats(-9.0, 0.0),
+           start=st.sampled_from(["zero", "exact", "perturbed", "above"]),
+           rel=st.floats(-0.5, 0.5).filter(lambda r: r != 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_warm_start_matches_bisection(self, name, q, log_inc, start,
+                                          rel, glass_params, soft_params,
+                                          demo_params):
+        # a start slip only moves the first iterate: the root, its
+        # tolerance and the residual bound are the cold test's
+        p = {"glass": glass_params, "soft": soft_params,
+             "demo": demo_params}[name]
+        mu = p.mu_f
+        fy = float(f_iso(q, p))
+        t = mu * (fy / mu + 10.0 ** log_inc)
+        root, tol = bisection_slip(t, q, p)
+        x0 = {"zero": 0.0, "exact": root, "perturbed": root * (1.0 + rel),
+              "above": (t / mu) * (2.0 + rel)}[start]
+        x, res, its, _ = _slip_solve(np.array([t]), q, np.array([t - fy]), p,
+                                     np.array([x0]))
+        assert abs(x[0] - root) <= tol
+        assert res[0] <= 1e-14 * max(mu, float(f_iso(q + x[0], p)))
+        if start == "exact":
+            assert its[0] == 0
+
+    def test_warm_start_on_points_now_elastic(self, soft_params, rng):
+        # a start slip on a point whose trial state is elastic (unloading,
+        # or inside the yield surface) changes nothing there
+        p = soft_params
+        n = 64
+        q = rng.uniform(0.0, 0.5, n)
+        phi_p = rng.uniform(-0.1, 0.1, n)
+        reach = f_iso(q, p) / p.mu_f
+        phi = phi_p + rng.choice([-1.0, 1.0], n) * reach * np.where(
+            np.arange(n) % 2 == 0, rng.uniform(0.0, 0.99, n),
+            rng.uniform(1.01, 2.0, n))
+        cold = return_map_batch(phi, phi_p, q, p)
+        warm = return_map_batch(phi, phi_p, q, p,
+                                rng.uniform(0.0, 0.3, n))
+        elastic = ~cold.plastic
+        assert np.array_equal(warm.plastic, cold.plastic)
+        assert elastic.any() and not elastic.all()
+        for a, b in zip(warm[:-2], cold[:-2]):
+            assert np.array_equal(a[elastic], b[elastic])
+        for k in np.flatnonzero(~elastic):
+            t = p.mu_f * abs(phi[k] - phi_p[k])
+            root, tol = bisection_slip(t, q[k], p)
+            assert abs((warm.q[k] - q[k]) - root) <= tol
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_all_plastic_batch_equals_mixed(self, demo_params, rng, warm):
+        # the all-plastic batch skips the gather and scatter of the plastic
+        # points, and must give the same bits as a batch that needs them
+        n = 32
+        phi = rng.uniform(0.05, 0.6, n) * rng.choice([-1.0, 1.0], n)
+        q = rng.uniform(0.0, 0.3, n)
+        slip0 = rng.uniform(0.0, 0.2, n) if warm else None
+        alone = return_map_batch(phi, np.zeros(n), q, demo_params, slip0)
+        assert alone.plastic.all()
+        # tau_y = 0: a zero trial angle at q = 0 is elastic
+        mixed = return_map_batch(
+            np.r_[phi, 0.0], np.zeros(n + 1), np.r_[q, 0.0], demo_params,
+            None if slip0 is None else np.r_[slip0, 0.3])
+        assert not mixed.plastic[-1]
+        for a, b in zip(alone[:-1], mixed[:-1]):
+            assert np.array_equal(a, b[:n])
+        assert alone.iterations == mixed.iterations
 
 
 class TestDriver:
