@@ -8,13 +8,15 @@ residuals.  Since the exact solution of this problem is affine, bilinear
 elements represent it exactly and the solver doubles as a machine-precision
 verifier of the material kernel against the closed-form response.
 
-The element kernel works in the fiber basis: precomputed reference fiber
-gradients ``n_I = dN . L_I`` give the current fiber vectors
-``f_I = x_e^T n_I``, and the material body acts on their metric
-``C_IJ = f_I . f_J`` in Voigt order.  The residual needs only the fiber
-forces ``g_1 = w (2 s11 f_1 + s12 f_2)`` and ``g_2 = w (2 s22 f_2 + s12 f_1)``
-of the stress ``s``, as ``r_a = sum n_Ia g_I``; the tangent is assembled
-through ``B = dC / dx``, which only the tangent builds.
+The element kernel works in the fiber basis.  The reference fiber
+gradients ``n_I = dN . L_I`` make one fixed operator ``M`` per element,
+whose product with the nodal positions gives the current fiber vectors,
+``f = M x_e`` with ``f_I = sum_a n_Ia x_a``; the material body acts on
+their metric ``C_IJ = f_I . f_J`` in Voigt order.  The residual is
+``r_e = M^T g`` with the fiber forces ``g_1 = w (2 s11 f_1 + s12 f_2)`` and
+``g_2 = w (2 s22 f_2 + s12 f_1)`` of the stress ``s``, and the tangent is
+``K_e = M^T H M`` with ``H`` the Hessian of each Gauss point's weighted
+energy by its fiber vectors (Belytschko et al., 2014, ch. 4).
 
 Each load step starts from a secant prediction: the committed positions
 extrapolated along the last committed increment, and each Gauss point's
@@ -177,9 +179,10 @@ _FORCE_TOL = 1e-8
 
 # per-element arrays of one evaluation at trial positions: r_e (E, 8) and
 # the trial theta12, tau, phi_e, phi_p and q (E, G); what only the tangent
-# reads, per Gauss point: the fiber vectors f (2, 2, P), the fiber metric C,
-# the cosine gradient gamma and the weighted stresses ws (3, P), the
-# stretches lam (2, P) and the stress slope dtau (P,)
+# reads, per Gauss point: the fiber vectors f (2, 2, P) for dC / df, the
+# fiber metric C, the cosine gradient gamma and the stretches lam for the
+# Voigt tangent, with the stress slope dtau (P,), and the weighted stresses
+# ws (3, P) for the slope S of the fiber forces
 _EvalResult = namedtuple("_EvalResult",
                          "r_e theta12 tau phi_e phi_p q f C gamma ws lam dtau")
 
@@ -187,8 +190,8 @@ _EvalResult = namedtuple("_EvalResult",
 class _FrameModel:
     """Precomputed reference geometry and batched element evaluation.
 
-    The reference fiber gradients ``n_I = dN . L_I``, quadrature weights,
-    free-DOF mask and band-storage map are fixed by the mesh;
+    The fiber-gradient operator ``M`` (E, 4G, 8), the quadrature weights,
+    the free-DOF mask and the band-storage map are fixed by the mesh;
     :meth:`evaluate` turns trial positions and committed Gauss history into
     element residuals in one pass over all Gauss points ``e G + g``, and
     :meth:`tangent` turns an evaluation into element stiffnesses only when
@@ -210,16 +213,11 @@ class _FrameModel:
         # diagonal directions
         Lhat = np.stack([FRAME_FIBER_1, FRAME_FIBER_2], axis=1)   # columns
         Lconv = np.linalg.solve(J0, np.tile(Lhat, (E, G, 1, 1)))
-        # n_I[a] in rows (e, g, I) for f_I = sum_a n_Ia x_a, and n[I, a, p]
+        # the fiber-gradient operator f = M x_e: rows (g, I, c), columns
+        # (a, d), M[e, (g, I, c), (a, d)] = n_Ia delta_cd
         n = (dN @ Lconv).transpose(0, 1, 3, 2)               # (E, G, 2, 4)
-        self._n_rows = n.reshape(E, 2 * G, 4)
-        self._n_cols = np.ascontiguousarray(self._n_rows.transpose(0, 2, 1))
-        self.n = np.ascontiguousarray(n.reshape(-1, 2, 4).transpose(1, 2, 0))
-        # d2 C / dx dx in rows (e, Voigt component, g): geometric stiffness
-        n1, n2 = n[:, :, 0, :, None], n[:, :, 1, :, None]   # (E, G, 4, 1)
-        m1, m2 = n1.swapaxes(2, 3), n2.swapaxes(2, 3)
-        self.geo = np.stack([2.0 * n1 * m1, 2.0 * n2 * m2, n1 * m2 + n2 * m1],
-                            axis=1).reshape(E, 3 * G, 16)
+        self.M = (n[:, :, :, None, :, None]
+                  * np.eye(2)[:, None, :]).reshape(E, 4 * G, 8)
         # the reference fibers are the diagonals at every point
         self.Theta12 = float(FRAME_FIBER_1 @ FRAME_FIBER_2)
         self.dofs = (2 * mesh.elements[:, :, None]
@@ -251,15 +249,15 @@ class _FrameModel:
         ``phi_p`` and ``q`` are the committed Gauss-point history arrays
         (E, G); they are not modified.  ``slip0`` (E, G), if given, starts
         each point's slip solve.  Returns an ``_EvalResult``: residual
-        ``sum_I n_I g_I``, the trial (uncommitted) state arrays, and what
+        ``M^T g``, the trial (uncommitted) state arrays, and what
         :meth:`tangent` builds the stiffness from.
         """
         E, G = self.n_elements, self.n_gauss
         # current fiber vectors f[I] (2, 2, P) and their metric f_I . f_J;
         # the arithmetic on f runs contiguous, which pays for the copy
-        f = np.ascontiguousarray((self._n_rows @ np.take(
-            x, self.mesh.elements, axis=0)).reshape(-1, 2, 2).transpose(
-                1, 2, 0))
+        x_e = np.take(x, self.mesh.elements, axis=0).reshape(E, 8, 1)
+        f = np.ascontiguousarray(
+            (self.M @ x_e).reshape(-1, 2, 2).transpose(1, 2, 0))
         C = np.stack([f[0, 0] * f[0, 0] + f[0, 1] * f[0, 1],
                       f[1, 0] * f[1, 0] + f[1, 1] * f[1, 1],
                       f[0, 0] * f[1, 0] + f[0, 1] * f[1, 1]])
@@ -269,44 +267,45 @@ class _FrameModel:
             theta12 - self.Theta12, phi_p.ravel(), q.ravel(), self.ep,
             None if slip0 is None else slip0.ravel())
         ws = self.wdet * _voigt_stress(out.tau, gamma, self.eps_L, lam)
-        # fiber forces g[I] (2, 2, P), summed over rows (e, g, I) by n
+        # fiber forces g[I] = dW / df_I (2, 2, P), g = S f
         g = np.empty_like(f)
         np.multiply(2.0 * ws[0], f[0], out=g[0])
         g[0] += ws[2] * f[1]
         np.multiply(2.0 * ws[1], f[1], out=g[1])
         g[1] += ws[2] * f[0]
-        r_e = self._n_cols @ g.transpose(2, 0, 1).reshape(E, 2 * G, 2)
+        r_e = g.transpose(2, 0, 1).reshape(E, 1, 4 * G) @ self.M  # (M^T g)^T
         return _EvalResult(r_e.reshape(E, 8), *(
             v.reshape(E, G) for v in (theta12, out.tau, out.phi_e, out.phi_p,
                                       out.q)), f, C, gamma, ws, lam,
             out.dtau_dphi)
 
     def tangent(self, ev):
-        """Element stiffnesses ``sum_g w (B^T T B + s d2C/dx2)`` (E, 8, 8)
-        of the evaluation ``ev``, with ``B = dC / dx`` (3, 4, 2, P)."""
+        """Element stiffnesses ``K_e = M^T H M`` (E, 8, 8) of the
+        evaluation ``ev``.  ``H`` (4, 4 a point) is the Hessian of the
+        weighted point energy by the fiber vectors ``(f_1, f_2)``,
+        ``A^T (w T) A + S (x) I_2``, with ``A = dC / df``, the Voigt
+        tangent ``T`` and ``S = [[2 s11, s12], [s12, 2 s22]]`` (weighted),
+        the slope of the fiber forces ``g = S f``."""
         E, G = self.n_elements, self.n_gauss
         T = _voigt_tangent(ev.tau.ravel(), ev.dtau, ev.gamma,
                            _angle_hessian(ev.C, ev.gamma), self.eps_L, ev.lam)
-        n1, n2 = self.n[0][:, None], self.n[1][:, None]      # (4, 1, P)
-        f1, f2 = ev.f[0][None], ev.f[1][None]                # (1, 2, P)
-        # written in place: stacking temporaries costs more
-        B = np.empty((3, 4, 2, E * G))
-        np.multiply(n1, f1, out=B[0])
-        np.multiply(n2, f2, out=B[1])
-        np.multiply(n1, f2, out=B[2])
-        B[2] += n2 * f1
-        B[:2] *= 2.0
-        # element-major layouts with the (Voigt, Gauss) pairs summed over
-        Bt = B.reshape(3, 8, E, G).transpose(2, 1, 0, 3).reshape(E, 8, 3 * G)
-        wTB = np.einsum("klp,lip->kip", self.wdet * T,
-                        B.reshape(3, 8, -1)).reshape(3, 8, E, G)
-        K_e = (Bt @ wTB.transpose(2, 0, 3, 1).reshape(E, 3 * G, 8)
-               ).reshape(E, 4, 2, 4, 2)
-        ws = ev.ws.reshape(3, E, G).transpose(1, 0, 2).reshape(E, 1, 3 * G)
-        Kgeo = (ws @ self.geo).reshape(E, 4, 4)
-        K_e[:, :, 0, :, 0] += Kgeo
-        K_e[:, :, 1, :, 1] += Kgeo
-        return K_e.reshape(E, 8, 8)
+        f1, f2 = ev.f
+        # A (3, 4, P): rows C11, C22, C12, columns (I, c)
+        A = np.zeros((3, 4, E * G))
+        A[0, :2] = 2.0 * f1
+        A[1, 2:] = 2.0 * f2
+        A[2, :2] = f2
+        A[2, 2:] = f1
+        H = np.einsum("kip,kjp->ijp", A,
+                      np.einsum("klp,ljp->kjp", self.wdet * T, A))
+        ws = ev.ws
+        S = np.stack([[2.0 * ws[0], ws[2]], [ws[2], 2.0 * ws[1]]])
+        H5 = H.reshape(2, 2, 2, 2, -1)                       # (I, c, J, d, p)
+        H5[:, 0, :, 0] += S
+        H5[:, 1, :, 1] += S
+        M = self.M
+        HM = H.transpose(2, 0, 1).reshape(E, G, 4, 4) @ M.reshape(E, G, 4, 8)
+        return M.transpose(0, 2, 1) @ HM.reshape(E, 4 * G, 8)
 
     def residual(self, x, phi_p, q, slip0=None):
         """Global residual (all DOFs) at positions ``x`` and its

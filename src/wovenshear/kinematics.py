@@ -85,11 +85,6 @@ class MetricPoint:
         object.__setattr__(self, "A_ab", A)
         object.__setattr__(self, "a_ab", a)
 
-    @classmethod
-    def from_metrics(cls, A_ab, a_ab):
-        """Build a MetricPoint from the reference and current metrics."""
-        return cls(A_ab=A_ab, a_ab=a_ab)
-
 
 @dataclass(frozen=True, eq=False)
 class RefFiberPair:
@@ -170,42 +165,26 @@ class AngleSplit:
     a_hat: np.ndarray
 
 
-def _metric_product(u, a_ab, v):
-    """``u . a . v`` for vectors (..., 2) and metrics (..., 2, 2).
-
-    The products are summed in index order, as einsum sums them on a stack
-    of points; on one point einsum sums pairwise, so the sum is written
-    out to give a point and a stack the same bits.
-    """
-    return (((u[..., 0] * a_ab[..., 0, 0] * v[..., 0]
-              + u[..., 0] * a_ab[..., 0, 1] * v[..., 1])
-             + u[..., 1] * a_ab[..., 1, 0] * v[..., 0])
-            + u[..., 1] * a_ab[..., 1, 1] * v[..., 1])
-
-
 def _fiber_metric(a_ab, L1, L2):
-    """Fiber metric ``(C11, C22, C12)`` (3, ...) of reference fibers
-    (..., 2) under current metrics (..., 2, 2)."""
-    return np.stack([_metric_product(L1, a_ab, L1),
-                     _metric_product(L2, a_ab, L2),
-                     _metric_product(L1, a_ab, L2)])
+    """Fiber metric ``(C11, C22, C12)`` of the reference fibers ``L1``,
+    ``L2`` (2,) under the current metric ``a_ab`` (2, 2)."""
+    return np.array([L1 @ a_ab @ L1, L2 @ a_ab @ L2, L1 @ a_ab @ L2])
 
 
 def _fiber_dyads(L1, L2):
-    """``L1 L1``, ``L2 L2``, ``sym(L1 L2)`` (3, 2, 2, ...) of (..., 2)."""
-    u, v = np.moveaxis(L1, -1, 0), np.moveaxis(L2, -1, 0)
-    return np.stack([u[:, None] * u[None], v[:, None] * v[None],
-                     0.5 * (u[:, None] * v[None] + v[:, None] * u[None])])
+    """``L1 L1``, ``L2 L2``, ``sym(L1 L2)`` (3, 2, 2) of the fibers (2,)."""
+    L12 = np.outer(L1, L2)
+    return np.stack([np.outer(L1, L1), np.outer(L2, L2), 0.5 * (L12 + L12.T)])
 
 
 def _chart(v, dyads):
-    """``sum_I v_I M_I`` (2, 2, ...) of a Voigt vector (3, ...) on the
-    dyads (3, 2, 2, ...), in a fixed order for one point or a stack."""
+    """``sum_I v_I M_I`` (2, 2) of a Voigt vector (3,) on the dyads
+    (3, 2, 2)."""
     return v[0] * dyads[0] + v[1] * dyads[1] + v[2] * dyads[2]
 
 
 def _chart4(T, dyads):
-    """``sum_IJ T_IJ M_I (x) M_J`` (2, 2, 2, 2, ...) of (3, 3, ...)."""
+    """``sum_IJ T_IJ M_I (x) M_J`` (2, 2, 2, 2) of (3, 3)."""
     return sum(_chart(T[:, j], dyads)[:, :, None, None] * dyads[j]
                for j in range(3))
 
@@ -236,14 +215,6 @@ def _angle_hessian(C, gamma):
     return Gamma
 
 
-def _angle_arrays(C):
-    """``lam``, ``theta12``, ``gamma`` and ``Gamma`` of the fiber metric
-    ``C``: the body of :func:`fiber_state`, :func:`structural_tensors` and
-    the FE element kernel, which builds ``Gamma`` only for its tangent."""
-    lam, theta12, gamma = _angle_gradient(C)
-    return lam, theta12, gamma, _angle_hessian(C, gamma)
-
-
 def fiber_state(m, f):
     """Return stretches, unit directions, cosine, fiber metric and dyads."""
     C = _fiber_metric(m.a_ab, f.L1, f.L2)
@@ -265,8 +236,9 @@ def structural_tensors(m, fs):
     and its current-metric derivative, which the tangent of the angle
     energy needs, from the derivatives of the cosine by the fiber metric
     of ``fs``, a :class:`FiberState` computed at ``m``."""
-    _, _, gamma, Gamma = _angle_arrays(fs.C)
-    return StructuralTensors(gamma=gamma, Gamma=Gamma, dyads=fs.dyads)
+    _, _, gamma = _angle_gradient(fs.C)
+    return StructuralTensors(gamma=gamma, Gamma=_angle_hessian(fs.C, gamma),
+                             dyads=fs.dyads)
 
 
 def angle_split(m, f, phi_p):
@@ -411,7 +383,7 @@ def picture_frame_metric(theta, L0=1.0):
         Crosshead displacement at theta.
     """
     F = picture_frame_deformation(theta)
-    m = MetricPoint.from_metrics(np.eye(2), F.T @ F)
+    m = MetricPoint(np.eye(2), F.T @ F)
     f = RefFiberPair(L1=FRAME_FIBER_1.copy(), L2=FRAME_FIBER_2.copy(),
                      Theta12=0.0)
     return m, f, crosshead_displacement(theta, L0)

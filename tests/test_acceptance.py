@@ -178,13 +178,13 @@ def test_criterion_06_structural_tensor_and_split():
         f = frame_pair()
 
         def g12_of(a):
-            mm = MetricPoint.from_metrics(np.eye(2), a)
+            mm = MetricPoint(np.eye(2), a)
             return structural_tensors(mm, fiber_state(mm, f)).g12
 
         worst_fd = worst_direct = worst_add = 0.0
         for _ in range(100):
             a = oracles.random_spd(rng)
-            m = MetricPoint.from_metrics(np.eye(2), a)
+            m = MetricPoint(np.eye(2), a)
             st = structural_tensors(m, fiber_state(m, f))
             fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
             scale = np.abs(st.g12_grad).max()

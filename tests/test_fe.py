@@ -3,8 +3,9 @@
 Verifies: mesh construction and validation, the element residual as the
 central-difference gradient of an independent stored energy
 (``oracles.membrane_energy``) and the element tangent as that of the
-residual, warm-started slip solves against cold ones, the affine patch
-test, machine-precision agreement of the full solver with the
+residual, the assembled tangent as the central-difference Jacobian of
+the global residual, warm-started slip solves against cold ones, the
+affine patch test, machine-precision agreement of the full solver with the
 closed-form response, mesh independence (the exact solution is
 homogeneous), the banded global system against a dense reference, one LU
 factorization per full Newton correction and none for the polish, a mesh
@@ -227,6 +228,43 @@ class TestVoigtKernel:
         assert np.abs(ev.theta12 - t12_ref).max() <= 1e-14
         assert np.abs(ev.r_e - r_ref).max() <= 1e-13 * np.abs(r_ref).max()
         assert np.abs(K_e - K_ref).max() <= 1e-13 * np.abs(K_ref).max()
+
+
+class TestGlobalTangent:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_free_block_is_residual_jacobian(self, demo_params, order):
+        """The scattered element tangents equal the central differences
+        of the global residual on the free DOFs, at frozen history, with
+        elastic and plastic points and a fiber-stretch stiffness."""
+        mesh = distorted_square(3, 0.3, seed=3)
+        model = _FrameModel(mesh, demo_params,
+                            HyperelasticParams(eps_L=demo_params.mu_f), order)
+        rng = np.random.default_rng(order)
+        F = picture_frame_deformation(gamma_to_theta(20.0))
+        x = mesh.nodes @ F.T + 0.0125 * rng.standard_normal(mesh.nodes.shape)
+        # tau_y = 0: virgin points flow, points at q = 1 stay elastic
+        shape = (model.n_elements, model.n_gauss)
+        q = np.where(rng.random(shape) < 0.5, 0.0, 1.0)
+        phi_p = np.zeros(shape)
+        _, ev = model.residual(x, phi_p, q)
+        plastic = ev.q > q
+        assert plastic.any() and not plastic.all()
+
+        dofs, free = model.dofs, model.free
+        K = np.zeros((model.ndof, model.ndof))
+        np.add.at(K, (dofs[:, :, None], dofs[:, None, :]), model.tangent(ev))
+        K_ff = K[np.ix_(free, free)]
+        h = 1e-7
+        K_fd = np.zeros_like(K_ff)
+        for col, j in enumerate(np.flatnonzero(free)):
+            xp = x.reshape(-1).copy()
+            xm = x.reshape(-1).copy()
+            xp[j] += h
+            xm[j] -= h
+            rp, _ = model.residual(xp.reshape(-1, 2), phi_p, q)
+            rm, _ = model.residual(xm.reshape(-1, 2), phi_p, q)
+            K_fd[:, col] = (rp - rm)[free] / (2.0 * h)
+        assert np.abs(K_fd - K_ff).max() <= 1e-5 * np.abs(K_ff).max()
 
 
 class TestSlipWarmStart:

@@ -37,9 +37,8 @@ from wovenshear import (
     yield_function,
 )
 from wovenshear import material
-from wovenshear.kinematics import (MetricPoint, RefFiberPair, _angle_arrays,
-                                   _chart, _chart4, _fiber_dyads,
-                                   _fiber_metric)
+from wovenshear.kinematics import (MetricPoint, RefFiberPair, _angle_gradient,
+                                   _angle_hessian)
 from wovenshear.material import PARAM_JSON_KEYS, _slip_solve
 
 import oracles
@@ -430,43 +429,38 @@ class TestDriver:
 
 class TestMembraneResponse:
     def test_array_bodies_equal_scalar_loop(self, glass_params, rng):
-        """The broadcast bodies the FE element kernel evaluates equal, bit
-        for bit, a loop of the scalar entry points that the
-        finite-difference checks test, on elastic and plastic points."""
+        """The broadcast bodies the FE element kernel runs on a stack of
+        fiber metrics, ``_angle_gradient``, ``_angle_hessian`` and
+        ``return_map_batch``, equal, bit for bit, a loop of the scalar
+        entry points that the finite-difference checks test, on elastic and
+        plastic points."""
         n = 64
         points = []
         for _ in range(n):
             A = oracles.random_spd(rng)
             f = RefFiberPair.from_directions(rng.normal(size=2),
                                              rng.normal(size=2), A)
-            points.append((MetricPoint.from_metrics(A, oracles.random_spd(rng)),
-                           f, PlasticState(phi_p=rng.uniform(-0.1, 0.1),
-                                           q=rng.uniform(0.0, 1.0))))
-        a_ab = np.stack([m.a_ab for m, _, _ in points])
-        L1 = np.stack([f.L1 for _, f, _ in points])
-        L2 = np.stack([f.L2 for _, f, _ in points])
+            points.append((MetricPoint(A, oracles.random_spd(rng)), f,
+                           PlasticState(phi_p=rng.uniform(-0.1, 0.1),
+                                        q=rng.uniform(0.0, 1.0))))
+        states = [fiber_state(m, f) for m, f, _ in points]
+        C = np.stack([fs.C for fs in states], axis=-1)
+        lam, theta12, gamma = _angle_gradient(C)
+        Gamma = _angle_hessian(C, gamma)
         Theta12 = np.array([f.Theta12 for _, f, _ in points])
-        C = _fiber_metric(a_ab, L1, L2)
-        lam, theta12, gamma, Gamma = _angle_arrays(C)
-        dyads = _fiber_dyads(L1, L2)
         history = [np.array([getattr(s, k) for _, _, s in points])
                    for k in ("phi_p", "q")]
         rm = return_map_batch(theta12 - Theta12, *history, glass_params)
         tau, plastic = rm[0], rm[6]
         assert plastic.any() and not plastic.all()
-        g12, g12_grad = _chart(gamma, dyads), _chart4(Gamma, dyads)
 
-        for k, (m, f, state) in enumerate(points):
-            fs = fiber_state(m, f)
+        for k, ((m, f, state), fs) in enumerate(zip(points, states)):
             assert (fs.lambda1, fs.lambda2, fs.theta12) == (
                 lam[0, k], lam[1, k], theta12[k])
-            assert np.array_equal(fs.l1, L1[k] / lam[0, k])
-            assert np.array_equal(fs.l2, L2[k] / lam[1, k])
-            assert np.array_equal(fs.C, C[:, k])
+            assert np.array_equal(fs.l1, f.L1 / lam[0, k])
+            assert np.array_equal(fs.l2, f.L2 / lam[1, k])
             st_ = structural_tensors(m, fs)
             assert np.array_equal(st_.gamma, gamma[:, k])
             assert np.array_equal(st_.Gamma, Gamma[..., k])
-            assert np.array_equal(st_.g12, g12[..., k])
-            assert np.array_equal(st_.g12_grad, g12_grad[..., k])
             sr = return_map(fs.theta12 - f.Theta12, state, glass_params)
             assert sr.is_plastic == plastic[k] and sr.tau == tau[k]
