@@ -18,18 +18,18 @@ their metric ``C_IJ = f_I . f_J`` in Voigt order.  The residual is
 ``K_e = M^T H M`` with ``H`` the Hessian of each Gauss point's weighted
 energy by its fiber vectors (Belytschko et al., 2014, ch. 4).
 
-Each load step starts from a secant prediction: the committed positions
-extrapolated along the last committed increment, and each Gauss point's
-slip solve from its last committed slip increment, scaled alike.  Newton's
-method then equilibrates the free DOFs with the consistent tangent,
-scattered straight into LAPACK ``gbtrf`` band storage and factored by
-banded LU with partial pivoting (the tangent turns indefinite under plastic
-flow).  An evaluation gives the residual alone, its slip solves started
-from the slips of the evaluation before; the tangent is built only when a
-correction factors it.  Once the residual meets the tolerance, one more
-(polish) correction on the last factors takes the iterate to round-off, so
-neither that iterate nor the accepted one builds a tangent.  The Newton
-settings are fixed constants, like the slip solve's.
+Each load step predicts the positions from the boundary data alone, taking
+each committed position ``x`` to ``F(theta) F(theta_c)^-1 x`` (``F`` the
+frame map, ``theta_c`` the committed angle), and starts each Gauss point's
+slip solve from its last slip increment, scaled to the step.  Newton's
+method equilibrates the free DOFs with the consistent tangent, scattered
+into LAPACK ``gbtrf`` band storage and factored by banded LU with partial
+pivoting (the tangent turns indefinite under plastic flow).  An evaluation
+gives the residual alone, its slip solves started from the slips of the
+evaluation before; a tangent is built only for a correction that factors it.
+A polish correction past the tolerance, on the last factors if any, takes
+the iterate to round-off; the affine frame state's prediction meets the
+tolerance, so a step costs two evaluations and one factorization.
 """
 
 from __future__ import annotations
@@ -388,11 +388,11 @@ class FESolution:
     lists the Newton residual norms of every committed step (including
     bisected sub-steps), aligned with ``committed_thetas``, one entry per
     evaluation; the last entry of each list is the accepted polish iterate,
-    the one before it the first to meet the tolerance.  The polish
-    correction solves on the LU factors of the last full correction (a
-    step whose predictor already meets the tolerance factors once for
-    it).  ``ep``, ``mu0`` and ``steps_per_degree``
-    are the run's own, so that verify needs nothing else.
+    the one before it the first to meet the tolerance.  The prediction of
+    the affine frame state meets it, so a list has two entries and the
+    polish factors the tangent once; after full corrections it solves on
+    their last LU factors.  ``ep``, ``mu0`` and ``steps_per_degree`` are
+    the run's own, so that verify needs nothing else.
     """
 
     curve: ShearCurve
@@ -436,14 +436,14 @@ def _newton_step(model, x, phi_p, q, slip0, tol_abs):
     LU-factored band tangent (LAPACK ``gbtrf``/``gbtrs``, partial
     pivoting), bring the free-DOF residual norm to ``tol_abs``; one more
     (polish) correction follows on the last factors, a modified-Newton
-    step, and its iterate is accepted if it still meets ``tol_abs``.  No
-    tangent is built at the iterate that meets the tolerance or at the
-    accepted one, unless the step's predictor met it and no factors exist
-    yet.  A singular or non-finite system fails the step, and so
-    does a slip solve that fails at some Gauss point; its largest ``|g|``
-    then ends the residual list.  The first evaluation starts its slip
-    solves from ``slip0`` (E, G), each later one from the slips of the
-    evaluation before.
+    step, and its iterate is accepted if it still meets ``tol_abs``.  A
+    start that meets it, as the affine frame state's prediction does, is
+    polished on a tangent factored there; otherwise no tangent is built at
+    the iterate that meets the tolerance or at the accepted one.  A
+    singular or non-finite system fails the step, and so does a slip solve
+    that fails at some Gauss point; its largest ``|g|`` then ends the
+    residual list.  The first evaluation starts its slip solves from
+    ``slip0`` (E, G), each later one from the slips of the evaluation before.
 
     Returns (x, r, ev, residual_norms, converged, cause); ``x``, ``r`` and
     ``ev`` are the last iterate's positions, global residual and
@@ -493,10 +493,9 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     Every boundary node follows the homogeneous frame map at each target
     angle; interior nodes are solved by Newton iteration with the
     consistent tangent, and Gauss histories are committed per converged
-    step.  Each step, bisected sub-steps included, starts from the
-    committed positions extrapolated along the last committed increment,
-    scaled by the ratio of the angle increments, and its first slip solves
-    from the last committed slip increments, scaled alike.  On Newton
+    step.  Each step, bisected sub-steps included, carries the committed
+    positions along the frame map's increment and starts its slip solves
+    from the last committed slip increments, scaled to the step.  On Newton
     failure the step is bisected up to ``_MAX_HALVINGS`` times before
     raising :class:`SolverError`.  Elements use 2x2 Gauss quadrature.
 
@@ -530,8 +529,8 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     E, G = model.n_elements, model.n_gauss
     phi_p = q = np.zeros((E, G))
     x = mesh.nodes.copy()
-    # last committed increments, the secant the next step extrapolates
-    dx_last = np.zeros_like(x)
+    # committed frame map, slip and angle increments: the next prediction
+    F_c = picture_frame_deformation(np.pi / 2.0)
     dq_last = np.zeros((E, G))
     dth_last = 0.0
     tol_abs = _NEWTON_TOL * ep.mu_f * mesh.L0
@@ -558,8 +557,9 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
             while stack:
                 th, depth = stack.pop()
                 scale = (th - theta_prev) / dth_last if dth_last else 0.0
-                xtrial = x + scale * dx_last
-                xtrial[bnodes] = XB @ picture_frame_deformation(th).T
+                F = picture_frame_deformation(th)
+                xtrial = x @ np.linalg.solve(F_c.T, F.T)
+                xtrial[bnodes] = XB @ F.T
                 xtrial, r, ev, residuals, ok, cause = _newton_step(
                     model, xtrial, phi_p, q, scale * dq_last, tol_abs)
                 if not ok:
@@ -577,7 +577,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
                     stack.append((mid, depth + 1))
                     continue
                 # commit
-                dx_last, dq_last = xtrial - x, ev.q - q
+                F_c, dq_last = F, ev.q - q
                 dth_last = th - theta_prev
                 x = xtrial
                 phi_p = ev.phi_p

@@ -231,11 +231,11 @@ def angle_measures(m, f):
     return fs.theta12, fs.theta12 - f.Theta12
 
 
-def structural_tensors(m, fs):
+def structural_tensors(fs):
     """Shear structural tensor g12 (``delta theta12 = g12 : delta a_ab``)
     and its current-metric derivative, which the tangent of the angle
     energy needs, from the derivatives of the cosine by the fiber metric
-    of ``fs``, a :class:`FiberState` computed at ``m``."""
+    of the :class:`FiberState` ``fs``."""
     _, _, gamma = _angle_gradient(fs.C)
     return StructuralTensors(gamma=gamma, Gamma=_angle_hessian(fs.C, gamma),
                              dyads=fs.dyads)

@@ -179,13 +179,13 @@ def test_criterion_06_structural_tensor_and_split():
 
         def g12_of(a):
             mm = MetricPoint(np.eye(2), a)
-            return structural_tensors(mm, fiber_state(mm, f)).g12
+            return structural_tensors(fiber_state(mm, f)).g12
 
         worst_fd = worst_direct = worst_add = 0.0
         for _ in range(100):
             a = oracles.random_spd(rng)
             m = MetricPoint(np.eye(2), a)
-            st = structural_tensors(m, fiber_state(m, f))
+            st = structural_tensors(fiber_state(m, f))
             fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
             scale = np.abs(st.g12_grad).max()
             worst_fd = max(worst_fd,

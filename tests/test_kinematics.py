@@ -119,7 +119,7 @@ class TestStructuralTensors:
         for _ in range(20):
             a = oracles.random_spd(rng)
             m = MetricPoint(np.eye(2), a)
-            st_ = structural_tensors(m, fiber_state(m, f))
+            st_ = structural_tensors(fiber_state(m, f))
             fd = oracles.fd_metric_gradient(lambda x: theta12_of_metric(x, f),
                                             a, h=1e-7)
             assert np.abs(fd - st_.g12).max() <= 1e-8
@@ -128,11 +128,11 @@ class TestStructuralTensors:
         f = frame_pair()
         def g12_of(a):
             m = MetricPoint(np.eye(2), a)
-            return structural_tensors(m, fiber_state(m, f)).g12
+            return structural_tensors(fiber_state(m, f)).g12
         for _ in range(25):
             a = oracles.random_spd(rng)
             m = MetricPoint(np.eye(2), a)
-            st_ = structural_tensors(m, fiber_state(m, f))
+            st_ = structural_tensors(fiber_state(m, f))
             fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
             scale = np.abs(st_.g12_grad).max()
             assert np.abs(fd - st_.g12_grad).max() <= 1e-6 * scale
@@ -165,7 +165,7 @@ class TestStructuralTensors:
 
     def test_g12_grad_symmetries(self, rng):
         m, f = random_point(rng)
-        G = structural_tensors(m, fiber_state(m, f)).g12_grad
+        G = structural_tensors(fiber_state(m, f)).g12_grad
         # minor symmetry in both index pairs and major symmetry across them
         assert np.abs(G - G.transpose(1, 0, 2, 3)).max() <= 1e-15
         assert np.abs(G - G.transpose(0, 1, 3, 2)).max() <= 1e-15
@@ -173,7 +173,7 @@ class TestStructuralTensors:
 
     def test_g12_symmetric(self, rng):
         m, f = random_point(rng)
-        g12 = structural_tensors(m, fiber_state(m, f)).g12
+        g12 = structural_tensors(fiber_state(m, f)).g12
         assert np.abs(g12 - g12.T).max() == 0.0
 
 

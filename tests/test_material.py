@@ -459,7 +459,7 @@ class TestMembraneResponse:
                 lam[0, k], lam[1, k], theta12[k])
             assert np.array_equal(fs.l1, f.L1 / lam[0, k])
             assert np.array_equal(fs.l2, f.L2 / lam[1, k])
-            st_ = structural_tensors(m, fs)
+            st_ = structural_tensors(fs)
             assert np.array_equal(st_.gamma, gamma[:, k])
             assert np.array_equal(st_.Gamma, Gamma[..., k])
             sr = return_map(fs.theta12 - f.Theta12, state, glass_params)
