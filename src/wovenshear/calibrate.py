@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svd
-from scipy.optimize import least_squares
 
 from .analytic import (IntervalState, _write_csv, frame_force,
                        interval_solve_batch)
@@ -313,6 +312,8 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
         last_jac = jac
         return jac
 
+    # imported here: only the fit needs scipy.optimize, slow to import
+    from scipy.optimize import least_squares
     # scipy's max_nfev counts trial points only; at max_evals it can never
     # stop the fit before the exact count in evaluate does
     try:

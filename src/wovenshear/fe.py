@@ -18,18 +18,18 @@ their metric ``C_IJ = f_I . f_J`` in Voigt order.  The residual is
 ``K_e = M^T H M`` with ``H`` the Hessian of each Gauss point's weighted
 energy by its fiber vectors (Belytschko et al., 2014, ch. 4).
 
-Each load step predicts the positions from the boundary data alone, taking
-each committed position ``x`` to ``F(theta) F(theta_c)^-1 x`` (``F`` the
-frame map, ``theta_c`` the committed angle), and starts each Gauss point's
-slip solve from its last slip increment, scaled to the step.  Newton's
-method equilibrates the free DOFs with the consistent tangent, scattered
-into LAPACK ``gbtrf`` band storage and factored by banded LU with partial
-pivoting (the tangent turns indefinite under plastic flow).  An evaluation
-gives the residual alone, its slip solves started from the slips of the
-evaluation before; a tangent is built only for a correction that factors it.
-A polish correction past the tolerance, on the last factors if any, takes
-the iterate to round-off; the affine frame state's prediction meets the
-tolerance, so a step costs two evaluations and one factorization.
+Each load step predicts the positions from the boundary data alone, as the
+affine frame state ``X F(theta)^T`` (``F`` the frame map) plus the committed
+deviation from it carried along the increment ``F(theta) F(theta_c)^-1``;
+the affine part, recomputed each step, does not drift.  Slip solves start
+from the last slip increments, scaled to the step.  The affine frame
+state's prediction meets the Newton tolerance and is accepted: a step costs
+one evaluation and no factorization.  Otherwise Newton's method uses the
+consistent tangent in LAPACK ``gbtrf`` band storage, factored by banded LU
+with partial pivoting (the tangent turns indefinite under plastic flow) and
+built only for a correction that factors it; each evaluation starts its slip
+solves from the slips of the one before, and a polish correction on the last
+factors takes the iterate to round-off.
 """
 
 from __future__ import annotations
@@ -163,10 +163,10 @@ class Mesh:
                    L0=float(L0))
 
 
-# Newton controls: once the free-DOF residual norm first meets
-# _NEWTON_TOL * mu_f * L0, one more (polish) correction, not counted
-# against _NEWTON_MAX_ITER, takes the iterate to round-off at any mesh
-# size; a failed step is bisected up to _MAX_HALVINGS times
+# Newton controls: a start whose free-DOF residual norm meets _NEWTON_TOL *
+# mu_f * L0 is accepted; a corrected iterate that meets it gets one more
+# (polish) correction, not counted against _NEWTON_MAX_ITER, to round-off
+# at any mesh size; a failed step is bisected up to _MAX_HALVINGS times
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 25
 _MAX_HALVINGS = 5
@@ -387,12 +387,10 @@ class FESolution:
     recorded step, row 0 being the undeformed state.  ``residual_history``
     lists the Newton residual norms of every committed step (including
     bisected sub-steps), aligned with ``committed_thetas``, one entry per
-    evaluation; the last entry of each list is the accepted polish iterate,
-    the one before it the first to meet the tolerance.  The prediction of
-    the affine frame state meets it, so a list has two entries and the
-    polish factors the tangent once; after full corrections it solves on
-    their last LU factors.  ``ep``, ``mu0`` and ``steps_per_degree`` are
-    the run's own, so that verify needs nothing else.
+    evaluation: one for a prediction that meets the tolerance, as the
+    affine frame state's does; after corrections the last is the polish
+    iterate, the one before it the first to meet the tolerance.  ``ep``,
+    ``mu0`` and ``steps_per_degree`` are the run's own, for verify.
     """
 
     curve: ShearCurve
@@ -432,15 +430,14 @@ class FESolution:
 def _newton_step(model, x, phi_p, q, slip0, tol_abs):
     """Equilibrate the free DOFs at fixed boundary positions.
 
-    Up to ``_NEWTON_MAX_ITER`` corrections, each on a freshly built and
-    LU-factored band tangent (LAPACK ``gbtrf``/``gbtrs``, partial
-    pivoting), bring the free-DOF residual norm to ``tol_abs``; one more
-    (polish) correction follows on the last factors, a modified-Newton
-    step, and its iterate is accepted if it still meets ``tol_abs``.  A
-    start that meets it, as the affine frame state's prediction does, is
-    polished on a tangent factored there; otherwise no tangent is built at
-    the iterate that meets the tolerance or at the accepted one.  A
-    singular or non-finite system fails the step, and so does a slip solve
+    A start whose free-DOF residual norm meets ``tol_abs`` (the affine
+    frame state's prediction, or any start with no free DOF) is accepted as
+    it is.  Otherwise up to ``_NEWTON_MAX_ITER`` corrections, each on a
+    freshly built and LU-factored band tangent (LAPACK ``gbtrf``/``gbtrs``,
+    partial pivoting), bring the norm to ``tol_abs``; one more (polish)
+    correction on the last factors, a modified-Newton step, gives the
+    iterate accepted if it still meets ``tol_abs``.  A singular or
+    non-finite system fails the step, and so does a slip solve
     that fails at some Gauss point; its largest ``|g|`` then ends the
     residual list.  The first evaluation starts its slip solves from
     ``slip0`` (E, G), each later one from the slips of the evaluation before.
@@ -452,7 +449,7 @@ def _newton_step(model, x, phi_p, q, slip0, tol_abs):
     free, bw = model.free, model.bw
     residuals = []
     polish = False
-    r = ev = lu = None
+    r = ev = None
     for it in range(_NEWTON_MAX_ITER + 2):
         try:
             r, ev = model.residual(x, phi_p, q, slip0)
@@ -464,15 +461,13 @@ def _newton_step(model, x, phi_p, q, slip0, tol_abs):
         residuals.append(rn)
         if not np.isfinite(rn):
             break
-        if polish:
+        if polish or (not it and rn <= tol_abs):
+            # the polished iterate, or a start that meets the tolerance
             return x, r, ev, residuals, rn <= tol_abs, None
         polish = rn <= tol_abs
-        if not polish and it == _NEWTON_MAX_ITER:
-            break
-        if not model.nfree:
-            # every node is driven: nothing to solve (gbtrs rejects n = 0)
-            continue
-        if lu is None or not polish:
+        if not polish:
+            if it == _NEWTON_MAX_ITER:
+                break
             lu, piv, info = dgbtrf(model.assemble(ev), bw, bw,
                                    overwrite_ab=True)
             if info > 0:    # an exactly zero pivot: singular
@@ -493,9 +488,10 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     Every boundary node follows the homogeneous frame map at each target
     angle; interior nodes are solved by Newton iteration with the
     consistent tangent, and Gauss histories are committed per converged
-    step.  Each step, bisected sub-steps included, carries the committed
-    positions along the frame map's increment and starts its slip solves
-    from the last committed slip increments, scaled to the step.  On Newton
+    step.  Each step, bisected sub-steps included, predicts the affine
+    frame state plus the committed deviation carried along the frame map's
+    increment, accepted if it meets the Newton tolerance, and starts its
+    slip solves from the last committed slip increments, scaled.  On Newton
     failure the step is bisected up to ``_MAX_HALVINGS`` times before
     raising :class:`SolverError`.  Elements use 2x2 Gauss quadrature.
 
@@ -528,14 +524,15 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
 
     E, G = model.n_elements, model.n_gauss
     phi_p = q = np.zeros((E, G))
-    x = mesh.nodes.copy()
+    X = mesh.nodes
+    x = X.copy()
     # committed frame map, slip and angle increments: the next prediction
     F_c = picture_frame_deformation(np.pi / 2.0)
     dq_last = np.zeros((E, G))
     dth_last = 0.0
     tol_abs = _NEWTON_TOL * ep.mu_f * mesh.L0
     bnodes = mesh.boundary_nodes
-    XB = mesh.nodes[bnodes]
+    XB = X[bnodes]
 
     # recorded rows, starting from the undeformed state
     thetas = [np.pi / 2.0]
@@ -558,7 +555,9 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
                 th, depth = stack.pop()
                 scale = (th - theta_prev) / dth_last if dth_last else 0.0
                 F = picture_frame_deformation(th)
-                xtrial = x @ np.linalg.solve(F_c.T, F.T)
+                # the affine frame state plus the carried deviation from it
+                xtrial = X @ F.T + (x - X @ F_c.T) @ np.linalg.solve(
+                    F_c.T, F.T)
                 xtrial[bnodes] = XB @ F.T
                 xtrial, r, ev, residuals, ok, cause = _newton_step(
                     model, xtrial, phi_p, q, scale * dq_last, tol_abs)

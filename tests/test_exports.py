@@ -2,10 +2,14 @@
 
 Verifies: every name in a module's ``__all__`` exists in that module, so
 that ``from wovenshear.<module> import *`` works and no export outlives
-the code it named.
+the code it named; importing the CLI leaves ``scipy.optimize``, which
+only the calibration fit uses, unimported.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +24,13 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from wovenshear.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # in a fresh interpreter, since this one may have imported it already
+    code = ("import sys, wovenshear.cli; "
+            "print(any(m.startswith('scipy.optimize') for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -8,10 +8,11 @@ the global residual, warm-started slip solves against cold ones, the
 affine patch test, machine-precision agreement of the full solver with the
 closed-form response, mesh independence (the exact solution is
 homogeneous), the banded global system against a dense reference, one LU
-factorization per full Newton correction and none for the polish, one
-correction a step from the frame-map prediction, a mesh with no free DOF,
-verify margins across mesh sizes, step bisection and failure reporting,
-determinism, and the field CSV dump.
+factorization per full Newton correction and none for the polish, every
+frame step accepted at its prediction with no drift from the affine state,
+a mesh with no free DOF, verify margins across mesh sizes and on a deep
+reversal, step bisection and failure reporting, determinism, and the
+field CSV dump.
 """
 
 import dataclasses
@@ -413,42 +414,52 @@ class TestBandedSystem:
 
     def test_polish_solves_on_the_last_factors(self, demo_params,
                                                cycle_program, dgbtrf_calls):
-        # one LU factorization per full correction and none for the polish,
-        # except in a step whose predictor already meets the tolerance:
-        # that step has no factors of its own to polish on.  The frame
-        # run's predictions all meet it, so a step started off the affine
-        # state supplies the full corrections
+        # one LU factorization per full correction and none for the polish;
+        # a step accepted at its prediction factors nothing.  The frame
+        # run's predictions all meet the tolerance, so a step started off
+        # the affine state supplies the full corrections
         sol = solve_picture_frame(Mesh.square(4), cycle_program, demo_params)
+        assert all(len(h) == 1 for h in sol.residual_history)
+        assert not dgbtrf_calls
         *_, residuals, ok, _ = perturbed_newton_step(sol, seed=0)
         assert ok
-        history = sol.residual_history + [residuals]
         assert sol.committed_thetas.size == sol.theta_steps.size - 1
-        full = sum(len(h) - 2 for h in history)
-        bare = sum(len(h) == 2 for h in history)
-        assert full and bare            # both kinds of step occur
-        assert len(dgbtrf_calls) == full + bare
+        full = len(residuals) - 2
+        assert full > 0
+        assert len(dgbtrf_calls) == full
         assert set(dgbtrf_calls) == {(3 * 9 + 1, 18)}   # bw = 9, 9 free nodes
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.3])
     def test_prediction_meets_the_tolerance(self, demo_params, cycle_program,
                                             dgbtrf_calls, amplitude):
-        # the committed positions carried along the frame map's increment
-        # are the affine solution of the next step on any mesh, so every
-        # step takes one correction: predictor and polish evaluations, and
-        # one factorization for the polish
+        # the affine frame state plus the committed deviation carried along
+        # the frame map's increment is the solution of the next step on any
+        # mesh, so every step is accepted at its prediction: one
+        # evaluation and no factorization
         sol = solve_picture_frame(distorted_square(4, amplitude, seed=11),
                                   cycle_program, demo_params)
-        assert all(len(h) == 2 for h in sol.residual_history)
-        assert len(dgbtrf_calls) == sol.committed_thetas.size
+        assert all(len(h) == 1 for h in sol.residual_history)
+        assert not dgbtrf_calls
         assert verify_against_analytic(sol)["passed"]
+
+    def test_prediction_does_not_drift(self, demo_params):
+        # the affine part of each prediction is recomputed from the frame
+        # map, so over many steps accepted at their prediction the rounding
+        # of each step's map increment does not add up
+        mesh = Mesh.square(4)
+        lp = LoadProgram.from_gamma_degrees([50, 20, 50, 20, 50, 20, 50])
+        sol = solve_picture_frame(mesh, lp, demo_params)
+        assert all(len(h) == 1 for h in sol.residual_history)
+        F = picture_frame_deformation(sol.committed_thetas[-1])
+        assert np.abs(sol.x - mesh.nodes @ F.T).max() <= 1e-15
 
     def test_no_free_dofs(self, demo_params, cycle_program):
         # a 1x1 mesh drives every node, so nothing is factored or solved;
-        # each step still records its predictor and polish evaluations
+        # each step records its one evaluation
         mesh = Mesh.square(1)
         assert _FrameModel(mesh, demo_params).nfree == 0
         sol = solve_picture_frame(mesh, cycle_program, demo_params)
-        assert all(h == [0.0, 0.0] for h in sol.residual_history)
+        assert all(h == [0.0] for h in sol.residual_history)
         assert verify_against_analytic(sol)["passed"]
 
 
@@ -473,6 +484,19 @@ class TestVerifyAcrossMeshes:
             assert dev <= 1e-13 * np.abs(an).max()
         if n == 24:
             assert sol.committed_thetas.size == sol.theta_steps.size - 1
+
+    def test_deep_reversal(self, demo_params):
+        # the affine state is unstable from 56.5 deg on the reload (its free
+        # tangent is indefinite), but a step accepted at its prediction
+        # moves nothing along the unstable modes, so verify measures the
+        # affine equilibrium at round-off there too
+        lp = LoadProgram.from_gamma_degrees([60.0, 0.5, 60.0])
+        sol = solve_picture_frame(Mesh.square(8), lp, demo_params)
+        assert all(len(h) == 1 for h in sol.residual_history)
+        rep = verify_against_analytic(sol)
+        assert rep["passed"], rep
+        for key in ("max_theta12_dev", "max_tau_rel_scale", "max_force_rel"):
+            assert rep[key] <= 1e-13, (key, rep)
 
     @pytest.mark.parametrize("n", [8, 12])
     @pytest.mark.parametrize("amplitude", [0.15, 0.3])
