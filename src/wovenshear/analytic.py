@@ -136,8 +136,8 @@ def interval_solve_batch(phi_bar, istate, p):
     Raises
     ------
     ConvergenceError
-        If any point is unconverged after the slip solve's sweep cap; the
-        residual is the largest unconverged ``|g|``.
+        If a point is unconverged at the slip solve's sweep cap; the
+        residual is the largest such ``|g|``, ``step_index`` the first.
     """
     phi_bar = np.asarray(phi_bar, dtype=float)
     mu = p.mu_f
@@ -157,8 +157,12 @@ def interval_solve_batch(phi_bar, istate, p):
     # g(0) = mu (|phi_bar| - phi_y) > 0
     idx = np.flatnonzero(plastic)
     pk = pb.flat[idx]
-    x.flat[idx], residual.flat[idx], iterations.flat[idx], _ = _slip_solve(
-        d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p)
+    try:
+        x.flat[idx], residual.flat[idx], iterations.flat[idx], _ = _slip_solve(
+            d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p)
+    except ConvergenceError as exc:
+        exc.step_index = int(idx[exc.step_index])
+        raise
 
     tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
     return IntervalSolution(tau=tau, phi_p_bar=np.where(plastic, d * x, 0.0),

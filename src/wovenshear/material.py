@@ -54,8 +54,8 @@ _Q_CHECK = np.linspace(0.0, 1.5, 1501)
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solve fails; carries the last residual, and
-    from :func:`drive_angle_path` the failing step's index and ``phi``."""
+    """Raised when an iterative solve fails; carries the last residual, the
+    first unconverged point's flat index, and a path drive's ``phi``."""
 
     def __init__(self, message, residual=None, step_index=None, phi=None):
         super().__init__(message)
@@ -290,7 +290,7 @@ def _slip_solve(t, q, g0, p, x0=None):
     a start that already meets the tolerance takes no sweep.  Points never
     mix.  Returns the slip, ``|g|`` there, each point's sweeps before the
     polish step, and the polish step's modulus ``-mu_f - f_iso'``.  Raises
-    ConvergenceError with the largest unconverged ``|g|`` after
+    ConvergenceError (largest unconverged ``|g|``, first such index) after
     ``_SLIP_MAX_ITER`` sweeps, and RuntimeError on a nonpositive slip.
     """
     # every iterate q + x stays in [q, q + t / mu_f], so the caller's
@@ -332,7 +332,7 @@ def _slip_solve(t, q, g0, p, x0=None):
         worst = float(np.abs(g[act]).max())
         raise ConvergenceError(
             f"slip solve failed to converge in {_SLIP_MAX_ITER} iterations "
-            f"(max |g| = {worst:.3e})", residual=worst)
+            f"(max |g| = {worst:.3e})", worst, int(act.argmax()))
     step = x - g / gp
     x = np.where((step > lo) & (step <= hi), step, x)
     if (x <= 0.0).any():
@@ -368,7 +368,7 @@ def return_map_batch(phi_new, phi_p, q, p, slip0=None):
     Raises
     ------
     ConvergenceError
-        If any plastic point fails to reach tolerance.
+        If a plastic point fails; ``step_index`` is the first in ``phi_new``.
     RuntimeError
         If a plastic step produces a nonpositive slip increment.
     """
@@ -395,9 +395,13 @@ def return_map_batch(phi_new, phi_p, q, p, slip0=None):
         idx = slice(None) if plastic.all() else np.flatnonzero(plastic)
         hs = h[idx]
         qi = q[idx]
-        x, residual[idx], its, gp = _slip_solve(
-            hs * tau_tr[idx], qi, f_tr[idx], p,
-            None if slip0 is None else np.asarray(slip0, dtype=float)[idx])
+        try:
+            x, residual[idx], its, gp = _slip_solve(
+                hs * tau_tr[idx], qi, f_tr[idx], p,
+                None if slip0 is None else np.asarray(slip0, float)[idx])
+        except ConvergenceError as exc:
+            exc.step_index = int(np.flatnonzero(plastic)[exc.step_index])
+            raise
         phi_e[idx] -= hs * x
         # consistent tangent, with the slope of the polish step
         dtau[idx] = mu + mu ** 2 / gp
@@ -478,9 +482,10 @@ class DriveResult:
 def drive_angle_path(phi_path, p, state=None):
     """Drive a material point through a prescribed angle-change path.
 
-    Each entry of ``phi_path`` is one committed step; states are committed
-    in order, so the result is the backward-Euler time discretization of
-    the path.
+    Each entry of ``phi_path`` is one committed backward-Euler step.  A
+    plastic step ends on the yield surface, so a run of steps that does not
+    turn is one :func:`return_map_batch` call from the history before it.
+    The first step starts a run of its own, as no state records a direction.
 
     Parameters
     ----------
@@ -497,25 +502,21 @@ def drive_angle_path(phi_path, p, state=None):
     phi_path = np.asarray(phi_path, dtype=float)
     if state is None:
         state = PlasticState()
-    n = phi_path.size
-    tau = np.empty(n)
-    phi_p = np.empty(n)
-    q = np.empty(n)
-    # the committed history as the batch kernel's one-point arrays
-    hist_p, hist_q = np.array([state.phi_p]), np.array([state.q])
-    for k in range(n):
+    nz = np.flatnonzero(np.diff(phi_path))
+    turns = nz[np.diff(np.sign(np.diff(phi_path)[nz]), prepend=0.0) != 0.0]
+    edges = np.unique(np.r_[0, 1 + turns, phi_path.size]).tolist()
+    tau, phi_p, q = np.empty((3, phi_path.size))
+    for a, b in zip(edges[:-1], edges[1:]):
         try:
-            out = return_map_batch(phi_path[k:k + 1], hist_p, hist_q, p)
+            out = return_map_batch(phi_path[a:b], np.full(b - a, state.phi_p),
+                                   np.full(b - a, state.q), p)
         except ConvergenceError as exc:
+            k = a + exc.step_index
             phi = float(phi_path[k])
             raise ConvergenceError(
                 f"return map failed at phi_path[{k}] = {phi!r}: {exc}",
                 exc.residual, k, phi) from exc
-        tau[k] = out.tau[0]
-        hist_p, hist_q = out.phi_p, out.q
-        phi_p[k] = hist_p[0]
-        q[k] = hist_q[0]
+        tau[a:b], phi_p[a:b], q[a:b] = out.tau, out.phi_p, out.q
+        state = PlasticState(float(phi_p[b - 1]), float(q[b - 1]))
     return DriveResult(phi=phi_path.copy(), tau=tau, phi_e=phi_path - phi_p,
-                       phi_p=phi_p, q=q,
-                       state_final=PlasticState(phi_p=float(hist_p[0]),
-                                                q=float(hist_q[0])))
+                       phi_p=phi_p, q=q, state_final=state)

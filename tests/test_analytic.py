@@ -212,6 +212,13 @@ class TestIntervalSolveBatch:
         with pytest.raises(ConvergenceError) as exc:
             interval_solve_batch(phi_bar, IntervalState(), glass_params)
         assert exc.value.residual == max(residuals) > 0.0
+        # the first unconverged point as a flat index into phi_bar, not
+        # into the plastic points the slip solve gathers
+        assert exc.value.step_index == 2
+        with pytest.raises(ConvergenceError) as exc:
+            interval_solve_batch(phi_bar.reshape(2, 2), IntervalState(),
+                                 glass_params)
+        assert exc.value.step_index == 2
 
 
 class TestAdvanceInterval:

@@ -259,6 +259,12 @@ class TestReturnMap:
             return_map(0.5, PlasticState(), glass_params)
         assert err.value.residual is not None
         assert err.value.residual > 0.0
+        # the first unconverged point, in the batch's own indexing even
+        # though the slip solve sees only the plastic points
+        with pytest.raises(ConvergenceError) as err:
+            return_map_batch([0.0, 1e-6, 0.5, -0.3], np.zeros(4),
+                             np.zeros(4), glass_params)
+        assert err.value.step_index == 2
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -414,17 +420,46 @@ class TestDriver:
         assert rest.tau[-1] == pytest.approx(full.tau[-1], rel=1e-14)
         assert rest.q[-1] == pytest.approx(full.q[-1], rel=1e-14)
 
+    @pytest.mark.parametrize("case", ["glass", "demo", "walk"])
+    def test_equals_stepwise_backward_euler(self, case, glass_params,
+                                            demo_params, soft_params, rng):
+        """One return map per monotone run equals the scalar return map
+        stepped along the path: from a loaded state through repeated
+        angles and turns, and along a random walk with zero steps."""
+        if case == "walk":
+            p, state = soft_params, PlasticState()
+            path = np.clip(np.cumsum(rng.choice([-0.005, 0.0, 0.005], 2000)),
+                           -0.6, 0.6)
+        else:
+            p = glass_params if case == "glass" else demo_params
+            state = drive_angle_path(np.linspace(0.0, 0.4, 41)[1:],
+                                     p).state_final
+            path = [0.45, 0.45, 0.2, 0.2, 0.1, 0.3]
+        res = drive_angle_path(path, p, state)
+        rows = []
+        for phi in path:
+            sr = return_map(float(phi), state, p)
+            state = sr.new_state
+            rows.append((sr.tau, sr.phi_e, state.phi_p, state.q))
+        for got, want in zip((res.tau, res.phi_e, res.phi_p, res.q),
+                             np.transpose(rows)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert (res.state_final.phi_p, res.state_final.q) == (
+            res.phi_p[-1], res.q[-1])
+
     def test_slip_failure_is_located(self, glass_params, monkeypatch):
-        # the two zero steps are elastic; one slip sweep cannot converge
-        # the plastic third
+        # the first two steps are elastic; one slip sweep cannot converge
+        # the plastic third, which in the second path lies inside a run
+        # that starts at step 1
         monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
-        with pytest.raises(ConvergenceError) as err:
-            drive_angle_path([0.0, 0.0, 0.5, 0.6], glass_params)
-        assert err.value.step_index == 2 and err.value.phi == 0.5
-        assert "phi_path[2] = 0.5:" in str(err.value)
-        cause = err.value.__cause__
-        assert isinstance(cause, ConvergenceError)
-        assert err.value.residual == cause.residual > 0.0
+        for path in ([0.0, 0.0, 0.5, 0.6], [0.0, 1e-6, 0.5, 0.6]):
+            with pytest.raises(ConvergenceError) as err:
+                drive_angle_path(path, glass_params)
+            assert err.value.step_index == 2 and err.value.phi == 0.5
+            assert "phi_path[2] = 0.5:" in str(err.value)
+            cause = err.value.__cause__
+            assert isinstance(cause, ConvergenceError)
+            assert err.value.residual == cause.residual > 0.0
 
 
 class TestMembraneResponse:
