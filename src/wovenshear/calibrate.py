@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svd
 
 from .analytic import (IntervalState, _write_csv, frame_force,
                        interval_solve_batch)
@@ -222,7 +221,10 @@ def _identifiability(jac, keys):
     """Singular values of the residual Jacobian in the encoded parameters,
     their condition number, and the weakest right singular vector keyed by
     free parameter (sign fixed so that its largest entry is positive).
-    Uses scipy's SVD, which the trust-region steps have loaded already."""
+    Uses scipy's SVD, which the trust-region steps have loaded already,
+    so importing it in the body costs the fit nothing."""
+    # imported here: only the fit needs scipy.linalg
+    from scipy.linalg import svd
     _, s, vt = svd(jac, full_matrices=False)
     weak = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
     return {"singular_values": s.tolist(),

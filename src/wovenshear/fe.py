@@ -29,7 +29,9 @@ consistent tangent in LAPACK ``gbtrf`` band storage, factored by banded LU
 with partial pivoting (the tangent turns indefinite under plastic flow) and
 built only for a correction that factors it; each evaluation starts its slip
 solves from the slips of the one before, and a polish correction on the last
-factors takes the iterate to round-off.
+factors takes the iterate to round-off.  scipy's LAPACK wrappers are
+imported at the first factorization, so a solve whose every step is accepted
+at its prediction never loads scipy.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .analytic import (LoadProgram, ShearCurve, _solve_legs, _write_csv,
                        frame_force, program_theta_grid)
@@ -436,7 +437,8 @@ def _newton_step(model, x, phi_p, q, slip0, tol_abs):
     freshly built and LU-factored band tangent (LAPACK ``gbtrf``/``gbtrs``,
     partial pivoting), bring the norm to ``tol_abs``; one more (polish)
     correction on the last factors, a modified-Newton step, gives the
-    iterate accepted if it still meets ``tol_abs``.  A singular or
+    iterate accepted if it still meets ``tol_abs``.  LAPACK is loaded at
+    the first factorization, not at import.  A singular or
     non-finite system fails the step, and so does a slip solve
     that fails at some Gauss point; its largest ``|g|`` then ends the
     residual list.  The first evaluation starts its slip solves from
@@ -468,6 +470,8 @@ def _newton_step(model, x, phi_p, q, slip0, tol_abs):
         if not polish:
             if it == _NEWTON_MAX_ITER:
                 break
+            # imported here: a step accepted at its prediction never factors
+            from scipy.linalg.lapack import dgbtrf, dgbtrs
             lu, piv, info = dgbtrf(model.assemble(ev), bw, bw,
                                    overwrite_ab=True)
             if info > 0:    # an exactly zero pivot: singular

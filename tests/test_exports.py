@@ -2,8 +2,10 @@
 
 Verifies: every name in a module's ``__all__`` exists in that module, so
 that ``from wovenshear.<module> import *`` works and no export outlives
-the code it named; importing the CLI leaves ``scipy.optimize``, which
-only the calibration fit uses, unimported.
+the code it named; importing the package or the CLI leaves every
+``scipy`` module, which only the calibration fit and a frame step that
+needs a Newton correction use, unimported, and so does a frame verify
+run whose every step is accepted at its prediction.
 """
 
 import importlib
@@ -12,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+
+from wovenshear import save_params
 
 MODULES = ["kinematics", "material", "analytic", "fe", "calibrate", "cli"]
 
@@ -34,3 +38,33 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _scipy_modules_after(code, *args):
+    """Sorted ``scipy`` modules loaded once ``code`` has run, in a fresh
+    interpreter given ``args``; fails if the interpreter exits nonzero."""
+    report = ("import atexit, sys; atexit.register(lambda: print(sorted("
+              "m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", f"{report}\n{code}", *args],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["wovenshear", "wovenshear.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    assert _scipy_modules_after(f"import {module}") == "[]"
+
+
+def test_frame_verify_leaves_scipy_unloaded(demo_params, tmp_path):
+    # every step of the frame is accepted at its prediction, so the run
+    # never factors a tangent and never reaches LAPACK
+    params = tmp_path / "demo.json"
+    save_params(params, demo_params)
+    code = "from wovenshear.cli import main; main()"
+    assert _scipy_modules_after(
+        code, "picture-frame", "--mode", "verify", "--params", str(params),
+        "--mesh", "4x4", "--out", str(tmp_path / "out")) == "[]"
+    assert (tmp_path / "out" / "verify_report.json").exists()

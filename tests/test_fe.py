@@ -359,7 +359,8 @@ def dgbtrf_calls(monkeypatch):
         calls.append(args[0].shape)
         return dgbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(fe, "dgbtrf", counting)
+    # fe imports dgbtrf from scipy's module at its first factorization
+    monkeypatch.setattr("scipy.linalg.lapack.dgbtrf", counting)
     return calls
 
 
