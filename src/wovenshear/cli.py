@@ -359,8 +359,8 @@ def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
               help="Comma-separated stage list from {1,2,3}.")
 @click.option("--max-evals", type=_Positive(int), default=400,
               show_default=True,
-              help="Model evaluations per stage, Jacobian columns "
-                   "included; a stage that runs out stops unconverged.")
+              help="Model evaluations per stage (the exact Jacobian "
+                   "costs none); a stage that runs out stops unconverged.")
 @_l0_option
 @click.option("--mu0", type=_Positive(float), default=1.0, show_default=True,
               help="Force normalization of the data.")

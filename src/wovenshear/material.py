@@ -235,8 +235,8 @@ def _check_q(q):
         raise ValueError("hardening variable q must be >= 0")
 
 
-# unchecked bodies of f_iso and f_iso_prime, for callers that have checked
-# q >= 0 already
+# unchecked bodies of f_iso, f_iso_prime and the parameter gradient of
+# f_iso, for callers that have checked q >= 0 already
 def _f_iso(q, p):
     return (p.tau_y
             + p.A_h * np.arcsinh(p.a_h * q)
@@ -248,6 +248,21 @@ def _f_iso_prime(q, p):
     return (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
             + p.B_h * p.b_h / np.cosh(p.b_h * q) ** 2
             + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
+
+
+def _f_iso_grad(q, p):
+    """Derivatives of f_iso(q) in its parameters, keyed by JSON name.
+
+    ``q^c ln q`` is taken as its limit 0 at q = 0 (``c_h >= 1``).
+    """
+    qc = np.power(q, p.c_h)
+    return {"tau_y": np.ones_like(q),
+            "A": np.arcsinh(p.a_h * q),
+            "a": p.A_h * q / np.sqrt(1.0 + (p.a_h * q) ** 2),
+            "B": np.tanh(p.b_h * q),
+            "b": p.B_h * q / np.cosh(p.b_h * q) ** 2,
+            "C": qc,
+            "c": p.C_h * qc * np.log(np.where(q > 0.0, q, 1.0))}
 
 
 def f_iso(q, p):

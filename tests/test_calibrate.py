@@ -4,9 +4,10 @@ Verifies: experiment-curve validation and CSV round trips, the pointwise
 model forces against the curve generator and against a per-point scalar
 solve, the RMS objective and its rejection of failed solves, the bounded
 least-squares fit (recovery across the elastic/plastic kink, pass-through,
-determinism, rejected candidates, the exact evaluation budget), the staged
-workflow with its window selection, skip logic and identifiability report,
-and the synthetic data generator.
+determinism, rejected candidates, the exact evaluation budget), the exact
+force Jacobian against central differences and its cost of no model
+evaluation, the staged workflow with its window selection, skip logic and
+identifiability report, and the synthetic data generator.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 from wovenshear import (ConvergenceError, ElastoplasticParams, IntervalState,
                         frame_force, gamma_to_theta, interval_solve,
-                        replace_params, run_program)
+                        interval_solve_batch, params_to_dict, replace_params,
+                        run_program)
 from wovenshear import calibrate
 from wovenshear.analytic import LoadProgram
 from wovenshear.calibrate import (
@@ -199,8 +201,8 @@ class TestFit:
             fit(soft_params, curve, cfg)
 
     def test_budget_reported(self, soft_params):
-        # the fit needs about ten evaluations: the start, a Jacobian column
-        # and one trial step use up three, before it can converge
+        # the fit needs five evaluations, the start and four trust-region
+        # steps (the Jacobian costs none), so three stop it unconverged
         curve = synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1))
         start = replace_params(soft_params, {"mu_f": 1.3})
         res = fit(start, curve, FitConfig(free_params=("mu_f",),
@@ -266,6 +268,59 @@ class TestFit:
         assert np.isfinite(res.rms_error)
         assert res.rms_error == objective(res.params, curve)
         assert res.rms_error < objective(start, curve)
+
+
+class TestForceJacobian:
+    @pytest.mark.parametrize("name", ["glass_params", "soft_params"])
+    def test_matches_central_differences(self, name, request):
+        # every angle of the AC9 grid is plastic on the glass set; the soft
+        # set yields at about 5.7 deg, so the grid has elastic points too
+        p = request.getfixturevalue(name)
+        L0, mu0 = 3.0, 2.0
+        theta = gamma_to_theta(AC9_GRID)
+        sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
+        assert sol.plastic.any()
+        assert sol.plastic.all() == (name == "glass_params")
+        jac = calibrate._force_jacobian(theta, sol, p, FIT_KEYS, L0, mu0)
+        values = params_to_dict(p)
+        for k, key in enumerate(FIT_KEYS):
+            u = calibrate._encode(key, values[key])
+            h = 1e-4 * (max(abs(u), 1.0) if key in calibrate._LOG_KEYS
+                        else abs(u))
+            f_up, f_dn = (
+                model_forces(AC9_GRID, replace_params(
+                    p, {key: calibrate._decode(key, u + s)}), L0, mu0)
+                for s in (h, -h))
+            col = jac[:, k]
+            err = np.max(np.abs((f_up - f_dn) / (2.0 * h) - col))
+            assert err <= 1e-6 * np.max(np.abs(col)), key
+
+    def test_fit_evaluates_only_its_residuals(self, glass_params,
+                                              monkeypatch):
+        # every slip solve of a staged fit is one of its counted model
+        # evaluations: the Jacobian comes from the iterate's solution
+        curve = synthetic_curve(glass_params, AC9_GRID, rel_noise=0.01,
+                                seed=0)
+        start = replace_params(glass_params, {"A": 8.8 * 1.02,
+                                              "a": 0.0024 * 0.97,
+                                              "C": 1.05, "c": 11.0 * 0.95})
+        solve = calibrate.interval_solve_batch
+        calls = []
+
+        def counting(phi_bar, istate, p):
+            calls.append(p)
+            return solve(phi_bar, istate, p)
+
+        monkeypatch.setattr(calibrate, "interval_solve_batch", counting)
+        for stage in (1, 2, 3):
+            keys, selector = calibrate._STAGES[stage]
+            n = len(calls)
+            res = fit(start, curve, FitConfig(free_params=keys),
+                      mask=selector(curve.gamma_deg))
+            assert res.converged
+            assert len(calls) - n == res.evals_used
+            start = res.params
+        assert len(calls) <= 30
 
 
 class TestStagedFit:
