@@ -265,6 +265,28 @@ def _write_csv(path, header, columns):
             fh.write("".join(block.ravel().tolist()))
 
 
+def _read_csv(path, header):
+    """Columns of a file in the format of :func:`_write_csv`, as float arrays.
+
+    Blank lines and lines that start with ``#`` are skipped, so comments
+    may precede the header.  The first other line must be ``header``, and
+    each later one a row of one value per header name.  A file with no rows
+    gives empty columns.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    if not lines or lines[0] != header:
+        found = repr(lines[0]) if lines else "none"
+        raise ValueError(f"expected header {header!r}, found {found}")
+    rows = [[float(tok) for tok in line.split(",")] for line in lines[1:]]
+    width = header.count(",") + 1
+    for k, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise ValueError(f"row {k} holds {len(row)} values, the header "
+                             f"names {width}")
+    return list(np.array(rows, dtype=float).reshape(-1, width).T)
+
+
 CURVE_COLUMNS = ("gamma_deg", "theta12", "tau", "phi_e", "phi_p", "q",
                  "frame_force_normalized")
 
@@ -285,7 +307,6 @@ class ShearCurve:
     phi_p: np.ndarray
     q: np.ndarray
     frame_force_normalized: np.ndarray
-    label: str = ""
 
     def __len__(self):
         return self.gamma_deg.size
@@ -296,14 +317,10 @@ class ShearCurve:
                    [getattr(self, name) for name in CURVE_COLUMNS])
 
     @classmethod
-    def from_csv(cls, path, label=""):
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        if header != ",".join(CURVE_COLUMNS):
-            raise ValueError(f"unexpected curve header: {header!r}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        cols = {name: data[:, k] for k, name in enumerate(CURVE_COLUMNS)}
-        return cls(label=label, **cols)
+    def from_csv(cls, path):
+        """Read a curve that :meth:`to_csv` wrote (see :func:`_read_csv`)."""
+        columns = _read_csv(path, ",".join(CURVE_COLUMNS))
+        return cls(**dict(zip(CURVE_COLUMNS, columns)))
 
 
 def program_theta_grid(lp, steps_per_degree=2.0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (IntervalState, _write_csv, frame_force,
+from .analytic import (IntervalState, _read_csv, _write_csv, frame_force,
                        interval_solve_batch)
 from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
 from .kinematics import gamma_to_theta
@@ -91,28 +91,10 @@ class ExperimentCurve:
 
     @classmethod
     def from_csv(cls, path, label=""):
-        """Read `gamma_deg,force_norm` rows; lines starting with # are
-        comments and may precede the header."""
-        rows = []
-        header_seen = False
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if not header_seen:
-                    if line != "gamma_deg,force_norm":
-                        raise ValueError(
-                            f"unexpected data header: {line!r}")
-                    header_seen = True
-                    continue
-                rows.append([float(tok) for tok in line.split(",")])
-        if not header_seen:
-            raise ValueError("missing gamma_deg,force_norm header")
-        data = np.asarray(rows, dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError("data rows must have two columns")
-        return cls(gamma_deg=data[:, 0], force_norm=data[:, 1], label=label)
+        """Read `gamma_deg,force_norm` rows (see ``analytic._read_csv``);
+        lines starting with # are comments and may precede the header."""
+        gamma, force = _read_csv(path, "gamma_deg,force_norm")
+        return cls(gamma_deg=gamma, force_norm=force, label=label)
 
 
 @dataclass(frozen=True)

@@ -604,8 +604,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     curve = ShearCurve(
         gamma_deg=np.asarray(gamma),
         **{k: gp[k].mean(axis=1) for k in fields},
-        frame_force_normalized=np.asarray(force) / (mesh.L0 * mu0),
-        label="fe")
+        frame_force_normalized=np.asarray(force) / (mesh.L0 * mu0))
     return FESolution(
         curve=curve, theta_steps=np.asarray(thetas),
         **{f"gp_{k}": gp[k] for k in fields},

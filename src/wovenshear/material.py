@@ -235,6 +235,13 @@ def _check_q(q):
         raise ValueError("hardening variable q must be >= 0")
 
 
+# cosh(x)^2, inf without an overflow warning once x passes about 355, so
+# that a quotient by it is 0 there
+def _cosh_sq(x):
+    with np.errstate(over="ignore"):
+        return np.cosh(x) ** 2
+
+
 # unchecked bodies of f_iso, f_iso_prime and the parameter gradient of
 # f_iso, for callers that have checked q >= 0 already
 def _f_iso(q, p):
@@ -246,7 +253,7 @@ def _f_iso(q, p):
 
 def _f_iso_prime(q, p):
     return (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
-            + p.B_h * p.b_h / np.cosh(p.b_h * q) ** 2
+            + p.B_h * p.b_h / _cosh_sq(p.b_h * q)
             + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
 
 
@@ -260,7 +267,7 @@ def _f_iso_grad(q, p):
             "A": np.arcsinh(p.a_h * q),
             "a": p.A_h * q / np.sqrt(1.0 + (p.a_h * q) ** 2),
             "B": np.tanh(p.b_h * q),
-            "b": p.B_h * q / np.cosh(p.b_h * q) ** 2,
+            "b": p.B_h * q / _cosh_sq(p.b_h * q),
             "C": qc,
             "c": p.C_h * qc * np.log(np.where(q > 0.0, q, 1.0))}
 

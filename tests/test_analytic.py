@@ -5,7 +5,8 @@ range, the interval consistency solve against a bisection oracle, the
 batched solve against the one-point solve bit for bit, exact interval
 chaining (splitting a monotone leg anywhere changes nothing), the
 pull-force formula, curve generation over multi-leg programs, CSV
-round trips, and the CSV writer against numpy's.
+round trips, the CSV writer against numpy's, and the CSV reader against
+the writer bit for bit.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from wovenshear import (
     yield_angle,
 )
 from wovenshear import material
-from wovenshear.analytic import _CSV_BLOCK_ROWS, _write_csv
+from wovenshear.analytic import _CSV_BLOCK_ROWS, _read_csv, _write_csv
 from wovenshear.material import PlasticState
 
 import oracles
@@ -353,6 +354,17 @@ class TestShearCurveCSV:
         with pytest.raises(ValueError, match="header"):
             ShearCurve.from_csv(path)
 
+    def test_comments_and_blank_lines_before_header(self, demo_params,
+                                                    cycle_program, tmp_path):
+        c = run_program(cycle_program, demo_params)
+        path = tmp_path / "curve.csv"
+        c.to_csv(path)
+        path.write_text("# closed-form cycle\n\n#\n" + path.read_text())
+        c2 = ShearCurve.from_csv(path)
+        assert np.array_equal(c.tau, c2.tau)
+        assert np.array_equal(c.frame_force_normalized,
+                              c2.frame_force_normalized)
+
 
 # bit patterns a column can hold that %.17g prints in its own way: signed
 # zeros, NaNs with either sign and another payload, the infinities, the
@@ -406,3 +418,41 @@ class TestWriteCSV:
         assert text == (tmp_path / "numpy.csv").read_text()
         assert [line.split(",")[0] for line in text.splitlines()[1:3]] == \
             ["0", "-0"]
+
+
+# every double that %.17g prints in its own way, and any finite one
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308]))
+
+
+class TestReadCSV:
+    @given(columns=st.integers(0, 30).flatmap(lambda rows: st.lists(
+        st.lists(_CSV_VALUES, min_size=rows, max_size=rows),
+        min_size=1, max_size=6)))
+    @settings(max_examples=60, deadline=None)
+    def test_reads_back_written_bits(self, columns, tmp_path_factory):
+        columns = [np.array(c, dtype=float) for c in columns]
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        _write_csv(path, header, columns)
+        back = _read_csv(path, header)
+        assert len(back) == len(columns)
+        for ours, theirs in zip(back, columns):
+            assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    def test_wrong_column_count_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y\n1,2\n3\n")
+        with pytest.raises(ValueError, match="row 2"):
+            _read_csv(path, "x,y")
+        path.write_text("x,y\n1,2,3\n")
+        with pytest.raises(ValueError, match="row 1"):
+            _read_csv(path, "x,y")
+
+    def test_missing_header_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# no data\n\n")
+        with pytest.raises(ValueError, match="header"):
+            _read_csv(path, "x,y")

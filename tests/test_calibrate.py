@@ -67,6 +67,14 @@ class TestExperimentCurve:
         c = ExperimentCurve.from_csv(path)
         assert len(c) == 2
 
+    def test_comments_and_blank_lines_before_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("\n# digitized from a frame test\n\n# gamma in deg\n"
+                        "gamma_deg,force_norm\n1.0,0.1\n2.0,0.2\n")
+        c = ExperimentCurve.from_csv(path)
+        assert np.array_equal(c.gamma_deg, [1.0, 2.0])
+        assert np.array_equal(c.force_norm, [0.1, 0.2])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("gamma,force\n1.0,0.1\n")

@@ -322,6 +322,18 @@ class TestCalibrate:
         assert result.exit_code == 1
         assert "bad data file" in result.output
 
+    def test_header_only_data_file(self, runner, soft_file, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# no points yet\ngamma_deg,force_norm\n")
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["calibrate", "--data", str(empty),
+                                      "--params", str(soft_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert (f"Error: bad data file {empty}: experiment curve is empty"
+                in result.output)
+        assert not (out / "fit_report.json").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, runner, demo_file, tmp_path):

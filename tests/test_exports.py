@@ -2,10 +2,12 @@
 
 Verifies: every name in a module's ``__all__`` exists in that module, so
 that ``from wovenshear.<module> import *`` works and no export outlives
-the code it named; importing the package or the CLI leaves every
-``scipy`` module, which only the calibration fit and a frame step that
-needs a Newton correction use, unimported, and so does a frame verify
-run whose every step is accepted at its prediction.
+the code it named; the package exports exactly the names of its modules'
+``__all__`` lists, each as the module's own object; importing the
+package or the CLI leaves every ``scipy`` module, which only the
+calibration fit and a frame step that needs a Newton correction use,
+unimported, and so does a frame verify run whose every step is accepted
+at its prediction.
 """
 
 import importlib
@@ -15,9 +17,12 @@ import sys
 
 import pytest
 
+import wovenshear
 from wovenshear import save_params
 
-MODULES = ["kinematics", "material", "analytic", "fe", "calibrate", "cli"]
+# the modules whose public names the package re-exports
+PACKAGE_MODULES = ["kinematics", "material", "analytic", "fe", "calibrate"]
+MODULES = PACKAGE_MODULES + ["cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,6 +33,21 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from wovenshear.{name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_package_reexports_module_names(name):
+    module = importlib.import_module(f"wovenshear.{name}")
+    differ = [n for n in module.__all__
+              if getattr(wovenshear, n, None) is not getattr(module, n)]
+    assert not differ
+
+
+def test_package_all_is_union_of_module_all():
+    names = [n for name in PACKAGE_MODULES
+             for n in importlib.import_module(f"wovenshear.{name}").__all__]
+    assert len(set(names)) == len(names)
+    assert sorted(wovenshear.__all__) == sorted(names)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

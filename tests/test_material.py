@@ -11,6 +11,7 @@ element kernel itself, in ``test_fe.py``.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from wovenshear import (
 from wovenshear import material
 from wovenshear.kinematics import (MetricPoint, RefFiberPair, _angle_gradient,
                                    _angle_hessian)
-from wovenshear.material import PARAM_JSON_KEYS, _slip_solve
+from wovenshear.material import PARAM_JSON_KEYS, _f_iso_grad, _slip_solve
 
 import oracles
 
@@ -83,6 +84,28 @@ class TestHardeningCurve:
         sign_changes = np.sum(np.diff(np.sign(d)) != 0.0)
         assert sign_changes == 1
         assert d[0] < 0.0 and d[-1] > 0.0
+
+    @pytest.mark.parametrize("b_h", [700.0, 1e5])
+    def test_large_b_no_overflow_warning(self, glass_params, b_h):
+        # cosh(b q)^2 overflows once b q passes about 355: the terms of
+        # f_iso' and of d f_iso / d b that divide by it are then 0, with no
+        # RuntimeWarning (an error under -W error::RuntimeWarning)
+        q = np.array([0.0, 0.01, 0.5, 0.6, 1.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = dataclasses.replace(glass_params, b_h=b_h)
+            prime = f_iso_prime(q, p)
+            grad = _f_iso_grad(q, p)
+            prime_end = f_iso_prime(1.5, p)
+        saturated = p.b_h * q > 360.0      # where cosh(b q)^2 is inf
+        rest = (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
+                + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
+        assert np.all(np.isfinite(prime)) and np.all(prime > 0.0)
+        assert np.array_equal(prime[saturated], rest[saturated])
+        assert prime_end == rest[-1]
+        assert prime[0] == p.A_h * p.a_h + p.B_h * p.b_h
+        assert np.all(grad["b"][saturated] == 0.0)
+        assert all(np.all(np.isfinite(v)) for v in grad.values())
 
     def test_negative_q_rejected(self, glass_params):
         with pytest.raises(ValueError):
