@@ -13,6 +13,7 @@ curves can be chained exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,22 +235,23 @@ _CSV_BLOCK_ROWS = 8192
 
 
 def _write_csv(path, header, columns):
-    """Write equal-length ``columns`` as comma-separated rows under ``header``.
+    """Write ``columns`` as comma-separated rows under ``header``.
 
-    The file holds the same bytes as ``np.savetxt(path,
-    np.column_stack(columns), fmt="%.17g", delimiter=",", header=header,
-    comments="")``: 17 significant digits, which read back to the same
-    doubles.  Rows go out in blocks of ``_CSV_BLOCK_ROWS``, and within a
-    block each distinct value of a column is formatted once.  The frame
-    deforms homogeneously, so a Gauss-point dump repeats each value across
-    the points of a step, and most of its cells reuse a formatted string.
+    The columns broadcast against each other; row ``k`` holds the ``k``-th
+    element of each in C order.  The bytes are those of ``np.savetxt`` of
+    the broadcast columns raveled side by side, with ``fmt="%.17g"``, ``,``
+    delimiters and no comment mark: 17 significant digits, which read back
+    to the same doubles.  Rows go out in blocks of about ``_CSV_BLOCK_ROWS``
+    along the first axis, each distinct value of a column formatted once a
+    block: a homogeneous frame repeats each value across a step's points.
     """
-    cols = [np.asarray(c).reshape(-1) for c in columns]
+    cols = np.broadcast_arrays(*map(np.atleast_1d, columns))
+    step = max(1, _CSV_BLOCK_ROWS // max(1, math.prod(cols[0].shape[1:])))
     ends = [","] * (len(cols) - 1) + ["\n"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for lo in range(0, cols[0].size, _CSV_BLOCK_ROWS):
-            part = [np.asarray(c[lo:lo + _CSV_BLOCK_ROWS], dtype=float)
+        for lo in range(0, len(cols[0]), step):
+            part = [np.asarray(c[lo:lo + step], dtype=float).ravel()
                     for c in cols]
             block = np.empty((part[0].size, len(cols)), dtype=object)
             for j, (col, end) in enumerate(zip(part, ends)):
@@ -329,17 +331,29 @@ def program_theta_grid(lp, steps_per_degree=2.0):
     Uniform in theta within each leg, at ``steps_per_degree`` (> 0) steps
     per degree and at least one; each grid ends exactly on its target.
     """
-    if not steps_per_degree > 0.0:
-        raise ValueError(
-            f"steps_per_degree must be positive, got {steps_per_degree}")
     grids = []
     prev = np.pi / 2.0
-    for tgt in lp.targets:
-        span_deg = abs(np.rad2deg(tgt - prev))
-        n = max(1, int(round(span_deg * steps_per_degree)))
+    for tgt, n in zip(lp.targets, _leg_steps(lp, steps_per_degree)):
         grids.append(np.linspace(prev, tgt, n + 1)[1:])
         prev = tgt
     return grids
+
+
+def _leg_steps(lp, steps_per_degree):
+    """Step count of each leg on the grid of :func:`program_theta_grid`:
+    its span in degrees times ``steps_per_degree``, rounded, and at least
+    one; ``math.inf`` where that product overflows."""
+    if not steps_per_degree > 0.0:
+        raise ValueError(
+            f"steps_per_degree must be positive, got {steps_per_degree}")
+    counts = []
+    prev = np.pi / 2.0
+    for tgt in lp.targets:
+        # a float product: it overflows to inf without a numpy warning
+        n = float(abs(np.rad2deg(tgt - prev))) * steps_per_degree
+        counts.append(max(1, round(n)) if math.isfinite(n) else math.inf)
+        prev = tgt
+    return counts
 
 
 def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):

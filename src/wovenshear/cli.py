@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .analytic import LoadProgram, _write_csv, run_program
+from .analytic import LoadProgram, _leg_steps, _write_csv, run_program
 from .calibrate import FIT_KEYS, ExperimentCurve, staged_fit
 from .fe import Mesh, SolverError, solve_picture_frame, verify_against_analytic
 from .material import (ConvergenceError, drive_angle_path, load_params,
@@ -29,8 +29,9 @@ from .material import (ConvergenceError, drive_angle_path, load_params,
 
 __all__ = ["main"]
 
-# step cap of material-point: the path and its five result columns take
-# 48 bytes a step in memory, and the CSV about 100 bytes a row
+# step cap of material-point, picture-frame and param-study: a path or an
+# angle grid with its result columns takes about 50 bytes a step in memory,
+# and the CSV about 100 bytes a row
 _MAX_STEPS = 10**7
 
 
@@ -156,6 +157,16 @@ def _load_params(path):
         raise click.ClickException(f"bad params file {path}: {exc}")
 
 
+def _check_frame_steps(program, steps_per_degree):
+    """Refuse a frame program of more than ``_MAX_STEPS`` load steps, as
+    counted by the grid the solvers step through, before any is built."""
+    total = sum(_leg_steps(program, steps_per_degree))
+    if total > _MAX_STEPS:
+        raise click.UsageError(
+            f"program takes {float(total):.17g} steps at steps-per-degree = "
+            f"{steps_per_degree!r}; at most {_MAX_STEPS} are solved")
+
+
 def _out_dir(path):
     """The output directory, made when missing; it must be writable.  A path
     that names a file, or runs through one, is a usage error."""
@@ -276,6 +287,7 @@ def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
     """
     ep, hp = _load_params(params)
     mu0 = ep.mu_f if mu0 is None else mu0
+    _check_frame_steps(program, steps_per_degree)
     out = _out_dir(out)
     if mode != "analytic":
         sol = solve_picture_frame(Mesh.square(mesh, L0=l0), program, ep, hp,
@@ -330,6 +342,7 @@ def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
     ep, _ = _load_params(params)
     name, vals = sweep
     mu0 = ep.mu_f if mu0 is None else mu0
+    _check_frame_steps(program, steps_per_degree)
     out = _out_dir(out)
     files = []
     for k, v in enumerate(vals):

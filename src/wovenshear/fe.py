@@ -385,7 +385,8 @@ class FESolution:
 
     ``curve`` carries Gauss-point means and the reaction-based pull force
     per recorded step.  The ``gp_*`` arrays hold every Gauss point at every
-    recorded step, row 0 being the undeformed state.  ``residual_history``
+    recorded step, row 0 being the undeformed state; the solve allocates
+    them once and fills each row in place.  ``residual_history``
     lists the Newton residual norms of every committed step (including
     bisected sub-steps), aligned with ``committed_thetas``, one entry per
     evaluation: one for a prediction that meets the tolerance, as the
@@ -424,7 +425,7 @@ class FESolution:
         """Per-step Gauss-point dump with full double precision."""
         S, M = self.gp_tau.shape
         _write_csv(path, ",".join(FIELD_COLUMNS),
-                   [np.repeat(np.arange(S), M), np.tile(np.arange(M), S)]
+                   [np.arange(S)[:, None], np.arange(M)[None, :]]
                    + [getattr(self, f"gp_{k}") for k in FIELD_COLUMNS[2:]])
 
 
@@ -538,12 +539,12 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     bnodes = mesh.boundary_nodes
     XB = X[bnodes]
 
-    # recorded rows, starting from the undeformed state
+    # recorded rows, filled in place, row 0 the undeformed state
     thetas = [np.pi / 2.0]
-    gamma = [0.0]
     fields = FIELD_COLUMNS[2:]
-    rows = {k: [np.zeros(E * G)] for k in fields}
-    rows["theta12"] = [np.full(E * G, model.Theta12)]
+    gp = {k: np.zeros((1 + sum(g.size for g in grids), E * G))
+          for k in fields}
+    gp["theta12"][0] = model.Theta12
     force = [0.0]
     committed_thetas = []
     residual_history = []
@@ -554,7 +555,6 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
         for tgt in grid:
             step_index += 1
             stack = [(float(tgt), 0)]
-            r_conv, ev_conv = None, None
             while stack:
                 th, depth = stack.pop()
                 scale = (th - theta_prev) / dth_last if dth_last else 0.0
@@ -588,25 +588,23 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
                 theta_prev = th
                 committed_thetas.append(th)
                 residual_history.append(residuals)
-                r_conv, ev_conv = r, ev
-            # the last commit in the stack is the recorded target
-            ev = ev_conv
+            # the stack ends on a commit, that of the recorded target, and
+            # r and ev are its residual and evaluation
             V = XB @ picture_frame_dF_dtheta(theta_prev).T
-            R = r_conv.reshape(-1, 2)[bnodes]
+            R = r.reshape(-1, 2)[bnodes]
             pull = float(np.sum(R * V) / crosshead_rate(theta_prev, mesh.L0))
             thetas.append(theta_prev)
-            gamma.append(float(theta_to_gamma(theta_prev)))
             for k in fields:
-                rows[k].append(getattr(ev, k).ravel())
+                gp[k][step_index] = getattr(ev, k).ravel()
             force.append(pull)
 
-    gp = {k: np.vstack(v) for k, v in rows.items()}
+    thetas = np.asarray(thetas)
     curve = ShearCurve(
-        gamma_deg=np.asarray(gamma),
+        gamma_deg=theta_to_gamma(thetas),
         **{k: gp[k].mean(axis=1) for k in fields},
         frame_force_normalized=np.asarray(force) / (mesh.L0 * mu0))
     return FESolution(
-        curve=curve, theta_steps=np.asarray(thetas),
+        curve=curve, theta_steps=thetas,
         **{f"gp_{k}": gp[k] for k in fields},
         x=x, committed_thetas=np.asarray(committed_thetas),
         residual_history=residual_history, program=program, ep=ep, mu0=mu0,
@@ -637,15 +635,15 @@ def verify_against_analytic(sol, *, tau_tol=1e-9):
     force_an = np.concatenate(
         [[0.0]] + [frame_force(s.tau, g, L0) for s, g in zip(sols, grids)])
 
-    dtau = np.abs(sol.gp_tau - tau_an[:, None])
+    # |dtau|, |dtau| / denom and |dtheta12| in turn, in one (S, P) buffer
+    dev = sol.gp_tau - tau_an[:, None]
     tau_scale = np.abs(tau_an).max()
-    max_rel_scale = float(dtau.max() / tau_scale)
+    max_rel_scale = float(np.abs(dev, out=dev).max() / tau_scale)
     floor = 0.01 * tau_scale
     denom = np.maximum(np.abs(tau_an)[:, None], floor)
-    max_rel_pointwise = float((dtau / denom).max())
-    t12_applied = np.cos(thetas)
-    max_theta12_dev = float(
-        np.abs(sol.gp_theta12 - t12_applied[:, None]).max())
+    max_rel_pointwise = float(np.divide(dev, denom, out=dev).max())
+    np.subtract(sol.gp_theta12, np.cos(thetas)[:, None], out=dev)
+    max_theta12_dev = float(np.abs(dev, out=dev).max())
     f_fe = sol.curve.frame_force_normalized * (L0 * mu0)
     fscale = np.abs(force_an).max()
     max_force_rel = float(np.abs(f_fe - force_an).max() / fscale)

@@ -5,8 +5,8 @@ range, the interval consistency solve against a bisection oracle, the
 batched solve against the one-point solve bit for bit, exact interval
 chaining (splitting a monotone leg anywhere changes nothing), the
 pull-force formula, curve generation over multi-leg programs, CSV
-round trips, the CSV writer against numpy's, and the CSV reader against
-the writer bit for bit.
+round trips, the CSV writer against numpy's on 1-D and on broadcast
+columns, and the CSV reader against the writer bit for bit.
 """
 
 import numpy as np
@@ -405,6 +405,40 @@ class TestWriteCSV:
         tmp = tmp_path_factory.mktemp("csv")
         _write_csv(tmp / "ours.csv", header, columns)
         oracles.savetxt_csv(tmp / "numpy.csv", header, columns)
+        assert (tmp / "ours.csv").read_bytes() == \
+            (tmp / "numpy.csv").read_bytes()
+
+    # broadcast shapes (S, M) whose rows fill blocks along the first axis
+    # and run past them: 1024 points is 8 steps a block, as a 16x16 field
+    # dump; 3 points is 2730 steps a block; a row longer than a block is a
+    # block of its own
+    @given(shape=st.sampled_from([(9, 1024), (2731, 3),
+                                  (2, _CSV_BLOCK_ROWS + 5), (5, 1), (1, 7)]),
+           layouts=st.lists(st.sampled_from(["steps", "points", "full",
+                                             "flat"]),
+                            min_size=1, max_size=6),
+           kinds=st.lists(st.sampled_from(["special", "repeated", "distinct",
+                                           "integer", "int64"]),
+                          min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_broadcast_columns_equal_savetxt(self, shape, layouts, kinds,
+                                             seed, tmp_path_factory):
+        # each column (S, 1), (1, M), (S, M) or 1-D (M,); the file must
+        # hold the rows of the broadcast, raveled in C order
+        S, M = shape
+        dims = {"steps": (S, 1), "points": (1, M), "full": (S, M),
+                "flat": (M,)}
+        rng = np.random.default_rng(seed)
+        columns = [_csv_column(kind, np.prod(dims[lay]), rng)
+                   .reshape(dims[lay]) for lay, kind in zip(layouts, kinds)]
+        full = np.broadcast_shapes(*(c.shape for c in columns))
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        tmp = tmp_path_factory.mktemp("csv")
+        _write_csv(tmp / "ours.csv", header, columns)
+        oracles.savetxt_csv(tmp / "numpy.csv", header,
+                            [np.broadcast_to(c, full).ravel()
+                             for c in columns])
         assert (tmp / "ours.csv").read_bytes() == \
             (tmp / "numpy.csv").read_bytes()
 

@@ -2,8 +2,9 @@
 
 Verifies: all four subcommands end to end in a temporary directory, flag
 and config-file precedence, range checks on numeric settings, error exits
-without partial output (bad parameter files, non-finite numbers, an
-``--out`` that names a file), and byte-identical reruns.
+without partial output (bad parameter files, non-finite numbers, step
+counts over the cap, an ``--out`` that names a file), and byte-identical
+reruns.
 """
 
 import filecmp
@@ -629,6 +630,38 @@ class TestBadInput:
                                       str(soft_file), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert f"at most {wovenshear.cli._MAX_STEPS} are driven" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["picture-frame", "--mode", "analytic"],
+        ["picture-frame", "--mode", "verify"],
+        ["param-study", "--sweep", "tau_y=0"],
+    ], ids=["analytic", "verify", "param-study"])
+    @pytest.mark.parametrize("spd, steps", [
+        ("1e300", None),
+        ("1e9", "110000000000"),
+        # the legs take 5e6, 3e6 and 3e6 steps, each under the cap
+        ("1e5", "11000000"),
+        # 50 degrees times the largest double overflows
+        ("1.7976931348623157e308", "inf"),
+    ])
+    def test_frame_step_count_over_cap_is_usage_error(
+            self, runner, soft_file, tmp_path, args, spd, steps):
+        # rejected from the leg counts of the frame grid, before any grid
+        # or output directory is made
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + [
+            "--program", "50,20,50", "--steps-per-degree", spd,
+            "--params", str(soft_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = [ln for ln in result.output.splitlines()
+                 if ln.startswith("Error:")]
+        assert len(error) == 1
+        assert error[0].startswith("Error: program takes ")
+        if steps is not None:
+            assert error[0].startswith(f"Error: program takes {steps} steps")
+        assert error[0].endswith(
+            f"at most {wovenshear.cli._MAX_STEPS} are solved")
         assert not out.exists()
 
 

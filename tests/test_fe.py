@@ -11,11 +11,12 @@ homogeneous), the banded global system against a dense reference, one LU
 factorization per full Newton correction and none for the polish, every
 frame step accepted at its prediction with no drift from the affine state,
 a mesh with no free DOF, verify margins across mesh sizes and on a deep
-reversal, step bisection and failure reporting, determinism, and the
-field CSV dump.
+reversal, step bisection and failure reporting, determinism, the field
+CSV dump, and the peak memory of a frame solve and of its verify.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -715,3 +716,39 @@ class TestVerifyAgainstAnalytic:
         sol.gp_tau = sol.gp_tau * 1.001
         rep = verify_against_analytic(sol)
         assert not rep["passed"]
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran, above
+    what was traced when it began."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestFramePassMemory:
+    # the 8x8 demo cycle records 221 steps of 256 Gauss points; each field
+    # is filled in place and verify takes its deviations in one (S, P)
+    # buffer, so neither holds a second copy of what it reads or writes
+    def test_solve_holds_each_field_once(self, demo_params, cycle_program):
+        # a first run, so that one-time allocations are not counted
+        solve_picture_frame(Mesh.square(1), cycle_program, demo_params)
+        sol, peak = _traced_peak(lambda: solve_picture_frame(
+            Mesh.square(8), cycle_program, demo_params))
+        fields = sum(getattr(sol, f"gp_{k}").nbytes
+                     for k in FIELD_COLUMNS[2:])
+        assert fields == 5 * 221 * 256 * 8
+        assert peak <= 1.25 * fields, peak / fields
+
+    def test_verify_holds_one_deviation_array(self, demo_params,
+                                              cycle_program):
+        sol = solve_picture_frame(Mesh.square(8), cycle_program, demo_params)
+        verify_against_analytic(sol)
+        rep, peak = _traced_peak(lambda: verify_against_analytic(sol))
+        assert rep["passed"]
+        assert peak <= 1.25 * sol.gp_tau.nbytes, peak / sol.gp_tau.nbytes
