@@ -1,9 +1,10 @@
 """Fiber-angle elastoplasticity for woven fabrics in shear.
 
-Surface kinematics of two convected fiber families, a one-dimensional
-elastoplastic return map on the fiber-angle cosine, a closed-form
-picture-frame solution, a membrane finite-element verifier, and a
-calibration fitter for shear-frame force curves.
+The fiber-angle kinematics of two fiber families on their fiber metric,
+with the elastic/plastic angle split and the picture-frame map, a
+one-dimensional elastoplastic return map on the fiber-angle cosine, a
+closed-form picture-frame solution, a membrane finite-element verifier,
+and a calibration fitter for shear-frame force curves.
 
 The package re-exports the public names of each module; a module's
 ``__all__`` is the one list of them.

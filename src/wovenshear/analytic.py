@@ -197,11 +197,13 @@ def _solve_legs(t12_legs, p):
     The legs chain from the virgin state: the last target of a leg is its
     end, and the solution there starts the next leg.  Returns one
     :class:`IntervalSolution` per leg; a slip failure is raised again
-    with the leg (from 1) and its cosine range.
+    with the leg (from 1) and its cosine range, and its ``step_index``
+    counts the targets of all legs.
     """
     sols = []
     state = IntervalState()
     t12_anchor = 0.0        # angle cosine at the interval start
+    offset = 0              # targets of the legs before this one
     for leg, t12 in enumerate(t12_legs, start=1):
         try:
             sol = interval_solve_batch(t12 - t12_anchor, state, p)
@@ -209,7 +211,8 @@ def _solve_legs(t12_legs, p):
             raise ConvergenceError(
                 f"closed-form solve failed on leg {leg} (theta12 "
                 f"{t12_anchor:.6g} to {t12[-1]:.6g}): {exc}",
-                exc.residual) from exc
+                exc.residual, offset + exc.step_index) from exc
+        offset += t12.size
         sols.append(sol)
         state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
         t12_anchor = float(t12[-1])

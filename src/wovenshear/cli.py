@@ -31,7 +31,8 @@ __all__ = ["main"]
 
 # step cap of material-point, picture-frame and param-study: a path or an
 # angle grid with its result columns takes about 50 bytes a step in memory,
-# and the CSV about 100 bytes a row
+# and the CSV about 100 bytes a row; an FE run may record the Gauss-point
+# states the cap lets a 1x1 mesh record, five doubles each
 _MAX_STEPS = 10**7
 
 
@@ -157,14 +158,22 @@ def _load_params(path):
         raise click.ClickException(f"bad params file {path}: {exc}")
 
 
-def _check_frame_steps(program, steps_per_degree):
+def _check_frame_steps(program, steps_per_degree, mesh=None):
     """Refuse a frame program of more than ``_MAX_STEPS`` load steps, as
-    counted by the grid the solvers step through, before any is built."""
+    counted by the grid the solvers step through, before any is built.
+    With the subdivision ``mesh`` of an FE run, refuse too a run that
+    records more Gauss points, over its steps and the start, than the step
+    cap lets a 1x1 mesh record."""
     total = sum(_leg_steps(program, steps_per_degree))
     if total > _MAX_STEPS:
         raise click.UsageError(
             f"program takes {float(total):.17g} steps at steps-per-degree = "
             f"{steps_per_degree!r}; at most {_MAX_STEPS} are solved")
+    # an int product: a mesh of any size is compared exactly
+    if mesh is not None and (total + 1) * mesh**2 * 4 > (_MAX_STEPS + 1) * 4:
+        raise click.UsageError(
+            f"a {mesh}x{mesh} mesh over {total} steps records more than "
+            f"the {(_MAX_STEPS + 1) * 4} Gauss-point states a run may hold")
 
 
 def _out_dir(path):
@@ -244,9 +253,11 @@ def material_point(params, program, dphi, out):
                 f"program leg to {tgt!r} has no finite step count at "
                 f"dphi = {dphi!r}")
         counts.append(max(1, math.ceil(steps)))
-    if sum(counts) > _MAX_STEPS:
+    # a float sum: two legs of near the largest double each overflow to inf
+    total = sum(map(float, counts))
+    if total > _MAX_STEPS:
         raise click.UsageError(
-            f"program takes {sum(counts)} steps at dphi = {dphi!r}; "
+            f"program takes {total:.17g} steps at dphi = {dphi!r}; "
             f"at most {_MAX_STEPS} are driven")
     out = _out_dir(out) / "material_point.csv"
     path = np.concatenate([[0.0]] + [
@@ -287,7 +298,8 @@ def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
     """
     ep, hp = _load_params(params)
     mu0 = ep.mu_f if mu0 is None else mu0
-    _check_frame_steps(program, steps_per_degree)
+    _check_frame_steps(program, steps_per_degree,
+                       None if mode == "analytic" else mesh)
     out = _out_dir(out)
     if mode != "analytic":
         sol = solve_picture_frame(Mesh.square(mesh, L0=l0), program, ep, hp,

@@ -50,8 +50,8 @@ from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_gradient,
                          picture_frame_deformation, picture_frame_dF_dtheta,
                          theta_to_gamma)
 from .material import (ConvergenceError, ElastoplasticParams,
-                       HyperelasticParams, PlasticState, _voigt_stress,
-                       _voigt_tangent, return_map_batch)
+                       HyperelasticParams, _voigt_stress, _voigt_tangent,
+                       return_map_batch)
 
 __all__ = [
     "ElementInversionError",
@@ -59,7 +59,6 @@ __all__ = [
     "Mesh",
     "FESolution",
     "FIELD_COLUMNS",
-    "element_residual_and_tangent",
     "solve_picture_frame",
     "verify_against_analytic",
 ]
@@ -325,55 +324,6 @@ class _FrameModel:
             weights=self.tangent(ev).ravel()[self._band_entries],
             minlength=self._band_rows * self.nfree)
         return band.reshape(self.nfree, self._band_rows).T
-
-
-def element_residual_and_tangent(element_nodes, nodal_positions, states, ep,
-                                 hp=None, quadrature_order=2):
-    """Internal force and consistent tangent of one quadrilateral.
-
-    Parameters
-    ----------
-    element_nodes : (4, 2) array_like
-        Reference corner coordinates, counterclockwise.
-    nodal_positions : (4, 2) array_like
-        Trial current corner coordinates.
-    states : sequence of PlasticState or None
-        Committed history per Gauss point (length quadrature_order**2);
-        None means virgin.
-    ep : ElastoplasticParams
-    hp : HyperelasticParams, optional
-        Adds the fiber-stretch stiffness when eps_L > 0.
-
-    Returns
-    -------
-    r : (8,) ndarray
-        Internal force, DOFs ordered node-major (x0, y0, x1, y1, ...).
-    K : (8, 8) ndarray
-        Consistent material + geometric tangent.
-    trial : list of PlasticState
-        Trial history; commit only after global convergence.
-
-    Raises
-    ------
-    ElementInversionError
-        If the reference Jacobian is non-positive at any Gauss point.
-    """
-    X_e = np.asarray(element_nodes, dtype=float).reshape(4, 2)
-    x_e = np.asarray(nodal_positions, dtype=float).reshape(4, 2)
-    mesh = Mesh(nodes=X_e, elements=np.array([[0, 1, 2, 3]]),
-                boundary_nodes=np.array([], dtype=int))
-    model = _FrameModel(mesh, ep, hp, quadrature_order)
-    G = model.n_gauss
-    if states is None:
-        states = [PlasticState() for _ in range(G)]
-    if len(states) != G:
-        raise ValueError(f"need {G} Gauss states, got {len(states)}")
-    phi_p = np.array([[s.phi_p for s in states]])
-    q = np.array([[s.q for s in states]])
-    ev = model.evaluate(x_e, phi_p, q)
-    trial = [PlasticState(phi_p=float(ev.phi_p[0, g]), q=float(ev.q[0, g]))
-             for g in range(G)]
-    return ev.r_e[0], model.tangent(ev)[0], trial
 
 
 FIELD_COLUMNS = ("step", "gp_index", "theta12", "tau", "phi_e", "phi_p", "q")

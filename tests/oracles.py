@@ -136,6 +136,28 @@ def membrane_energy(X_e, x_e, fiber_dirs, mu_f, eps_L, order=2):
     return energy
 
 
+def crosshead_travel(theta, L0):
+    """Crosshead travel of a frame of side ``L0`` at angle ``theta``, in
+    closed form: the pull-axis diagonal ``2 L0 sin((pi - theta) / 2)``
+    less its square-state length ``sqrt(2) L0``."""
+    return 2.0 * L0 * math.sin(0.5 * (math.pi - theta)) - math.sqrt(2.0) * L0
+
+
+def fiber_metric(a, L):
+    """Voigt fiber metric ``(C11, C22, C12)``, ``C_IJ = L_I . a . L_J``, of
+    the fibers in the rows of ``L`` (2, 2) under the metric ``a`` (2, 2)."""
+    return np.array([L[0] @ a @ L[0], L[1] @ a @ L[1], L[0] @ a @ L[1]])
+
+
+def fiber_dyads(L):
+    """``L1 L1``, ``L2 L2``, ``sym(L1 L2)`` (3, 2, 2) of the fibers in the
+    rows of ``L``: the derivatives of :func:`fiber_metric` by the metric,
+    on which a Voigt gradient expands to its chart form."""
+    L12 = np.outer(L[0], L[1])
+    return np.stack([np.outer(L[0], L[0]), np.outer(L[1], L[1]),
+                     0.5 * (L12 + L12.T)])
+
+
 def fiber_metric_cosine(C):
     """Angle cosine C12 / sqrt(C11 C22) of a Voigt fiber metric."""
     return C[2] / math.sqrt(C[0] * C[1])

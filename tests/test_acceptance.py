@@ -12,10 +12,12 @@ summary) with the measured figure behind the verdict:
  4. The virgin yield angle equals tau_y / mu_f exactly.
  5. Hardening slope stays positive over q in [0, 1.5] for both standard
     parameter sets.
- 6. The cosine-gradient tensor matches finite differences; the angle
-    split reproduces the direct cosine measures and is additive.
+ 6. The cosine's Hessian by the fiber metric matches finite differences
+    of its gradient; the angle split reproduces the direct cosine
+    measures and is additive.
  7. The frame deformation preserves fiber lengths and maps the angle
-    cosine to cos(theta) across the whole domain.
+    cosine to cos(theta) across the whole domain, at every Gauss point of
+    the FE element kernel.
  8. Parameter sweeps reproduce the qualitative trends: yield-stress
     offsets, stiffness-proportional elastic slopes, and locking terms
     inert below 10 deg.
@@ -36,19 +38,14 @@ from wovenshear.analytic import (IntervalState, LoadProgram,
                                  interval_solve_batch, run_program,
                                  yield_angle)
 from wovenshear.calibrate import staged_fit, synthetic_curve
-from wovenshear.fe import Mesh, solve_picture_frame, verify_against_analytic
-from wovenshear.kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, MetricPoint,
-                                   RefFiberPair, angle_measures, angle_split,
-                                   fiber_state, picture_frame_metric,
-                                   structural_tensors)
+from wovenshear.fe import (Mesh, _FrameModel, solve_picture_frame,
+                          verify_against_analytic)
+from wovenshear.kinematics import (FRAME_FIBER_1, FRAME_FIBER_2,
+                                   _angle_gradient, _angle_hessian,
+                                   angle_split, picture_frame_deformation)
 from wovenshear.material import (ElastoplasticParams, PlasticState,
                                  drive_angle_path, f_iso_prime, params_to_dict,
                                  replace_params, return_map, yield_function)
-
-
-def frame_pair():
-    return RefFiberPair(L1=FRAME_FIBER_1.copy(), L2=FRAME_FIBER_2.copy(),
-                        Theta12=0.0)
 
 
 def test_criterion_01_fe_matches_analytic(demo_params):
@@ -172,57 +169,59 @@ def test_criterion_05_hardening_slope_positive(glass_params, soft_params):
 
 
 def test_criterion_06_structural_tensor_and_split():
-    """Cosine gradient vs FD; split vs direct measures; additivity."""
+    """Cosine Hessian vs FD; split vs direct measures; additivity."""
     with acceptance_log.criterion(6) as info:
         rng = np.random.default_rng(20240806)
-        f = frame_pair()
-
-        def g12_of(a):
-            mm = MetricPoint(np.eye(2), a)
-            return structural_tensors(fiber_state(mm, f)).g12
+        L = np.stack([FRAME_FIBER_1, FRAME_FIBER_2])
+        h = 1e-7
+        dC = h * np.eye(3)
 
         worst_fd = worst_direct = worst_add = 0.0
         for _ in range(100):
             a = oracles.random_spd(rng)
-            m = MetricPoint(np.eye(2), a)
-            st = structural_tensors(fiber_state(m, f))
-            fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
-            scale = np.abs(st.g12_grad).max()
-            worst_fd = max(worst_fd,
-                           np.abs(fd - st.g12_grad).max() / scale)
+            C = oracles.fiber_metric(a, L)
+            _, theta12, gamma = _angle_gradient(C)
+            Gamma = _angle_hessian(C, gamma)
+            # column j: central difference of gamma along C_j
+            fd = (_angle_gradient(C[:, None] + dC)[2]
+                  - _angle_gradient(C[:, None] - dC)[2]) / (2.0 * h)
+            scale = np.abs(Gamma).max()
+            worst_fd = max(worst_fd, np.abs(fd - Gamma).max() / scale)
             phi_p = rng.uniform(-0.4, 0.4)
-            theta12, phi_direct = angle_measures(m, f)
-            split = angle_split(m, f, phi_p)
-            worst_direct = max(worst_direct, abs(split.phi - phi_direct),
-                               abs(split.phi_e - (theta12 - phi_p)))
-            worst_add = max(worst_add,
-                            abs(split.phi - (split.phi_e + split.phi_p)))
+            # the frame fibers are orthogonal in the identity reference
+            phi, phi_e, split_p, _, _ = angle_split(np.eye(2), a, L, 0.0,
+                                                    phi_p)
+            worst_direct = max(worst_direct, abs(phi - theta12),
+                               abs(phi_e - (theta12 - phi_p)))
+            worst_add = max(worst_add, abs(phi - (phi_e + split_p)))
         assert worst_fd <= 1e-6
         assert worst_direct <= 1e-12
         assert worst_add <= 1e-14
         info["detail"] = (
-            f"100 random metrics: gradient vs FD {worst_fd:.1e} (1e-6), "
+            f"100 random metrics: Hessian vs FD {worst_fd:.1e} (1e-6), "
             f"split vs direct {worst_direct:.1e} (1e-12), additivity "
             f"{worst_add:.1e} (1e-14)")
 
 
-def test_criterion_07_frame_kinematics():
-    """Unit fiber stretch and theta12 = cos(theta) across the domain."""
+def test_criterion_07_frame_kinematics(demo_params):
+    """Unit fiber stretch and theta12 = cos(theta) across the domain, at
+    every Gauss point of the FE element kernel at the affine frame state."""
     with acceptance_log.criterion(7) as info:
-        f = frame_pair()
+        mesh = Mesh.square(4)
+        model = _FrameModel(mesh, demo_params)
+        virgin = np.zeros((model.n_elements, model.n_gauss))
         thetas = np.linspace(np.deg2rad(5.0), np.pi / 2.0, 101)[1:]
         worst_lam = worst_cos = 0.0
         for th in thetas:
-            m, _, _ = picture_frame_metric(th)
-            fs = fiber_state(m, f)
-            worst_lam = max(worst_lam, abs(fs.lambda1 - 1.0),
-                            abs(fs.lambda2 - 1.0))
-            worst_cos = max(worst_cos, abs(fs.theta12 - np.cos(th)))
+            x = mesh.nodes @ picture_frame_deformation(th).T
+            ev = model.evaluate(x, virgin, virgin)
+            worst_lam = max(worst_lam, np.abs(ev.lam - 1.0).max())
+            worst_cos = max(worst_cos, np.abs(ev.theta12 - np.cos(th)).max())
         assert worst_lam <= 1e-12
         assert worst_cos <= 1e-12
-        info["detail"] = (f"100 frame angles: max |stretch - 1| "
-                          f"{worst_lam:.1e}, max cosine error "
-                          f"{worst_cos:.1e} (limits 1e-12)")
+        info["detail"] = (f"100 frame angles, {virgin.size} Gauss points: "
+                          f"max |stretch - 1| {worst_lam:.1e}, max cosine "
+                          f"error {worst_cos:.1e} (limits 1e-12)")
 
 
 def test_criterion_08_parameter_sweeps(soft_params, locking_params):

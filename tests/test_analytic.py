@@ -4,7 +4,8 @@ Verifies: load-program parsing and validation, the direction-aware elastic
 range, the interval consistency solve against a bisection oracle, the
 batched solve against the one-point solve bit for bit, exact interval
 chaining (splitting a monotone leg anywhere changes nothing), the
-pull-force formula, curve generation over multi-leg programs, CSV
+pull-force formula, curve generation over multi-leg programs, a slip
+failure's leg and step in a chained solve, CSV
 round trips, the CSV writer against numpy's on 1-D and on broadcast
 columns, and the CSV reader against the writer bit for bit.
 """
@@ -31,7 +32,7 @@ from wovenshear import (
     run_program,
     yield_angle,
 )
-from wovenshear import material
+from wovenshear import analytic, material
 from wovenshear.analytic import _CSV_BLOCK_ROWS, _read_csv, _write_csv
 from wovenshear.material import PlasticState
 
@@ -301,6 +302,27 @@ class TestRunProgram:
         lp = LoadProgram.from_gamma_degrees([50.0])
         c = run_program(lp, glass_params)
         assert np.all(np.diff(c.tau) > 0.0)
+
+    def test_slip_failure_keeps_its_step(self, demo_params, cycle_program,
+                                         monkeypatch):
+        # a slip failure at step 7 of leg 2 names the leg, and its
+        # step_index counts the targets of leg 1 too
+        sizes = []
+        solve = analytic.interval_solve_batch
+
+        def failing(dt12, state, p):
+            sizes.append(dt12.size)
+            if len(sizes) == 2:
+                raise ConvergenceError("slip solve failed", 1e-3,
+                                       step_index=7)
+            return solve(dt12, state, p)
+
+        monkeypatch.setattr(analytic, "interval_solve_batch", failing)
+        with pytest.raises(ConvergenceError, match="on leg 2 ") as err:
+            run_program(cycle_program, demo_params)
+        assert sizes[0] == 100
+        assert err.value.step_index == 107
+        assert err.value.residual == 1e-3
 
     def test_angle_split_columns(self, demo_params, cycle_program):
         c = run_program(cycle_program, demo_params)

@@ -3,8 +3,8 @@
 Verifies: all four subcommands end to end in a temporary directory, flag
 and config-file precedence, range checks on numeric settings, error exits
 without partial output (bad parameter files, non-finite numbers, step
-counts over the cap, an ``--out`` that names a file), and byte-identical
-reruns.
+counts over the cap, FE runs whose Gauss-point records exceed their
+bound, an ``--out`` that names a file), and byte-identical reruns.
 """
 
 import filecmp
@@ -616,19 +616,24 @@ class TestBadInput:
         assert "no finite step count" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("program, dphi", [
-        ("0.6", "1e-300"),
+    @pytest.mark.parametrize("program, dphi, steps", [
+        # the count printed with %.17g, not as a 300-digit integer
+        ("0.6", "1e-300", "5.9999999999999996e+299"),
         # each leg under the cap, the three together over it
-        ("0.6,0,0.6", "1.5e-7"),
-    ])
+        ("0.6,0,0.6", "1.5e-7", "12000000"),
+        # each leg's count finite, their sum past the largest double
+        ("1.7e308,0", "1", "inf"),
+    ], ids=["0.6-1e-300", "0.6,0,0.6-1.5e-7", "1.7e308,0-1"])
     def test_step_count_over_cap_is_usage_error(self, runner, soft_file,
-                                                tmp_path, program, dphi):
+                                                tmp_path, program, dphi,
+                                                steps):
         # rejected from the leg arithmetic alone, before the path is built
         out = tmp_path / "out"
         result = runner.invoke(main, ["material-point", "--program",
                                       program, "--dphi", dphi, "--params",
                                       str(soft_file), "--out", str(out)])
         assert result.exit_code == 2, result.output
+        assert f"program takes {steps} steps at dphi" in result.output
         assert f"at most {wovenshear.cli._MAX_STEPS} are driven" in result.output
         assert not out.exists()
 
@@ -662,6 +667,33 @@ class TestBadInput:
             assert error[0].startswith(f"Error: program takes {steps} steps")
         assert error[0].endswith(
             f"at most {wovenshear.cli._MAX_STEPS} are solved")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("args, mesh, steps", [
+        (["--mode", "fe", "--mesh", "64x64", "--steps-per-degree", "4e4"],
+         64, 4400000),
+        (["--mesh", "100000x100000"], 100000, 220),
+    ], ids=["fe-64x64", "verify-100000x100000"])
+    def test_frame_records_over_bound_is_usage_error(
+            self, runner, soft_file, tmp_path, monkeypatch, args, mesh,
+            steps):
+        # refused from the step count and the mesh size alone: no mesh,
+        # record array or output directory is made
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("mesh built before the record bound")
+
+        monkeypatch.setattr(wovenshear.cli.Mesh, "square", no_mesh)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["picture-frame"] + args + [
+            "--params", str(soft_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        error = [ln for ln in result.output.splitlines()
+                 if ln.startswith("Error:")]
+        bound = (wovenshear.cli._MAX_STEPS + 1) * 4
+        assert error == [f"Error: a {mesh}x{mesh} mesh over {steps} steps "
+                         f"records more than the {bound} Gauss-point states "
+                         f"a run may hold"]
         assert not out.exists()
 
 

@@ -29,7 +29,6 @@ from wovenshear import (
     IntervalState,
     LoadProgram,
     Mesh,
-    element_residual_and_tangent,
     gamma_to_theta,
     interval_solve,
     picture_frame_deformation,
@@ -42,7 +41,7 @@ from wovenshear.fe import (FIELD_COLUMNS, ElementInversionError, SolverError,
                            _FrameModel, _shape_gradients)
 from wovenshear import fe, material
 from wovenshear.kinematics import FRAME_FIBER_1, FRAME_FIBER_2
-from wovenshear.material import PlasticState, return_map_batch
+from wovenshear.material import return_map_batch
 
 import oracles
 
@@ -87,12 +86,28 @@ class TestMesh:
                  boundary_nodes=np.array([0]))
 
 
+def one_element(X, ep, hp=None, quadrature_order=2):
+    """``_FrameModel`` over the single quadrilateral of corners ``X``."""
+    mesh = Mesh(nodes=X, elements=np.array([[0, 1, 2, 3]]),
+                boundary_nodes=np.array([], dtype=int))
+    return _FrameModel(mesh, ep, hp, quadrature_order)
+
+
+def evaluate_virgin(model, x):
+    """``model.evaluate`` at the positions ``x`` from a virgin history."""
+    virgin = np.zeros((model.n_elements, model.n_gauss))
+    return model.evaluate(x, virgin, virgin)
+
+
 class TestElementResidualTangent:
+    """The element kernel, ``_FrameModel.evaluate`` and ``tangent``, on a
+    one-element mesh."""
+
     def test_reference_state_equilibrated(self, glass_params):
-        r, K, trial = element_residual_and_tangent(
-            UNIT_SQUARE, UNIT_SQUARE, None, glass_params)
-        assert np.abs(r).max() <= 1e-14
-        assert all(not s.q for s in trial)
+        ev = evaluate_virgin(one_element(UNIT_SQUARE, glass_params),
+                             UNIT_SQUARE)
+        assert np.abs(ev.r_e).max() <= 1e-14
+        assert not ev.q.any()
 
     def test_tangent_matches_finite_differences(self, glass_params):
         # plastic trial configuration: frame map at 15 degrees of shear
@@ -100,9 +115,10 @@ class TestElementResidualTangent:
         X = (UNIT_SQUARE - 0.5) @ np.array([[1.0, 1.0], [-1.0, 1.0]]) / 2.0
         x = X @ F.T
         hp = HyperelasticParams(eps_L=glass_params.mu_f)
-        r0, K, trial = element_residual_and_tangent(
-            X, x, None, glass_params, hp)
-        assert any(s.q > 0.0 for s in trial)
+        model = one_element(X, glass_params, hp)
+        ev = evaluate_virgin(model, x)
+        K = model.tangent(ev)[0]
+        assert (ev.q > 0.0).any()
         h = 1e-7
         K_fd = np.zeros((8, 8))
         for j in range(8):
@@ -110,10 +126,8 @@ class TestElementResidualTangent:
             xm = x.reshape(-1).copy()
             xp[j] += h
             xm[j] -= h
-            rp, _, _ = element_residual_and_tangent(
-                X, xp.reshape(4, 2), None, glass_params, hp)
-            rm, _, _ = element_residual_and_tangent(
-                X, xm.reshape(4, 2), None, glass_params, hp)
+            rp = evaluate_virgin(model, xp.reshape(4, 2)).r_e[0]
+            rm = evaluate_virgin(model, xm.reshape(4, 2)).r_e[0]
             K_fd[:, j] = (rp - rm) / (2.0 * h)
         scale = np.abs(K).max()
         assert np.abs(K_fd - K).max() <= 1e-5 * scale
@@ -129,8 +143,9 @@ class TestElementResidualTangent:
             X = UNIT_SQUARE + 0.1 * rng.uniform(-1.0, 1.0, (4, 2))
             F = np.eye(2) + 0.25 * rng.uniform(-1.0, 1.0, (2, 2))
             x = X @ F.T + 0.05 * rng.uniform(-1.0, 1.0, (4, 2))
-            r, _, trial = element_residual_and_tangent(X, x, None, ep, hp)
-            assert not any(s.q for s in trial)
+            ev = evaluate_virgin(one_element(X, ep, hp), x)
+            r = ev.r_e[0]
+            assert not ev.q.any()
 
             def energy(t, j):
                 y = x.ravel().copy()
@@ -145,38 +160,31 @@ class TestElementResidualTangent:
 
     def test_tangent_symmetric(self, glass_params):
         F = picture_frame_deformation(gamma_to_theta(10.0))
-        _, K, _ = element_residual_and_tangent(
-            UNIT_SQUARE, UNIT_SQUARE @ F.T, None, glass_params)
+        model = one_element(UNIT_SQUARE, glass_params)
+        K = model.tangent(evaluate_virgin(model, UNIT_SQUARE @ F.T))[0]
         assert np.abs(K - K.T).max() <= 1e-12 * np.abs(K).max()
 
     def test_committed_states_pass_through(self, soft_params):
         # soft set: |trial stress| stays below f_iso, the step is elastic
         # and the trial history equals the committed one
-        states = [PlasticState(phi_p=0.01, q=0.01) for _ in range(4)]
-        _, _, trial = element_residual_and_tangent(
-            UNIT_SQUARE, UNIT_SQUARE, states, soft_params)
-        for s in trial:
-            assert s.q == 0.01 and s.phi_p == 0.01
-
-    def test_wrong_state_count_rejected(self, glass_params):
-        with pytest.raises(ValueError, match="Gauss states"):
-            element_residual_and_tangent(
-                UNIT_SQUARE, UNIT_SQUARE, [PlasticState()], glass_params)
+        model = one_element(UNIT_SQUARE, soft_params)
+        history = np.full((1, 4), 0.01)
+        ev = model.evaluate(UNIT_SQUARE, history, history)
+        assert (ev.q == 0.01).all() and (ev.phi_p == 0.01).all()
 
     def test_inversion_checked_at_quadrature_points(self, glass_params):
         # non-convex quad: positive Jacobian at the mesh's 2x2 check
         # points, negative at one of the 3x3 points
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.37, 0.37], [0.0, 1.0]])
-        element_residual_and_tangent(X, X, None, glass_params)
+        one_element(X, glass_params)
         with pytest.raises(ElementInversionError):
-            element_residual_and_tangent(X, X, None, glass_params,
-                                         quadrature_order=3)
+            one_element(X, glass_params, quadrature_order=3)
 
     def test_higher_quadrature_order(self, glass_params):
-        r, K, trial = element_residual_and_tangent(
-            UNIT_SQUARE, UNIT_SQUARE, None, glass_params, quadrature_order=3)
-        assert len(trial) == 9
-        assert np.abs(r).max() <= 1e-14
+        model = one_element(UNIT_SQUARE, glass_params, quadrature_order=3)
+        ev = evaluate_virgin(model, UNIT_SQUARE)
+        assert ev.q.shape == (1, 9)
+        assert np.abs(ev.r_e).max() <= 1e-14
 
 
 def distorted_square(n, amplitude, seed):
@@ -321,23 +329,17 @@ class TestSlipWarmStart:
         assert np.array_equal(warm.theta12, cold.theta12)
 
 
-def diamond_element(theta):
-    """Fiber-ruled single element mapped by the frame deformation."""
-    mesh = Mesh.square(1)
-    F = picture_frame_deformation(theta)
-    return mesh.nodes[mesh.elements[0]], mesh.nodes[mesh.elements[0]] @ F.T
-
-
 class TestExactMap:
     def test_gauss_point_stress_matches_interval_solve(self, glass_params):
         # one backward-Euler step at the affine map equals the closed form
         theta = gamma_to_theta(25.0)
-        X, x = diamond_element(theta)
-        r, K, trial = element_residual_and_tangent(X, x, None, glass_params)
+        mesh = Mesh.square(1)
+        ev = evaluate_virgin(_FrameModel(mesh, glass_params),
+                             mesh.nodes @ picture_frame_deformation(theta).T)
         sol = interval_solve(float(np.cos(theta)), IntervalState(),
                              glass_params)
-        for s in trial:
-            assert s.q == pytest.approx(sol.q, rel=1e-12)
+        for q in ev.q.ravel():
+            assert q == pytest.approx(sol.q, rel=1e-12)
 
     def test_patch_interior_nodes_follow_affine_map(self, glass_params):
         # Dirichlet boundary at the frame map: the converged interior is

@@ -1,10 +1,11 @@
 """Surface kinematics tests.
 
-Verifies: metric and fiber-pair validation, push-forward against a plain
-Cartesian embedding, the structural tensor and its metric derivative
-against central differences, the elastic/plastic angle split identities,
-and the picture-frame map (length preservation, angle cosine, crosshead
-travel and rate).
+Verifies: the fiber-metric kernel (``_angle_gradient`` and
+``_angle_hessian``) against a plain Cartesian embedding, its stretches as
+the normalization of a reference fiber pair, its gradient and Hessian by
+the metric in their chart forms against central differences, the
+elastic/plastic angle split identities, and the picture-frame map
+(length preservation, angle cosine, crosshead travel and rate).
 """
 
 import numpy as np
@@ -16,126 +17,108 @@ from wovenshear import (
     DegenerateFiberError,
     FRAME_FIBER_1,
     FRAME_FIBER_2,
-    FiberState,
-    InvalidMetricError,
-    MetricPoint,
-    RefFiberPair,
-    angle_measures,
     angle_split,
-    crosshead_displacement,
     crosshead_rate,
-    fiber_state,
     gamma_to_theta,
     picture_frame_deformation,
     picture_frame_dF_dtheta,
-    picture_frame_metric,
-    structural_tensors,
     theta_to_gamma,
 )
 from wovenshear.kinematics import _angle_gradient, _angle_hessian
 
 import oracles
 
-
-def frame_pair():
-    return RefFiberPair(L1=FRAME_FIBER_1.copy(), L2=FRAME_FIBER_2.copy(),
-                        Theta12=0.0)
+# the frame fibers as rows, unit and orthogonal in the identity reference
+FRAME_L = np.stack([FRAME_FIBER_1, FRAME_FIBER_2])
 
 
-def random_point(rng):
-    """Random current metric over the identity reference, frame fibers."""
-    a = oracles.random_spd(rng)
-    return MetricPoint(np.eye(2), a), frame_pair()
+def kernel(a, L=FRAME_L):
+    """Stretches, cosine, gradient and Hessian of the fiber-metric kernel
+    for the fibers ``L`` under the metric ``a``."""
+    C = oracles.fiber_metric(a, L)
+    lam, theta12, gamma = _angle_gradient(C)
+    return lam, theta12, gamma, _angle_hessian(C, gamma)
 
 
-class TestMetricPoint:
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(InvalidMetricError):
-            MetricPoint(np.array([[1.0, 0.2], [0.1, 1.0]]), np.eye(2))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(InvalidMetricError):
-            MetricPoint(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(InvalidMetricError):
-            MetricPoint(np.eye(3), np.eye(3))
+def chart(v, L=FRAME_L):
+    """A Voigt gradient (3,) or Hessian (3, 3) by the fiber metric as the
+    chart tensor of the same derivative by the metric."""
+    M = oracles.fiber_dyads(L)
+    if v.ndim == 1:
+        return np.einsum("i,iab->ab", v, M)
+    return np.einsum("ij,iab,jcd->abcd", v, M, M)
 
 
 class TestRefFiberPair:
+    """A reference fiber pair: two fibers unit against the reference
+    metric and their cosine, as the kernel gives them."""
+
     def test_from_directions_normalizes(self):
         A = np.array([[2.0, 0.3], [0.3, 1.5]])
-        f = RefFiberPair.from_directions([1.0, 0.0], [1.0, 1.0], A)
-        assert f.L1 @ A @ f.L1 == pytest.approx(1.0, rel=1e-15)
-        assert f.L2 @ A @ f.L2 == pytest.approx(1.0, rel=1e-15)
-        assert f.Theta12 == pytest.approx(f.L1 @ A @ f.L2, rel=1e-15)
+        D = np.array([[1.0, 0.0], [1.0, 1.0]])
+        lam, Theta12, _, _ = kernel(A, D)
+        L = D / lam[:, None]
+        assert L[0] @ A @ L[0] == pytest.approx(1.0, rel=1e-15)
+        assert L[1] @ A @ L[1] == pytest.approx(1.0, rel=1e-15)
+        assert Theta12 == pytest.approx(L[0] @ A @ L[1], rel=1e-15)
 
     def test_rejects_parallel(self):
         with pytest.raises(DegenerateFiberError):
-            RefFiberPair.from_directions([1.0, 0.0], [2.0, 0.0], np.eye(2))
+            angle_split(np.eye(2), np.eye(2),
+                        np.array([[1.0, 0.0], [2.0, 0.0]]), 0.0, 0.0)
 
 
 class TestPushForward:
     def test_matches_cartesian_embedding(self, rng):
-        # metric pipeline vs plain embedding for random deformation gradients
+        # the fiber-metric kernel vs plain embedding for random deformation
+        # gradients
+        v1 = np.array([np.cos(0.3), np.sin(0.3)])
+        v2 = np.array([np.cos(1.9), np.sin(1.9)])
         for _ in range(50):
             F = rng.uniform(-1.0, 1.0, size=(2, 2))
             if np.linalg.det(F) < 0.1:
                 continue
-            m = MetricPoint(np.eye(2), F.T @ F)
-            v1 = np.array([np.cos(0.3), np.sin(0.3)])
-            v2 = np.array([np.cos(1.9), np.sin(1.9)])
-            f = RefFiberPair.from_directions(v1, v2, np.eye(2))
-            fs = fiber_state(m, f)
+            lam, theta12, _, _ = kernel(F.T @ F, np.stack([v1, v2]))
             lam1, lam2, cos12 = oracles.embedded_fiber_measures(F, v1, v2)
-            assert fs.lambda1 == pytest.approx(lam1, rel=1e-13)
-            assert fs.lambda2 == pytest.approx(lam2, rel=1e-13)
-            assert fs.theta12 == pytest.approx(cos12, rel=1e-12, abs=1e-13)
+            assert lam[0] == pytest.approx(lam1, rel=1e-13)
+            assert lam[1] == pytest.approx(lam2, rel=1e-13)
+            assert theta12 == pytest.approx(cos12, rel=1e-12, abs=1e-13)
 
     def test_unit_current_directions(self, rng):
-        m, f = random_point(rng)
-        fs = fiber_state(m, f)
-        for l, L, lam in ((fs.l1, f.L1, fs.lambda1), (fs.l2, f.L2,
-                                                      fs.lambda2)):
-            assert l @ m.a_ab @ l == pytest.approx(1.0, rel=1e-14)
-            assert lam == pytest.approx(np.sqrt(L @ m.a_ab @ L), rel=1e-15)
-
-    def test_angle_measures_difference_of_cosines(self, rng):
-        m, f = random_point(rng)
-        theta12, phi = angle_measures(m, f)
-        assert phi == pytest.approx(theta12 - f.Theta12, abs=1e-16)
+        a = oracles.random_spd(rng)
+        lam, _, _, _ = kernel(a)
+        for L, lam_I in zip(FRAME_L, lam):
+            l = L / lam_I
+            assert l @ a @ l == pytest.approx(1.0, rel=1e-14)
+            assert lam_I == pytest.approx(np.sqrt(L @ a @ L), rel=1e-15)
 
 
-def theta12_of_metric(a, f):
-    """Angle cosine as a raw function of the current metric."""
-    m = MetricPoint(np.eye(2), a)
-    return fiber_state(m, f).theta12
+def theta12_of_metric(a):
+    """Angle cosine of the frame fibers as a raw function of the metric."""
+    return kernel(a)[1]
 
 
 class TestStructuralTensors:
+    """The cosine's gradient and Hessian by the fiber metric, and their
+    chart forms ``g12`` and ``g12_grad`` by the metric."""
+
     def test_g12_is_cosine_gradient(self, rng):
         # delta theta12 = g12 : delta a, checked via central differences
-        f = frame_pair()
         for _ in range(20):
             a = oracles.random_spd(rng)
-            m = MetricPoint(np.eye(2), a)
-            st_ = structural_tensors(fiber_state(m, f))
-            fd = oracles.fd_metric_gradient(lambda x: theta12_of_metric(x, f),
-                                            a, h=1e-7)
-            assert np.abs(fd - st_.g12).max() <= 1e-8
+            g12 = chart(kernel(a)[2])
+            fd = oracles.fd_metric_gradient(theta12_of_metric, a, h=1e-7)
+            assert np.abs(fd - g12).max() <= 1e-8
 
     def test_g12_grad_matches_finite_differences(self, rng):
-        f = frame_pair()
         def g12_of(a):
-            m = MetricPoint(np.eye(2), a)
-            return structural_tensors(fiber_state(m, f)).g12
+            return chart(kernel(a)[2])
         for _ in range(25):
             a = oracles.random_spd(rng)
-            m = MetricPoint(np.eye(2), a)
-            st_ = structural_tensors(fiber_state(m, f))
+            g12_grad = chart(kernel(a)[3])
             fd = oracles.fd_metric_gradient(g12_of, a, h=1e-7)
-            scale = np.abs(st_.g12_grad).max()
-            assert np.abs(fd - st_.g12_grad).max() <= 1e-6 * scale
+            scale = np.abs(g12_grad).max()
+            assert np.abs(fd - g12_grad).max() <= 1e-6 * scale
 
     @given(c11=st.floats(0.5, 2.0), c22=st.floats(0.5, 2.0),
            cos=st.floats(-0.95, 0.95))
@@ -164,66 +147,63 @@ class TestStructuralTensors:
         assert np.abs(fd2 - Gamma).max() <= 1e-6 * (1.0 + np.abs(Gamma).max())
 
     def test_g12_grad_symmetries(self, rng):
-        m, f = random_point(rng)
-        G = structural_tensors(fiber_state(m, f)).g12_grad
+        G = chart(kernel(oracles.random_spd(rng))[3])
         # minor symmetry in both index pairs and major symmetry across them
         assert np.abs(G - G.transpose(1, 0, 2, 3)).max() <= 1e-15
         assert np.abs(G - G.transpose(0, 1, 3, 2)).max() <= 1e-15
         assert np.abs(G - G.transpose(2, 3, 0, 1)).max() <= 1e-15
 
     def test_g12_symmetric(self, rng):
-        m, f = random_point(rng)
-        g12 = structural_tensors(fiber_state(m, f)).g12
+        g12 = chart(kernel(oracles.random_spd(rng))[2])
         assert np.abs(g12 - g12.T).max() == 0.0
 
 
 class TestAngleSplit:
+    """``angle_split`` over the identity reference and the frame fibers,
+    whose reference cosine is 0."""
+
     @given(phi_p=st.floats(-0.5, 0.5),
            seed=st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=60, deadline=None)
     def test_additivity(self, phi_p, seed):
         """phi = phi_e + phi_p holds to 1e-14 for random states."""
-        m, f = random_point(np.random.default_rng(seed))
-        split = angle_split(m, f, phi_p)
-        assert abs(split.phi - (split.phi_e + split.phi_p)) <= 1e-14
+        a = oracles.random_spd(np.random.default_rng(seed))
+        phi, phi_e, phi_p, _, _ = angle_split(np.eye(2), a, FRAME_L, 0.0,
+                                              phi_p)
+        assert abs(phi - (phi_e + phi_p)) <= 1e-14
 
     def test_matches_direct_definitions(self, rng):
         # the split reproduces the plain cosine differences
         for _ in range(20):
-            m, f = random_point(rng)
+            a = oracles.random_spd(rng)
             phi_p = rng.uniform(-0.4, 0.4)
-            theta12, phi_direct = angle_measures(m, f)
-            split = angle_split(m, f, phi_p)
-            assert abs(split.phi - phi_direct) <= 1e-12
-            assert abs(split.phi_p - phi_p) <= 1e-12
-            assert abs(split.phi_e - (theta12 - f.Theta12 - phi_p)) <= 1e-12
+            theta12 = kernel(a)[1]
+            phi, phi_e, split_p, _, _ = angle_split(np.eye(2), a, FRAME_L,
+                                                    0.0, phi_p)
+            assert abs(phi - theta12) <= 1e-12
+            assert abs(split_p - phi_p) <= 1e-12
+            assert abs(phi_e - (theta12 - phi_p)) <= 1e-12
 
     def test_intermediate_metric_preserves_lengths(self, rng):
         # a_bar keeps unit fiber stretch while reproducing the current cosine
-        m, f = random_point(rng)
-        split = angle_split(m, f, 0.1)
-        mb = MetricPoint(np.eye(2), split.a_bar)
-        fsb = fiber_state(mb, f)
-        fs = fiber_state(m, f)
-        assert fsb.lambda1 == pytest.approx(1.0, abs=1e-13)
-        assert fsb.lambda2 == pytest.approx(1.0, abs=1e-13)
-        assert fsb.theta12 == pytest.approx(fs.theta12, abs=1e-13)
-        mh = MetricPoint(np.eye(2), split.a_hat)
-        fsh = fiber_state(mh, f)
-        assert fsh.theta12 == pytest.approx(f.Theta12 + 0.1, abs=1e-13)
+        a = oracles.random_spd(rng)
+        _, _, _, a_bar, a_hat = angle_split(np.eye(2), a, FRAME_L, 0.0, 0.1)
+        lam_bar, theta12_bar, _, _ = kernel(a_bar)
+        assert lam_bar[0] == pytest.approx(1.0, abs=1e-13)
+        assert lam_bar[1] == pytest.approx(1.0, abs=1e-13)
+        assert theta12_bar == pytest.approx(kernel(a)[1], abs=1e-13)
+        assert kernel(a_hat)[1] == pytest.approx(0.1, abs=1e-13)
 
     def test_zero_plastic_angle_is_all_elastic(self, rng):
-        m, f = random_point(rng)
-        split = angle_split(m, f, 0.0)
-        assert split.phi_p == pytest.approx(0.0, abs=1e-14)
-        assert split.phi_e == pytest.approx(split.phi, abs=1e-14)
+        phi, phi_e, phi_p, _, _ = angle_split(
+            np.eye(2), oracles.random_spd(rng), FRAME_L, 0.0, 0.0)
+        assert phi_p == pytest.approx(0.0, abs=1e-14)
+        assert phi_e == pytest.approx(phi, abs=1e-14)
 
     def test_degenerate_pair_raises(self):
-        m = MetricPoint(np.eye(2), np.eye(2))
-        f = RefFiberPair(L1=np.array([1.0, 0.0]), L2=np.array([1.0, 1e-8]),
-                         Theta12=1.0 - 1e-9)
+        L = np.array([[1.0, 0.0], [1.0, 1e-8]])
         with pytest.raises(DegenerateFiberError):
-            angle_split(m, f, 0.0)
+            angle_split(np.eye(2), np.eye(2), L, 1.0 - 1e-9, 0.0)
 
 
 class TestPictureFrame:
@@ -234,25 +214,27 @@ class TestPictureFrame:
     def test_fiber_lengths_preserved(self):
         # the design property of the rig: both stretches stay exactly one
         thetas = np.linspace(np.deg2rad(5.0), np.pi / 2.0, 101)[1:]
-        f = frame_pair()
         for th in thetas:
-            m, _, _ = picture_frame_metric(th)
-            fs = fiber_state(m, f)
-            assert abs(fs.lambda1 - 1.0) <= 1e-12
-            assert abs(fs.lambda2 - 1.0) <= 1e-12
-            assert abs(fs.theta12 - np.cos(th)) <= 1e-12
+            F = picture_frame_deformation(th)
+            lam, theta12, _, _ = kernel(F.T @ F)
+            assert abs(lam[0] - 1.0) <= 1e-12
+            assert abs(lam[1] - 1.0) <= 1e-12
+            assert abs(theta12 - np.cos(th)) <= 1e-12
 
     def test_crosshead_displacement_frozen_value(self):
-        d = crosshead_displacement(np.pi / 3.0, 1.0)
+        # the pull-axis corner-to-corner change under the corner map
+        corner = np.array([0.0, np.sqrt(2.0)])
+        d = float(np.linalg.norm(picture_frame_deformation(np.pi / 3.0)
+                                 @ corner) - np.linalg.norm(corner))
         assert d == pytest.approx(oracles.CROSSHEAD_D_THETA60_L1, rel=1e-15)
         # closed form of the corner map
-        assert d == pytest.approx(2.0 * np.cos(np.pi / 6.0) - np.sqrt(2.0),
+        assert d == pytest.approx(oracles.crosshead_travel(np.pi / 3.0, 1.0),
                                   rel=1e-13)
 
     def test_crosshead_rate_is_displacement_derivative(self):
         for th in (0.4, 0.9, 1.3, np.pi / 2.0 - 1e-3):
             fd = oracles.central_diff(
-                lambda t: crosshead_displacement(t, 2.0), th, 1e-7)
+                lambda t: oracles.crosshead_travel(t, 2.0), th, 1e-7)
             assert crosshead_rate(th, 2.0) == pytest.approx(fd, rel=1e-7)
             assert crosshead_rate(th, 2.0) < 0.0
 
@@ -283,9 +265,3 @@ class TestPictureFrame:
     def test_gamma_theta_round_trip(self):
         g = np.array([0.0, 10.0, 45.0, 89.0])
         assert np.allclose(theta_to_gamma(gamma_to_theta(g)), g, atol=1e-12)
-
-    def test_metric_point_reference_is_identity(self):
-        m, f, d = picture_frame_metric(1.0, L0=2.0)
-        assert np.abs(m.A_ab - np.eye(2)).max() == 0.0
-        assert f.Theta12 == 0.0
-        assert d == pytest.approx(crosshead_displacement(1.0, 2.0), rel=1e-15)

@@ -4,8 +4,8 @@ Verifies: hardening-curve values and admissibility, parameter
 (de)serialization, the return map and the slip solve it shares with the
 interval solve against an independent bisection oracle, from a cold and
 a warm start, the algorithmic tangent against central differences,
-batch/scalar equivalence of the kinematics and return map bodies the FE
-element kernel evaluates, and the incremental angle driver.  The
+batch/one-point equivalence of the kinematics and return map bodies the
+FE element kernel evaluates, and the incremental angle driver.  The
 energy/stress consistency of the membrane response is checked on the
 element kernel itself, in ``test_fe.py``.
 """
@@ -26,7 +26,6 @@ from wovenshear import (
     drive_angle_path,
     f_iso,
     f_iso_prime,
-    fiber_state,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -34,12 +33,10 @@ from wovenshear import (
     return_map,
     return_map_batch,
     save_params,
-    structural_tensors,
     yield_function,
 )
 from wovenshear import material
-from wovenshear.kinematics import (MetricPoint, RefFiberPair, _angle_gradient,
-                                   _angle_hessian)
+from wovenshear.kinematics import _angle_gradient, _angle_hessian
 from wovenshear.material import PARAM_JSON_KEYS, _f_iso_grad, _slip_solve
 
 import oracles
@@ -489,36 +486,37 @@ class TestMembraneResponse:
     def test_array_bodies_equal_scalar_loop(self, glass_params, rng):
         """The broadcast bodies the FE element kernel runs on a stack of
         fiber metrics, ``_angle_gradient``, ``_angle_hessian`` and
-        ``return_map_batch``, equal, bit for bit, a loop of the scalar
-        entry points that the finite-difference checks test, on elastic and
-        plastic points."""
+        ``return_map_batch``, equal, bit for bit, a loop of the one-point
+        calls that the finite-difference checks test and of the scalar
+        ``return_map``, on elastic and plastic points."""
         n = 64
         points = []
         for _ in range(n):
             A = oracles.random_spd(rng)
-            f = RefFiberPair.from_directions(rng.normal(size=2),
-                                             rng.normal(size=2), A)
-            points.append((MetricPoint(A, oracles.random_spd(rng)), f,
+            D = rng.normal(size=(2, 2))
+            # the directions as a fiber pair unit against A
+            lam, Theta12, _ = _angle_gradient(oracles.fiber_metric(A, D))
+            C = oracles.fiber_metric(oracles.random_spd(rng),
+                                     D / lam[:, None])
+            points.append((C, Theta12,
                            PlasticState(phi_p=rng.uniform(-0.1, 0.1),
                                         q=rng.uniform(0.0, 1.0))))
-        states = [fiber_state(m, f) for m, f, _ in points]
-        C = np.stack([fs.C for fs in states], axis=-1)
+        C = np.stack([C for C, _, _ in points], axis=-1)
         lam, theta12, gamma = _angle_gradient(C)
         Gamma = _angle_hessian(C, gamma)
-        Theta12 = np.array([f.Theta12 for _, f, _ in points])
+        Theta12 = np.array([T for _, T, _ in points])
         history = [np.array([getattr(s, k) for _, _, s in points])
                    for k in ("phi_p", "q")]
         rm = return_map_batch(theta12 - Theta12, *history, glass_params)
         tau, plastic = rm[0], rm[6]
         assert plastic.any() and not plastic.all()
 
-        for k, ((m, f, state), fs) in enumerate(zip(points, states)):
-            assert (fs.lambda1, fs.lambda2, fs.theta12) == (
-                lam[0, k], lam[1, k], theta12[k])
-            assert np.array_equal(fs.l1, f.L1 / lam[0, k])
-            assert np.array_equal(fs.l2, f.L2 / lam[1, k])
-            st_ = structural_tensors(fs)
-            assert np.array_equal(st_.gamma, gamma[:, k])
-            assert np.array_equal(st_.Gamma, Gamma[..., k])
-            sr = return_map(fs.theta12 - f.Theta12, state, glass_params)
+        for k, (C_k, Theta12_k, state) in enumerate(points):
+            lam_k, theta12_k, gamma_k = _angle_gradient(C_k)
+            assert np.array_equal(lam_k, lam[:, k])
+            assert theta12_k == theta12[k]
+            assert np.array_equal(gamma_k, gamma[:, k])
+            assert np.array_equal(_angle_hessian(C_k, gamma_k),
+                                  Gamma[..., k])
+            sr = return_map(theta12_k - Theta12_k, state, glass_params)
             assert sr.is_plastic == plastic[k] and sr.tau == tau[k]
