@@ -88,11 +88,9 @@ class IntervalSolution:
     """
 
     tau: float
-    phi_p_bar: float
     q: float
     plastic: bool
     iterations: int
-    residual: float
 
 
 def yield_angle(istate, p):
@@ -152,23 +150,21 @@ def interval_solve_batch(phi_bar, istate, p):
     plastic = (d != 0.0) & ~(pb <= phi_y)
 
     x = np.zeros(phi_bar.shape)
-    residual = np.zeros(phi_bar.shape)
     iterations = np.zeros(phi_bar.shape, dtype=int)
     # plastic: g(x) = d tau0 + mu (|phi_bar| - x) - f_iso(q0 + x) = 0 with
     # g(0) = mu (|phi_bar| - phi_y) > 0
     idx = np.flatnonzero(plastic)
     pk = pb.flat[idx]
     try:
-        x.flat[idx], residual.flat[idx], iterations.flat[idx], _ = _slip_solve(
+        x.flat[idx], _, iterations.flat[idx], _ = _slip_solve(
             d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p)
     except ConvergenceError as exc:
         exc.step_index = int(idx[exc.step_index])
         raise
 
     tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
-    return IntervalSolution(tau=tau, phi_p_bar=np.where(plastic, d * x, 0.0),
-                            q=q0 + x, plastic=plastic,
-                            iterations=iterations, residual=residual)
+    return IntervalSolution(tau=tau, q=q0 + x, plastic=plastic,
+                            iterations=iterations)
 
 
 def interval_solve(phi_bar, istate, p):
@@ -320,12 +316,6 @@ class ShearCurve:
         """Write the curve with full double precision (17 significant digits)."""
         _write_csv(path, ",".join(CURVE_COLUMNS),
                    [getattr(self, name) for name in CURVE_COLUMNS])
-
-    @classmethod
-    def from_csv(cls, path):
-        """Read a curve that :meth:`to_csv` wrote (see :func:`_read_csv`)."""
-        columns = _read_csv(path, ",".join(CURVE_COLUMNS))
-        return cls(**dict(zip(CURVE_COLUMNS, columns)))
 
 
 def program_theta_grid(lp, steps_per_degree=2.0):

@@ -99,10 +99,9 @@ class ExperimentCurve:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Free-parameter set, search box, and evaluation budget."""
+    """Free-parameter set and evaluation budget."""
 
     free_params: tuple
-    bounds: dict | None = None
     max_evals: int = 400
 
     def __post_init__(self):
@@ -112,17 +111,9 @@ class FitConfig:
         for key in free:
             if key not in FIT_KEYS:
                 raise ValueError(f"unknown fit parameter {key!r}")
-        bounds = dict(DEFAULT_BOUNDS)
-        if self.bounds:
-            bounds.update(self.bounds)
-        for key in free:
-            lo, hi = bounds[key]
-            if not lo < hi:
-                raise ValueError(f"bounds for {key!r} must satisfy lo < hi")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         object.__setattr__(self, "free_params", free)
-        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -261,13 +252,13 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
     points with scipy's trust-region reflective method (Branch, Coleman &
     Li 1999), ``x_scale="jac"`` and ``ftol=_FTOL``, in the encoded
     parameters: ``a``, ``b`` and ``c`` in log space, the others as they
-    are, with the bounds of ``cfg`` encoded alike.  The Jacobian is :func:`_force_jacobian` at the
-    current iterate, built from the solution of that iterate's evaluation,
-    so it costs no model evaluation.  Deterministic.  Non-free parameters
-    pass through bit-identical.  A candidate that ``replace_params``
-    rejects or whose slip solve fails is a rejected step (the trust region
-    shrinks) and is never returned; a start that cannot be evaluated
-    raises.
+    are, within ``DEFAULT_BOUNDS`` encoded alike.  The Jacobian is
+    :func:`_force_jacobian` at the current iterate, built from the solution
+    of that iterate's evaluation, so it costs no model evaluation.
+    Deterministic.  Non-free parameters pass through bit-identical.  A
+    candidate that ``replace_params`` rejects or whose slip solve fails is
+    a rejected step (the trust region shrinks) and is never returned; a
+    start that cannot be evaluated raises.
 
     Returns
     -------
@@ -282,15 +273,13 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
     keys = cfg.free_params
     start = params_to_dict(initial)
     for key in keys:
-        lo, hi = cfg.bounds[key]
+        lo, hi = DEFAULT_BOUNDS[key]
         if not lo <= start[key] <= hi:
             raise ValueError(
                 f"initial {key} = {start[key]} outside bounds [{lo}, {hi}]")
     u0 = np.array([_encode(key, start[key]) for key in keys])
-    lb = np.array([_encode(key, max(cfg.bounds[key][0], 1e-300))
-                   if key in _LOG_KEYS else cfg.bounds[key][0]
-                   for key in keys])
-    ub = np.array([_encode(key, cfg.bounds[key][1]) for key in keys])
+    lb = np.array([_encode(key, DEFAULT_BOUNDS[key][0]) for key in keys])
+    ub = np.array([_encode(key, DEFAULT_BOUNDS[key][1]) for key in keys])
     g, f = _window(curve, mask)
     theta = gamma_to_theta(g)
     best = None     # (cost, params, residual, solution) of the iterate

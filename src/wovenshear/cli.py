@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .analytic import LoadProgram, _leg_steps, _write_csv, run_program
 from .calibrate import FIT_KEYS, ExperimentCurve, staged_fit
-from .fe import Mesh, SolverError, solve_picture_frame, verify_against_analytic
+from .fe import (ElementInversionError, Mesh, SolverError, solve_picture_frame,
+                 verify_against_analytic)
 from .material import (ConvergenceError, drive_angle_path, load_params,
                        params_to_dict, replace_params)
 
@@ -149,12 +150,13 @@ def _stages(ctx, param, text):
 
 
 def _load_params(path):
-    """Parameter sets of a ``--params`` file; a bad file is a one-line error
-    (exit 1).  Calls ``load_params`` through this module's binding, which
+    """Parameter sets of a ``--params`` file; a bad file, values whose
+    admissibility check overflows among them, is a one-line error (exit 1).
+    Calls ``load_params`` through this module's binding, which
     perfbench/spans.py wraps."""
     try:
         return load_params(path)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, ArithmeticError) as exc:
         raise click.ClickException(f"bad params file {path}: {exc}")
 
 
@@ -197,13 +199,22 @@ def _write_json(path, payload):
 
 
 class _Commands(click.Group):
-    """Report a failed solve as a one-line error (exit 1), not a traceback."""
+    """Report a failed solve as a one-line error (exit 1), not a traceback.
+
+    A floating-point overflow, division by zero or invalid operation fails
+    the command too, instead of writing infinities or NaNs: inputs such as
+    ``--l0 1e300`` or ``mu_f = 1e300`` leave the range of doubles.  So does
+    a mesh that inverts, as one of side ``--l0 1e-300`` does.
+    """
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
-        except (ConvergenceError, SolverError) as exc:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return super().invoke(ctx)
+        except (ConvergenceError, SolverError, ElementInversionError) as exc:
             raise click.ClickException(str(exc))
+        except ArithmeticError as exc:
+            raise click.ClickException(f"arithmetic failure: {exc}")
 
 
 @click.group(cls=_Commands)
@@ -355,14 +366,17 @@ def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
     name, vals = sweep
     mu0 = ep.mu_f if mu0 is None else mu0
     _check_frame_steps(program, steps_per_degree)
-    out = _out_dir(out)
-    files = []
-    for k, v in enumerate(vals):
+    # every swept set is built first, so a rejected value leaves no output
+    sets = []
+    for v in vals:
         try:
-            epk = replace_params(ep, {name: v})
+            sets.append(replace_params(ep, {name: v}))
         except ValueError as exc:
             raise click.ClickException(
                 f"sweep value {name} = {v} rejected: {exc}")
+    out = _out_dir(out)
+    files = []
+    for k, (v, epk) in enumerate(zip(vals, sets)):
         curve = run_program(program, epk, L0=l0, mu0=mu0,
                             steps_per_degree=steps_per_degree)
         dest = out / f"study_{name}_{k}.csv"

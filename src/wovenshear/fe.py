@@ -1,8 +1,8 @@
 """Membrane finite elements for the Dirichlet-driven picture frame.
 
-Bilinear quadrilaterals with Gauss quadrature on a flat fabric patch whose
-fibers run along the Cartesian diagonals.  Every boundary node follows the
-homogeneous frame map, interior nodes equilibrate under the fiber-angle
+Bilinear quadrilaterals with 2x2 Gauss quadrature on a flat fabric patch
+whose fibers run along the Cartesian diagonals.  Every boundary node follows
+the homogeneous frame map, interior nodes equilibrate under the fiber-angle
 elastoplastic stress, and the pull force is recovered from the constrained
 residuals.  Since the exact solution of this problem is affine, bilinear
 elements represent it exactly and the solver doubles as a machine-precision
@@ -82,10 +82,10 @@ class SolverError(RuntimeError):
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
-def _shape_gradients(order):
+def _shape_gradients():
     """Shape-function gradients dN[g, a, alpha] and weights w[g] at the
-    tensor-product Gauss points on [-1, 1]^2."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    2x2 Gauss points on [-1, 1]^2."""
+    xg, wg = np.polynomial.legendre.leggauss(2)
     xi, eta = (v.reshape(-1, 1) for v in np.meshgrid(xg, xg))  # xi fastest
     a, b = _CORNERS.T
     dN = 0.25 * np.stack([a * (1.0 + b * eta), b * (1.0 + a * xi)], axis=-1)
@@ -137,7 +137,7 @@ class Mesh:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_nodes", np.unique(boundary))
-        _reference_jacobians(nodes, elements, _shape_gradients(2)[0])
+        _reference_jacobians(nodes, elements, _shape_gradients()[0])
 
     @classmethod
     def square(cls, n, L0=1.0):
@@ -198,13 +198,11 @@ class _FrameModel:
     a caller needs them.
     """
 
-    def __init__(self, mesh, ep, hp=None, quadrature_order=2):
+    def __init__(self, mesh, ep, hp=None):
         self.mesh = mesh
         self.ep = ep
         self.eps_L = hp.eps_L if hp is not None else 0.0
-        dN, w = _shape_gradients(quadrature_order)
-        # checked again at this order's points: a quad that passes the
-        # mesh's 2x2 check can still invert at the 3x3 points
+        dN, w = _shape_gradients()
         J0, det = _reference_jacobians(mesh.nodes, mesh.elements, dN)
         self.wdet = (w[None, :] * det).ravel()               # (P,)
         E, G = det.shape
@@ -360,16 +358,6 @@ class FESolution:
     mu0: float
     steps_per_degree: float
     mesh: Mesh
-
-    @property
-    def phi_p(self):
-        """Final committed plastic angle (E, G), the last recorded row."""
-        return self.gp_phi_p[-1].reshape(len(self.mesh.elements), -1)
-
-    @property
-    def q(self):
-        """Final committed hardening variable (E, G)."""
-        return self.gp_q[-1].reshape(len(self.mesh.elements), -1)
 
     def to_field_csv(self, path):
         """Per-step Gauss-point dump with full double precision."""

@@ -208,8 +208,6 @@ class StressReturn:
     new_state: PlasticState
     dtau_dphi: float
     is_plastic: bool
-    iterations: int = 0
-    residual: float = 0.0
 
 
 class BatchReturn(NamedTuple):
@@ -461,9 +459,7 @@ def return_map(phi_new, state_old, p):
         new_state = state_old
     return StressReturn(tau=float(out.tau[0]), phi_e=float(out.phi_e[0]),
                         new_state=new_state, dtau_dphi=float(out.dtau_dphi[0]),
-                        is_plastic=bool(out.plastic[0]),
-                        iterations=out.iterations,
-                        residual=float(out.residual[0]))
+                        is_plastic=bool(out.plastic[0]))
 
 
 def _voigt_stress(tau, gamma, eps_L=0.0, lam=None):
@@ -498,11 +494,11 @@ class DriveResult:
     phi_e: np.ndarray
     phi_p: np.ndarray
     q: np.ndarray
-    state_final: PlasticState
 
 
-def drive_angle_path(phi_path, p, state=None):
-    """Drive a material point through a prescribed angle-change path.
+def drive_angle_path(phi_path, p):
+    """Drive a material point from the virgin state through a prescribed
+    angle-change path.
 
     Each entry of ``phi_path`` is one committed backward-Euler step.  A
     plastic step ends on the yield surface, so a run of steps that does not
@@ -514,24 +510,21 @@ def drive_angle_path(phi_path, p, state=None):
     phi_path : (n,) array_like
         Total angle change at the end of each step.
     p : ElastoplasticParams
-    state : PlasticState, optional
-        Starting history (virgin by default).
 
     Returns
     -------
     DriveResult
     """
     phi_path = np.asarray(phi_path, dtype=float)
-    if state is None:
-        state = PlasticState()
+    phi_p0 = q0 = 0.0       # the history before each run
     nz = np.flatnonzero(np.diff(phi_path))
     turns = nz[np.diff(np.sign(np.diff(phi_path)[nz]), prepend=0.0) != 0.0]
     edges = np.unique(np.r_[0, 1 + turns, phi_path.size]).tolist()
     tau, phi_p, q = np.empty((3, phi_path.size))
     for a, b in zip(edges[:-1], edges[1:]):
         try:
-            out = return_map_batch(phi_path[a:b], np.full(b - a, state.phi_p),
-                                   np.full(b - a, state.q), p)
+            out = return_map_batch(phi_path[a:b], np.full(b - a, phi_p0),
+                                   np.full(b - a, q0), p)
         except ConvergenceError as exc:
             k = a + exc.step_index
             phi = float(phi_path[k])
@@ -539,6 +532,6 @@ def drive_angle_path(phi_path, p, state=None):
                 f"return map failed at phi_path[{k}] = {phi!r}: {exc}",
                 exc.residual, k, phi) from exc
         tau[a:b], phi_p[a:b], q[a:b] = out.tau, out.phi_p, out.q
-        state = PlasticState(float(phi_p[b - 1]), float(q[b - 1]))
+        phi_p0, q0 = phi_p[b - 1], q[b - 1]
     return DriveResult(phi=phi_path.copy(), tau=tau, phi_e=phi_path - phi_p,
-                       phi_p=phi_p, q=q, state_final=state)
+                       phi_p=phi_p, q=q)

@@ -32,6 +32,12 @@ def f_iso_ref(q, tau_y, A, a, B, b, C, c):
     return tau_y + A * math.asinh(a * q) + B * math.tanh(b * q) + C * q ** c
 
 
+def slip_residual(t, x, mu_f, tau_y, A, a, B, b, C, c):
+    """``|g(x)|`` of the slip equation ``g(x) = t - mu_f x - f_iso(x)`` from
+    a virgin state, where the hardening variable is the slip ``x``."""
+    return abs(t - mu_f * x - f_iso_ref(x, tau_y, A, a, B, b, C, c))
+
+
 def bisect_root(f, lo, hi, iters=200):
     """Bisection root of a decreasing function with f(lo) > 0 > f(hi)."""
     flo, fhi = f(lo), f(hi)

@@ -158,14 +158,7 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(free_params=("mu",))
         with pytest.raises(ValueError):
-            FitConfig(free_params=("A",), bounds={"A": (1.0, 1.0)})
-        with pytest.raises(ValueError):
             FitConfig(free_params=("A",), max_evals=0)
-
-    def test_bounds_merge(self):
-        cfg = FitConfig(free_params=("A",), bounds={"A": (0.0, 10.0)})
-        assert cfg.bounds["A"] == (0.0, 10.0)
-        assert cfg.bounds["c"] == DEFAULT_BOUNDS["c"]
 
     def test_all_keys_known(self):
         assert set(FIT_KEYS) == set(DEFAULT_BOUNDS)
@@ -204,9 +197,10 @@ class TestFit:
 
     def test_start_outside_bounds_rejected(self, soft_params):
         curve = synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1))
-        cfg = FitConfig(free_params=("mu_f",), bounds={"mu_f": (2.0, 3.0)})
+        start = replace_params(soft_params, {"mu_f": 2e8})
+        assert start.mu_f > DEFAULT_BOUNDS["mu_f"][1]
         with pytest.raises(ValueError, match="outside bounds"):
-            fit(soft_params, curve, cfg)
+            fit(start, curve, FitConfig(free_params=("mu_f",)))
 
     def test_budget_reported(self, soft_params):
         # the fit needs five evaluations, the start and four trust-region
@@ -238,28 +232,24 @@ class TestFit:
     @pytest.mark.parametrize("by", ["replace_params", "slip_solve"])
     def test_rejected_candidates_near_bound(self, soft_params, monkeypatch,
                                             by):
-        # the data are fitted best at c = 1 and the start is next to the
-        # edge of the sets the fit can evaluate, past which candidates are
-        # rejected: by replace_params (c < 1, inside a widened search box)
-        # or by a slip solve that fails (c < 1.0005)
+        # the data are fitted best at c = 1 and the start is next to an
+        # edge c = 1.0005 inside the search box, past which candidates are
+        # rejected: by replace_params or by a slip solve that fails
         truth = replace_params(soft_params, {"c": 1.0})
         curve = synthetic_curve(truth, np.arange(36.0, 55.01, 1.0),
                                 rel_noise=0.01, seed=0)
         start = replace_params(truth, {"C": 0.6, "c": 1.001})
+        edge = 1.0005
         rejected = []
         if by == "replace_params":
-            edge, bounds = 1.0, {"c": (0.5, 80.0)}
-
-            def counting(ep, updates):
-                try:
-                    return replace_params(ep, updates)
-                except ValueError:
+            def rejecting(ep, updates):
+                if updates["c"] < edge:
                     rejected.append(updates["c"])
-                    raise
+                    raise ValueError(f"c_h below {edge}")
+                return replace_params(ep, updates)
 
-            monkeypatch.setattr(calibrate, "replace_params", counting)
+            monkeypatch.setattr(calibrate, "replace_params", rejecting)
         else:
-            edge, bounds = 1.0005, None
             solve = calibrate.interval_solve_batch
 
             def failing(phi_bar, istate, p):
@@ -269,8 +259,7 @@ class TestFit:
                 return solve(phi_bar, istate, p)
 
             monkeypatch.setattr(calibrate, "interval_solve_batch", failing)
-        res = fit(start, curve, FitConfig(free_params=("C", "c"),
-                                          bounds=bounds))
+        res = fit(start, curve, FitConfig(free_params=("C", "c")))
         assert rejected and all(c < edge for c in rejected)
         assert res.params.c_h >= edge
         assert np.isfinite(res.rms_error)

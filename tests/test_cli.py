@@ -4,15 +4,23 @@ Verifies: all four subcommands end to end in a temporary directory, flag
 and config-file precedence, range checks on numeric settings, error exits
 without partial output (bad parameter files, non-finite numbers, step
 counts over the cap, FE runs whose Gauss-point records exceed their
-bound, an ``--out`` that names a file), and byte-identical reruns.
+bound, an ``--out`` that names a file, a rejected sweep value), one-line
+failures of runs whose arithmetic leaves the range of doubles, the exit
+status and error output of any ``material-point`` or ``picture-frame``
+command line (a property test), and byte-identical reruns.
 """
 
 import filecmp
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wovenshear
 from wovenshear import save_params
@@ -268,6 +276,19 @@ class TestParamStudy:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 1
         assert "rejected" in result.output
+
+    def test_late_rejected_value_leaves_no_output(self, runner, soft_file,
+                                                  tmp_path):
+        # the first value is admissible, the second is not: no curve of
+        # the first is written before the second is refused
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["param-study", "--params",
+                                      str(soft_file), "--sweep", "c=2,0.5",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [
+            "Error: sweep value c = 0.5 rejected: c_h must be >= 1, got 0.5"]
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -695,6 +716,123 @@ class TestBadInput:
                          f"records more than the {bound} Gauss-point states "
                          f"a run may hold"]
         assert not out.exists()
+
+
+def _text(values):
+    """Comma-joined ``repr`` of floats: the text a flag would carry."""
+    return ",".join(map(repr, values))
+
+
+# numbers as flag text: a small value a run can afford, an extreme one, or
+# one the option refuses
+def _number(small, extreme):
+    return st.one_of(small, extreme,
+                     st.sampled_from([0.0, -1.0, math.inf, math.nan])
+                     ).map(repr)
+
+
+# frame targets on a 5-degree grid, so that every leg spans at least 5
+# degrees, and targets the program parser refuses
+_GAMMA_PROGRAM = st.one_of(
+    st.lists(st.one_of(st.integers(0, 17).map(lambda k: 5.0 * k),
+                       st.sampled_from([90.0, -5.0, 1e300])),
+             min_size=1, max_size=3).map(_text),
+    st.sampled_from(["", "x", "10,nan"]))
+# angle-cosine targets on a 0.05 grid, so that every nonzero leg takes at
+# least 5e7 steps at an extreme --dphi, over the step cap
+_COSINE_PROGRAM = st.one_of(
+    st.lists(st.integers(-18, 18).map(lambda k: 0.05 * k),
+             min_size=1, max_size=3).map(_text),
+    st.sampled_from(["", "x", "0.5,inf"]))
+# a mesh that runs, one over the record bound at any step count, or text
+# the parser refuses
+_MESH = st.one_of(st.integers(1, 2).map(str),
+                  st.integers(10**4, 10**12).map(lambda n: f"{n}x{n}"),
+                  st.sampled_from(["0", "2x3", "x"]))
+_POSITIVE = _number(st.floats(0.1, 10.0),
+                    st.sampled_from([1e300, 5e-324, 1e-300,
+                                     1.7976931348623157e308]))
+# --steps-per-degree: a run of at most a few hundred steps, or a density
+# that takes a 5-degree leg over the step cap
+_SPD = _number(st.floats(0.05, 1.0), st.floats(1e7, 1e308))
+_DPHI = _number(st.floats(1e-3, 0.1), st.floats(5e-324, 1e-9))
+# a parameter set: the demo set with some of its values replaced,
+# extremes included
+_PARAM_VALUE = st.one_of(st.floats(0.0, 100.0),
+                         st.sampled_from([1e300, 5e-324, -1.0, math.inf,
+                                          math.nan]))
+_PARAMS = st.dictionaries(
+    st.sampled_from(["mu_f", "tau_y", "A", "a", "B", "b", "C", "c", "eps_L"]),
+    _PARAM_VALUE, max_size=3)
+_DEMO = {"mu_f": 1.0, "tau_y": 0.0, "A": 0.05, "a": 1.0, "B": 0.01,
+         "b": 55.0, "C": 0.7, "c": 5.0}
+
+
+@st.composite
+def _command(draw):
+    """A command line of ``material-point`` or ``picture-frame``, without
+    ``--params`` and ``--out``."""
+    if draw(st.booleans()):
+        return ["material-point", "--program", draw(_COSINE_PROGRAM),
+                "--dphi", draw(_DPHI)]
+    return ["picture-frame",
+            "--mode", draw(st.sampled_from(["analytic", "fe", "verify"])),
+            "--program", draw(_GAMMA_PROGRAM), "--mesh", draw(_MESH),
+            "--steps-per-degree", draw(_SPD), "--l0", draw(_POSITIVE),
+            "--mu0", draw(_POSITIVE)]
+
+
+class TestAnyInput:
+    @given(args=_command(), updates=_PARAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_exit_status_and_output(self, args, updates):
+        """Any command line ends in exit 0, 1 or 2 with no traceback; a
+        usage error (2) makes no output directory and a failure (1)
+        prints one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            params = Path(tmp) / "params.json"
+            params.write_text(json.dumps({**_DEMO, **updates}))
+            out = Path(tmp) / "out"
+            result = CliRunner().invoke(
+                main, args + ["--params", str(params), "--out", str(out)])
+            assert result.exit_code in (0, 1, 2), result.output
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), result.exception
+            errors = [ln for ln in result.output.splitlines()
+                      if ln.startswith("Error:")]
+            if result.exit_code == 2:
+                assert not out.exists()
+            if result.exit_code == 1:
+                assert len(errors) == 1, result.output
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("args, updates, error", [
+        (["material-point", "--program", "0.1"], {"c": 1e300},
+         "Error: bad params file "),
+        (["material-point", "--program", "0.4,0.15,-0.6", "--dphi", "0.1"],
+         {"mu_f": 1e300, "B": 1e300}, "Error: arithmetic failure: "),
+        (["picture-frame", "--mode", "analytic", "--program", "5",
+          "--l0", "1e300"], {}, "Error: arithmetic failure: "),
+        (["picture-frame", "--mode", "fe", "--program", "5", "--mesh", "1",
+          "--l0", "1e300"], {}, "Error: arithmetic failure: "),
+        (["picture-frame", "--mode", "fe", "--program", "60", "--mesh", "1",
+          "--l0", "1e-300"], {},
+         "Error: non-positive reference Jacobian in element 0"),
+    ], ids=["c-1e300", "mu_f-1e300", "analytic-l0-1e300", "fe-l0-1e300",
+            "fe-l0-1e-300"])
+    def test_is_one_line(self, runner, tmp_path, args, updates, error):
+        # values that leave the range of doubles, or a mesh that inverts,
+        # fail with one error line instead of a traceback, a warning or
+        # NaNs written
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**_DEMO, **updates}))
+        result = runner.invoke(main, args + ["--params", str(params),
+                                             "--out", str(tmp_path / "x")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error), lines
 
 
 class TestTopLevel:

@@ -47,6 +47,11 @@ def ref_f_iso(q, p):
                              p.C_h, p.c_h)
 
 
+def ref_slip_residual(t, x, p):
+    return oracles.slip_residual(t, x, p.mu_f, p.tau_y, p.A_h, p.a_h, p.B_h,
+                                 p.b_h, p.C_h, p.c_h)
+
+
 class TestHardeningCurve:
     def test_frozen_value_soft_set(self, soft_params):
         assert f_iso(1.0, soft_params) == pytest.approx(
@@ -185,7 +190,8 @@ class TestReturnMap:
         assert sr.tau == 5.0 * 1e-5
         assert sr.new_state is state
         assert sr.dtau_dphi == glass_params.mu_f
-        assert sr.iterations == 0 and sr.residual == 0.0
+        out = return_map_batch([1e-5], [0.0], [0.0], glass_params)
+        assert out.iterations == 0 and out.residual[0] == 0.0
 
     def test_plastic_frozen_oracle(self, glass_params):
         sr = return_map(0.1, PlasticState(), glass_params)
@@ -209,9 +215,12 @@ class TestReturnMap:
         scale = max(glass_params.mu_f, f_iso(sr.new_state.q, glass_params))
         assert abs(yield_function(sr.tau, sr.new_state.q,
                                   glass_params)) <= 1e-11 * scale
-        # the slip solve's own residual, polished to round-off
-        assert sr.residual <= 1e-14 * scale
-        assert sr.iterations > 0
+        # the slip equation at the returned slip, polished to round-off; at
+        # a virgin state the hardening variable is the slip
+        assert ref_slip_residual(glass_params.mu_f * 0.3, sr.new_state.q,
+                                 glass_params) <= 1e-14 * scale
+        assert return_map_batch([0.3], [0.0], [0.0],
+                                glass_params).iterations > 0
 
     def test_stress_elastic_relation_exact(self, glass_params):
         for phi in (0.01, 0.2, -0.35):
@@ -428,34 +437,24 @@ class TestDriver:
         path = np.linspace(0.0, 0.4, 50)[1:]
         res = drive_angle_path(path, glass_params)
         assert np.abs(res.phi - (res.phi_e + res.phi_p)).max() <= 1e-14
-        assert res.state_final.phi_p == res.phi_p[-1]
         assert np.all(np.diff(res.q) >= 0.0)
-
-    def test_resumes_from_state(self, glass_params):
-        path = np.linspace(0.0, 0.4, 41)[1:]
-        full = drive_angle_path(path, glass_params)
-        first = drive_angle_path(path[:20], glass_params)
-        rest = drive_angle_path(path[20:], glass_params,
-                                state=first.state_final)
-        assert rest.tau[-1] == pytest.approx(full.tau[-1], rel=1e-14)
-        assert rest.q[-1] == pytest.approx(full.q[-1], rel=1e-14)
 
     @pytest.mark.parametrize("case", ["glass", "demo", "walk"])
     def test_equals_stepwise_backward_euler(self, case, glass_params,
                                             demo_params, soft_params, rng):
         """One return map per monotone run equals the scalar return map
-        stepped along the path: from a loaded state through repeated
-        angles and turns, and along a random walk with zero steps."""
+        stepped along the path: a loading run followed by repeated
+        angles and turns, and a random walk with zero steps."""
         if case == "walk":
-            p, state = soft_params, PlasticState()
+            p = soft_params
             path = np.clip(np.cumsum(rng.choice([-0.005, 0.0, 0.005], 2000)),
                            -0.6, 0.6)
         else:
             p = glass_params if case == "glass" else demo_params
-            state = drive_angle_path(np.linspace(0.0, 0.4, 41)[1:],
-                                     p).state_final
-            path = [0.45, 0.45, 0.2, 0.2, 0.1, 0.3]
-        res = drive_angle_path(path, p, state)
+            path = np.r_[np.linspace(0.0, 0.4, 41)[1:],
+                         0.45, 0.45, 0.2, 0.2, 0.1, 0.3]
+        res = drive_angle_path(path, p)
+        state = PlasticState()
         rows = []
         for phi in path:
             sr = return_map(float(phi), state, p)
@@ -464,8 +463,6 @@ class TestDriver:
         for got, want in zip((res.tau, res.phi_e, res.phi_p, res.q),
                              np.transpose(rows)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        assert (res.state_final.phi_p, res.state_final.q) == (
-            res.phi_p[-1], res.q[-1])
 
     def test_slip_failure_is_located(self, glass_params, monkeypatch):
         # the first two steps are elastic; one slip sweep cannot converge
