@@ -215,18 +215,18 @@ def _solve_legs(t12_legs, p):
     return sols
 
 
-def frame_force(tau, theta, L0):
-    """Pull force on the frame, work-conjugate to the crosshead travel.
+def frame_force(tau, theta):
+    """Pull force per unit frame side, work-conjugate to the crosshead travel.
 
     The homogeneous patch stores energy through the angle cosine only, so
-    ``F = A0 tau d(cos theta)/d theta / (d d / d theta)`` with patch area
-    A0 = L0^2 and the crosshead rate taken from the corner map.  The rate
-    is nonzero on all of (0, pi/2], so no endpoint limit arises.
-    Broadcasts over ``tau`` and ``theta``.
+    ``F = tau d(cos theta)/d theta / (d d / d theta)`` on the unit patch,
+    the crosshead rate taken from the corner map; it grows linearly with
+    the frame side.  The rate is nonzero on all of (0, pi/2], so no
+    endpoint limit arises.  Broadcasts over ``tau`` and ``theta``.
     """
     _check_theta(theta)
-    dtheta12 = -L0 * L0 * np.sin(theta) * tau
-    return dtheta12 / crosshead_rate(theta, L0)
+    dtheta12 = -np.sin(theta) * tau
+    return dtheta12 / crosshead_rate(theta)
 
 
 # rows that _write_csv formats and joins at a time; bounds its memory
@@ -298,7 +298,7 @@ class ShearCurve:
 
     One row per sample: shear angle in degrees (gamma = 90 deg - theta),
     angle cosine, shear stress, elastic/plastic angle parts, hardening
-    variable, and the pull force normalized by L0 * mu0.
+    variable, and the pull force per unit frame side normalized by mu0.
     """
 
     gamma_deg: np.ndarray
@@ -349,7 +349,7 @@ def _leg_steps(lp, steps_per_degree):
     return counts
 
 
-def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):
+def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
     """Evaluate the analytic response along a load program.
 
     Samples uniformly in the frame angle, on the grid of
@@ -359,8 +359,6 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):
     ----------
     lp : LoadProgram
     p : ElastoplasticParams
-    L0 : float
-        Frame side length.
     mu0 : float
         Stress normalization for the force column.
     steps_per_degree : float
@@ -381,7 +379,6 @@ def run_program(lp, p, L0=1.0, mu0=1.0, steps_per_degree=2.0):
     q = np.concatenate([[0.0]] + [s.q for s in sols])
     phi_e = tau / p.mu_f
     phi_p = theta12 - phi_e
-    force = frame_force(tau, gamma_to_theta(gamma), L0)
+    force = frame_force(tau, gamma_to_theta(gamma))
     return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=tau, phi_e=phi_e,
-                      phi_p=phi_p, q=q,
-                      frame_force_normalized=force / (L0 * mu0))
+                      phi_p=phi_p, q=q, frame_force_normalized=force / mu0)

@@ -60,8 +60,8 @@ DEFAULT_BOUNDS = {
 class ExperimentCurve:
     """Digitized shear-frame measurement: gamma (degrees) vs normalized force.
 
-    Angles must be strictly increasing and forces finite; the label tags
-    the data source.
+    Angles must be strictly increasing within the frame's range [0, 90)
+    degrees and forces finite; the label tags the data source.
     """
 
     gamma_deg: np.ndarray
@@ -79,6 +79,9 @@ class ExperimentCurve:
             raise ValueError("gamma_deg must be strictly increasing")
         if not np.all(np.isfinite(f)) or not np.all(np.isfinite(g)):
             raise ValueError("experiment curve contains non-finite values")
+        if not (0.0 <= g[0] and g[-1] < 90.0):
+            raise ValueError(
+                f"gamma_deg must lie in [0, 90), got {g[0]} to {g[-1]}")
         object.__setattr__(self, "gamma_deg", g)
         object.__setattr__(self, "force_norm", f)
 
@@ -128,7 +131,7 @@ class FitResult:
     identifiability: dict | None = None
 
 
-def model_forces(gamma_deg, p, L0=1.0, mu0=1.0):
+def model_forces(gamma_deg, p, mu0=1.0):
     """Normalized pull force at the given shear angles, virgin loading.
 
     Monotone loading from the virgin state is history-free point by point,
@@ -136,17 +139,17 @@ def model_forces(gamma_deg, p, L0=1.0, mu0=1.0):
     from the virgin state, all in one batched closed-form solve.
     """
     theta = gamma_to_theta(np.asarray(gamma_deg, dtype=float).reshape(-1))
-    return _solve_forces(theta, p, L0, mu0)[0]
+    return _solve_forces(theta, p, mu0)[0]
 
 
-def _solve_forces(theta, p, L0, mu0):
+def _solve_forces(theta, p, mu0):
     """Normalized forces at the frame angles ``theta`` and the virgin
     :class:`IntervalSolution` behind them."""
     sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
-    return frame_force(sol.tau, theta, L0) / (L0 * mu0), sol
+    return frame_force(sol.tau, theta) / mu0, sol
 
 
-def _force_jacobian(theta, sol, p, keys, L0, mu0):
+def _force_jacobian(theta, sol, p, keys, mu0):
     """Exact derivatives of the normalized forces at ``theta`` in the
     encoded parameters ``keys``, from their virgin solution ``sol``.
 
@@ -173,7 +176,7 @@ def _force_jacobian(theta, sol, p, keys, L0, mu0):
             dtau[pl, k] = p.mu_f * grad[key] / d
         if key in _LOG_KEYS:
             dtau[:, k] *= getattr(p, _EP_FIELD_BY_KEY[key])
-    return frame_force(dtau, theta[:, None], L0) / (L0 * mu0)
+    return frame_force(dtau, theta[:, None]) / mu0
 
 
 def _window(curve, mask):
@@ -190,7 +193,7 @@ def _window(curve, mask):
     return g[mask], f[mask]
 
 
-def objective(params, curve, L0=1.0, mu0=1.0, mask=None):
+def objective(params, curve, mu0=1.0, mask=None):
     """Root-mean-square deviation of the model from the measured forces.
 
     Evaluated exactly at the data angles, so the value does not depend on
@@ -206,7 +209,7 @@ def objective(params, curve, L0=1.0, mu0=1.0, mask=None):
     """
     g, f = _window(curve, mask)
     try:
-        model = model_forces(g, params, L0=L0, mu0=mu0)
+        model = model_forces(g, params, mu0=mu0)
     except ConvergenceError:
         return float("inf")
     return float(np.sqrt(np.mean((model - f) ** 2)))
@@ -245,7 +248,7 @@ def _identifiability(jac, keys):
             "weakest_direction": {key: float(v) for key, v in zip(keys, weak)}}
 
 
-def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
+def fit(initial, curve, cfg, mu0=1.0, mask=None):
     """Bounded least-squares fit of the free parameters.
 
     Minimizes the residual vector ``model_forces - force`` over the masked
@@ -289,7 +292,7 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
         updates = {key: _decode(key, u[k]) for k, key in enumerate(keys)}
         try:
             cand = replace_params(initial, updates)
-            forces, sol = _solve_forces(theta, cand, L0, mu0)
+            forces, sol = _solve_forces(theta, cand, mu0)
         except (ValueError, ConvergenceError):
             if best is None:
                 raise
@@ -304,7 +307,7 @@ def fit(initial, curve, cfg, L0=1.0, mu0=1.0, mask=None):
         # trf accepts a step exactly when its cost falls below the
         # iterate's, so the best evaluation is the current iterate
         _, cand, _, sol = best
-        return _force_jacobian(theta, sol, cand, keys, L0, mu0)
+        return _force_jacobian(theta, sol, cand, keys, mu0)
 
     # imported here: only the fit needs scipy.optimize, slow to import
     from scipy.optimize import least_squares
@@ -328,8 +331,7 @@ _STAGES = {
 }
 
 
-def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, L0=1.0,
-               mu0=1.0):
+def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, mu0=1.0):
     """Phase-by-phase calibration of a shear-frame curve.
 
     Stage 1 fits the shear stiffness on the initial slope (gamma <= 1 deg),
@@ -365,9 +367,8 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, L0=1.0,
             report["stages"].append(entry)
             continue
         cfg = FitConfig(free_params=keys, max_evals=max_evals)
-        entry["rms_before"] = objective(params, curve, L0=L0, mu0=mu0,
-                                        mask=mask)
-        res = fit(params, curve, cfg, L0=L0, mu0=mu0, mask=mask)
+        entry["rms_before"] = objective(params, curve, mu0=mu0, mask=mask)
+        res = fit(params, curve, cfg, mu0=mu0, mask=mask)
         params = res.params
         evals_total += res.evals_used
         all_converged = all_converged and res.converged
@@ -376,17 +377,17 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, L0=1.0,
         entry["converged"] = res.converged
         entry.update(res.identifiability)
         report["stages"].append(entry)
-    final_rms = objective(params, curve, L0=L0, mu0=mu0)
+    final_rms = objective(params, curve, mu0=mu0)
     report["rms_full_curve"] = final_rms
     result = FitResult(params=params, rms_error=final_rms,
                        evals_used=evals_total, converged=all_converged)
     return result, report
 
 
-def synthetic_curve(p, gamma_deg, rel_noise=0.0, seed=0, L0=1.0, mu0=1.0,
+def synthetic_curve(p, gamma_deg, rel_noise=0.0, seed=0, mu0=1.0,
                     label="synthetic"):
     """Model-generated data with multiplicative Gaussian noise."""
-    forces = model_forces(gamma_deg, p, L0=L0, mu0=mu0)
+    forces = model_forces(gamma_deg, p, mu0=mu0)
     if rel_noise:
         rng = np.random.default_rng(seed)
         forces = forces * (1.0 + rel_noise * rng.standard_normal(forces.size))

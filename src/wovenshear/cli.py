@@ -202,9 +202,7 @@ class _Commands(click.Group):
     """Report a failed solve as a one-line error (exit 1), not a traceback.
 
     A floating-point overflow, division by zero or invalid operation fails
-    the command too, instead of writing infinities or NaNs: inputs such as
-    ``--l0 1e300`` or ``mu_f = 1e300`` leave the range of doubles.  So does
-    a mesh that inverts, as one of side ``--l0 1e-300`` does.
+    the command too, instead of writing infinities or NaNs.
     """
 
     def invoke(self, ctx):
@@ -227,9 +225,6 @@ def main():
 _params_option = click.option("--params", required=True,
                               callback=_existing_file,
                               help="JSON parameter file.")
-_l0_option = click.option("--l0", "--L0", "l0", type=_Positive(float),
-                          default=1.0, show_default=True,
-                          help="Frame side length.")
 _spd_option = click.option("--steps-per-degree", type=_Positive(float),
                            default=2.0, show_default=True)
 _out_option = click.option("--out", default=".", show_default=True,
@@ -289,18 +284,14 @@ def material_point(params, program, dphi, out):
               help="Comma-separated shear-angle targets in degrees.")
 @click.option("--mesh", default="8x8", show_default=True, callback=_mesh,
               help="Square mesh subdivision NxN.")
-@_l0_option
 @click.option("--mu0", type=_Positive(float), default=None,
               help="Force normalization stress [default: mu_f].")
 @_spd_option
-@click.option("--tol", type=_Positive(float), default=1e-9,
-              show_default=True,
-              help="Verify-mode stress tolerance (scale-relative).")
 @_out_option
 @_config_option
 @click.pass_context
-def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
-                  steps_per_degree, tol, out):
+def picture_frame(ctx, mode, params, program, mesh, mu0, steps_per_degree,
+                  out):
     """Closed-form and/or FE picture-frame curves; verify compares them.
 
     analytic: writes analytic_curve.csv.  fe: writes fe_curve.csv and
@@ -313,7 +304,7 @@ def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
                        None if mode == "analytic" else mesh)
     out = _out_dir(out)
     if mode != "analytic":
-        sol = solve_picture_frame(Mesh.square(mesh, L0=l0), program, ep, hp,
+        sol = solve_picture_frame(Mesh.square(mesh), program, ep, hp,
                                   mu0=mu0, steps_per_degree=steps_per_degree)
         dest = out / "fe_curve.csv"
         sol.curve.to_csv(dest)
@@ -322,14 +313,14 @@ def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
         click.echo(f"wrote {dest} ({len(sol.curve)} rows)")
         click.echo(f"wrote {fields}")
     if mode != "fe":
-        curve = run_program(program, ep, L0=l0, mu0=mu0,
+        curve = run_program(program, ep, mu0=mu0,
                             steps_per_degree=steps_per_degree)
         dest = out / "analytic_curve.csv"
         curve.to_csv(dest)
         click.echo(f"wrote {dest} ({len(curve)} rows)")
     if mode != "verify":
         return
-    report = verify_against_analytic(sol, tau_tol=tol)
+    report = verify_against_analytic(sol)
     dest = out / "verify_report.json"
     _write_json(dest, report)
     click.echo(f"wrote {dest}")
@@ -350,13 +341,12 @@ def picture_frame(ctx, mode, params, program, mesh, l0, mu0,
 @click.option("--program", default="60", show_default=True,
               callback=_gamma_program,
               help="Comma-separated shear-angle targets in degrees.")
-@_l0_option
 @click.option("--mu0", type=_Positive(float), default=None,
               help="Force normalization stress [default: mu_f of the base].")
 @_spd_option
 @_out_option
 @_config_option
-def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
+def param_study(params, sweep, program, mu0, steps_per_degree, out):
     """One analytic curve per value of a swept parameter.
 
     Writes study_<name>_<k>.csv per value plus study_manifest.json mapping
@@ -377,7 +367,7 @@ def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
     out = _out_dir(out)
     files = []
     for k, (v, epk) in enumerate(zip(vals, sets)):
-        curve = run_program(program, epk, L0=l0, mu0=mu0,
+        curve = run_program(program, epk, mu0=mu0,
                             steps_per_degree=steps_per_degree)
         dest = out / f"study_{name}_{k}.csv"
         curve.to_csv(dest)
@@ -400,12 +390,11 @@ def param_study(params, sweep, program, l0, mu0, steps_per_degree, out):
               show_default=True,
               help="Model evaluations per stage (the exact Jacobian "
                    "costs none); a stage that runs out stops unconverged.")
-@_l0_option
 @click.option("--mu0", type=_Positive(float), default=1.0, show_default=True,
               help="Force normalization of the data.")
 @_out_option
 @_config_option
-def calibrate_cmd(data, params, stages, max_evals, l0, mu0, out):
+def calibrate_cmd(data, params, stages, max_evals, mu0, out):
     """Staged fit of a measured shear curve.
 
     Writes fitted_params.json (full parameter set) and fit_report.json
@@ -419,7 +408,7 @@ def calibrate_cmd(data, params, stages, max_evals, l0, mu0, out):
         raise click.ClickException(f"bad data file {data}: {exc}")
     out = _out_dir(out)
     result, report = staged_fit(ep, curve, stages=stages,
-                                max_evals=max_evals, L0=l0, mu0=mu0)
+                                max_evals=max_evals, mu0=mu0)
     _write_json(out / "fitted_params.json",
                 params_to_dict(result.params, hp))
     report["converged"] = result.converged

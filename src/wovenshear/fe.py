@@ -109,14 +109,13 @@ class Mesh:
     """Reference mesh of 4-node quadrilaterals on the fabric patch.
 
     ``nodes`` are reference coordinates (N, 2), ``elements`` the
-    counterclockwise connectivity (E, 4), ``boundary_nodes`` the driven
-    node set, and ``L0`` the patch side length used for force scales.
+    counterclockwise connectivity (E, 4) and ``boundary_nodes`` the driven
+    node set.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
-    L0: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -132,25 +131,23 @@ class Mesh:
             raise ValueError("element connectivity indexes outside nodes")
         if boundary.size and (boundary.min() < 0 or boundary.max() >= n):
             raise ValueError("boundary_nodes index outside nodes")
-        if not self.L0 > 0.0:
-            raise ValueError(f"L0 must be positive, got {self.L0}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary_nodes", np.unique(boundary))
         _reference_jacobians(nodes, elements, _shape_gradients()[0])
 
     @classmethod
-    def square(cls, n, L0=1.0):
-        """Structured n-by-n mesh of the diagonal-fiber square patch.
+    def square(cls, n):
+        """Structured n-by-n mesh of the diagonal-fiber unit square patch.
 
         The patch is ruled by the two fiber directions: parameter lines
-        (s, t) in [0, L0]^2 run along the +-45 degree diagonals, so the
-        Cartesian nodes form a diamond with the pull corner at
-        (0, sqrt(2) L0) and the opposite corner at the origin.
+        (s, t) in [0, 1]^2 run along the +-45 degree diagonals, so the
+        Cartesian nodes form a diamond with the pull corner at (0, sqrt(2))
+        and the opposite corner at the origin.
         """
         if n < 1:
             raise ValueError(f"mesh subdivision must be >= 1, got {n}")
-        s = np.linspace(0.0, L0, n + 1)
+        s = np.linspace(0.0, 1.0, n + 1)
         S, T = np.meshgrid(s, s, indexing="ij")       # S[i, j], T[i, j]
         X = (S - T) / np.sqrt(2.0)
         Y = (S + T) / np.sqrt(2.0)
@@ -159,20 +156,20 @@ class Mesh:
         elements = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:],
                              idx[:-1, 1:]], axis=-1).reshape(-1, 4)
         boundary = np.r_[idx[[0, n]].ravel(), idx[:, [0, n]].ravel()]
-        return cls(nodes=nodes, elements=elements, boundary_nodes=boundary,
-                   L0=float(L0))
+        return cls(nodes=nodes, elements=elements, boundary_nodes=boundary)
 
 
 # Newton controls: a start whose free-DOF residual norm meets _NEWTON_TOL *
-# mu_f * L0 is accepted; a corrected iterate that meets it gets one more
+# mu_f is accepted; a corrected iterate that meets it gets one more
 # (polish) correction, not counted against _NEWTON_MAX_ITER, to round-off
 # at any mesh size; a failed step is bisected up to _MAX_HALVINGS times
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_ITER = 25
 _MAX_HALVINGS = 5
 
-# verify limits on the Gauss-point angle-cosine spread and on the
-# reaction-force deviation; the stress limit is verify's tau_tol
+# verify limits on the scale-relative stress deviation, the Gauss-point
+# angle-cosine spread and the reaction-force deviation
+_TAU_TOL = 1e-9
 _THETA12_TOL = 1e-12
 _FORCE_TOL = 1e-8
 
@@ -473,7 +470,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     F_c = picture_frame_deformation(np.pi / 2.0)
     dq_last = np.zeros((E, G))
     dth_last = 0.0
-    tol_abs = _NEWTON_TOL * ep.mu_f * mesh.L0
+    tol_abs = _NEWTON_TOL * ep.mu_f
     bnodes = mesh.boundary_nodes
     XB = X[bnodes]
 
@@ -530,7 +527,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
             # r and ev are its residual and evaluation
             V = XB @ picture_frame_dF_dtheta(theta_prev).T
             R = r.reshape(-1, 2)[bnodes]
-            pull = float(np.sum(R * V) / crosshead_rate(theta_prev, mesh.L0))
+            pull = float(np.sum(R * V) / crosshead_rate(theta_prev))
             thetas.append(theta_prev)
             for k in fields:
                 gp[k][step_index] = getattr(ev, k).ravel()
@@ -540,7 +537,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     curve = ShearCurve(
         gamma_deg=theta_to_gamma(thetas),
         **{k: gp[k].mean(axis=1) for k in fields},
-        frame_force_normalized=np.asarray(force) / (mesh.L0 * mu0))
+        frame_force_normalized=np.asarray(force) / mu0)
     return FESolution(
         curve=curve, theta_steps=thetas,
         **{f"gp_{k}": gp[k] for k in fields},
@@ -549,7 +546,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
         steps_per_degree=steps_per_degree, mesh=mesh)
 
 
-def verify_against_analytic(sol, *, tau_tol=1e-9):
+def verify_against_analytic(sol):
     """Compare a finite-element run against the closed-form response.
 
     Chains the interval solution over the run's own load program and
@@ -558,12 +555,11 @@ def verify_against_analytic(sol, *, tau_tol=1e-9):
     (denominator floored at 1% of the peak stress), the reaction-force
     deviation relative to the closed-form pull force, and the spread of the
     Gauss-point angle cosines around the applied cos(theta).  Material,
-    frame size, force normalization and step grid are the run's own.
+    force normalization and step grid are the run's own.
 
     Returns a report dict with the measured maxima, the limits and a
     ``passed`` flag.
     """
-    L0, mu0 = sol.mesh.L0, sol.mu0
     thetas = sol.theta_steps
     grids = program_theta_grid(sol.program, sol.steps_per_degree)
     if 1 + sum(g.size for g in grids) != thetas.size:
@@ -571,7 +567,7 @@ def verify_against_analytic(sol, *, tau_tol=1e-9):
     sols = _solve_legs([np.cos(grid) for grid in grids], sol.ep)
     tau_an = np.concatenate([[0.0]] + [s.tau for s in sols])
     force_an = np.concatenate(
-        [[0.0]] + [frame_force(s.tau, g, L0) for s, g in zip(sols, grids)])
+        [[0.0]] + [frame_force(s.tau, g) for s, g in zip(sols, grids)])
 
     # |dtau|, |dtau| / denom and |dtheta12| in turn, in one (S, P) buffer
     dev = sol.gp_tau - tau_an[:, None]
@@ -582,10 +578,10 @@ def verify_against_analytic(sol, *, tau_tol=1e-9):
     max_rel_pointwise = float(np.divide(dev, denom, out=dev).max())
     np.subtract(sol.gp_theta12, np.cos(thetas)[:, None], out=dev)
     max_theta12_dev = float(np.abs(dev, out=dev).max())
-    f_fe = sol.curve.frame_force_normalized * (L0 * mu0)
+    f_fe = sol.curve.frame_force_normalized * sol.mu0
     fscale = np.abs(force_an).max()
     max_force_rel = float(np.abs(f_fe - force_an).max() / fscale)
-    passed = (max_rel_scale <= tau_tol
+    passed = (max_rel_scale <= _TAU_TOL
               and max_theta12_dev <= _THETA12_TOL
               and max_force_rel <= _FORCE_TOL)
     return {
@@ -593,7 +589,7 @@ def verify_against_analytic(sol, *, tau_tol=1e-9):
         "max_tau_rel_pointwise": max_rel_pointwise,
         "max_theta12_dev": max_theta12_dev,
         "max_force_rel": max_force_rel,
-        "tau_tol": tau_tol,
+        "tau_tol": _TAU_TOL,
         "force_tol": _FORCE_TOL,
         "theta12_tol": _THETA12_TOL,
         "passed": bool(passed),

@@ -143,24 +143,23 @@ def picture_frame_dF_dtheta(theta):
     ])
 
 
-def crosshead_rate(theta, L0):
-    """Derivative of the crosshead travel with respect to theta.
+def crosshead_rate(theta):
+    """Derivative of the unit frame's crosshead travel with respect to theta.
 
     Strictly negative on (0, pi/2]; it would vanish only in the fully
     collapsed limit theta -> 0, so no special handling is needed anywhere
     in the working range.  Broadcasts over ``theta``.
 
-    The corner map applied to the pull-axis corner (0, sqrt(2) L0) has
-    only the second component nonzero, so ``x . v / |x|`` is written with
-    the entries of :func:`picture_frame_deformation` and
+    The corner map applied to the pull-axis corner (0, sqrt(2)) has only
+    the second component nonzero, so ``x . v / |x|`` is written with the
+    entries of :func:`picture_frame_deformation` and
     :func:`picture_frame_dF_dtheta` in the same order as the matrix
     products; this reproduces them bit for bit, where the closed form
-    ``-L0 cos((pi - theta) / 2)`` differs in the last digit on many
-    angles.
+    ``-cos((pi - theta) / 2)`` differs in the last digit on many angles.
     """
     _check_theta(theta)
     phi_m = 0.5 * (np.pi - np.asarray(theta, dtype=float))
-    corner = np.sqrt(2.0) * L0
+    corner = np.sqrt(2.0)
     x2 = np.sqrt(2.0) * np.sin(phi_m) * corner
     v2 = -np.sqrt(2.0) * 0.5 * np.cos(phi_m) * corner
     return x2 * v2 / np.abs(x2)

@@ -80,8 +80,9 @@ class ElastoplasticParams:
     ``f_iso(q) = tau_y + A_h asinh(a_h q) + B_h tanh(b_h q) + C_h q^c_h``.
     ``c_h >= 1`` keeps the derivative finite at q = 0, and construction
     verifies that ``f_iso'(q) > 0`` across the working range q in [0, 1.5]
-    (sampled at 1e-3), so a strictly hardening response is guaranteed.
-    Every field must be finite.
+    (sampled at 1e-3), so a strictly hardening response is guaranteed, and
+    that ``f_iso``, ``f_iso'`` and ``mu_f^2`` stay finite.  Every field must
+    be finite.
     """
 
     mu_f: float
@@ -107,7 +108,19 @@ class ElastoplasticParams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.c_h < 1.0:
             raise ValueError(f"c_h must be >= 1, got {self.c_h}")
-        if not np.all(f_iso_prime(_Q_CHECK, self) > 0.0):
+        mu = float(self.mu_f)
+        if mu * mu == math.inf:     # the return map's tangent squares mu_f
+            raise ValueError(f"mu_f = {mu} is too large: its square overflows")
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                # each term of f_iso is largest at q = 1.5
+                f_iso(_Q_CHECK[-1], self)
+                slope = f_iso_prime(_Q_CHECK, self)
+        except FloatingPointError as exc:
+            raise ValueError(
+                "inadmissible hardening: f_iso or f_iso' leaves the range of "
+                f"doubles on q in [0, 1.5] ({exc})") from None
+        if not np.all(slope > 0.0):
             raise ValueError(
                 "inadmissible hardening: f_iso'(q) must stay positive on "
                 "q in [0, 1.5]")

@@ -1,14 +1,18 @@
 """Independent oracles for the test suite.
 
 Everything here is built from the math module, plain bisection, and
-central differences; nothing imports the package under test.  Frozen
-reference values were computed once with the bisection solver below and
-are pinned to 17 significant digits.
+central differences; nothing but the manufactured frame state, which
+loads the package's own frame model, imports the package under test.
+Frozen reference values were computed once with the bisection solver
+below and are pinned to 17 significant digits.
 """
 
 import math
 
 import numpy as np
+
+from wovenshear.fe import _FrameModel
+from wovenshear.kinematics import picture_frame_deformation
 
 # hardening stress at q = 1 for the soft-yield demo set
 # (tau_y=0.1, A=0.05, a=1, B=0.01, b=55, C=0.7, c=5)
@@ -142,11 +146,11 @@ def membrane_energy(X_e, x_e, fiber_dirs, mu_f, eps_L, order=2):
     return energy
 
 
-def crosshead_travel(theta, L0):
-    """Crosshead travel of a frame of side ``L0`` at angle ``theta``, in
-    closed form: the pull-axis diagonal ``2 L0 sin((pi - theta) / 2)``
-    less its square-state length ``sqrt(2) L0``."""
-    return 2.0 * L0 * math.sin(0.5 * (math.pi - theta)) - math.sqrt(2.0) * L0
+def crosshead_travel(theta):
+    """Crosshead travel of the unit frame at angle ``theta``, in closed
+    form: the pull-axis diagonal ``2 sin((pi - theta) / 2)`` less its
+    square-state length ``sqrt(2)``."""
+    return 2.0 * math.sin(0.5 * (math.pi - theta)) - math.sqrt(2.0)
 
 
 def fiber_metric(a, L):
@@ -252,3 +256,40 @@ def savetxt_csv(path, header, columns):
     significant digits, comma separated, under a one-line header."""
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
                header=header, comments="")
+
+
+def manufactured_frame_state(mesh, theta, amp):
+    """Non-affine frame positions ``x* = X F(theta)^T + amp sin(gamma) w(X)``
+    on a ``Mesh.square`` patch, ``sin(gamma) = cos(theta)`` for the shear
+    angle gamma.
+
+    ``w`` is the bubble ``16 s (1 - s) t (1 - t) (1, s - t)`` in the fiber
+    coordinates ``s = (X + Y) / sqrt 2`` and ``t = (Y - X) / sqrt 2`` of
+    the unit patch, added on the interior nodes only, so the boundary
+    follows the frame map exactly.
+    """
+    X = mesh.nodes
+    x = X @ picture_frame_deformation(theta).T
+    inner = np.setdiff1d(np.arange(len(X)), mesh.boundary_nodes)
+    s = (X[inner, 0] + X[inner, 1]) / math.sqrt(2.0)
+    t = (X[inner, 1] - X[inner, 0]) / math.sqrt(2.0)
+    bubble = 16.0 * s * (1.0 - s) * t * (1.0 - t)
+    x[inner] += amp * math.cos(theta) * np.column_stack([bubble,
+                                                          bubble * (s - t)])
+    return x
+
+
+class ForcedFrameModel(_FrameModel):
+    """The frame model with a body load: its residual is ``r(x) - load``.
+
+    Setting ``load`` to the residual at a manufactured state, at that
+    state's own Gauss history, makes the state an exact discrete
+    equilibrium, which the solver must recover.
+    """
+
+    load = 0.0
+
+    def residual(self, x, phi_p, q, slip0=None):
+        r, ev = super().residual(x, phi_p, q, slip0)
+        return r - self.load, ev
+

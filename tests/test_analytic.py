@@ -239,47 +239,48 @@ class TestAdvanceInterval:
 
 class TestFrameForce:
     def test_closed_form(self):
-        # the work-conjugate force reduces to 2 L0 tau cos(theta/2)
+        # the work-conjugate force per unit frame side reduces to
+        # 2 tau cos(theta/2)
         for theta in (0.3, 0.9, 1.5):
-            for L0 in (1.0, 2.5):
-                F = frame_force(0.7, theta, L0)
-                assert F == pytest.approx(
-                    2.0 * L0 * 0.7 * np.cos(theta / 2.0), rel=1e-13)
+            F = frame_force(0.7, theta)
+            assert F == pytest.approx(2.0 * 0.7 * np.cos(theta / 2.0),
+                                      rel=1e-13)
 
     def test_sign_follows_stress(self):
-        assert frame_force(0.1, 1.0, 1.0) > 0.0
-        assert frame_force(-0.1, 1.0, 1.0) < 0.0
-        assert frame_force(0.0, 1.0, 1.0) == 0.0
+        assert frame_force(0.1, 1.0) > 0.0
+        assert frame_force(-0.1, 1.0) < 0.0
+        assert frame_force(0.0, 1.0) == 0.0
 
     def test_domain_checked(self):
         with pytest.raises(ValueError):
-            frame_force(0.1, 0.0, 1.0)
+            frame_force(0.1, 0.0)
 
-    @pytest.mark.parametrize("L0", [1.0, 2.5])
-    def test_broadcast_equals_scalar_calls(self, L0):
+    @pytest.mark.parametrize("amp", [1.0, 2.5])
+    def test_broadcast_equals_scalar_calls(self, amp):
+        # amp scales the stress the force is taken from
         theta = np.linspace(1e-3, np.pi / 2.0, 2001)
-        tau = 0.7 * np.cos(3.0 * theta)
-        force = frame_force(tau, theta, L0)
-        rate = crosshead_rate(theta, L0)
-        assert np.array_equal(force, [frame_force(float(s), float(t), L0)
+        tau = amp * 0.7 * np.cos(3.0 * theta)
+        force = frame_force(tau, theta)
+        rate = crosshead_rate(theta)
+        assert np.array_equal(force, [frame_force(float(s), float(t))
                                       for s, t in zip(tau, theta)])
-        assert np.array_equal(rate, [crosshead_rate(float(t), L0)
-                                     for t in theta])
+        assert np.array_equal(rate, [crosshead_rate(float(t)) for t in theta])
 
     def test_broadcast_domain_checked(self):
         for bad in (0.0, np.pi / 2.0 + 0.01, np.nan):
             theta = np.linspace(0.2, 1.4, 7)
             theta[3] = bad
             with pytest.raises(ValueError, match="theta"):
-                frame_force(np.ones(7), theta, 1.0)
+                frame_force(np.ones(7), theta)
             with pytest.raises(ValueError, match="theta"):
-                crosshead_rate(theta, 1.0)
+                crosshead_rate(theta)
 
     def test_rate_consistency(self):
-        # force * crosshead rate equals the angle-energy rate A0 tau dcos
-        theta, tau, L0 = 1.1, 0.4, 1.3
-        lhs = frame_force(tau, theta, L0) * crosshead_rate(theta, L0)
-        rhs = -L0 * L0 * np.sin(theta) * tau
+        # force * crosshead rate equals the unit patch's angle-energy rate
+        # tau dcos
+        theta, tau = 1.1, 0.4
+        lhs = frame_force(tau, theta) * crosshead_rate(theta)
+        rhs = -np.sin(theta) * tau
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
@@ -350,19 +351,12 @@ class TestRunProgram:
 
     def test_force_column_definition(self, demo_params):
         lp = LoadProgram.from_gamma_degrees([30.0])
-        L0, mu0 = 2.0, 3.0
-        c = run_program(lp, demo_params, L0=L0, mu0=mu0)
+        mu0 = 3.0
+        c = run_program(lp, demo_params, mu0=mu0)
         k = 25
         theta = gamma_to_theta(c.gamma_deg[k])
-        expect = frame_force(c.tau[k], float(theta), L0) / (L0 * mu0)
+        expect = frame_force(c.tau[k], float(theta)) / mu0
         assert c.frame_force_normalized[k] == pytest.approx(expect, rel=1e-13)
-
-    def test_normalized_force_independent_of_size(self, demo_params):
-        lp = LoadProgram.from_gamma_degrees([30.0])
-        c1 = run_program(lp, demo_params, L0=1.0)
-        c2 = run_program(lp, demo_params, L0=2.5)
-        assert np.allclose(c1.frame_force_normalized,
-                           c2.frame_force_normalized, rtol=1e-13)
 
 
 def read_curve(path):

@@ -88,24 +88,23 @@ AC9_GRID = np.concatenate([np.arange(0.1, 1.01, 0.1),
                            np.arange(5.5, 60.01, 0.5)])
 
 
-def scalar_model_forces(gamma_deg, p, L0, mu0):
+def scalar_model_forces(gamma_deg, p, mu0):
     """Per-point reference: one scalar solve and force per angle."""
     out = []
     for g in gamma_deg:
         theta = float(gamma_to_theta(g))
         sol = interval_solve(float(np.cos(theta)), IntervalState(), p)
-        out.append(frame_force(sol.tau, theta, L0) / (L0 * mu0))
+        out.append(frame_force(sol.tau, theta) / mu0)
     return np.array(out)
 
 
 class TestModelForces:
-    @pytest.mark.parametrize("L0, mu0", [(1.0, 1.0), (3.0, 2.0)])
+    @pytest.mark.parametrize("mu0", [1.0, 2.0])
     @pytest.mark.parametrize("name", ["glass_params", "demo_params"])
-    def test_equals_per_point_scalar_solve(self, name, L0, mu0, request):
+    def test_equals_per_point_scalar_solve(self, name, mu0, request):
         p = request.getfixturevalue(name)
-        forces = model_forces(AC9_GRID, p, L0=L0, mu0=mu0)
-        assert np.array_equal(forces,
-                              scalar_model_forces(AC9_GRID, p, L0, mu0))
+        forces = model_forces(AC9_GRID, p, mu0=mu0)
+        assert np.array_equal(forces, scalar_model_forces(AC9_GRID, p, mu0))
 
     def test_matches_curve_generator(self, demo_params):
         # pointwise virgin evaluation equals the sampled program curve
@@ -117,8 +116,8 @@ class TestModelForces:
 
     def test_scales(self, demo_params):
         g = np.array([5.0, 20.0])
-        f1 = model_forces(g, demo_params, L0=1.0, mu0=1.0)
-        f2 = model_forces(g, demo_params, L0=3.0, mu0=2.0)
+        f1 = model_forces(g, demo_params, mu0=1.0)
+        f2 = model_forces(g, demo_params, mu0=2.0)
         assert np.allclose(f2, f1 / 2.0, rtol=1e-13)
 
 
@@ -273,12 +272,12 @@ class TestForceJacobian:
         # every angle of the AC9 grid is plastic on the glass set; the soft
         # set yields at about 5.7 deg, so the grid has elastic points too
         p = request.getfixturevalue(name)
-        L0, mu0 = 3.0, 2.0
+        mu0 = 2.0
         theta = gamma_to_theta(AC9_GRID)
         sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
         assert sol.plastic.any()
         assert sol.plastic.all() == (name == "glass_params")
-        jac = calibrate._force_jacobian(theta, sol, p, FIT_KEYS, L0, mu0)
+        jac = calibrate._force_jacobian(theta, sol, p, FIT_KEYS, mu0)
         values = params_to_dict(p)
         for k, key in enumerate(FIT_KEYS):
             u = calibrate._encode(key, values[key])
@@ -286,7 +285,7 @@ class TestForceJacobian:
                         else abs(u))
             f_up, f_dn = (
                 model_forces(AC9_GRID, replace_params(
-                    p, {key: calibrate._decode(key, u + s)}), L0, mu0)
+                    p, {key: calibrate._decode(key, u + s)}), mu0)
                 for s in (h, -h))
             col = jac[:, k]
             err = np.max(np.abs((f_up - f_dn) / (2.0 * h) - col))

@@ -10,9 +10,11 @@ closed-form response, mesh independence (the exact solution is
 homogeneous), the banded global system against a dense reference, one LU
 factorization per full Newton correction and none for the polish, every
 frame step accepted at its prediction with no drift from the affine state,
-a mesh with no free DOF, verify margins across mesh sizes and on a deep
-reversal, step bisection and failure reporting, determinism, the field
-CSV dump, and the peak memory of a frame solve and of its verify.
+a manufactured non-affine frame state that the Newton corrections recover
+at every step, a mesh with no free DOF, verify margins across mesh sizes
+and on a deep reversal, step bisection and failure reporting,
+determinism, the field CSV dump, and the peak memory of a frame solve
+and of its verify.
 """
 
 import dataclasses
@@ -56,11 +58,11 @@ class TestMesh:
         assert mesh.boundary_nodes.size == 32
 
     def test_square_corners(self):
-        mesh = Mesh.square(4, L0=2.0)
+        mesh = Mesh.square(4)
         d = np.linalg.norm(mesh.nodes, axis=1)
         assert d.min() == pytest.approx(0.0, abs=1e-15)
         pull = mesh.nodes[np.argmax(mesh.nodes[:, 1])]
-        assert pull == pytest.approx([0.0, np.sqrt(2.0) * 2.0], abs=1e-14)
+        assert pull == pytest.approx([0.0, np.sqrt(2.0)], abs=1e-14)
 
     def test_single_element_all_boundary(self):
         mesh = Mesh.square(1)
@@ -75,9 +77,6 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(nodes=UNIT_SQUARE, elements=np.array([[0, 1, 2, 3]]),
                  boundary_nodes=np.array([9]))
-        with pytest.raises(ValueError):
-            Mesh(nodes=UNIT_SQUARE, elements=np.array([[0, 1, 2, 3]]),
-                 boundary_nodes=np.array([0]), L0=0.0)
 
     def test_inverted_element_rejected(self):
         # clockwise connectivity gives a negative Jacobian
@@ -181,10 +180,10 @@ def distorted_square(n, amplitude, seed):
     inner = np.setdiff1d(np.arange(mesh.nodes.shape[0]), mesh.boundary_nodes)
     angle = rng.uniform(0.0, 2.0 * np.pi, inner.size)
     nodes = mesh.nodes.copy()
-    nodes[inner] += amplitude * mesh.L0 / n * np.column_stack(
+    nodes[inner] += amplitude / n * np.column_stack(
         [np.cos(angle), np.sin(angle)])
     return Mesh(nodes=nodes, elements=mesh.elements,
-                boundary_nodes=mesh.boundary_nodes, L0=mesh.L0)
+                boundary_nodes=mesh.boundary_nodes)
 
 
 def final_history(sol):
@@ -201,12 +200,12 @@ def perturbed_newton_step(sol, seed):
     mesh, ep = sol.mesh, sol.ep
     model = _FrameModel(mesh, ep, HyperelasticParams(eps_L=ep.mu_f))
     inner = np.setdiff1d(np.arange(len(sol.x)), mesh.boundary_nodes)
-    h = mesh.L0 / np.sqrt(len(mesh.elements))
+    h = 1.0 / np.sqrt(len(mesh.elements))
     x = sol.x.copy()
     x[inner] += 1e-3 * h * np.random.default_rng(seed).standard_normal(
         (inner.size, 2))
     return fe._newton_step(model, x, *final_history(sol), None,
-                           fe._NEWTON_TOL * ep.mu_f * mesh.L0)
+                           fe._NEWTON_TOL * ep.mu_f)
 
 
 class TestVoigtKernel:
@@ -476,6 +475,71 @@ class TestBandedSystem:
         assert verify_against_analytic(sol)["passed"]
 
 
+def manufactured_run(mesh, program, ep, amp):
+    """Recover the manufactured state of ``oracles`` along ``program``.
+
+    Each load step of the solver's grid marches ``x*`` through the frame
+    model, so that the Gauss history is that of ``x*``, and loads the
+    forced model with the residual at ``x*`` from that history.
+    ``fe._newton_step`` then solves from the solver's own prediction (the
+    affine frame state plus the committed deviation carried along the
+    frame map's increment, slip solves started from the scaled last slip
+    increments) at the solver's tolerance.  Yields, per step, the
+    deviation ``max |x - x*|`` and whether the step converged.
+    """
+    hp = HyperelasticParams(eps_L=ep.mu_f)
+    model = _FrameModel(mesh, ep, hp)
+    forced = oracles.ForcedFrameModel(mesh, ep, hp)
+    X, b = mesh.nodes, mesh.boundary_nodes
+    phi_p = q = dq_last = np.zeros((model.n_elements, model.n_gauss))
+    theta_c, dth_last = np.pi / 2.0, 0.0
+    x, F_c = X.copy(), picture_frame_deformation(theta_c)
+    for th in np.concatenate(program_theta_grid(program)):
+        x_star = oracles.manufactured_frame_state(mesh, th, amp)
+        forced.load, ev_star = model.residual(x_star, phi_p, q)
+        F = picture_frame_deformation(th)
+        xtrial = X @ F.T + (x - X @ F_c.T) @ np.linalg.solve(F_c.T, F.T)
+        xtrial[b] = X[b] @ F.T
+        scale = (th - theta_c) / dth_last if dth_last else 0.0
+        x, _, ev, _, ok, _ = fe._newton_step(
+            forced, xtrial, phi_p, q, scale * dq_last,
+            fe._NEWTON_TOL * ep.mu_f)
+        dq_last, dth_last = ev.q - q, th - theta_c
+        phi_p, q, F_c, theta_c = ev_star.phi_p, ev_star.q, F, th
+        yield np.abs(x - x_star).max(), ok
+
+
+class TestManufacturedState:
+    """The Newton path on a known non-affine answer: the frame programs'
+    own predictions are exact and take no correction, so the
+    manufactured state is what runs the corrections, the band tangent,
+    its LU factors and the polish."""
+
+    def test_demo_cycle(self, demo_params, cycle_program, dgbtrf_calls):
+        mesh = Mesh.square(8)
+        devs, counts = [], []
+        for dev, ok in manufactured_run(mesh, cycle_program, demo_params,
+                                        1e-3):
+            assert ok
+            devs.append(dev)
+            counts.append(len(dgbtrf_calls))
+        assert len(devs) == 220
+        assert max(devs) <= 1e-14
+        # each step factors at least one band tangent
+        assert min(np.diff([0] + counts)) >= 1
+
+    def test_deep_reversal(self, demo_params):
+        # the reload of 60-0.5-60 deg crosses the span where the affine
+        # state's free tangent is indefinite (from 56.5 deg)
+        lp = LoadProgram.from_gamma_degrees([60.0, 0.5, 60.0])
+        devs = []
+        for dev, ok in manufactured_run(Mesh.square(8), lp, demo_params,
+                                        1e-3):
+            assert ok
+            devs.append(dev)
+        assert max(devs) <= 1e-12
+
+
 class TestVerifyAcrossMeshes:
     # demo set on the 0-50-20-50 degree cycle at the verify tolerances;
     # theta12 must keep a 10x margin below its 1e-12 limit, and with both
@@ -713,11 +777,11 @@ class TestVerifyAgainstAnalytic:
             assert key in rep
         assert rep["passed"]
 
-    def test_frame_size_and_normalization_from_the_run(self, glass_params):
-        # the force column is normalized by L0 * mu0 of the run, which
-        # verify takes from the solution rather than from its caller
+    def test_normalization_from_the_run(self, glass_params):
+        # the force column is normalized by mu0 of the run, which verify
+        # takes from the solution rather than from its caller
         lp = LoadProgram.from_gamma_degrees([20.0])
-        sol = solve_picture_frame(Mesh.square(2, L0=2.5), lp, glass_params,
+        sol = solve_picture_frame(Mesh.square(2), lp, glass_params,
                                   mu0=glass_params.mu_f)
         rep = verify_against_analytic(sol)
         assert rep["passed"], rep

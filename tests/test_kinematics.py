@@ -228,28 +228,29 @@ class TestPictureFrame:
                                  @ corner) - np.linalg.norm(corner))
         assert d == pytest.approx(oracles.CROSSHEAD_D_THETA60_L1, rel=1e-15)
         # closed form of the corner map
-        assert d == pytest.approx(oracles.crosshead_travel(np.pi / 3.0, 1.0),
+        assert d == pytest.approx(oracles.crosshead_travel(np.pi / 3.0),
                                   rel=1e-13)
 
     def test_crosshead_rate_is_displacement_derivative(self):
         for th in (0.4, 0.9, 1.3, np.pi / 2.0 - 1e-3):
             fd = oracles.central_diff(
-                lambda t: oracles.crosshead_travel(t, 2.0), th, 1e-7)
-            assert crosshead_rate(th, 2.0) == pytest.approx(fd, rel=1e-7)
-            assert crosshead_rate(th, 2.0) < 0.0
+                oracles.crosshead_travel, th, 1e-7)
+            assert crosshead_rate(th) == pytest.approx(fd, rel=1e-7)
+            assert crosshead_rate(th) < 0.0
 
-    @pytest.mark.parametrize("L0", [1.0, 2.5])
-    def test_crosshead_rate_is_corner_map_product(self, L0):
+    @pytest.mark.parametrize("power", [1.0, 2.5])
+    def test_crosshead_rate_is_corner_map_product(self, power):
         # the broadcast rate reproduces x . v / |x| of the matrix corner map
-        # bit for bit
-        theta = np.linspace(1e-3, np.pi / 2.0, 2001)
-        corner = np.array([0.0, np.sqrt(2.0) * L0])
+        # bit for bit; power > 1 crowds the angles toward the collapsed end
+        u = np.linspace(0.0, 1.0, 2001)
+        theta = 1e-3 + (np.pi / 2.0 - 1e-3) * u ** power
+        corner = np.array([0.0, np.sqrt(2.0)])
         expect = []
         for th in theta:
             x = picture_frame_deformation(th) @ corner
             v = picture_frame_dF_dtheta(th) @ corner
             expect.append(x @ v / np.linalg.norm(x))
-        assert np.array_equal(crosshead_rate(theta, L0), expect)
+        assert np.array_equal(crosshead_rate(theta), expect)
 
     def test_deformation_derivative(self):
         for th in (0.5, 1.0, 1.4):

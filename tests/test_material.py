@@ -140,6 +140,25 @@ class TestParamValidation:
             ElastoplasticParams(mu_f=1.0, tau_y=0.1)
         ElastoplasticParams(mu_f=1.0, tau_y=0.1, A_h=1e-8)
 
+    @pytest.mark.parametrize("updates", [
+        {"C_h": 1.0, "c_h": 1e300},        # q^c at q = 1.5
+        {"A_h": 1.0, "a_h": 1e300},        # (a q)^2 in f_iso'
+        {"A_h": 1e308, "a_h": 1e10},       # A asinh(a q)
+    ], ids=["c-1e300", "a-1e300", "A-1e308"])
+    def test_rejects_hardening_out_of_range(self, updates):
+        # a set whose hardening curve or slope leaves the range of doubles
+        # on the check grid is refused as such, with no RuntimeWarning
+        with pytest.raises(ValueError, match="leaves the range of doubles"):
+            ElastoplasticParams(mu_f=1.0, tau_y=0.0, **updates)
+
+    def test_rejects_mu_f_whose_square_overflows(self, demo_params):
+        # the return map's tangent takes mu_f ** 2
+        with pytest.raises(ValueError, match="mu_f = 1e\\+300 is too large"):
+            dataclasses.replace(demo_params, mu_f=1e300)
+        p = dataclasses.replace(demo_params, mu_f=1e150)
+        assert np.isfinite(return_map_batch(
+            np.array([0.5]), np.zeros(1), np.zeros(1), p).dtau_dphi).all()
+
     def test_hyper_rejects_negative(self):
         with pytest.raises(ValueError):
             HyperelasticParams(eps_L=-1.0)
