@@ -198,17 +198,35 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+# retired flags and why each went; click would suggest a live flag of like
+# spelling for them (--mu0 for --l0, --out for --tol), which reads the
+# value in another sense
+_RETIRED_FLAGS = dict.fromkeys(
+    ("--l0", "--L0"), "the frame side is retired: the frame is the unit "
+    "patch, and its side cancelled from every output")
+_RETIRED_FLAGS["--tol"] = ("verify's stress tolerance is retired: its "
+                           "limits are fixed")
+
+
 class _Commands(click.Group):
     """Report a failed solve as a one-line error (exit 1), not a traceback.
 
     A floating-point overflow, division by zero or invalid operation fails
-    the command too, instead of writing infinities or NaNs.
+    the command too, instead of writing infinities or NaNs.  A retired flag
+    is a usage error that says why it went, with no suggestion.
     """
 
     def invoke(self, ctx):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return super().invoke(ctx)
+        except click.NoSuchOption as exc:
+            why = _RETIRED_FLAGS.get(exc.option_name)
+            if why is None:
+                raise
+            raise click.UsageError(
+                f"No such option '{exc.option_name}': {why}.",
+                exc.ctx) from None
         except (ConvergenceError, SolverError, ElementInversionError) as exc:
             raise click.ClickException(str(exc))
         except ArithmeticError as exc:

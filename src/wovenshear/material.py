@@ -3,10 +3,11 @@
 The single scalar internal mechanism is a plastic angle change phi_p with
 isotropic hardening: the shear stress conjugate to the angle cosine is
 tau = mu_f * phi_e with phi_e = phi - phi_p, admissible while
-|tau| <= f_iso(q).  The return map is a pure function (it never mutates the
-incoming state) and the batched variant drives all Gauss points of a mesh
-in one call.  Stress-like parameters are in force per reference length
-(N/mm in the calibrated data sets); the library itself is unit-agnostic.
+|tau| <= f_iso(q).  The one return map, :func:`return_map_batch`, is a
+pure function of the committed history arrays: one call drives all Gauss
+points of a mesh, or a monotone run of a path in :func:`drive_angle_path`.
+Stress-like parameters are in force per reference length (N/mm in the
+calibrated data sets); the library itself is unit-agnostic.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ __all__ = [
     "ConvergenceError",
     "ElastoplasticParams",
     "HyperelasticParams",
-    "PlasticState",
-    "StressReturn",
     "BatchReturn",
     "f_iso",
     "f_iso_prime",
-    "yield_function",
-    "return_map",
     "return_map_batch",
     "drive_angle_path",
     "DriveResult",
@@ -194,41 +191,15 @@ def replace_params(ep, updates):
                           for k, v in updates.items()})
 
 
-@dataclass(frozen=True)
-class PlasticState:
-    """History at one material point: plastic angle and hardening
-    variable, which grows by the plastic slip of every step."""
-
-    phi_p: float = 0.0
-    q: float = 0.0
-
-    def __post_init__(self):
-        if self.q < 0.0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
-
-
-@dataclass(frozen=True)
-class StressReturn:
-    """Outcome of one return-map evaluation.
-
-    ``tau = mu_f * phi_e`` holds exactly; ``new_state`` is the candidate
-    history to commit after global convergence (the identical input object
-    on an elastic step); ``dtau_dphi`` is the algorithmic tangent.
-    """
-
-    tau: float
-    phi_e: float
-    new_state: PlasticState
-    dtau_dphi: float
-    is_plastic: bool
-
-
 class BatchReturn(NamedTuple):
     """Per-point arrays of :func:`return_map_batch`.
 
     ``phi_p`` and ``q`` are the candidate history, ``residual`` is ``|g|``
     at the accepted slip (zero on elastic points), and ``iterations`` the
-    sweeps of the slowest point.
+    sweeps of the slowest point.  ``perfbench/spans.py`` reads fields 0, 6
+    and 7 (``tau``, ``plastic``, ``iterations``) by position, so the field
+    order is fixed and ``residual``, which the package does not read, keeps
+    its place.
     """
 
     tau: np.ndarray
@@ -293,11 +264,6 @@ def f_iso_prime(q, p):
     """Hardening modulus d f_iso / d q at q >= 0."""
     _check_q(q)
     return _f_iso_prime(q, p)
-
-
-def yield_function(tau, q, p):
-    """Yield value |tau| - f_iso(q); negative means elastic."""
-    return np.abs(tau) - f_iso(q, p)
 
 
 # relative stopping tolerance and sweep cap of the slip solve; the polish
@@ -444,35 +410,6 @@ def return_map_batch(phi_new, phi_p, q, p, slip0=None):
 
     return BatchReturn(mu * phi_e, phi_e, dtau, phi_p_new, q_new, residual,
                        plastic, iterations)
-
-
-def return_map(phi_new, state_old, p):
-    """Backward-Euler return map at a single material point.
-
-    Pure function: ``state_old`` is never mutated, and on an elastic step
-    the returned result carries the identical state object.
-
-    Parameters
-    ----------
-    phi_new : float
-        Total angle change at the end of the step.
-    state_old : PlasticState
-        Committed history at the start of the step.
-    p : ElastoplasticParams
-
-    Returns
-    -------
-    StressReturn
-    """
-    out = return_map_batch(np.array([phi_new]), np.array([state_old.phi_p]),
-                           np.array([state_old.q]), p)
-    if out.plastic[0]:
-        new_state = PlasticState(phi_p=float(out.phi_p[0]), q=float(out.q[0]))
-    else:
-        new_state = state_old
-    return StressReturn(tau=float(out.tau[0]), phi_e=float(out.phi_e[0]),
-                        new_state=new_state, dtau_dphi=float(out.dtau_dphi[0]),
-                        is_plastic=bool(out.plastic[0]))
 
 
 def _voigt_stress(tau, gamma, eps_L=0.0, lam=None):

@@ -2,9 +2,10 @@
 
 Everything here is built from the math module, plain bisection, and
 central differences; nothing but the manufactured frame state, which
-loads the package's own frame model, imports the package under test.
-Frozen reference values were computed once with the bisection solver
-below and are pinned to 17 significant digits.
+loads the package's own frame model, and the stepped backward-Euler
+chain, which steps the package's own return map, imports the package
+under test.  Frozen reference values were computed once with the
+bisection solver below and are pinned to 17 significant digits.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 
 from wovenshear.fe import _FrameModel
 from wovenshear.kinematics import picture_frame_deformation
+from wovenshear.material import return_map_batch
 
 # hardening stress at q = 1 for the soft-yield demo set
 # (tau_y=0.1, A=0.05, a=1, B=0.01, b=55, C=0.7, c=5)
@@ -40,6 +42,21 @@ def slip_residual(t, x, mu_f, tau_y, A, a, B, b, C, c):
     """``|g(x)|`` of the slip equation ``g(x) = t - mu_f x - f_iso(x)`` from
     a virgin state, where the hardening variable is the slip ``x``."""
     return abs(t - mu_f * x - f_iso_ref(x, tau_y, A, a, B, b, C, c))
+
+
+def stepped_return_map(path, p):
+    """Backward-Euler chain of one material point along the angle ``path``
+    from the virgin state: one size-1 ``return_map_batch`` call a step,
+    each from the history the step before committed.  Returns the columns
+    ``tau, phi_e, phi_p, q`` (4, n), which ``drive_angle_path``, one call
+    per monotone run, must reproduce."""
+    phi_p = q = 0.0
+    rows = []
+    for phi in path:
+        out = return_map_batch([phi], [phi_p], [q], p)
+        phi_p, q = out.phi_p[0], out.q[0]
+        rows.append((out.tau[0], out.phi_e[0], phi_p, q))
+    return np.transpose(rows)
 
 
 def bisect_root(f, lo, hi, iters=200):

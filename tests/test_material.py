@@ -1,11 +1,13 @@
 """Constitutive kernel tests.
 
 Verifies: hardening-curve values and admissibility, parameter
-(de)serialization, the return map and the slip solve it shares with the
-interval solve against an independent bisection oracle, from a cold and
-a warm start, the algorithmic tangent against central differences,
-batch/one-point equivalence of the kinematics and return map bodies the
-FE element kernel evaluates, and the incremental angle driver.  The
+(de)serialization, the return map ``return_map_batch`` and the slip
+solve it shares with the interval solve against an independent bisection
+oracle, from a cold and a warm start, the algorithmic tangent against
+central differences, the equivalence of a batch and its points one at a
+time for the kinematics and return map bodies the FE element kernel
+evaluates, and the incremental angle driver against the stepped
+backward-Euler chain.  The
 energy/stress consistency of the membrane response is checked on the
 element kernel itself, in ``test_fe.py``.
 """
@@ -22,7 +24,6 @@ from wovenshear import (
     ConvergenceError,
     ElastoplasticParams,
     HyperelasticParams,
-    PlasticState,
     drive_angle_path,
     f_iso,
     f_iso_prime,
@@ -30,10 +31,8 @@ from wovenshear import (
     params_from_dict,
     params_to_dict,
     replace_params,
-    return_map,
     return_map_batch,
     save_params,
-    yield_function,
 )
 from wovenshear import material
 from wovenshear.kinematics import _angle_gradient, _angle_hessian
@@ -116,8 +115,11 @@ class TestHardeningCurve:
             f_iso_prime(np.array([0.2, -0.2]), glass_params)
 
     def test_yield_function_sign(self, glass_params):
-        assert yield_function(0.0, 0.0, glass_params) < 0.0
-        assert yield_function(1.0, 0.0, glass_params) > 0.0
+        # the trial yield value |tau| - f_iso(q) is negative (elastic) at
+        # zero stress and positive (plastic) at a trial stress of 1
+        out = return_map_batch([0.0, 1.0 / glass_params.mu_f], np.zeros(2),
+                               np.zeros(2), glass_params)
+        assert out.plastic.tolist() == [False, True]
 
 
 class TestParamValidation:
@@ -203,108 +205,110 @@ class TestParamValidation:
 
 class TestReturnMap:
     def test_elastic_step_exact(self, glass_params):
-        state = PlasticState()
-        sr = return_map(1e-5, state, glass_params)
-        assert not sr.is_plastic
-        assert sr.tau == 5.0 * 1e-5
-        assert sr.new_state is state
-        assert sr.dtau_dphi == glass_params.mu_f
         out = return_map_batch([1e-5], [0.0], [0.0], glass_params)
+        assert not out.plastic[0]
+        assert out.tau[0] == 5.0 * 1e-5
+        assert out.phi_p[0] == 0.0 and out.q[0] == 0.0
+        assert out.dtau_dphi[0] == glass_params.mu_f
         assert out.iterations == 0 and out.residual[0] == 0.0
 
     def test_plastic_frozen_oracle(self, glass_params):
-        sr = return_map(0.1, PlasticState(), glass_params)
-        assert sr.is_plastic
-        assert sr.new_state.q == pytest.approx(
+        out = return_map_batch([0.1], [0.0], [0.0], glass_params)
+        assert out.plastic[0]
+        assert out.q[0] == pytest.approx(
             oracles.DELTA_ALPHA_GLASS_PHI0P1, rel=1e-12)
-        assert sr.tau == pytest.approx(oracles.TAU_GLASS_PHI0P1, rel=1e-12)
+        assert out.tau[0] == pytest.approx(oracles.TAU_GLASS_PHI0P1,
+                                           rel=1e-12)
 
     def test_matches_independent_bisection(self, glass_params, rng):
         p = glass_params
-        for phi in rng.uniform(0.05, 0.7, size=10):
-            sr = return_map(float(phi), PlasticState(), p)
+        phis = rng.uniform(0.05, 0.7, size=10)
+        out = return_map_batch(phis, np.zeros(10), np.zeros(10), p)
+        for phi, q in zip(phis, out.q):
             root = oracles.bisect_root(
                 lambda x: p.mu_f * phi - p.mu_f * x - ref_f_iso(x, p),
                 0.0, float(phi))
-            assert sr.new_state.q == pytest.approx(root, rel=1e-10)
+            assert q == pytest.approx(root, rel=1e-10)
 
     def test_consistency_at_solution(self, glass_params):
-        sr = return_map(0.3, PlasticState(), glass_params)
+        p = glass_params
+        out = return_map_batch([0.3], [0.0], [0.0], p)
+        q = out.q[0]
         # returned stress sits on the yield surface
-        scale = max(glass_params.mu_f, f_iso(sr.new_state.q, glass_params))
-        assert abs(yield_function(sr.tau, sr.new_state.q,
-                                  glass_params)) <= 1e-11 * scale
+        scale = max(p.mu_f, f_iso(q, p))
+        assert abs(abs(out.tau[0]) - f_iso(q, p)) <= 1e-11 * scale
         # the slip equation at the returned slip, polished to round-off; at
         # a virgin state the hardening variable is the slip
-        assert ref_slip_residual(glass_params.mu_f * 0.3, sr.new_state.q,
-                                 glass_params) <= 1e-14 * scale
-        assert return_map_batch([0.3], [0.0], [0.0],
-                                glass_params).iterations > 0
+        assert ref_slip_residual(p.mu_f * 0.3, q, p) <= 1e-14 * scale
+        assert out.iterations > 0
 
     def test_stress_elastic_relation_exact(self, glass_params):
-        for phi in (0.01, 0.2, -0.35):
-            sr = return_map(phi, PlasticState(), glass_params)
-            assert sr.tau == glass_params.mu_f * sr.phi_e
+        out = return_map_batch([0.01, 0.2, -0.35], np.zeros(3), np.zeros(3),
+                               glass_params)
+        assert np.array_equal(out.tau, glass_params.mu_f * out.phi_e)
 
     def test_sign_symmetry(self, glass_params):
-        sp = return_map(0.4, PlasticState(), glass_params)
-        sm = return_map(-0.4, PlasticState(), glass_params)
-        assert sm.tau == pytest.approx(-sp.tau, rel=1e-14)
-        assert sm.new_state.q == pytest.approx(sp.new_state.q, rel=1e-14)
-        assert sm.new_state.phi_p == pytest.approx(-sp.new_state.phi_p,
-                                                   rel=1e-14)
+        out = return_map_batch([0.4, -0.4], np.zeros(2), np.zeros(2),
+                               glass_params)
+        (tp, tm), (pp, pm), (qp, qm) = out.tau, out.phi_p, out.q
+        assert tm == pytest.approx(-tp, rel=1e-14)
+        assert qm == pytest.approx(qp, rel=1e-14)
+        assert pm == pytest.approx(-pp, rel=1e-14)
 
     def test_tangent_matches_finite_differences(self, glass_params):
-        state = PlasticState()
+        # one call from the virgin state at phi - h, phi and phi + h
         h = 1e-6
-        for phi in (0.1, 0.3, 0.6):
-            sr = return_map(phi, state, glass_params)
-            assert sr.is_plastic
-            fd = oracles.central_diff(
-                lambda x: return_map(x, state, glass_params).tau, phi, h)
-            assert sr.dtau_dphi == pytest.approx(fd, rel=1e-5)
-            assert 0.0 < sr.dtau_dphi < glass_params.mu_f
+        phis = np.array([0.1, 0.3, 0.6])
+        out = return_map_batch((phis[:, None] + [-h, 0.0, h]).ravel(),
+                               np.zeros(9), np.zeros(9), glass_params)
+        tau, dtau = out.tau.reshape(3, 3), out.dtau_dphi[1::3]
+        assert out.plastic.all()
+        fd = (tau[:, 2] - tau[:, 0]) / (2.0 * h)
+        assert dtau == pytest.approx(fd, rel=1e-5)
+        assert np.all((0.0 < dtau) & (dtau < glass_params.mu_f))
 
     @given(phi=st.floats(-0.8, 0.8), q0=st.floats(0.0, 0.5),
            phi_p0=st.floats(-0.3, 0.3))
     @settings(max_examples=120, deadline=None)
     def test_step_invariants(self, phi, q0, phi_p0, glass_params):
-        """Split additivity, monotone slip, admissibility, dissipation."""
-        state = PlasticState(phi_p=phi_p0, q=q0)
-        sr = return_map(phi, state, glass_params)
-        ns = sr.new_state
-        assert abs(phi - (sr.phi_e + ns.phi_p)) <= 1e-14
-        assert ns.q >= state.q
-        scale = max(glass_params.mu_f, f_iso(ns.q, glass_params))
-        assert yield_function(sr.tau, ns.q, glass_params) <= 1e-11 * scale
+        """Split additivity, monotone slip, admissibility, dissipation,
+        and a committed history that the step leaves as it was."""
+        phi_p_in, q_in = np.array([phi_p0]), np.array([q0])
+        out = return_map_batch([phi], phi_p_in, q_in, glass_params)
+        assert phi_p_in[0] == phi_p0 and q_in[0] == q0
+        phi_p, q, tau = out.phi_p[0], out.q[0], out.tau[0]
+        assert abs(phi - (out.phi_e[0] + phi_p)) <= 1e-14
+        assert q >= q0
+        scale = max(glass_params.mu_f, f_iso(q, glass_params))
+        assert abs(tau) - f_iso(q, glass_params) <= 1e-11 * scale
         # plastic dissipation tau * dphi_p is nonnegative
-        assert sr.tau * (ns.phi_p - state.phi_p) >= -1e-16
+        assert tau * (phi_p - phi_p0) >= -1e-16
 
     def test_batch_matches_scalar(self, glass_params, rng):
+        # points never mix: a batch equals its points one call each
         phi = rng.uniform(-0.6, 0.6, size=40)
         out = return_map_batch(phi, np.zeros(40), np.zeros(40), glass_params)
-        tau_b, phi_e_b = out[0], out[1]
         for k in range(40):
-            sr = return_map(float(phi[k]), PlasticState(), glass_params)
-            assert tau_b[k] == sr.tau
-            assert phi_e_b[k] == sr.phi_e
+            one = return_map_batch(phi[k:k + 1], [0.0], [0.0], glass_params)
+            assert out.tau[k] == one.tau[0]
+            assert out.phi_e[k] == one.phi_e[0]
 
     def test_repeat_at_the_committed_angle(self, soft_params):
         # a returned state sits on the yield surface, so the same angle
         # can test plastic again by round-off; the slip is then below the
         # round-off of g, and the polish step must not take it to zero
-        for phi in (0.14134978412825766, 0.12714984853925596,
-                    0.11199279991512828, 0.12332735646227606):
-            first = return_map(phi, PlasticState(), soft_params)
-            again = return_map(phi, first.new_state, soft_params)
-            assert again.new_state.q >= first.new_state.q
-            assert again.tau == pytest.approx(first.tau, rel=1e-15)
+        phi = np.array([0.14134978412825766, 0.12714984853925596,
+                        0.11199279991512828, 0.12332735646227606])
+        first = return_map_batch(phi, np.zeros(4), np.zeros(4), soft_params)
+        again = return_map_batch(phi, first.phi_p, first.q, soft_params)
+        assert np.all(again.q >= first.q)
+        assert again.tau == pytest.approx(first.tau, rel=1e-15)
 
     def test_convergence_error_carries_residual(self, glass_params,
                                                 monkeypatch):
         monkeypatch.setattr(material, "_SLIP_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            return_map(0.5, PlasticState(), glass_params)
+            return_map_batch([0.5], [0.0], [0.0], glass_params)
         assert err.value.residual is not None
         assert err.value.residual > 0.0
         # the first unconverged point, in the batch's own indexing even
@@ -314,9 +318,17 @@ class TestReturnMap:
                              np.zeros(4), glass_params)
         assert err.value.step_index == 2
 
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            PlasticState(q=-0.1)
+    def test_field_positions_the_tracer_reads(self):
+        # perfbench/spans.py reads these fields of the result by position
+        fields = material.BatchReturn._fields
+        assert (fields[0], fields[6], fields[7]) == ("tau", "plastic",
+                                                     "iterations")
+
+    def test_state_validation(self, glass_params):
+        # a committed history with a negative hardening variable is refused
+        with pytest.raises(ValueError, match="q must be >= 0"):
+            return_map_batch([0.0, 0.2], np.zeros(2), [0.1, -0.1],
+                             glass_params)
 
 
 def bisection_slip(t, q, p):
@@ -461,8 +473,8 @@ class TestDriver:
     @pytest.mark.parametrize("case", ["glass", "demo", "walk"])
     def test_equals_stepwise_backward_euler(self, case, glass_params,
                                             demo_params, soft_params, rng):
-        """One return map per monotone run equals the scalar return map
-        stepped along the path: a loading run followed by repeated
+        """One return map per monotone run equals the return map stepped
+        along the path one point a call: a loading run followed by repeated
         angles and turns, and a random walk with zero steps."""
         if case == "walk":
             p = soft_params
@@ -473,14 +485,8 @@ class TestDriver:
             path = np.r_[np.linspace(0.0, 0.4, 41)[1:],
                          0.45, 0.45, 0.2, 0.2, 0.1, 0.3]
         res = drive_angle_path(path, p)
-        state = PlasticState()
-        rows = []
-        for phi in path:
-            sr = return_map(float(phi), state, p)
-            state = sr.new_state
-            rows.append((sr.tau, sr.phi_e, state.phi_p, state.q))
         for got, want in zip((res.tau, res.phi_e, res.phi_p, res.q),
-                             np.transpose(rows)):
+                             oracles.stepped_return_map(path, p)):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_slip_failure_is_located(self, glass_params, monkeypatch):
@@ -503,8 +509,8 @@ class TestMembraneResponse:
         """The broadcast bodies the FE element kernel runs on a stack of
         fiber metrics, ``_angle_gradient``, ``_angle_hessian`` and
         ``return_map_batch``, equal, bit for bit, a loop of the one-point
-        calls that the finite-difference checks test and of the scalar
-        ``return_map``, on elastic and plastic points."""
+        calls that the finite-difference checks test and of size-1
+        ``return_map_batch`` calls, on elastic and plastic points."""
         n = 64
         points = []
         for _ in range(n):
@@ -514,25 +520,24 @@ class TestMembraneResponse:
             lam, Theta12, _ = _angle_gradient(oracles.fiber_metric(A, D))
             C = oracles.fiber_metric(oracles.random_spd(rng),
                                      D / lam[:, None])
-            points.append((C, Theta12,
-                           PlasticState(phi_p=rng.uniform(-0.1, 0.1),
-                                        q=rng.uniform(0.0, 1.0))))
+            points.append((C, Theta12, (rng.uniform(-0.1, 0.1),
+                                        rng.uniform(0.0, 1.0))))
         C = np.stack([C for C, _, _ in points], axis=-1)
         lam, theta12, gamma = _angle_gradient(C)
         Gamma = _angle_hessian(C, gamma)
         Theta12 = np.array([T for _, T, _ in points])
-        history = [np.array([getattr(s, k) for _, _, s in points])
-                   for k in ("phi_p", "q")]
+        history = np.array([h for _, _, h in points]).T
         rm = return_map_batch(theta12 - Theta12, *history, glass_params)
         tau, plastic = rm[0], rm[6]
         assert plastic.any() and not plastic.all()
 
-        for k, (C_k, Theta12_k, state) in enumerate(points):
+        for k, (C_k, Theta12_k, (phi_p_k, q_k)) in enumerate(points):
             lam_k, theta12_k, gamma_k = _angle_gradient(C_k)
             assert np.array_equal(lam_k, lam[:, k])
             assert theta12_k == theta12[k]
             assert np.array_equal(gamma_k, gamma[:, k])
             assert np.array_equal(_angle_hessian(C_k, gamma_k),
                                   Gamma[..., k])
-            sr = return_map(theta12_k - Theta12_k, state, glass_params)
-            assert sr.is_plastic == plastic[k] and sr.tau == tau[k]
+            one = return_map_batch([theta12_k - Theta12_k], [phi_p_k], [q_k],
+                                   glass_params)
+            assert one.plastic[0] == plastic[k] and one.tau[0] == tau[k]
