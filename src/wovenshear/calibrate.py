@@ -3,7 +3,7 @@
 The normalized pull force of a monotone frame test is a closed-form
 function of the elastoplastic parameters, so fitting is a bounded
 least-squares problem on the residual vector at the digitized data
-points, solved by a trust-region method.  The staged fit isolates
+points, solved by Levenberg-Marquardt steps.  The staged fit isolates
 parameters by the loading phase that exposes them: the initial slope
 pins the shear stiffness, the mid range pins the primary hardening terms,
 and the locking range pins the power-law pair.  The Jacobian of the
@@ -223,24 +223,27 @@ def _decode(key, value):
     return float(np.exp(value)) if key in _LOG_KEYS else float(value)
 
 
-# relative cost decrease of an accepted step below which the fit stops
-# (scipy's ftol).  Along stage 2's A*a ridge each step of the exact Jacobian
-# lowers the cost by about 2e-8 of itself, so at scipy's default of 1e-8
-# the fit walked the ridge for its whole budget on 6 of 100 AC9 noise
-# draws.  A change of 1e-6 in the cost is far below what the data resolve:
-# between noise draws the fitted rms varies by several percent.
+# relative cost decrease below which a step that achieved over a quarter
+# of its predicted decrease stops the fit.  Stage 2 creeps along its A*a
+# ridge by small decreases: at 1e-8 it ran its whole budget of 300 on 3 of
+# 100 AC9 noise draws.  A change of 1e-6 in the cost is far below what the
+# data resolve: between noise draws the fitted rms varies by several
+# percent.
 _FTOL = 1e-6
+# step length, relative to the encoded parameters, below which the fit stops
+_XTOL = 1e-8
+# largest gradient component of the cost, each times the distance to the
+# bound it descends towards (Coleman & Li's scaling), below which the fit
+# stops; absolute, so on a window the start already fits to the noise
+# (stage 1 of AC9) the fit stops at the start rather than fit the noise
+_GTOL = 1e-8
 
 
 def _identifiability(jac, keys):
     """Singular values of the residual Jacobian in the encoded parameters,
     their condition number, and the weakest right singular vector keyed by
-    free parameter (sign fixed so that its largest entry is positive).
-    Uses scipy's SVD, which the trust-region steps have loaded already,
-    so importing it in the body costs the fit nothing."""
-    # imported here: only the fit needs scipy.linalg
-    from scipy.linalg import svd
-    _, s, vt = svd(jac, full_matrices=False)
+    free parameter (sign fixed so that its largest entry is positive)."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
     weak = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
     return {"singular_values": s.tolist(),
             "condition_number": float(s[0] / s[-1]) if s[-1] > 0.0
@@ -251,27 +254,38 @@ def _identifiability(jac, keys):
 def fit(initial, curve, cfg, mu0=1.0, mask=None):
     """Bounded least-squares fit of the free parameters.
 
-    Minimizes the residual vector ``model_forces - force`` over the masked
-    points with scipy's trust-region reflective method (Branch, Coleman &
-    Li 1999), ``x_scale="jac"`` and ``ftol=_FTOL``, in the encoded
-    parameters: ``a``, ``b`` and ``c`` in log space, the others as they
-    are, within ``DEFAULT_BOUNDS`` encoded alike.  The Jacobian is
-    :func:`_force_jacobian` at the current iterate, built from the solution
-    of that iterate's evaluation, so it costs no model evaluation.
-    Deterministic.  Non-free parameters pass through bit-identical.  A
-    candidate that ``replace_params`` rejects or whose slip solve fails is
-    a rejected step (the trust region shrinks) and is never returned; a
-    start that cannot be evaluated raises.
+    Minimizes the cost ``|r|^2 / 2`` of the residuals ``r = model_forces -
+    force`` over the masked points by Levenberg-Marquardt steps (Moré
+    1978) in the encoded parameters: ``a``, ``b`` and ``c`` in log space,
+    the others as they are.  Each step solves the damped Gauss-Newton
+    problem with the exact Jacobian :func:`_force_jacobian` of the iterate,
+    built from the solution of the iterate's evaluation, so it costs no
+    model evaluation.  The damping is scaled by Moré's ``D``, the largest
+    Jacobian column norms seen so far, starts at ``1e-4``, is divided by 3
+    after a step whose cost decrease exceeds 3/4 of the one its linear
+    model predicts and doubled after a step below 1/4 of it or a rejected
+    one.  The candidate is clipped into ``DEFAULT_BOUNDS``, encoded alike,
+    and accepted exactly when its cost falls below the iterate's.  A
+    candidate that ``replace_params`` rejects or whose slip solve fails,
+    or whose cost is not finite, is a rejected step and is never returned;
+    a start that cannot be evaluated raises.  Deterministic.  Non-free
+    parameters pass through bit-identical.
+
+    The fit stops on the tests of Branch, Coleman & Li's trust-region
+    method: the scaled gradient falls below ``_GTOL``, a step that achieves
+    over 1/4 of its predicted decrease lowers the cost by less than
+    ``_FTOL`` of itself, or a step is shorter than ``_XTOL`` of the
+    parameters.
 
     Returns
     -------
     FitResult
         ``evals_used`` counts every model evaluation and never exceeds
-        ``cfg.max_evals``.  ``converged`` is True when a tolerance of the
-        trust-region method was met, and False when the budget ran out
-        first; the best iterate is returned either way.
-        ``identifiability`` is :func:`_identifiability` of the Jacobian at
-        the returned parameters.
+        ``cfg.max_evals``.  ``converged`` is True when a stopping test was
+        met, and False when the budget ran out first; the iterate is
+        returned either way.  ``identifiability`` is
+        :func:`_identifiability` of the Jacobian at the returned
+        parameters.
     """
     keys = cfg.free_params
     start = params_to_dict(initial)
@@ -280,47 +294,67 @@ def fit(initial, curve, cfg, mu0=1.0, mask=None):
         if not lo <= start[key] <= hi:
             raise ValueError(
                 f"initial {key} = {start[key]} outside bounds [{lo}, {hi}]")
-    u0 = np.array([_encode(key, start[key]) for key in keys])
+    u = np.array([_encode(key, start[key]) for key in keys])
     lb = np.array([_encode(key, DEFAULT_BOUNDS[key][0]) for key in keys])
     ub = np.array([_encode(key, DEFAULT_BOUNDS[key][1]) for key in keys])
     g, f = _window(curve, mask)
     theta = gamma_to_theta(g)
-    best = None     # (cost, params, residual, solution) of the iterate
 
     def evaluate(u):
-        nonlocal best
+        """Residuals, parameters and solution at the encoded ``u``."""
         updates = {key: _decode(key, u[k]) for k, key in enumerate(keys)}
+        cand = replace_params(initial, updates)
+        forces, sol = _solve_forces(theta, cand, mu0)
+        return forces - f, cand, sol
+
+    r, params, sol = evaluate(u)
+    cost = 0.5 * (r @ r)
+    jac = _force_jacobian(theta, sol, params, keys, mu0)
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    damping = 1e-4
+    evals, converged = 1, False
+    while True:
+        grad = jac.T @ r
+        dist = np.where(grad > 0.0, u - lb, np.where(grad < 0.0, ub - u, 1.0))
+        converged = converged or np.max(np.abs(grad * dist)) < _GTOL
+        if converged or evals >= cfg.max_evals:
+            break
+        # the damped step in the variables scaled by D, from the SVD
+        U, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        step = -(vt.T @ (s / (s * s + damping) * (U.T @ r))) / scale
+        u_new = np.clip(u + step, lb, ub)
+        h = u_new - u
+        evals += 1
         try:
-            cand = replace_params(initial, updates)
-            forces, sol = _solve_forces(theta, cand, mu0)
+            r_new, p_new, sol_new = evaluate(u_new)
+            cost_new = 0.5 * (r_new @ r_new)
         except (ValueError, ConvergenceError):
-            if best is None:
-                raise
-            return np.full(f.size, np.inf)
-        r = forces - f
-        cost = float(r @ r)
-        if best is None or cost < best[0]:
-            best = (cost, cand, r, sol)
-        return r
-
-    def jacobian(u=None):
-        # trf accepts a step exactly when its cost falls below the
-        # iterate's, so the best evaluation is the current iterate
-        _, cand, _, sol = best
-        return _force_jacobian(theta, sol, cand, keys, mu0)
-
-    # imported here: only the fit needs scipy.optimize, slow to import
-    from scipy.optimize import least_squares
-    # every model evaluation is a call of evaluate, which trf counts in
-    # nfev and stops at max_nfev (status 0)
-    res = least_squares(evaluate, u0, jac=jacobian, bounds=(lb, ub),
-                        method="trf", x_scale="jac", ftol=_FTOL,
-                        max_nfev=cfg.max_evals)
-    _, params, r, _ = best
+            cost_new = np.inf
+        rejected = not np.isfinite(cost_new)
+        jh = jac @ h
+        predicted = -(grad @ h + 0.5 * (jh @ jh))
+        actual = -np.inf if rejected else cost - cost_new
+        # step quality as trf rates it: a step that predicts and makes no
+        # change counts as good
+        rho = (actual / predicted if predicted > 0.0
+               else float(actual == predicted == 0.0))
+        if not rejected:
+            converged = ((actual < _FTOL * cost and rho > 0.25)
+                         or np.linalg.norm(h)
+                         < _XTOL * (_XTOL + np.linalg.norm(u)))
+        if actual > 0.0:
+            u, r, params, sol, cost = u_new, r_new, p_new, sol_new, cost_new
+            jac = _force_jacobian(theta, sol, params, keys, mu0)
+            scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        if rho < 0.25:
+            damping *= 2.0
+        elif rho > 0.75:
+            damping /= 3.0
     return FitResult(
         params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),
-        evals_used=res.nfev, converged=res.status > 0,
-        identifiability=_identifiability(jacobian(), keys))
+        evals_used=evals, converged=bool(converged),
+        identifiability=_identifiability(jac, keys))
 
 
 # stage number -> (free parameters, gamma-window selector)

@@ -2,9 +2,10 @@
 
 Everything here is built from the math module, plain bisection, and
 central differences; nothing but the manufactured frame state, which
-loads the package's own frame model, and the stepped backward-Euler
-chain, which steps the package's own return map, imports the package
-under test.  Frozen reference values were computed once with the
+loads the package's own frame model, the stepped backward-Euler chain,
+which steps the package's own return map, and the trust-region reference
+fit, which runs scipy's optimizer on the package's own model, imports the
+package under test.  Frozen reference values were computed once with the
 bisection solver below and are pinned to 17 significant digits.
 """
 
@@ -12,9 +13,12 @@ import math
 
 import numpy as np
 
+from wovenshear import calibrate
+from wovenshear.calibrate import DEFAULT_BOUNDS, FitResult
 from wovenshear.fe import _FrameModel
 from wovenshear.kinematics import picture_frame_deformation
-from wovenshear.material import return_map_batch
+from wovenshear.material import (ConvergenceError, params_to_dict,
+                                 return_map_batch)
 
 # hardening stress at q = 1 for the soft-yield demo set
 # (tau_y=0.1, A=0.05, a=1, B=0.01, b=55, C=0.7, c=5)
@@ -310,3 +314,55 @@ class ForcedFrameModel(_FrameModel):
         r, ev = super().residual(x, phi_p, q, slip0)
         return r - self.load, ev
 
+
+
+def trf_fit(initial, curve, cfg, mu0=1.0, mask=None):
+    """Reference for ``calibrate.fit``: scipy's trust-region reflective
+    ``least_squares`` (Branch, Coleman & Li 1999) on the same residuals,
+    encoding, bounds and exact Jacobian, with ``x_scale="jac"`` and
+    ``ftol=calibrate._FTOL``.  A candidate that cannot be evaluated has
+    infinite residuals; a start that cannot be evaluated raises.  Takes and
+    returns what ``calibrate.fit`` does, so ``staged_fit`` can run on it.
+    """
+    from scipy.optimize import least_squares
+
+    keys = cfg.free_params
+    start = params_to_dict(initial)
+    u0 = np.array([calibrate._encode(key, start[key]) for key in keys])
+    lb, ub = (np.array([calibrate._encode(key, DEFAULT_BOUNDS[key][i])
+                        for key in keys]) for i in (0, 1))
+    g, f = calibrate._window(curve, mask)
+    theta = calibrate.gamma_to_theta(g)
+    best = None     # (cost, params, residual, solution) of the iterate
+
+    def evaluate(u):
+        nonlocal best
+        updates = {key: calibrate._decode(key, u[k])
+                   for k, key in enumerate(keys)}
+        try:
+            cand = calibrate.replace_params(initial, updates)
+            forces, sol = calibrate._solve_forces(theta, cand, mu0)
+        except (ValueError, ConvergenceError):
+            if best is None:
+                raise
+            return np.full(f.size, np.inf)
+        r = forces - f
+        cost = float(r @ r)
+        if best is None or cost < best[0]:
+            best = (cost, cand, r, sol)
+        return r
+
+    def jacobian(u=None):
+        # trf accepts a step exactly when its cost falls below the
+        # iterate's, so the best evaluation is the current iterate
+        _, cand, _, sol = best
+        return calibrate._force_jacobian(theta, sol, cand, keys, mu0)
+
+    res = least_squares(evaluate, u0, jac=jacobian, bounds=(lb, ub),
+                        method="trf", x_scale="jac", ftol=calibrate._FTOL,
+                        max_nfev=cfg.max_evals)
+    _, params, r, _ = best
+    return FitResult(
+        params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),
+        evals_used=res.nfev, converged=res.status > 0,
+        identifiability=calibrate._identifiability(jacobian(), keys))

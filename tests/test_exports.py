@@ -4,10 +4,10 @@ Verifies: every name in a module's ``__all__`` exists in that module, so
 that ``from wovenshear.<module> import *`` works and no export outlives
 the code it named; the package exports exactly the names of its modules'
 ``__all__`` lists, each as the module's own object; importing the
-package or the CLI leaves every ``scipy`` module, which only the
-calibration fit and a frame step that needs a Newton correction use,
-unimported, and so does a frame verify run whose every step is accepted
-at its prediction.
+package or the CLI leaves every ``scipy`` module, which only a frame step
+that factors a tangent uses, unimported, and so do a frame verify run
+whose every step is accepted at its prediction and a staged calibration
+run.
 """
 
 import importlib
@@ -15,10 +15,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wovenshear
-from wovenshear import save_params
+from wovenshear import replace_params, save_params, synthetic_curve
 
 # the modules whose public names the package re-exports
 PACKAGE_MODULES = ["kinematics", "material", "analytic", "fe", "calibrate"]
@@ -88,3 +89,17 @@ def test_frame_verify_leaves_scipy_unloaded(demo_params, tmp_path):
         code, "picture-frame", "--mode", "verify", "--params", str(params),
         "--mesh", "4x4", "--out", str(tmp_path / "out")) == "[]"
     assert (tmp_path / "out" / "verify_report.json").exists()
+
+
+def test_calibrate_leaves_scipy_unloaded(glass_params, tmp_path):
+    # the fit's steps and its identifiability SVD run on numpy alone
+    data = tmp_path / "curve.csv"
+    synthetic_curve(glass_params, np.arange(0.5, 50.01, 0.5), rel_noise=0.01,
+                    seed=0).to_csv(data)
+    params = tmp_path / "start.json"
+    save_params(params, replace_params(glass_params, {"A": 9.0, "C": 1.05}))
+    code = "from wovenshear.cli import main; main()"
+    assert _scipy_modules_after(
+        code, "calibrate", "--data", str(data), "--params", str(params),
+        "--stages", "1,2,3", "--out", str(tmp_path / "out")) == "[]"
+    assert (tmp_path / "out" / "fit_report.json").exists()

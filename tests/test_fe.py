@@ -1,7 +1,9 @@
 """Membrane finite element tests.
 
-Verifies: mesh construction and validation, the element residual as the
-central-difference gradient of an independent stored energy
+Verifies: mesh construction and validation, the shape-function gradients
+at the Gauss points against central differences of the bilinear shape
+functions, the element residual as the central-difference gradient of an
+independent stored energy
 (``oracles.membrane_energy``) and the element tangent as that of the
 residual, the assembled tangent as the central-difference Jacobian of
 the global residual, warm-started slip solves against cold ones, the
@@ -12,7 +14,8 @@ factorization per full Newton correction and none for the polish, every
 frame step accepted at its prediction with no drift from the affine state,
 a manufactured non-affine frame state that the Newton corrections recover
 at every step, a mesh with no free DOF, verify margins across mesh sizes
-and on a deep reversal, step bisection and failure reporting,
+and on a deep reversal, verify's stress limit just below and just above
+it, step bisection and failure reporting,
 determinism, the field CSV dump, and the peak memory of a frame solve
 and of its verify.
 """
@@ -96,6 +99,29 @@ def evaluate_virgin(model, x):
     """``model.evaluate`` at the positions ``x`` from a virgin history."""
     virgin = np.zeros((model.n_elements, model.n_gauss))
     return model.evaluate(x, virgin, virgin)
+
+
+class TestShapeGradients:
+    def test_central_differences_of_bilinear_shapes(self):
+        # N_a = (1 + xi_a xi) (1 + eta_a eta) / 4 at the counterclockwise
+        # corners (xi_a, eta_a); a central difference is exact on a
+        # function linear in the variable it steps, so the gradients at
+        # the 2x2 Gauss points (xi fastest) follow to round-off
+        corners = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+        r = 1.0 / np.sqrt(3.0)
+        points = [(xi, eta) for eta in (-r, r) for xi in (-r, r)]
+
+        def shapes(xi, eta):
+            return np.array([(1.0 + a * xi) * (1.0 + b * eta) / 4.0
+                             for a, b in corners])
+
+        ref = np.array([np.column_stack([
+            oracles.central_diff(lambda v: shapes(v, eta), xi, 0.5),
+            oracles.central_diff(lambda v: shapes(xi, v), eta, 0.5)])
+            for xi, eta in points])
+        dN, w = _shape_gradients()
+        assert np.abs(dN - ref).max() <= 1e-15
+        assert np.abs(w - 1.0).max() <= 1e-15
 
 
 class TestElementResidualTangent:
@@ -807,6 +833,22 @@ class TestVerifyAgainstAnalytic:
         sol.gp_tau = sol.gp_tau * 1.001
         rep = verify_against_analytic(sol)
         assert not rep["passed"]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_stress_limit_relative_to_peak(self, glass_params, factor):
+        # one Gauss point's stress moved by factor * _TAU_TOL of the peak
+        # stress, which is far from 1 here: the scale-relative deviation
+        # is that factor of the limit, and verify passes below it only
+        lp = LoadProgram.from_gamma_degrees([6.0])
+        sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
+        peak = np.abs(sol.gp_tau).max()
+        assert peak < 1e-2
+        sol.gp_tau = sol.gp_tau.copy()
+        sol.gp_tau[-1, 0] += factor * fe._TAU_TOL * peak
+        rep = verify_against_analytic(sol)
+        assert rep["max_tau_rel_scale"] == pytest.approx(
+            factor * fe._TAU_TOL, rel=1e-3)
+        assert rep["passed"] is (factor < 1.0)
 
 
 def _traced_peak(call):

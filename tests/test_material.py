@@ -3,7 +3,8 @@
 Verifies: hardening-curve values and admissibility, parameter
 (de)serialization, the return map ``return_map_batch`` and the slip
 solve it shares with the interval solve against an independent bisection
-oracle, from a cold and a warm start, the algorithmic tangent against
+oracle, from a cold and a warm start (with a Newton step that leaves the
+bracket, on a set with mu_f != 1), the algorithmic tangent against
 central differences, the equivalence of a batch and its points one at a
 time for the kinematics and return map bodies the FE element kernel
 evaluates, and the incremental angle driver against the stepped
@@ -407,6 +408,34 @@ class TestSlipSolve:
         assert res[0] <= 1e-14 * max(mu, float(f_iso(q + x[0], p)))
         if start == "exact":
             assert its[0] == 0
+
+    @pytest.mark.parametrize("start", ["warm", "cold"])
+    def test_bracket_with_mu_f_below_one(self, start):
+        # mu_f = 0.5 and a steep tanh term that has flattened by q = 0.05.
+        # Warm: from x0 = t / mu_f, far above a root at 0.005, the Newton
+        # step lands below 0, outside the bracket, so the solve bisects.
+        # Cold: the root at 1 lies past mu_f t, so only a bracket reaching
+        # t / mu_f holds it
+        p = ElastoplasticParams(mu_f=0.5, tau_y=0.0, A_h=0.01, a_h=1.0,
+                                B_h=1.0, b_h=100.0, C_h=0.1, c_h=3.0)
+        mu = p.mu_f
+        x_true = 0.005 if start == "warm" else 1.0
+        t = mu * x_true + ref_f_iso(x_true, p)
+        root, tol = bisection_slip(t, 0.0, p)
+        if start == "warm":
+            x0 = t / mu
+            g = t - mu * x0 - ref_f_iso(x0, p)
+            slope = mu + oracles.central_diff(lambda q: ref_f_iso(q, p), x0,
+                                              1e-6)
+            assert x0 + g / slope < 0.0
+            x0 = np.array([x0])
+        else:
+            assert root > mu * t
+            x0 = None
+        # g(0) = t - f_iso(0) = t, since tau_y = 0
+        x, res, _, _ = _slip_solve(np.array([t]), 0.0, np.array([t]), p, x0)
+        assert abs(x[0] - root) <= tol
+        assert res[0] <= 1e-14 * max(mu, float(f_iso(x[0], p)))
 
     def test_warm_start_on_points_now_elastic(self, soft_params, rng):
         # a start slip on a point whose trial state is elastic (unloading,
