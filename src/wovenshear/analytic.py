@@ -2,13 +2,12 @@
 
 In the picture-frame rig the deformation is homogeneous, both fiber
 stretches stay exactly one, and the only active variable is the fiber
-angle cosine theta12 = cos(theta).  The response over a monotone loading
-interval then reduces to a single scalar consistency equation, the return
-map's slip equation with another target stress, solved to machine
-precision by the return map's own slip solve.  A load program is a chain
-of such intervals whose carried-over stress widens the elastic range of
-every later interval; interval states roll forward at each target so
-curves can be chained exactly.
+angle cosine theta12 = cos(theta).  Backward Euler is exact on a monotone
+run of this model, so the response along a load program is the material
+point driven through the angle cosines of its grid by
+:func:`~wovenshear.material.drive_angle_path`: one return-map call per
+monotone run, whose scalar slip equation the slip solve takes to machine
+precision.  The interval form solves one such step from a carried stress.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .kinematics import (crosshead_rate, gamma_to_theta, theta_to_gamma,
                          _check_theta)
-from .material import ConvergenceError, _slip_solve, f_iso
+from .material import ConvergenceError, drive_angle_path, return_map_batch
 
 __all__ = [
     "LoadProgram",
@@ -28,9 +27,7 @@ __all__ = [
     "IntervalSolution",
     "ShearCurve",
     "CURVE_COLUMNS",
-    "yield_angle",
     "interval_solve",
-    "interval_solve_batch",
     "advance_interval",
     "frame_force",
     "program_theta_grid",
@@ -81,11 +78,8 @@ class IntervalState:
 
 @dataclass(frozen=True)
 class IntervalSolution:
-    """Response at angle-cosine increments within an interval.
-
-    Floats from :func:`interval_solve`; arrays shaped like the increments
-    from :func:`interval_solve_batch`.
-    """
+    """Response at an angle-cosine increment within an interval, from
+    :func:`interval_solve`."""
 
     tau: float
     q: float
@@ -93,87 +87,21 @@ class IntervalSolution:
     iterations: int
 
 
-def yield_angle(istate, p):
-    """Elastic range of the angle-cosine increment at a load reversal.
-
-    For a virgin state this is tau_y / mu_f.  When loading continues in
-    the direction of the interval-start stress the range is smaller,
-    (f_iso(q0) - |tau0|) / mu_f; :func:`interval_solve` applies whichever
-    matches the loading direction.
-    """
-    return (f_iso(istate.q0, p) + abs(istate.tau0)) / p.mu_f
-
-
-def interval_solve_batch(phi_bar, istate, p):
-    """Closed-form response at each angle-cosine increment in ``phi_bar``.
-
-    Solves the consistency condition for the plastic slip accumulated
-    since the interval start.  The elastic range is direction aware:
-    loading against the interval-start stress enjoys the widened range
-    (f_iso(q0) + |tau0|) / mu_f, loading with it only
-    (f_iso(q0) - |tau0|) / mu_f.  This makes splitting a monotone interval
-    at any intermediate point exact.
-
-    Every increment is measured from the same interval start, so the
-    points are independent: the return map's slip solve, with target
-    stress ``d tau0 + mu_f |phi_bar|`` and ``q0``, takes each to round-off
-    on its own.  A point's result does not depend on the others.
-
-    Parameters
-    ----------
-    phi_bar : array_like
-        theta12 - theta12(interval start), the angle-cosine increments.
-    istate : IntervalState
-    p : ElastoplasticParams
-
-    Returns
-    -------
-    IntervalSolution
-        Fields are arrays shaped like ``phi_bar``; ``iterations`` counts
-        each point's own Newton-bisection steps.
-
-    Raises
-    ------
-    ConvergenceError
-        If a point is unconverged at the slip solve's sweep cap; the
-        residual is the largest such ``|g|``, ``step_index`` the first.
-    """
-    phi_bar = np.asarray(phi_bar, dtype=float)
-    mu = p.mu_f
-    tau0 = istate.tau0
-    q0 = istate.q0
-    fy0 = float(f_iso(q0, p))
-
-    d = np.where(phi_bar > 0.0, 1.0, np.where(phi_bar < 0.0, -1.0, 0.0))
-    pb = np.abs(phi_bar)
-    phi_y = (fy0 - d * tau0) / mu
-    plastic = (d != 0.0) & ~(pb <= phi_y)
-
-    x = np.zeros(phi_bar.shape)
-    iterations = np.zeros(phi_bar.shape, dtype=int)
-    # plastic: g(x) = d tau0 + mu (|phi_bar| - x) - f_iso(q0 + x) = 0 with
-    # g(0) = mu (|phi_bar| - phi_y) > 0
-    idx = np.flatnonzero(plastic)
-    pk = pb.flat[idx]
-    try:
-        x.flat[idx], _, iterations.flat[idx], _ = _slip_solve(
-            d.flat[idx] * tau0 + mu * pk, q0, mu * (pk - phi_y.flat[idx]), p)
-    except ConvergenceError as exc:
-        exc.step_index = int(idx[exc.step_index])
-        raise
-
-    tau = np.where(d == 0.0, tau0, tau0 + mu * (phi_bar - d * x))
-    return IntervalSolution(tau=tau, q=q0 + x, plastic=plastic,
-                            iterations=iterations)
-
-
 def interval_solve(phi_bar, istate, p):
     """Closed-form response at one angle-cosine increment ``phi_bar``.
 
-    The one-point form of :func:`interval_solve_batch`, with float fields.
+    The one-point return map from the interval start: the carried stress
+    ``tau0`` as an elastic angle with no plastic part, and ``q0``.  So the
+    elastic range is direction aware: loading against ``tau0`` enjoys the
+    widened range (f_iso(q0) + |tau0|) / mu_f, loading with it only
+    (f_iso(q0) - |tau0|) / mu_f.  The package itself drives the return map;
+    this form stays because ``perfbench/spans.py`` wraps its bindings here
+    and in ``fe`` and ``calibrate``.
     """
-    sol = interval_solve_batch([phi_bar], istate, p)
-    return IntervalSolution(**{k: v.item() for k, v in vars(sol).items()})
+    out = return_map_batch([istate.tau0 / p.mu_f + phi_bar], [0.0],
+                           [istate.q0], p)
+    return IntervalSolution(out.tau.item(), out.q.item(),
+                            out.plastic.item(), out.iterations)
 
 
 def advance_interval(istate, phi_bar, p):
@@ -181,38 +109,11 @@ def advance_interval(istate, phi_bar, p):
 
     Solves the current interval at ``phi_bar`` and starts a fresh interval
     there: the solved stress and hardening state become the new carried
-    values.
+    values.  Kept, like :func:`interval_solve`, for the binding in ``fe``
+    that ``perfbench/spans.py`` wraps.
     """
     sol = interval_solve(phi_bar, istate, p)
     return IntervalState(tau0=sol.tau, q0=sol.q)
-
-
-def _solve_legs(t12_legs, p):
-    """Closed-form solutions along the angle-cosine targets of each leg.
-
-    The legs chain from the virgin state: the last target of a leg is its
-    end, and the solution there starts the next leg.  Returns one
-    :class:`IntervalSolution` per leg; a slip failure is raised again
-    with the leg (from 1) and its cosine range, and its ``step_index``
-    counts the targets of all legs.
-    """
-    sols = []
-    state = IntervalState()
-    t12_anchor = 0.0        # angle cosine at the interval start
-    offset = 0              # targets of the legs before this one
-    for leg, t12 in enumerate(t12_legs, start=1):
-        try:
-            sol = interval_solve_batch(t12 - t12_anchor, state, p)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"closed-form solve failed on leg {leg} (theta12 "
-                f"{t12_anchor:.6g} to {t12[-1]:.6g}): {exc}",
-                exc.residual, offset + exc.step_index) from exc
-        offset += t12.size
-        sols.append(sol)
-        state = IntervalState(tau0=float(sol.tau[-1]), q0=float(sol.q[-1]))
-        t12_anchor = float(t12[-1])
-    return sols
 
 
 def frame_force(tau, theta):
@@ -353,7 +254,8 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
     """Evaluate the analytic response along a load program.
 
     Samples uniformly in the frame angle, on the grid of
-    :func:`program_theta_grid` that the FE solver steps through.
+    :func:`program_theta_grid` that the FE solver steps through, and
+    drives the material point through the angle cosines there.
 
     Parameters
     ----------
@@ -368,17 +270,30 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
     -------
     ShearCurve
         Includes the initial zero row at theta = pi/2.
+
+    Raises
+    ------
+    ConvergenceError
+        If a slip solve fails; the message names the leg (from 1) and its
+        cosine range, and ``step_index`` counts the targets after the
+        virgin row.
     """
     grids = program_theta_grid(lp, steps_per_degree)
-    t12_legs = [np.cos(grid) for grid in grids]
-    sols = _solve_legs(t12_legs, p)
     # the first row is the virgin state at theta = pi/2
+    theta12 = np.concatenate([[0.0]] + [np.cos(grid) for grid in grids])
+    try:
+        res = drive_angle_path(theta12, p)
+    except ConvergenceError as exc:
+        k = exc.step_index - 1
+        ends = np.cumsum([grid.size for grid in grids])
+        leg = int(np.searchsorted(ends, k, side="right"))
+        lo = theta12[ends[leg - 1]] if leg else 0.0
+        raise ConvergenceError(
+            f"closed-form solve failed on leg {leg + 1} (theta12 "
+            f"{lo:.6g} to {theta12[ends[leg]]:.6g}): {exc.__cause__}",
+            exc.residual, k) from exc
     gamma = np.concatenate([[0.0]] + [theta_to_gamma(g) for g in grids])
-    theta12 = np.concatenate([[0.0]] + t12_legs)
-    tau = np.concatenate([[0.0]] + [s.tau for s in sols])
-    q = np.concatenate([[0.0]] + [s.q for s in sols])
-    phi_e = tau / p.mu_f
-    phi_p = theta12 - phi_e
-    force = frame_force(tau, gamma_to_theta(gamma))
-    return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=tau, phi_e=phi_e,
-                      phi_p=phi_p, q=q, frame_force_normalized=force / mu0)
+    force = frame_force(res.tau, gamma_to_theta(gamma))
+    return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=res.tau,
+                      phi_e=res.phi_e, phi_p=res.phi_p, q=res.q,
+                      frame_force_normalized=force / mu0)

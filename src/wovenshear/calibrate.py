@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (IntervalState, _read_csv, _write_csv, frame_force,
-                       interval_solve_batch)
-from .analytic import interval_solve  # unused; perfbench/spans.py wraps it
+from .analytic import _read_csv, _write_csv, frame_force
+# unused; perfbench/spans.py wraps this module binding
+from .analytic import interval_solve
 from .kinematics import gamma_to_theta
 from .material import (ConvergenceError, _EP_FIELD_BY_KEY, _f_iso_grad,
-                       _f_iso_prime, params_to_dict, replace_params)
+                       _f_iso_prime, params_to_dict, replace_params,
+                       return_map_batch)
 
 __all__ = [
     "ExperimentCurve",
@@ -135,8 +136,8 @@ def model_forces(gamma_deg, p, mu0=1.0):
     """Normalized pull force at the given shear angles, virgin loading.
 
     Monotone loading from the virgin state is history-free point by point,
-    so every angle is evaluated exactly (no interpolation) as an increment
-    from the virgin state, all in one batched closed-form solve.
+    so every angle is evaluated exactly (no interpolation) as one
+    backward-Euler step from the virgin state, all in one return-map call.
     """
     theta = gamma_to_theta(np.asarray(gamma_deg, dtype=float).reshape(-1))
     return _solve_forces(theta, p, mu0)[0]
@@ -144,14 +145,16 @@ def model_forces(gamma_deg, p, mu0=1.0):
 
 def _solve_forces(theta, p, mu0):
     """Normalized forces at the frame angles ``theta`` and the virgin
-    :class:`IntervalSolution` behind them."""
-    sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
+    :class:`~wovenshear.material.BatchReturn` behind them."""
+    virgin = np.zeros(theta.shape)
+    sol = return_map_batch(np.cos(theta), virgin, virgin, p)
     return frame_force(sol.tau, theta) / mu0, sol
 
 
 def _force_jacobian(theta, sol, p, keys, mu0):
     """Exact derivatives of the normalized forces at ``theta`` in the
-    encoded parameters ``keys``, from their virgin solution ``sol``.
+    encoded parameters ``keys``, from the virgin return map ``sol`` there,
+    whose plastic flags and hardening variables they read.
 
     At a plastic point the slip ``x = q > 0`` solves
     ``mu_f phi - mu_f x - f_iso(x) = 0`` and ``tau = mu_f (phi - x)``, so

@@ -41,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (LoadProgram, ShearCurve, _solve_legs, _write_csv,
-                       frame_force, program_theta_grid)
+from .analytic import (LoadProgram, ShearCurve, _write_csv,
+                       program_theta_grid, run_program)
 # unused; perfbench/spans.py wraps these module bindings
-from .analytic import advance_interval, interval_solve
+from .analytic import advance_interval, frame_force, interval_solve
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_gradient,
                          _angle_hessian, crosshead_rate,
                          picture_frame_deformation, picture_frame_dF_dtheta,
@@ -549,9 +549,9 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
 def verify_against_analytic(sol):
     """Compare a finite-element run against the closed-form response.
 
-    Chains the interval solution over the run's own load program and
-    measures, across all recorded steps and Gauss points: the scale-relative
-    stress deviation max|dtau| / max|tau|, the pointwise stress deviation
+    Runs the closed form over the run's own load program and measures,
+    across all recorded steps and Gauss points: the scale-relative stress
+    deviation max|dtau| / max|tau|, the pointwise stress deviation
     (denominator floored at 1% of the peak stress), the reaction-force
     deviation relative to the closed-form pull force, and the spread of the
     Gauss-point angle cosines around the applied cos(theta).  Material,
@@ -561,13 +561,13 @@ def verify_against_analytic(sol):
     ``passed`` flag.
     """
     thetas = sol.theta_steps
-    grids = program_theta_grid(sol.program, sol.steps_per_degree)
-    if 1 + sum(g.size for g in grids) != thetas.size:
+    curve = run_program(sol.program, sol.ep,
+                        steps_per_degree=sol.steps_per_degree)
+    if len(curve) != thetas.size:
         raise ValueError("solution steps do not match its load program")
-    sols = _solve_legs([np.cos(grid) for grid in grids], sol.ep)
-    tau_an = np.concatenate([[0.0]] + [s.tau for s in sols])
-    force_an = np.concatenate(
-        [[0.0]] + [frame_force(s.tau, g) for s, g in zip(sols, grids)])
+    tau_an = curve.tau
+    # at the default mu0 = 1 the force column is the pull force itself
+    force_an = curve.frame_force_normalized
 
     # |dtau|, |dtau| / denom and |dtheta12| in turn, in one (S, P) buffer
     dev = sol.gp_tau - tau_an[:, None]

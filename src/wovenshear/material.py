@@ -275,12 +275,12 @@ _SLIP_MAX_ITER = 50
 def _slip_solve(t, q, g0, p, x0=None):
     """Slip ``x > 0`` of ``g(x) = t - mu_f x - f_iso(q + x) = 0`` per point.
 
-    The consistency equation of the return map (``t = |tau_trial|``) and
-    of the interval solve (``t = d tau0 + mu_f |phi_bar|``), with
-    ``g0 = g(0) > 0`` and ``q`` an array like ``t`` or a float, which the
-    caller has checked to be ``>= 0``.  Each point runs a safeguarded Newton
-    iteration (``rtsafe``, Numerical Recipes 9.4) in its bracket, first
-    ``(0, t / mu_f]``, bisecting when a step leaves it, until
+    The consistency equation of :func:`return_map_batch`, its one caller
+    (``t = |tau_trial|``), with ``g0 = g(0) > 0`` and ``q`` an array like
+    ``t`` or a float, which the caller has checked to be ``>= 0``.  Each
+    point runs a safeguarded Newton iteration (``rtsafe``, Numerical
+    Recipes 9.4) in its bracket, first ``(0, t / mu_f]``, bisecting when a
+    step leaves it, until
     ``|g| <= _SLIP_TOL * max(mu_f, f_iso(q + x))``; then one polish step,
     a Newton step with the modulus at that ``x``, kept if it stays in the
     bracket.  The iteration starts at ``x = 0``, or, given a start slip

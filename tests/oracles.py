@@ -78,6 +78,39 @@ def bisect_root(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
+def virgin_stress(phi, p):
+    """Stress of one step from the virgin state to each angle change of the
+    array ``phi``, by vectorized bisection: where ``mu_f |phi|`` passes
+    ``tau_y``, the slip ``x`` solves ``mu_f (|phi| - x) = f_iso(x)``.  Reads
+    the fields of ``p`` and imports nothing of the package."""
+    phi = np.asarray(phi, dtype=float)
+    a = np.abs(phi)
+    lo, hi = np.zeros_like(a), a.copy()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = p.mu_f * (a - mid) > (
+            p.tau_y + p.A_h * np.arcsinh(p.a_h * mid)
+            + p.B_h * np.tanh(p.b_h * mid) + p.C_h * mid ** p.c_h)
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    x = np.where(p.mu_f * a > p.tau_y, 0.5 * (lo + hi), 0.0)
+    return np.sign(phi) * p.mu_f * (a - x)
+
+
+def flag_onset(flag, lo, hi):
+    """Largest double in ``[lo, hi)`` where the predicate ``flag`` is
+    false, by bisection to adjacent doubles, given ``flag(lo)`` false,
+    ``flag(hi)`` true and a single switch between them."""
+    assert not flag(lo) and flag(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if flag(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def central_diff(f, x, h):
     """Second-order central difference of a scalar function."""
     return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -8,8 +8,8 @@ summary) with the measured figure behind the verdict:
  2. Plastic residual stays below 1e-12 * mu_f over a 10^4-step drive of
     the material-point driver, and the return map's algorithmic tangent
     matches finite differences to 1e-5.
- 3. The incremental driver at 0.01 deg steps matches the interval
-    solution within 1e-4 in stress and converges at first order.
+ 3. The incremental driver at 0.01 deg steps matches the closed-form
+    virgin solution within 1e-4 in stress and converges at first order.
  4. The virgin yield angle equals tau_y / mu_f exactly.
  5. Hardening slope stays positive over q in [0, 1.5] for both standard
     parameter sets.
@@ -35,9 +35,7 @@ import numpy as np
 
 import acceptance_log
 import oracles
-from wovenshear.analytic import (IntervalState, LoadProgram,
-                                 interval_solve_batch, run_program,
-                                 yield_angle)
+from wovenshear.analytic import LoadProgram, run_program
 from wovenshear.calibrate import staged_fit, synthetic_curve
 from wovenshear.fe import (Mesh, _FrameModel, solve_picture_frame,
                           verify_against_analytic)
@@ -109,19 +107,20 @@ def test_criterion_02_return_map_residual_and_tangent(glass_params):
 
 
 def test_criterion_03_driver_first_order_convergence(demo_params):
-    """Driver matches the interval solution; halving steps halves error."""
+    """Driver matches the closed form; halving steps halves error."""
     with acceptance_log.criterion(3) as info:
         p = demo_params
         span = 56.0
-        virgin = IntervalState()
 
         def driver(step_deg):
             g = np.arange(1, int(round(span / step_deg)) + 1) * step_deg
             return g, drive_angle_path(np.cos(np.radians(90.0 - g)), p).tau
 
+        # monotone loading from the virgin state, by the oracles' own
+        # bisection of the slip equation
         def analytic(gamma_deg):
-            phi = np.cos(np.radians(90.0 - gamma_deg))
-            return interval_solve_batch(phi, virgin, p).tau
+            return oracles.virgin_stress(
+                np.cos(np.radians(90.0 - gamma_deg)), p)
 
         g_fine, tau_fine = driver(0.01)
         scale = np.abs(analytic(g_fine)).max()
@@ -145,10 +144,18 @@ def test_criterion_03_driver_first_order_convergence(demo_params):
             f"ratios {r1:.3f}, {r2:.3f} (first order = 2)")
 
 
+def virgin_onset(p):
+    """The last angle change that one return-map step from the virgin
+    state takes elastically, by bisection on its plastic flag."""
+    return oracles.flag_onset(
+        lambda phi: return_map_batch([phi], [0.0], [0.0], p).plastic[0],
+        0.0, 1.0)
+
+
 def test_criterion_04_virgin_yield_angle(glass_params):
     """Yield onset of the untouched material sits at tau_y / mu_f."""
     with acceptance_log.criterion(4) as info:
-        ya = yield_angle(IntervalState(), glass_params)
+        ya = virgin_onset(glass_params)
         assert abs(ya - 2.0e-5) <= 1e-15
         info["detail"] = (f"yield angle {ya:.17g} vs 2.0e-5, diff "
                           f"{abs(ya - 2.0e-5):.1e} (limit 1e-15)")
@@ -237,7 +244,7 @@ def test_criterion_08_parameter_sweeps(soft_params, locking_params):
         elastic = []
         for t in ty:
             p = replace_params(soft_params, {"tau_y": t})
-            assert yield_angle(IntervalState(), p) * p.mu_f == t
+            assert virgin_onset(p) * p.mu_f == t
             g, tau = tau_of(p, 20.0)
             elastic.append(tau[(g > 0.0) & (g <= 14.0)])
         assert np.array_equal(elastic[0], elastic[1])

@@ -1,12 +1,13 @@
 """Closed-form picture-frame solution tests.
 
 Verifies: load-program parsing and validation, the direction-aware elastic
-range, the interval consistency solve against a bisection oracle, the
-batched solve against the one-point solve bit for bit, exact interval
-chaining (splitting a monotone leg anywhere changes nothing), the
-pull-force formula, curve generation over multi-leg programs, a slip
-failure's leg and step in a chained solve, CSV
-round trips, the CSV writer against numpy's on 1-D and on broadcast
+range, the interval consistency solve against a bisection oracle, a
+return-map batch of interval points against the one-point solve bit for
+bit, exact interval chaining (splitting a monotone leg anywhere changes
+nothing), the pull-force formula, curve generation over multi-leg
+programs, legs that load in the same direction against the virgin
+bisection and the stepped chain, a slip failure's leg and step in a
+program, CSV round trips, the CSV writer against numpy's on 1-D and on broadcast
 columns, and the CSV reader against the writer bit for bit.
 """
 
@@ -27,13 +28,11 @@ from wovenshear import (
     frame_force,
     gamma_to_theta,
     interval_solve,
-    interval_solve_batch,
     program_theta_grid,
     return_map_batch,
     run_program,
-    yield_angle,
 )
-from wovenshear import analytic, material
+from wovenshear import material
 from wovenshear.analytic import _CSV_BLOCK_ROWS, _read_csv, _write_csv
 
 import oracles
@@ -56,15 +55,22 @@ class TestLoadProgram:
 
 
 class TestYieldAngle:
+    """The elastic range of an interval, as the last increment the
+    interval solve takes elastically."""
+
     def test_virgin_glass_exact(self, glass_params):
-        ya = yield_angle(IntervalState(), glass_params)
+        ya = oracles.flag_onset(
+            lambda x: interval_solve(x, IntervalState(), glass_params).plastic,
+            0.0, 1.0)
         assert abs(ya - 2.0e-5) <= 1e-15
 
     def test_widens_with_carried_stress(self, soft_params):
         st0 = IntervalState()
         st1 = advance_interval(st0, 0.3, soft_params)
         assert st1.tau0 > 0.0
-        ya = yield_angle(st1, soft_params)
+        # the range of a reversal, against the carried stress
+        ya = oracles.flag_onset(
+            lambda x: interval_solve(-x, st1, soft_params).plastic, 0.0, 1.0)
         expect = (f_iso(st1.q0, soft_params) + st1.tau0) / soft_params.mu_f
         assert ya == pytest.approx(expect, rel=1e-15)
 
@@ -136,7 +142,7 @@ class TestIntervalSolve:
     def test_direction_aware_reversal_range(self, soft_params):
         st1 = advance_interval(IntervalState(), 0.4, soft_params)
         assert st1.tau0 > 0.0
-        wide = yield_angle(st1, soft_params)
+        wide = (f_iso(st1.q0, soft_params) + st1.tau0) / soft_params.mu_f
         back = interval_solve(-0.999 * wide, st1, soft_params)
         assert not back.plastic
         again = interval_solve(-1.001 * wide, st1, soft_params)
@@ -171,6 +177,14 @@ _INCREMENTS = st.lists(
     min_size=1, max_size=40)
 
 
+def interval_batch(phi_bar, istate, p):
+    """One return-map call over the increments ``phi_bar`` (1-D) from the
+    interval start ``istate``, in the form of :func:`interval_solve`."""
+    n = phi_bar.size
+    return return_map_batch(istate.tau0 / p.mu_f + phi_bar, np.zeros(n),
+                            np.full(n, istate.q0), p)
+
+
 class TestIntervalSolveBatch:
     @given(pre=st.lists(st.floats(-0.5, 0.6), max_size=2),
            increments=_INCREMENTS, glass=st.booleans())
@@ -182,30 +196,32 @@ class TestIntervalSolveBatch:
     @settings(max_examples=150, deadline=None)
     def test_equals_scalar_loop(self, pre, increments, glass, soft_params,
                                 glass_params):
-        """Each point of the batch is the one-point solve, bit for bit,
-        from virgin and loaded states alike."""
+        """Each point of a return-map batch is the one-point interval
+        solve, bit for bit, from virgin and loaded states alike."""
         p = glass_params if glass else soft_params
         state = IntervalState()
         for phi in pre:
             state = advance_interval(state, phi, p)
         phi_bar = np.array(increments)
-        batch = interval_solve_batch(phi_bar, state, p)
+        batch = interval_batch(phi_bar, state, p)
         loop = [interval_solve(float(x), state, p) for x in phi_bar]
-        for name in ("tau", "q", "plastic", "iterations"):
+        for name in ("tau", "q", "plastic"):
             assert np.array_equal(getattr(batch, name),
                                   [getattr(s, name) for s in loop]), name
+        # the batch reports the sweeps of its slowest point
+        assert batch.iterations == max(s.iterations for s in loop)
 
     def test_mixed_array_from_loaded_state(self, soft_params):
         state = advance_interval(IntervalState(), 0.4, soft_params)
         assert state.tau0 > 0.0 and state.q0 > 0.0
-        phi_bar = np.array([[0.0, 0.05, -0.05], [0.3, -0.5, 1e-9]])
-        sol = interval_solve_batch(phi_bar, state, soft_params)
-        assert sol.tau.shape == phi_bar.shape
-        assert sol.plastic.tolist() == [[False, True, False],
-                                        [True, True, True]]
-        assert sol.tau[0, 0] == state.tau0
-        assert (sol.iterations[sol.plastic] > 0).all()
-        assert (sol.iterations[~sol.plastic] == 0).all()
+        phi_bar = np.array([0.0, 0.05, -0.05, 0.3, -0.5, 1e-9])
+        sol = interval_batch(phi_bar, state, soft_params)
+        assert sol.plastic.tolist() == [False, True, False, True, True, True]
+        assert sol.tau[0] == state.tau0
+        assert sol.iterations > 0
+        assert (sol.q[sol.plastic] > state.q0).all()
+        assert (sol.q[~sol.plastic] == state.q0).all()
+        assert (sol.residual[~sol.plastic] == 0.0).all()
 
     def test_convergence_error_reports_worst_residual(self, glass_params,
                                                       monkeypatch):
@@ -217,14 +233,10 @@ class TestIntervalSolveBatch:
                 interval_solve(x, IntervalState(), glass_params)
             residuals.append(exc.value.residual)
         with pytest.raises(ConvergenceError) as exc:
-            interval_solve_batch(phi_bar, IntervalState(), glass_params)
+            interval_batch(phi_bar, IntervalState(), glass_params)
         assert exc.value.residual == max(residuals) > 0.0
-        # the first unconverged point as a flat index into phi_bar, not
-        # into the plastic points the slip solve gathers
-        assert exc.value.step_index == 2
-        with pytest.raises(ConvergenceError) as exc:
-            interval_solve_batch(phi_bar.reshape(2, 2), IntervalState(),
-                                 glass_params)
+        # the first unconverged point as an index into phi_bar, not into
+        # the plastic points the slip solve gathers
         assert exc.value.step_index == 2
 
 
@@ -312,23 +324,45 @@ class TestRunProgram:
     def test_slip_failure_keeps_its_step(self, demo_params, cycle_program,
                                          monkeypatch):
         # a slip failure at step 7 of leg 2 names the leg, and its
-        # step_index counts the targets of leg 1 too
+        # step_index counts the targets of leg 1 too.  The drive makes one
+        # return-map call for the virgin row and one for each leg
         sizes = []
-        solve = analytic.interval_solve_batch
+        solve = material.return_map_batch
 
-        def failing(dt12, state, p):
-            sizes.append(dt12.size)
-            if len(sizes) == 2:
+        def failing(phi, phi_p, q, p):
+            sizes.append(phi.size)
+            if len(sizes) == 3:
                 raise ConvergenceError("slip solve failed", 1e-3,
                                        step_index=7)
-            return solve(dt12, state, p)
+            return solve(phi, phi_p, q, p)
 
-        monkeypatch.setattr(analytic, "interval_solve_batch", failing)
+        monkeypatch.setattr(material, "return_map_batch", failing)
         with pytest.raises(ConvergenceError, match="on leg 2 ") as err:
             run_program(cycle_program, demo_params)
-        assert sizes[0] == 100
+        assert sizes[:2] == [1, 100]
         assert err.value.step_index == 107
         assert err.value.residual == 1e-3
+
+    @pytest.mark.parametrize("targets", [(30.0, 45.0),
+                                         (10.0, 20.0, 40.0, 5.0, 5.5, 50.0)])
+    @pytest.mark.parametrize("name", ["demo_params", "soft_params",
+                                      "glass_params"])
+    def test_same_direction_legs(self, targets, name, request):
+        # consecutive legs that load the same way are one monotone run of
+        # the drive; the response equals the virgin bisection while the
+        # loading stays monotone, and the stepped backward-Euler chain,
+        # one step a target, throughout
+        p = request.getfixturevalue(name)
+        c = run_program(LoadProgram.from_gamma_degrees(targets), p)
+        scale = np.abs(c.tau).max()
+        chain = oracles.stepped_return_map(c.theta12, p)
+        assert np.abs(c.tau - chain[0]).max() <= 1e-13 * scale
+        assert np.abs(c.q - chain[3]).max() <= 1e-13 * max(c.q.max(), 1.0)
+        # the rows up to the first turn
+        monotone = slice(None, 1 + np.argmax(np.r_[np.diff(c.theta12) < 0.0,
+                                                   True]))
+        virgin = oracles.virgin_stress(c.theta12[monotone], p)
+        assert np.abs(c.tau[monotone] - virgin).max() <= 1e-13 * scale
 
     def test_angle_split_columns(self, demo_params, cycle_program):
         c = run_program(cycle_program, demo_params)

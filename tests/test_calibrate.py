@@ -20,7 +20,7 @@ import pytest
 
 from wovenshear import (ConvergenceError, ElastoplasticParams, IntervalState,
                         frame_force, gamma_to_theta, interval_solve,
-                        interval_solve_batch, params_to_dict, replace_params,
+                        params_to_dict, replace_params, return_map_batch,
                         run_program)
 from wovenshear import calibrate
 from wovenshear.analytic import LoadProgram
@@ -144,7 +144,7 @@ class TestObjective:
         def failing(*args, **kwargs):
             raise ConvergenceError("no convergence", residual=1.0)
 
-        monkeypatch.setattr(calibrate, "interval_solve_batch", failing)
+        monkeypatch.setattr(calibrate, "return_map_batch", failing)
         assert objective(glass_params, curve) == float("inf")
 
     def test_mask(self, glass_params):
@@ -258,15 +258,15 @@ class TestFit:
 
             monkeypatch.setattr(calibrate, "replace_params", rejecting)
         else:
-            solve = calibrate.interval_solve_batch
+            solve = calibrate.return_map_batch
 
-            def failing(phi_bar, istate, p):
+            def failing(phi, phi_p, q, p):
                 if p.c_h < edge:
                     rejected.append(p.c_h)
                     raise ConvergenceError("no convergence", residual=1.0)
-                return solve(phi_bar, istate, p)
+                return solve(phi, phi_p, q, p)
 
-            monkeypatch.setattr(calibrate, "interval_solve_batch", failing)
+            monkeypatch.setattr(calibrate, "return_map_batch", failing)
         res = fit(start, curve, FitConfig(free_params=("C", "c")))
         assert rejected and all(c < edge for c in rejected)
         assert res.params.c_h >= edge
@@ -313,7 +313,8 @@ class TestForceJacobian:
         p = request.getfixturevalue(name)
         mu0 = 2.0
         theta = gamma_to_theta(AC9_GRID)
-        sol = interval_solve_batch(np.cos(theta), IntervalState(), p)
+        virgin = np.zeros(theta.size)
+        sol = return_map_batch(np.cos(theta), virgin, virgin, p)
         assert sol.plastic.any()
         assert sol.plastic.all() == (name == "glass_params")
         jac = calibrate._force_jacobian(theta, sol, p, FIT_KEYS, mu0)
@@ -339,14 +340,14 @@ class TestForceJacobian:
         start = replace_params(glass_params, {"A": 8.8 * 1.02,
                                               "a": 0.0024 * 0.97,
                                               "C": 1.05, "c": 11.0 * 0.95})
-        solve = calibrate.interval_solve_batch
+        solve = calibrate.return_map_batch
         calls = []
 
-        def counting(phi_bar, istate, p):
+        def counting(phi, phi_p, q, p):
             calls.append(p)
-            return solve(phi_bar, istate, p)
+            return solve(phi, phi_p, q, p)
 
-        monkeypatch.setattr(calibrate, "interval_solve_batch", counting)
+        monkeypatch.setattr(calibrate, "return_map_batch", counting)
         for stage in (1, 2, 3):
             keys, selector = calibrate._STAGES[stage]
             n = len(calls)

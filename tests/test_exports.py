@@ -7,13 +7,16 @@ the code it named; the package exports exactly the names of its modules'
 package or the CLI leaves every ``scipy`` module, which only a frame step
 that factors a tangent uses, unimported, and so do a frame verify run
 whose every step is accepted at its prediction and a staged calibration
-run.
+run; and every module binding that the benchmark's tracer,
+``perfbench/spans.py``, wraps by name still exists.
 """
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +52,19 @@ def test_package_all_is_union_of_module_all():
              for n in importlib.import_module(f"wovenshear.{name}").__all__]
     assert len(set(names)) == len(names)
     assert sorted(wovenshear.__all__) == sorted(names)
+
+
+def test_tracer_bindings_resolve():
+    # the tracer replaces each (module, attribute) of its table at run
+    # time; one the package no longer has fails the traced run alone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module.__name__}.{attr}"
+               for module, attr, _, _ in spans._BINDINGS
+               if not hasattr(module, attr)]
+    assert spans._BINDINGS and not missing
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

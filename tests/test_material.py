@@ -1,9 +1,8 @@
 """Constitutive kernel tests.
 
 Verifies: hardening-curve values and admissibility, parameter
-(de)serialization, the return map ``return_map_batch`` and the slip
-solve it shares with the interval solve against an independent bisection
-oracle, from a cold and a warm start (with a Newton step that leaves the
+(de)serialization, the return map ``return_map_batch`` and its slip
+solve against an independent bisection oracle, from a cold and a warm start (with a Newton step that leaves the
 bracket, on a set with mu_f != 1), the algorithmic tangent against
 central differences, the equivalence of a batch and its points one at a
 time for the kinematics and return map bodies the FE element kernel
@@ -348,8 +347,8 @@ def bisection_slip(t, q, p):
 
 
 class TestSlipSolve:
-    """The one slip solve behind the return map and the interval solve,
-    against the plain bisection of the oracles module."""
+    """The one slip solve, behind the return map and so behind every
+    closed-form solve, against the plain bisection of the oracles module."""
 
     @given(name=st.sampled_from(["glass", "soft", "demo"]),
            q=st.one_of(st.just(0.0), st.floats(1e-4, 0.6)),
@@ -365,9 +364,9 @@ class TestSlipSolve:
         fy = float(f_iso(q, p))
         inc = 10.0 ** log_inc            # angle past the elastic range
         if interval:
-            # interval_solve_batch's form: a carried stress on or inside
-            # the yield surface (none from a virgin start), loaded with or
-            # against it
+            # an interval start: a carried stress on or inside the yield
+            # surface (none from a virgin start), loaded with or against
+            # it; t = f_iso(q) + mu_f inc again, rounded another way
             tau0 = carried * fy if q > 0.0 else 0.0
             d = -1.0 if backward else 1.0
             phi_y = (fy - d * tau0) / mu
