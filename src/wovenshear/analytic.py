@@ -254,8 +254,9 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
     """Evaluate the analytic response along a load program.
 
     Samples uniformly in the frame angle, on the grid of
-    :func:`program_theta_grid` that the FE solver steps through, and
-    drives the material point through the angle cosines there.
+    :func:`program_theta_grid` that the FE solver steps through: drives
+    the material point through the angle cosines there and takes the pull
+    force at those angles.
 
     Parameters
     ----------
@@ -279,8 +280,11 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
         virgin row.
     """
     grids = program_theta_grid(lp, steps_per_degree)
-    # the first row is the virgin state at theta = pi/2
-    theta12 = np.concatenate([[0.0]] + [np.cos(grid) for grid in grids])
+    # the first row is the virgin state at theta = pi/2, whose cosine is
+    # not rounded to 0
+    theta = np.concatenate([[np.pi / 2.0]] + grids)
+    theta12 = np.cos(theta)
+    theta12[0] = 0.0
     try:
         res = drive_angle_path(theta12, p)
     except ConvergenceError as exc:
@@ -292,8 +296,7 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
             f"closed-form solve failed on leg {leg + 1} (theta12 "
             f"{lo:.6g} to {theta12[ends[leg]]:.6g}): {exc.__cause__}",
             exc.residual, k) from exc
-    gamma = np.concatenate([[0.0]] + [theta_to_gamma(g) for g in grids])
-    force = frame_force(res.tau, gamma_to_theta(gamma))
-    return ShearCurve(gamma_deg=gamma, theta12=theta12, tau=res.tau,
-                      phi_e=res.phi_e, phi_p=res.phi_p, q=res.q,
+    force = frame_force(res.tau, theta)
+    return ShearCurve(gamma_deg=theta_to_gamma(theta), theta12=theta12,
+                      tau=res.tau, phi_e=res.phi_e, phi_p=res.phi_p, q=res.q,
                       frame_force_normalized=force / mu0)

@@ -338,7 +338,7 @@ def picture_frame(ctx, mode, params, program, mesh, mu0, steps_per_degree,
         click.echo(f"wrote {dest} ({len(curve)} rows)")
     if mode != "verify":
         return
-    report = verify_against_analytic(sol)
+    report = verify_against_analytic(sol, curve)
     dest = out / "verify_report.json"
     _write_json(dest, report)
     click.echo(f"wrote {dest}")

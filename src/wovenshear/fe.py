@@ -41,17 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (LoadProgram, ShearCurve, _write_csv,
-                       program_theta_grid, run_program)
+from .analytic import ShearCurve, _write_csv, program_theta_grid
 # unused; perfbench/spans.py wraps these module bindings
 from .analytic import advance_interval, frame_force, interval_solve
 from .kinematics import (FRAME_FIBER_1, FRAME_FIBER_2, _angle_gradient,
                          _angle_hessian, crosshead_rate,
                          picture_frame_deformation, picture_frame_dF_dtheta,
                          theta_to_gamma)
-from .material import (ConvergenceError, ElastoplasticParams,
-                       HyperelasticParams, _voigt_stress, _voigt_tangent,
-                       return_map_batch)
+from .material import (ConvergenceError, HyperelasticParams, _voigt_stress,
+                       _voigt_tangent, return_map_batch)
 
 __all__ = [
     "ElementInversionError",
@@ -336,8 +334,7 @@ class FESolution:
     bisected sub-steps), aligned with ``committed_thetas``, one entry per
     evaluation: one for a prediction that meets the tolerance, as the
     affine frame state's does; after corrections the last is the polish
-    iterate, the one before it the first to meet the tolerance.  ``ep``,
-    ``mu0`` and ``steps_per_degree`` are the run's own, for verify.
+    iterate, the one before it the first to meet the tolerance.
     """
 
     curve: ShearCurve
@@ -350,10 +347,6 @@ class FESolution:
     x: np.ndarray                      # final nodal positions (N, 2)
     committed_thetas: np.ndarray
     residual_history: list
-    program: LoadProgram
-    ep: ElastoplasticParams
-    mu0: float
-    steps_per_degree: float
     mesh: Mesh
 
     def to_field_csv(self, path):
@@ -542,31 +535,27 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
         curve=curve, theta_steps=thetas,
         **{f"gp_{k}": gp[k] for k in fields},
         x=x, committed_thetas=np.asarray(committed_thetas),
-        residual_history=residual_history, program=program, ep=ep, mu0=mu0,
-        steps_per_degree=steps_per_degree, mesh=mesh)
+        residual_history=residual_history, mesh=mesh)
 
 
-def verify_against_analytic(sol):
+def verify_against_analytic(sol, curve):
     """Compare a finite-element run against the closed-form response.
 
-    Runs the closed form over the run's own load program and measures,
-    across all recorded steps and Gauss points: the scale-relative stress
-    deviation max|dtau| / max|tau|, the pointwise stress deviation
-    (denominator floored at 1% of the peak stress), the reaction-force
-    deviation relative to the closed-form pull force, and the spread of the
-    Gauss-point angle cosines around the applied cos(theta).  Material,
-    force normalization and step grid are the run's own.
+    ``curve`` is the closed form over the run's load program, on its step
+    grid and at its force normalization, as ``run_program`` gives it; its
+    shear angles must equal the run's.  Measures, across all recorded
+    steps and Gauss points: the scale-relative stress deviation
+    max|dtau| / max|tau|, the pointwise stress deviation (denominator
+    floored at 1% of the peak stress), the normalized reaction-force
+    deviation relative to the closed-form force, and the spread of the
+    Gauss-point angle cosines around the applied one.
 
     Returns a report dict with the measured maxima, the limits and a
     ``passed`` flag.
     """
-    thetas = sol.theta_steps
-    curve = run_program(sol.program, sol.ep,
-                        steps_per_degree=sol.steps_per_degree)
-    if len(curve) != thetas.size:
-        raise ValueError("solution steps do not match its load program")
+    if not np.array_equal(curve.gamma_deg, sol.curve.gamma_deg):
+        raise ValueError("the analytic curve is not on the solution's steps")
     tau_an = curve.tau
-    # at the default mu0 = 1 the force column is the pull force itself
     force_an = curve.frame_force_normalized
 
     # |dtau|, |dtau| / denom and |dtheta12| in turn, in one (S, P) buffer
@@ -576,11 +565,11 @@ def verify_against_analytic(sol):
     floor = 0.01 * tau_scale
     denom = np.maximum(np.abs(tau_an)[:, None], floor)
     max_rel_pointwise = float(np.divide(dev, denom, out=dev).max())
-    np.subtract(sol.gp_theta12, np.cos(thetas)[:, None], out=dev)
+    np.subtract(sol.gp_theta12, curve.theta12[:, None], out=dev)
     max_theta12_dev = float(np.abs(dev, out=dev).max())
-    f_fe = sol.curve.frame_force_normalized * sol.mu0
     fscale = np.abs(force_an).max()
-    max_force_rel = float(np.abs(f_fe - force_an).max() / fscale)
+    max_force_rel = float(np.abs(sol.curve.frame_force_normalized
+                                 - force_an).max() / fscale)
     passed = (max_rel_scale <= _TAU_TOL
               and max_theta12_dev <= _THETA12_TOL
               and max_force_rel <= _FORCE_TOL)

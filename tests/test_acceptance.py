@@ -53,7 +53,8 @@ def test_criterion_01_fe_matches_analytic(demo_params):
         program = LoadProgram.from_gamma_degrees([50.0, 20.0, 50.0])
         t0 = time.perf_counter()
         sol = solve_picture_frame(Mesh.square(8), program, ep=demo_params)
-        report = verify_against_analytic(sol)
+        report = verify_against_analytic(sol,
+                                         run_program(program, demo_params))
         elapsed = time.perf_counter() - t0
         assert report["passed"]
         assert report["max_tau_rel_scale"] <= 1e-9

@@ -9,7 +9,8 @@ angles outside the frame's range), usage errors for the retired frame
 side and stress tolerance, one-line failures of parameter values whose
 arithmetic leaves the range of doubles, the exit status and error output
 of any ``material-point`` or ``picture-frame`` command line (a property
-test), and byte-identical reruns.
+test), one closed-form solve per ``picture-frame`` run that writes an
+analytic curve, and byte-identical reruns.
 """
 
 import filecmp
@@ -231,6 +232,25 @@ class TestPictureFrame:
         assert lines[-1].startswith("Error: " + where), result.output
         assert "max |g| = " in lines[-1]
         assert not any(line.startswith("Error") for line in lines[:-1])
+
+    @pytest.mark.parametrize("mode, solves", [
+        ("verify", 1), ("analytic", 1), ("fe", 0)])
+    def test_one_closed_form_solve(self, runner, demo_file, tmp_path,
+                                   monkeypatch, mode, solves):
+        # verify compares the FE run with the analytic curve the command
+        # writes, so the closed form is driven once
+        calls = []
+        drive = wovenshear.analytic.drive_angle_path
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return drive(*a, **kw)
+
+        monkeypatch.setattr(wovenshear.analytic, "drive_angle_path", counted)
+        run_ok(runner, ["picture-frame", "--mode", mode, "--params",
+                        str(demo_file), "--program", "8,4", "--mesh", "2x2",
+                        "--out", str(tmp_path / mode)])
+        assert len(calls) == solves
 
     def test_reruns_byte_identical(self, runner, demo_file, tmp_path):
         out1 = tmp_path / "r1"

@@ -15,9 +15,9 @@ frame step accepted at its prediction with no drift from the affine state,
 a manufactured non-affine frame state that the Newton corrections recover
 at every step, a mesh with no free DOF, verify margins across mesh sizes
 and on a deep reversal, verify's stress limit just below and just above
-it, step bisection and failure reporting,
-determinism, the field CSV dump, and the peak memory of a frame solve
-and of its verify.
+it, verify's force normalization and its refusal of a curve off the
+run's steps, step bisection and failure reporting, determinism, the
+field CSV dump, and the peak memory of a frame solve and of its verify.
 """
 
 import dataclasses
@@ -212,6 +212,12 @@ def distorted_square(n, amplitude, seed):
                 boundary_nodes=mesh.boundary_nodes)
 
 
+def verify(sol, program, ep, **kw):
+    """``verify_against_analytic`` of ``sol`` against the closed form of
+    ``program`` on ``ep``, ``kw`` passed to ``run_program``."""
+    return verify_against_analytic(sol, run_program(program, ep, **kw))
+
+
 def final_history(sol):
     """The committed ``phi_p`` and ``q`` (E, G) at the end of the run
     ``sol``: its last recorded Gauss-point row."""
@@ -219,11 +225,12 @@ def final_history(sol):
     return sol.gp_phi_p[-1].reshape(shape), sol.gp_q[-1].reshape(shape)
 
 
-def perturbed_newton_step(sol, seed):
-    """``fe._newton_step`` from the committed end of the run ``sol`` with
-    its interior nodes moved by a seeded 1e-3 of the element size: a start
-    off the affine state, from which Newton must iterate."""
-    mesh, ep = sol.mesh, sol.ep
+def perturbed_newton_step(sol, ep, seed):
+    """``fe._newton_step`` from the committed end of the run ``sol`` of the
+    material ``ep`` with its interior nodes moved by a seeded 1e-3 of the
+    element size: a start off the affine state, from which Newton must
+    iterate."""
+    mesh = sol.mesh
     model = _FrameModel(mesh, ep, HyperelasticParams(eps_L=ep.mu_f))
     inner = np.setdiff1d(np.arange(len(sol.x)), mesh.boundary_nodes)
     h = 1.0 / np.sqrt(len(mesh.elements))
@@ -459,7 +466,7 @@ class TestBandedSystem:
         sol = solve_picture_frame(Mesh.square(4), cycle_program, demo_params)
         assert all(len(h) == 1 for h in sol.residual_history)
         assert not dgbtrf_calls
-        *_, residuals, ok, _ = perturbed_newton_step(sol, seed=0)
+        *_, residuals, ok, _ = perturbed_newton_step(sol, demo_params, seed=0)
         assert ok
         assert sol.committed_thetas.size == sol.theta_steps.size - 1
         full = len(residuals) - 2
@@ -478,7 +485,7 @@ class TestBandedSystem:
                                   cycle_program, demo_params)
         assert all(len(h) == 1 for h in sol.residual_history)
         assert not dgbtrf_calls
-        assert verify_against_analytic(sol)["passed"]
+        assert verify(sol, cycle_program, demo_params)["passed"]
 
     def test_prediction_does_not_drift(self, demo_params):
         # the affine part of each prediction is recomputed from the frame
@@ -498,7 +505,7 @@ class TestBandedSystem:
         assert _FrameModel(mesh, demo_params).nfree == 0
         sol = solve_picture_frame(mesh, cycle_program, demo_params)
         assert all(h == [0.0] for h in sol.residual_history)
-        assert verify_against_analytic(sol)["passed"]
+        assert verify(sol, cycle_program, demo_params)["passed"]
 
 
 def manufactured_run(mesh, program, ep, amp):
@@ -582,13 +589,13 @@ class TestVerifyAcrossMeshes:
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_demo_cycle(self, demo_params, cycle_program, n):
         sol = solve_picture_frame(Mesh.square(n), cycle_program, demo_params)
-        rep = verify_against_analytic(sol)
+        curve = run_program(cycle_program, demo_params)
+        rep = verify_against_analytic(sol, curve)
         assert rep["passed"], rep
         assert rep["max_theta12_dev"] <= 1e-13
         assert rep["max_tau_rel_scale"] <= 1e-13
         assert rep["max_force_rel"] <= 1e-13
         # the committed history, which verify does not compare
-        curve = run_program(cycle_program, demo_params)
         for fe_rows, an in ((sol.gp_q, curve.q), (sol.gp_phi_p, curve.phi_p)):
             dev = np.abs(fe_rows - an[:, None]).max()
             assert dev <= 1e-13 * np.abs(an).max()
@@ -603,7 +610,7 @@ class TestVerifyAcrossMeshes:
         lp = LoadProgram.from_gamma_degrees([60.0, 0.5, 60.0])
         sol = solve_picture_frame(Mesh.square(8), lp, demo_params)
         assert all(len(h) == 1 for h in sol.residual_history)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, lp, demo_params)
         assert rep["passed"], rep
         for key in ("max_theta12_dev", "max_tau_rel_scale", "max_force_rel"):
             assert rep[key] <= 1e-13, (key, rep)
@@ -616,7 +623,7 @@ class TestVerifyAcrossMeshes:
         # test)
         sol = solve_picture_frame(distorted_square(n, amplitude, seed=n),
                                   cycle_program, demo_params)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, cycle_program, demo_params)
         assert rep["passed"], rep
         for key in ("max_theta12_dev", "max_tau_rel_scale", "max_force_rel"):
             assert rep[key] <= 1e-13, (key, rep)
@@ -629,7 +636,7 @@ class TestVerifyAcrossMeshes:
             k: getattr(demo_params, k) * rng.uniform(0.97, 1.03)
             for k in ("A_h", "B_h", "C_h", "c_h")})
         sol = solve_picture_frame(Mesh.square(16), cycle_program, ep)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, cycle_program, ep)
         assert rep["passed"], rep
         assert rep["max_theta12_dev"] <= 1e-13
 
@@ -638,7 +645,7 @@ class TestSolvePictureFrame:
     def test_machine_precision_vs_analytic(self, glass_params, cycle_program):
         sol = solve_picture_frame(Mesh.square(4), cycle_program,
                                   glass_params)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, cycle_program, glass_params)
         assert rep["passed"], rep
         assert rep["max_tau_rel_scale"] <= 1e-9
         assert rep["max_theta12_dev"] <= 1e-12
@@ -695,8 +702,8 @@ class TestSolvePictureFrame:
             sol = solve_picture_frame(Mesh.square(2), lp, glass_params,
                                       steps_per_degree=0.1)
         assert sol.committed_thetas.size > sol.theta_steps.size - 1
-        assert verify_against_analytic(sol)["passed"]
-        targets = np.concatenate(program_theta_grid(sol.program, 0.1))
+        assert verify(sol, lp, glass_params, steps_per_degree=0.1)["passed"]
+        targets = np.concatenate(program_theta_grid(lp, 0.1))
         assert np.allclose(sol.theta_steps[1:], targets, atol=1e-15)
 
     def test_solver_error_reports_step(self, glass_params, monkeypatch):
@@ -735,7 +742,8 @@ class TestSolvePictureFrame:
         # iterates starts off the affine state
         lp = LoadProgram.from_gamma_degrees([10.0])
         sol = solve_picture_frame(Mesh.square(3), lp, glass_params)
-        *_, residuals, ok, _ = perturbed_newton_step(sol, seed=0)
+        *_, residuals, ok, _ = perturbed_newton_step(sol, glass_params,
+                                                     seed=0)
         assert ok
         tol_abs = fe._NEWTON_TOL * glass_params.mu_f
         deep = [h for h in sol.residual_history + [residuals] if len(h) >= 4]
@@ -804,34 +812,52 @@ class TestVerifyAgainstAnalytic:
     def test_report_fields(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
         sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, lp, glass_params)
         for key in ("max_tau_rel_scale", "max_tau_rel_pointwise",
                     "max_theta12_dev", "max_force_rel", "passed"):
             assert key in rep
         assert rep["passed"]
 
     def test_normalization_from_the_run(self, glass_params):
-        # the force column is normalized by mu0 of the run, which verify
-        # takes from the solution rather than from its caller
+        # the force columns are compared as written, so the closed form
+        # must be normalized by the run's mu0: at mu0 = mu_f = 5 it passes,
+        # at mu0 = 1 its force is 5 times the run's
         lp = LoadProgram.from_gamma_degrees([20.0])
         sol = solve_picture_frame(Mesh.square(2), lp, glass_params,
                                   mu0=glass_params.mu_f)
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, lp, glass_params, mu0=glass_params.mu_f)
         assert rep["passed"], rep
         assert rep["max_force_rel"] <= 1e-13
+        rep = verify(sol, lp, glass_params, mu0=1.0)
+        assert not rep["passed"]
+        assert rep["max_force_rel"] > fe._FORCE_TOL
+        assert rep["max_tau_rel_scale"] <= fe._TAU_TOL
+        assert rep["max_theta12_dev"] <= fe._THETA12_TOL
 
     def test_program_mismatch_detected(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
         sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
-        sol.program = LoadProgram.from_gamma_degrees([6.0, 3.0])
-        with pytest.raises(ValueError, match="load program"):
-            verify_against_analytic(sol)
+        with pytest.raises(ValueError, match="solution's steps"):
+            verify(sol, LoadProgram.from_gamma_degrees([6.0, 3.0]),
+                   glass_params)
+
+    def test_grid_mismatch_detected(self, glass_params):
+        # 6 deg at 2 steps per degree and 12 deg at 1 step per degree both
+        # take 12 steps, on other angles
+        sol = solve_picture_frame(Mesh.square(1),
+                                  LoadProgram.from_gamma_degrees([6.0]),
+                                  glass_params)
+        curve = run_program(LoadProgram.from_gamma_degrees([12.0]),
+                            glass_params, steps_per_degree=1.0)
+        assert len(curve) == len(sol.curve)
+        with pytest.raises(ValueError, match="solution's steps"):
+            verify_against_analytic(sol, curve)
 
     def test_fails_on_tampered_stress(self, glass_params):
         lp = LoadProgram.from_gamma_degrees([6.0])
         sol = solve_picture_frame(Mesh.square(1), lp, glass_params)
         sol.gp_tau = sol.gp_tau * 1.001
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, lp, glass_params)
         assert not rep["passed"]
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -845,7 +871,7 @@ class TestVerifyAgainstAnalytic:
         assert peak < 1e-2
         sol.gp_tau = sol.gp_tau.copy()
         sol.gp_tau[-1, 0] += factor * fe._TAU_TOL * peak
-        rep = verify_against_analytic(sol)
+        rep = verify(sol, lp, glass_params)
         assert rep["max_tau_rel_scale"] == pytest.approx(
             factor * fe._TAU_TOL, rel=1e-3)
         assert rep["passed"] is (factor < 1.0)
@@ -881,7 +907,8 @@ class TestFramePassMemory:
     def test_verify_holds_one_deviation_array(self, demo_params,
                                               cycle_program):
         sol = solve_picture_frame(Mesh.square(8), cycle_program, demo_params)
-        verify_against_analytic(sol)
-        rep, peak = _traced_peak(lambda: verify_against_analytic(sol))
+        curve = run_program(cycle_program, demo_params)
+        verify_against_analytic(sol, curve)
+        rep, peak = _traced_peak(lambda: verify_against_analytic(sol, curve))
         assert rep["passed"]
         assert peak <= 1.25 * sol.gp_tau.nbytes, peak / sol.gp_tau.nbytes
