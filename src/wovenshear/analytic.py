@@ -220,17 +220,18 @@ class ShearCurve:
 
 
 def program_theta_grid(lp, steps_per_degree=2.0):
-    """Per-interval frame-angle grids (radians), excluding interval starts.
+    """Recorded frame angles (radians) of a load program, one array.
 
-    Uniform in theta within each leg, at ``steps_per_degree`` (> 0) steps
-    per degree and at least one; each grid ends exactly on its target.
+    Row 0 is the virgin ``pi/2``; each leg follows, uniform in theta at
+    ``steps_per_degree`` (> 0) steps per degree and at least one, without
+    its start, and ends exactly on its target.
     """
-    grids = []
     prev = np.pi / 2.0
+    grids = [[prev]]
     for tgt, n in zip(lp.targets, _leg_steps(lp, steps_per_degree)):
         grids.append(np.linspace(prev, tgt, n + 1)[1:])
         prev = tgt
-    return grids
+    return np.concatenate(grids)
 
 
 def _leg_steps(lp, steps_per_degree):
@@ -279,17 +280,16 @@ def run_program(lp, p, mu0=1.0, steps_per_degree=2.0):
         cosine range, and ``step_index`` counts the targets after the
         virgin row.
     """
-    grids = program_theta_grid(lp, steps_per_degree)
+    theta = program_theta_grid(lp, steps_per_degree)
     # the first row is the virgin state at theta = pi/2, whose cosine is
     # not rounded to 0
-    theta = np.concatenate([[np.pi / 2.0]] + grids)
     theta12 = np.cos(theta)
     theta12[0] = 0.0
     try:
         res = drive_angle_path(theta12, p)
     except ConvergenceError as exc:
         k = exc.step_index - 1
-        ends = np.cumsum([grid.size for grid in grids])
+        ends = np.cumsum(_leg_steps(lp, steps_per_degree))
         leg = int(np.searchsorted(ends, k, side="right"))
         lo = theta12[ends[leg - 1]] if leg else 0.0
         raise ConvergenceError(

@@ -11,7 +11,9 @@ residuals is exact and costs no model evaluation: the force at each angle
 solves one scalar slip equation, whose parameter derivatives follow from
 the solved slip by implicit differentiation.  Each stage has a budget of
 model evaluations (``max_evals``) and reports how well its Jacobian
-identifies the free parameters.
+identifies the free parameters; :func:`staged_fit` returns the fitted
+parameters with the whole report the ``calibrate`` command writes.  The
+stopping tests do not depend on the force normalization ``mu0``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .material import (ConvergenceError, _EP_FIELD_BY_KEY, _f_iso_grad,
 
 __all__ = [
     "ExperimentCurve",
-    "FitConfig",
     "FitResult",
     "DEFAULT_BOUNDS",
     "FIT_KEYS",
@@ -102,25 +103,6 @@ class ExperimentCurve:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Free-parameter set and evaluation budget."""
-
-    free_params: tuple
-    max_evals: int = 400
-
-    def __post_init__(self):
-        free = tuple(self.free_params)
-        if not free:
-            raise ValueError("free_params must be nonempty")
-        for key in free:
-            if key not in FIT_KEYS:
-                raise ValueError(f"unknown fit parameter {key!r}")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        object.__setattr__(self, "free_params", free)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Best parameters found, their RMS misfit, the model evaluations
     used, and what the Jacobian there says about identifiability."""
@@ -129,7 +111,7 @@ class FitResult:
     rms_error: float
     evals_used: int
     converged: bool
-    identifiability: dict | None = None
+    identifiability: dict
 
 
 def model_forces(gamma_deg, p, mu0=1.0):
@@ -238,23 +220,28 @@ _XTOL = 1e-8
 # largest gradient component of the cost, each times the distance to the
 # bound it descends towards (Coleman & Li's scaling), below which the fit
 # stops; absolute, so on a window the start already fits to the noise
-# (stage 1 of AC9) the fit stops at the start rather than fit the noise
+# (stage 1 of AC9) the fit stops at the start rather than fit the noise.
+# In the units of forces normalized by mu0 = 1: the gradient scales as
+# 1 / mu0**2, and the fit compares it with _GTOL / mu0**2, so where it stops
+# does not depend on the force normalization
 _GTOL = 1e-8
 
 
 def _identifiability(jac, keys):
     """Singular values of the residual Jacobian in the encoded parameters,
     their condition number, and the weakest right singular vector keyed by
-    free parameter (sign fixed so that its largest entry is positive)."""
+    free parameter (sign fixed so that its largest entry is positive).
+    The condition number is None where the Jacobian has a zero singular
+    value, and no singular value is -0.0, so the dict is valid JSON."""
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     weak = vt[-1] * np.sign(vt[-1][np.argmax(np.abs(vt[-1]))])
-    return {"singular_values": s.tolist(),
+    return {"singular_values": (s + 0.0).tolist(),
             "condition_number": float(s[0] / s[-1]) if s[-1] > 0.0
-            else float("inf"),
+            else None,
             "weakest_direction": {key: float(v) for key, v in zip(keys, weak)}}
 
 
-def fit(initial, curve, cfg, mu0=1.0, mask=None):
+def fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     """Bounded least-squares fit of the free parameters.
 
     Minimizes the cost ``|r|^2 / 2`` of the residuals ``r = model_forces -
@@ -272,25 +259,33 @@ def fit(initial, curve, cfg, mu0=1.0, mask=None):
     candidate that ``replace_params`` rejects or whose slip solve fails,
     or whose cost is not finite, is a rejected step and is never returned;
     a start that cannot be evaluated raises.  Deterministic.  Non-free
-    parameters pass through bit-identical.
+    parameters pass through bit-identical.  ``free`` must be a nonempty
+    subset of ``FIT_KEYS`` and ``max_evals`` at least 1.
 
     The fit stops on the tests of Branch, Coleman & Li's trust-region
-    method: the scaled gradient falls below ``_GTOL``, a step that achieves
-    over 1/4 of its predicted decrease lowers the cost by less than
-    ``_FTOL`` of itself, or a step is shorter than ``_XTOL`` of the
+    method: the scaled gradient falls below ``_GTOL / mu0**2``, a step that
+    achieves over 1/4 of its predicted decrease lowers the cost by less
+    than ``_FTOL`` of itself, or a step is shorter than ``_XTOL`` of the
     parameters.
 
     Returns
     -------
     FitResult
         ``evals_used`` counts every model evaluation and never exceeds
-        ``cfg.max_evals``.  ``converged`` is True when a stopping test was
+        ``max_evals``.  ``converged`` is True when a stopping test was
         met, and False when the budget ran out first; the iterate is
         returned either way.  ``identifiability`` is
         :func:`_identifiability` of the Jacobian at the returned
         parameters.
     """
-    keys = cfg.free_params
+    keys = tuple(free)
+    if not keys:
+        raise ValueError("free_params must be nonempty")
+    for key in keys:
+        if key not in FIT_KEYS:
+            raise ValueError(f"unknown fit parameter {key!r}")
+    if max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
     start = params_to_dict(initial)
     for key in keys:
         lo, hi = DEFAULT_BOUNDS[key]
@@ -320,8 +315,9 @@ def fit(initial, curve, cfg, mu0=1.0, mask=None):
     while True:
         grad = jac.T @ r
         dist = np.where(grad > 0.0, u - lb, np.where(grad < 0.0, ub - u, 1.0))
-        converged = converged or np.max(np.abs(grad * dist)) < _GTOL
-        if converged or evals >= cfg.max_evals:
+        converged = (converged
+                     or np.max(np.abs(grad * dist)) < _GTOL / mu0**2)
+        if converged or evals >= max_evals:
             break
         # the damped step in the variables scaled by D, from the SVD
         U, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
@@ -379,19 +375,20 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, mu0=1.0):
 
     Returns
     -------
-    result : FitResult
-        Final parameters; ``rms_error`` is measured over the full curve,
-        ``converged`` requires every executed stage to have converged.
+    params : ElastoplasticParams
+        Final parameters.
     report : dict
-        Per-stage entries (free parameters, points used, rms before/after,
-        model evaluations, convergence, and the singular values, condition
-        number and weakest direction of the exact Jacobian at the stage's
-        fitted parameters) plus the final whole-curve rms.
+        The fit report ``calibrate`` writes: per-stage entries (free
+        parameters, points used, rms before/after, model evaluations,
+        convergence, and the singular values, condition number and weakest
+        direction of the exact Jacobian at the stage's fitted parameters),
+        the final whole-curve rms ``rms_full_curve``, the evaluations of
+        all stages ``evals_used``, and ``converged``, True when every
+        executed stage converged.
     """
     params = initial
-    report = {"stages": [], "label": curve.label}
-    evals_total = 0
-    all_converged = True
+    report = {"stages": [], "label": curve.label, "evals_used": 0,
+              "converged": True}
     for stage in stages:
         if stage not in _STAGES:
             raise ValueError(f"unknown stage {stage!r}")
@@ -403,22 +400,18 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, mu0=1.0):
             entry["skipped"] = "not enough data points in the stage window"
             report["stages"].append(entry)
             continue
-        cfg = FitConfig(free_params=keys, max_evals=max_evals)
         entry["rms_before"] = objective(params, curve, mu0=mu0, mask=mask)
-        res = fit(params, curve, cfg, mu0=mu0, mask=mask)
+        res = fit(params, curve, keys, max_evals, mu0=mu0, mask=mask)
         params = res.params
-        evals_total += res.evals_used
-        all_converged = all_converged and res.converged
+        report["evals_used"] += res.evals_used
+        report["converged"] &= res.converged
         entry["rms_after"] = res.rms_error
         entry["evals"] = res.evals_used
         entry["converged"] = res.converged
         entry.update(res.identifiability)
         report["stages"].append(entry)
-    final_rms = objective(params, curve, mu0=mu0)
-    report["rms_full_curve"] = final_rms
-    result = FitResult(params=params, rms_error=final_rms,
-                       evals_used=evals_total, converged=all_converged)
-    return result, report
+    report["rms_full_curve"] = objective(params, curve, mu0=mu0)
+    return params, report
 
 
 def synthetic_curve(p, gamma_deg, rel_noise=0.0, seed=0, mu0=1.0,

@@ -425,18 +425,15 @@ def calibrate_cmd(data, params, stages, max_evals, mu0, out):
     except ValueError as exc:
         raise click.ClickException(f"bad data file {data}: {exc}")
     out = _out_dir(out)
-    result, report = staged_fit(ep, curve, stages=stages,
+    fitted, report = staged_fit(ep, curve, stages=stages,
                                 max_evals=max_evals, mu0=mu0)
-    _write_json(out / "fitted_params.json",
-                params_to_dict(result.params, hp))
-    report["converged"] = result.converged
-    report["evals_used"] = result.evals_used
+    _write_json(out / "fitted_params.json", params_to_dict(fitted, hp))
     _write_json(out / "fit_report.json", report)
     click.echo(f"wrote {out / 'fitted_params.json'}")
     click.echo(f"wrote {out / 'fit_report.json'}")
-    click.echo(f"rms {result.rms_error:.6e} over {len(curve)} points, "
-               f"{result.evals_used} evaluations, "
-               f"converged={result.converged}")
+    click.echo(f"rms {report['rms_full_curve']:.6e} over {len(curve)} "
+               f"points, {report['evals_used']} evaluations, "
+               f"converged={report['converged']}")
 
 
 if __name__ == "__main__":

@@ -453,7 +453,7 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     if hp is None or hp.eps_L == 0.0:
         hp = HyperelasticParams(eps_L=ep.mu_f)
     model = _FrameModel(mesh, ep, hp)
-    grids = program_theta_grid(program, steps_per_degree)
+    theta = program_theta_grid(program, steps_per_degree)
 
     E, G = model.n_elements, model.n_gauss
     phi_p = q = np.zeros((E, G))
@@ -468,71 +468,63 @@ def solve_picture_frame(mesh, program, ep, hp=None, mu0=1.0,
     XB = X[bnodes]
 
     # recorded rows, filled in place, row 0 the undeformed state
-    thetas = [np.pi / 2.0]
     fields = FIELD_COLUMNS[2:]
-    gp = {k: np.zeros((1 + sum(g.size for g in grids), E * G))
-          for k in fields}
+    gp = {k: np.zeros((theta.size, E * G)) for k in fields}
     gp["theta12"][0] = model.Theta12
     force = [0.0]
     committed_thetas = []
     residual_history = []
 
     theta_prev = np.pi / 2.0
-    step_index = 0
-    for grid in grids:
-        for tgt in grid:
-            step_index += 1
-            stack = [(float(tgt), 0)]
-            while stack:
-                th, depth = stack.pop()
-                scale = (th - theta_prev) / dth_last if dth_last else 0.0
-                F = picture_frame_deformation(th)
-                # the affine frame state plus the carried deviation from it
-                xtrial = X @ F.T + (x - X @ F_c.T) @ np.linalg.solve(
-                    F_c.T, F.T)
-                xtrial[bnodes] = XB @ F.T
-                xtrial, r, ev, residuals, ok, cause = _newton_step(
-                    model, xtrial, phi_p, q, scale * dq_last, tol_abs)
-                if not ok:
-                    if depth >= _MAX_HALVINGS:
-                        why = (f"last residual norm {residuals[-1]:.3e}"
-                               if cause is None else str(cause))
-                        raise SolverError(
-                            f"Newton failed at load step {step_index} "
-                            f"(theta = {th:.8f} rad) after "
-                            f"{_MAX_HALVINGS} bisections; {why}",
-                            step_index=step_index, theta=th,
-                            residual=residuals[-1]) from cause
-                    mid = 0.5 * (theta_prev + th)
-                    stack.append((th, depth + 1))
-                    stack.append((mid, depth + 1))
-                    continue
-                # commit
-                F_c, dq_last = F, ev.q - q
-                dth_last = th - theta_prev
-                x = xtrial
-                phi_p = ev.phi_p
-                q = ev.q
-                theta_prev = th
-                committed_thetas.append(th)
-                residual_history.append(residuals)
-            # the stack ends on a commit, that of the recorded target, and
-            # r and ev are its residual and evaluation
-            V = XB @ picture_frame_dF_dtheta(theta_prev).T
-            R = r.reshape(-1, 2)[bnodes]
-            pull = float(np.sum(R * V) / crosshead_rate(theta_prev))
-            thetas.append(theta_prev)
-            for k in fields:
-                gp[k][step_index] = getattr(ev, k).ravel()
-            force.append(pull)
+    for step_index in range(1, theta.size):
+        stack = [(float(theta[step_index]), 0)]
+        while stack:
+            th, depth = stack.pop()
+            scale = (th - theta_prev) / dth_last if dth_last else 0.0
+            F = picture_frame_deformation(th)
+            # the affine frame state plus the carried deviation from it
+            xtrial = X @ F.T + (x - X @ F_c.T) @ np.linalg.solve(F_c.T, F.T)
+            xtrial[bnodes] = XB @ F.T
+            xtrial, r, ev, residuals, ok, cause = _newton_step(
+                model, xtrial, phi_p, q, scale * dq_last, tol_abs)
+            if not ok:
+                if depth >= _MAX_HALVINGS:
+                    why = (f"last residual norm {residuals[-1]:.3e}"
+                           if cause is None else str(cause))
+                    raise SolverError(
+                        f"Newton failed at load step {step_index} "
+                        f"(theta = {th:.8f} rad) after "
+                        f"{_MAX_HALVINGS} bisections; {why}",
+                        step_index=step_index, theta=th,
+                        residual=residuals[-1]) from cause
+                mid = 0.5 * (theta_prev + th)
+                stack.append((th, depth + 1))
+                stack.append((mid, depth + 1))
+                continue
+            # commit
+            F_c, dq_last = F, ev.q - q
+            dth_last = th - theta_prev
+            x = xtrial
+            phi_p = ev.phi_p
+            q = ev.q
+            theta_prev = th
+            committed_thetas.append(th)
+            residual_history.append(residuals)
+        # the stack ends on a commit, that of the recorded target, and
+        # r and ev are its residual and evaluation
+        V = XB @ picture_frame_dF_dtheta(theta_prev).T
+        R = r.reshape(-1, 2)[bnodes]
+        pull = float(np.sum(R * V) / crosshead_rate(theta_prev))
+        for k in fields:
+            gp[k][step_index] = getattr(ev, k).ravel()
+        force.append(pull)
 
-    thetas = np.asarray(thetas)
     curve = ShearCurve(
-        gamma_deg=theta_to_gamma(thetas),
+        gamma_deg=theta_to_gamma(theta),
         **{k: gp[k].mean(axis=1) for k in fields},
         frame_force_normalized=np.asarray(force) / mu0)
     return FESolution(
-        curve=curve, theta_steps=thetas,
+        curve=curve, theta_steps=theta,
         **{f"gp_{k}": gp[k] for k in fields},
         x=x, committed_thetas=np.asarray(committed_thetas),
         residual_history=residual_history, mesh=mesh)

@@ -349,7 +349,7 @@ class ForcedFrameModel(_FrameModel):
 
 
 
-def trf_fit(initial, curve, cfg, mu0=1.0, mask=None):
+def trf_fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     """Reference for ``calibrate.fit``: scipy's trust-region reflective
     ``least_squares`` (Branch, Coleman & Li 1999) on the same residuals,
     encoding, bounds and exact Jacobian, with ``x_scale="jac"`` and
@@ -359,7 +359,7 @@ def trf_fit(initial, curve, cfg, mu0=1.0, mask=None):
     """
     from scipy.optimize import least_squares
 
-    keys = cfg.free_params
+    keys = tuple(free)
     start = params_to_dict(initial)
     u0 = np.array([calibrate._encode(key, start[key]) for key in keys])
     lb, ub = (np.array([calibrate._encode(key, DEFAULT_BOUNDS[key][i])
@@ -393,7 +393,7 @@ def trf_fit(initial, curve, cfg, mu0=1.0, mask=None):
 
     res = least_squares(evaluate, u0, jac=jacobian, bounds=(lb, ub),
                         method="trf", x_scale="jac", ftol=calibrate._FTOL,
-                        max_nfev=cfg.max_evals)
+                        max_nfev=max_evals)
     _, params, r, _ = best
     return FitResult(
         params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),

@@ -308,10 +308,10 @@ def test_criterion_09_calibration_round_trip(glass_params):
                                               "C": 1.05,
                                               "c": 11.0 * 0.95})
         t0 = time.perf_counter()
-        res, report = staged_fit(start, curve, stages=(1, 2, 3),
-                                 max_evals=600)
+        params, report = staged_fit(start, curve, stages=(1, 2, 3),
+                                    max_evals=600)
         elapsed = time.perf_counter() - t0
-        errs = {name: abs(getattr(res.params, field) - ref) / ref
+        errs = {name: abs(getattr(params, field) - ref) / ref
                 for name, field, ref in (("A", "A_h", 8.8),
                                          ("a", "a_h", 0.0024),
                                          ("C", "C_h", 1.0),
@@ -319,8 +319,9 @@ def test_criterion_09_calibration_round_trip(glass_params):
         assert errs["A"] <= 0.05 and errs["C"] <= 0.05
         assert errs["a"] <= 0.10 and errs["c"] <= 0.10
         assert elapsed < 60.0
-        res2, _ = staged_fit(start, curve, stages=(1, 2, 3), max_evals=600)
-        assert params_to_dict(res2.params) == params_to_dict(res.params)
+        params2, _ = staged_fit(start, curve, stages=(1, 2, 3),
+                                max_evals=600)
+        assert params_to_dict(params2) == params_to_dict(params)
         info["detail"] = (
             f"recovered A {errs['A']:.1%}, C {errs['C']:.1%} (limit 5%), "
             f"a {errs['a']:.1%}, c {errs['c']:.1%} (limit 10%); "

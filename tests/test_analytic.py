@@ -298,11 +298,12 @@ class TestFrameForce:
 
 class TestProgramGrid:
     def test_counts_and_targets(self, cycle_program):
-        grids = program_theta_grid(cycle_program, steps_per_degree=2.0)
-        assert [g.size for g in grids] == [100, 60, 60]
-        assert grids[0][-1] == cycle_program.targets[0]
-        assert grids[1][-1] == cycle_program.targets[1]
-        assert grids[0][0] != np.pi / 2.0     # interval start excluded
+        # the virgin row, then legs of 100, 60 and 60 steps
+        theta = program_theta_grid(cycle_program, steps_per_degree=2.0)
+        assert theta.shape == (221,)
+        assert theta[0] == np.pi / 2.0
+        assert theta[1] != np.pi / 2.0     # interval start excluded
+        assert theta[[100, 160, 220]].tolist() == list(cycle_program.targets)
 
     @pytest.mark.parametrize("density", [0.0, -1.0])
     def test_nonpositive_density_rejected(self, cycle_program, density):

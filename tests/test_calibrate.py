@@ -5,11 +5,13 @@ model forces against the curve generator and against a per-point scalar
 solve, the RMS objective and its rejection of failed solves, the bounded
 least-squares fit (recovery across the elastic/plastic kink, pass-through,
 determinism, rejected candidates, the inadmissible bound face A = B = 0,
-the exact evaluation budget), the exact force Jacobian against central
-differences and its cost of no model evaluation, the staged workflow with
-its window selection, skip logic and identifiability report, its
-whole-curve rms against the same stages run on scipy's trust-region
-reflective method, and the synthetic data generator.
+the exact evaluation budget, its argument checks), the exact force
+Jacobian against central differences and its cost of no model
+evaluation, the staged workflow with its window selection, skip logic,
+identifiability report and report totals, its stopping point independent
+of the force normalization mu0, its whole-curve rms against the same
+stages run on scipy's trust-region reflective method, and the synthetic
+data generator.
 """
 
 import dataclasses
@@ -28,7 +30,6 @@ from wovenshear.calibrate import (
     DEFAULT_BOUNDS,
     FIT_KEYS,
     ExperimentCurve,
-    FitConfig,
     fit,
     model_forces,
     objective,
@@ -157,14 +158,15 @@ class TestObjective:
             objective(glass_params, curve, mask=np.zeros(len(curve), bool))
 
 
-class TestFitConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(free_params=())
-        with pytest.raises(ValueError):
-            FitConfig(free_params=("mu",))
-        with pytest.raises(ValueError):
-            FitConfig(free_params=("A",), max_evals=0)
+class TestFitArguments:
+    def test_validation(self, soft_params):
+        curve = synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1))
+        with pytest.raises(ValueError, match="free_params must be nonempty"):
+            fit(soft_params, curve, ())
+        with pytest.raises(ValueError, match="unknown fit parameter 'mu'"):
+            fit(soft_params, curve, ("mu",))
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            fit(soft_params, curve, ("A",), max_evals=0)
 
     def test_all_keys_known(self):
         assert set(FIT_KEYS) == set(DEFAULT_BOUNDS)
@@ -176,8 +178,7 @@ class TestFit:
         grid = np.arange(0.1, 1.01, 0.1)
         curve = synthetic_curve(soft_params, grid)
         start = replace_params(soft_params, {"mu_f": 1.3})
-        res = fit(start, curve, FitConfig(free_params=("mu_f",),
-                                          max_evals=200))
+        res = fit(start, curve, ("mu_f",), max_evals=200)
         assert res.converged
         assert res.params.mu_f == pytest.approx(1.0, abs=1e-6)
         assert res.rms_error <= 1e-10
@@ -186,8 +187,7 @@ class TestFit:
         grid = np.arange(0.1, 1.01, 0.1)
         curve = synthetic_curve(soft_params, grid)
         start = replace_params(soft_params, {"mu_f": 1.3})
-        res = fit(start, curve, FitConfig(free_params=("mu_f",),
-                                          max_evals=50))
+        res = fit(start, curve, ("mu_f",), max_evals=50)
         for field in ("tau_y", "A_h", "a_h", "B_h", "b_h", "C_h", "c_h"):
             assert getattr(res.params, field) == getattr(soft_params, field)
 
@@ -195,9 +195,8 @@ class TestFit:
         grid = np.arange(0.1, 1.01, 0.1)
         curve = synthetic_curve(soft_params, grid, rel_noise=0.02, seed=5)
         start = replace_params(soft_params, {"mu_f": 1.2})
-        cfg = FitConfig(free_params=("mu_f",), max_evals=150)
-        r1 = fit(start, curve, cfg)
-        r2 = fit(start, curve, cfg)
+        r1 = fit(start, curve, ("mu_f",), max_evals=150)
+        r2 = fit(start, curve, ("mu_f",), max_evals=150)
         assert r1.params.mu_f == r2.params.mu_f
         assert r1.rms_error == r2.rms_error
 
@@ -206,17 +205,15 @@ class TestFit:
         start = replace_params(soft_params, {"mu_f": 2e8})
         assert start.mu_f > DEFAULT_BOUNDS["mu_f"][1]
         with pytest.raises(ValueError, match="outside bounds"):
-            fit(start, curve, FitConfig(free_params=("mu_f",)))
+            fit(start, curve, ("mu_f",))
 
     def test_budget_reported(self, soft_params):
         # the fit needs three evaluations, the start and two damped steps
         # (the Jacobian costs none), so two stop it unconverged
         curve = synthetic_curve(soft_params, np.arange(0.1, 1.01, 0.1))
         start = replace_params(soft_params, {"mu_f": 1.3})
-        cfg = FitConfig(free_params=("mu_f",))
-        assert fit(start, curve, cfg).evals_used == 3
-        res = fit(start, curve, FitConfig(free_params=("mu_f",),
-                                          max_evals=2))
+        assert fit(start, curve, ("mu_f",)).evals_used == 3
+        res = fit(start, curve, ("mu_f",), max_evals=2)
         assert res.evals_used <= 2
         assert not res.converged
         assert res.rms_error < objective(start, curve)
@@ -231,10 +228,10 @@ class TestFit:
         assert elastic.any() and not elastic.all()
         curve = synthetic_curve(truth, grid)
         start = replace_params(truth, {"mu_f": 1.3})
-        res, report = staged_fit(start, curve, stages=(1,))
+        params, report = staged_fit(start, curve, stages=(1,))
         entry = report["stages"][0]
-        assert res.converged
-        assert res.params.mu_f == pytest.approx(1.0, rel=1e-5)
+        assert report["converged"]
+        assert params.mu_f == pytest.approx(1.0, rel=1e-5)
         assert entry["rms_after"] < 1e-5 * entry["rms_before"]
 
     @pytest.mark.parametrize("by", ["replace_params", "slip_solve"])
@@ -267,7 +264,7 @@ class TestFit:
                 return solve(phi, phi_p, q, p)
 
             monkeypatch.setattr(calibrate, "return_map_batch", failing)
-        res = fit(start, curve, FitConfig(free_params=("C", "c")))
+        res = fit(start, curve, ("C", "c"))
         assert rejected and all(c < edge for c in rejected)
         assert res.params.c_h >= edge
         assert np.isfinite(res.rms_error)
@@ -292,13 +289,12 @@ class TestFit:
                 raise
 
         monkeypatch.setattr(calibrate, "replace_params", recording)
-        cfg = FitConfig(free_params=("A", "a", "B", "b"))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            res = fit(soft_params, curve, cfg)
+            res = fit(soft_params, curve, ("A", "a", "B", "b"))
         assert rejected
         assert all(u["A"] == u["B"] == 0.0 for u in rejected)
-        assert res.evals_used <= cfg.max_evals
+        assert res.evals_used <= 400
         # the returned set passes the admissibility checks again
         assert dataclasses.replace(res.params) == res.params
         assert res.rms_error == objective(res.params, curve)
@@ -351,8 +347,7 @@ class TestForceJacobian:
         for stage in (1, 2, 3):
             keys, selector = calibrate._STAGES[stage]
             n = len(calls)
-            res = fit(start, curve, FitConfig(free_params=keys),
-                      mask=selector(curve.gamma_deg))
+            res = fit(start, curve, keys, mask=selector(curve.gamma_deg))
             assert res.converged
             assert len(calls) - n == res.evals_used
             start = res.params
@@ -386,12 +381,54 @@ class TestStagedFit:
         grid = np.arange(0.1, 1.01, 0.1)
         curve = synthetic_curve(soft_params, grid)
         start = replace_params(soft_params, {"mu_f": 1.3})
-        res, report = staged_fit(start, curve, stages=(1,), max_evals=200)
-        assert res.params.mu_f == pytest.approx(1.0, abs=1e-6)
-        assert report["rms_full_curve"] == res.rms_error
+        params, report = staged_fit(start, curve, stages=(1,), max_evals=200)
+        assert params.mu_f == pytest.approx(1.0, abs=1e-6)
+        assert report["rms_full_curve"] == objective(params, curve)
         entry = report["stages"][0]
         assert entry["rms_after"] < entry["rms_before"]
 
+
+    @pytest.mark.parametrize("max_evals", [2, 300])
+    def test_report_totals(self, glass_params, max_evals):
+        # the report's evals_used and converged sum up the fitted stages;
+        # at 2 evaluations a stage the fit stops unconverged, and a skipped
+        # stage counts for neither
+        curve = synthetic_curve(glass_params, AC9_GRID, rel_noise=0.01,
+                                seed=0)
+        start = replace_params(glass_params, {"A": 8.8 * 1.02,
+                                              "a": 0.0024 * 0.97})
+        _, report = staged_fit(start, curve, stages=(1, 2, 3),
+                               max_evals=max_evals)
+        fitted = [e for e in report["stages"] if "skipped" not in e]
+        assert len(fitted) == 3
+        assert report["evals_used"] == sum(e["evals"] for e in fitted)
+        assert report["converged"] is all(e["converged"] for e in fitted)
+        assert report["converged"] is (max_evals == 300)
+        curve = synthetic_curve(glass_params, np.array([3.0, 10.0, 20.0]))
+        _, report = staged_fit(start, curve, stages=(2,))
+        assert report["evals_used"] == 0 and report["converged"] is True
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_stop_does_not_depend_on_mu0(self, glass_params, seed):
+        # the AC9 curve written and fitted at a force normalization mu0
+        # takes the evaluations it takes at mu0 = 1 in every stage, and
+        # ends on the same parameters up to round-off
+        start = replace_params(glass_params, {"A": 8.8 * 1.02,
+                                              "a": 0.0024 * 0.97,
+                                              "C": 1.05, "c": 11.0 * 0.95})
+        runs = {}
+        for mu0 in (1.0, 1000.0, 0.01):
+            curve = synthetic_curve(glass_params, AC9_GRID, rel_noise=0.01,
+                                    seed=seed, mu0=mu0)
+            params, report = staged_fit(start, curve, max_evals=300,
+                                        mu0=mu0)
+            runs[mu0] = ([e["evals"] for e in report["stages"]],
+                         params_to_dict(params))
+        evals, ref = runs.pop(1.0)
+        for mu0, (evals_mu0, fitted) in runs.items():
+            assert evals_mu0 == evals, mu0
+            for key, value in ref.items():
+                assert fitted[key] == pytest.approx(value, rel=1e-10), key
 
     def test_identifiability_flags_A_a_ridge(self, glass_params):
         # asinh(a q) ~ a q over the stage-2 window, so only A * a is
@@ -424,10 +461,10 @@ class TestTrustRegionReference:
         start = replace_params(glass_params, {"A": 8.8 * 1.02,
                                               "a": 0.0024 * 0.97,
                                               "C": 1.05, "c": 11.0 * 0.95})
-        res, report = staged_fit(start, curve, max_evals=300)
+        _, report = staged_fit(start, curve, max_evals=300)
         monkeypatch.setattr(calibrate, "fit", oracles.trf_fit)
-        ref, ref_report = staged_fit(start, curve, max_evals=300)
-        assert res.converged and ref.converged
+        _, ref_report = staged_fit(start, curve, max_evals=300)
+        assert report["converged"] and ref_report["converged"]
         assert report["rms_full_curve"] == pytest.approx(
             ref_report["rms_full_curve"], rel=1e-3)
 

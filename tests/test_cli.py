@@ -10,7 +10,8 @@ side and stress tolerance, one-line failures of parameter values whose
 arithmetic leaves the range of doubles, the exit status and error output
 of any ``material-point`` or ``picture-frame`` command line (a property
 test), one closed-form solve per ``picture-frame`` run that writes an
-analytic curve, and byte-identical reruns.
+analytic curve, a fit report that is strict JSON where a stage's
+Jacobian has a zero column, and byte-identical reruns.
 """
 
 import filecmp
@@ -337,6 +338,31 @@ class TestCalibrate:
         report = json.loads((out / "fit_report.json").read_text())
         assert [e["stage"] for e in report["stages"]] == [1]
         assert report["converged"] is True
+
+    def test_report_is_strict_json(self, runner, soft_params, tmp_path):
+        # at C = 0 the locking exponent c moves no force, so the stage-3
+        # Jacobian has a zero column: the report writes its condition
+        # number as null, and its singular values carry no -0.0
+        from wovenshear import replace_params
+        truth = replace_params(soft_params, {"C": 0.0})
+        data = tmp_path / "data.csv"
+        synthetic_curve(truth, np.arange(36.0, 55.01, 1.0)).to_csv(data)
+        start = tmp_path / "start.json"
+        save_params(start, truth)
+        out = tmp_path / "cal"
+        run_ok(runner, ["calibrate", "--data", str(data), "--params",
+                        str(start), "--stages", "3", "--out", str(out)])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        for name in ("fit_report.json", "fitted_params.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse)
+        stage = json.loads((out / "fit_report.json").read_text())["stages"][0]
+        assert stage["condition_number"] is None
+        values = stage["singular_values"]
+        assert values[-1] == 0.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_missing_data_no_partial_output(self, runner, soft_file,
                                             tmp_path):

@@ -16,8 +16,10 @@ a manufactured non-affine frame state that the Newton corrections recover
 at every step, a mesh with no free DOF, verify margins across mesh sizes
 and on a deep reversal, verify's stress limit just below and just above
 it, verify's force normalization and its refusal of a curve off the
-run's steps, step bisection and failure reporting, determinism, the
-field CSV dump, and the peak memory of a frame solve and of its verify.
+run's steps, the recorded angles and shear angles of the run and of the
+closed form bit-equal to the program grid, step bisection and failure
+reporting, determinism, the field CSV dump, and the peak memory of a
+frame solve and of its verify.
 """
 
 import dataclasses
@@ -40,6 +42,7 @@ from wovenshear import (
     program_theta_grid,
     run_program,
     solve_picture_frame,
+    theta_to_gamma,
     verify_against_analytic,
 )
 from wovenshear.fe import (FIELD_COLUMNS, ElementInversionError, SolverError,
@@ -528,7 +531,7 @@ def manufactured_run(mesh, program, ep, amp):
     phi_p = q = dq_last = np.zeros((model.n_elements, model.n_gauss))
     theta_c, dth_last = np.pi / 2.0, 0.0
     x, F_c = X.copy(), picture_frame_deformation(theta_c)
-    for th in np.concatenate(program_theta_grid(program)):
+    for th in program_theta_grid(program)[1:]:
         x_star = oracles.manufactured_frame_state(mesh, th, amp)
         forced.load, ev_star = model.residual(x_star, phi_p, q)
         F = picture_frame_deformation(th)
@@ -651,6 +654,21 @@ class TestSolvePictureFrame:
         assert rep["max_theta12_dev"] <= 1e-12
         assert rep["max_force_rel"] <= 1e-8
 
+    @pytest.mark.parametrize("spd", [2.0, 0.7])
+    def test_records_the_program_grid(self, demo_params, cycle_program, spd):
+        # the run records the angles of program_theta_grid, and the curves
+        # of the run and of the closed form take their shear angles from
+        # them, bit for bit
+        theta = program_theta_grid(cycle_program, spd)
+        gamma = theta_to_gamma(theta)
+        sol = solve_picture_frame(Mesh.square(2), cycle_program, demo_params,
+                                  steps_per_degree=spd)
+        curve = run_program(cycle_program, demo_params, steps_per_degree=spd)
+        assert sol.theta_steps.view(np.int64).tolist() == \
+            theta.view(np.int64).tolist()
+        for g in (sol.curve.gamma_deg, curve.gamma_deg):
+            assert g.view(np.int64).tolist() == gamma.view(np.int64).tolist()
+
     def test_mesh_independence(self, demo_params):
         # the exact solution is homogeneous, so element count cannot matter
         lp = LoadProgram.from_gamma_degrees([30.0])
@@ -703,8 +721,7 @@ class TestSolvePictureFrame:
                                       steps_per_degree=0.1)
         assert sol.committed_thetas.size > sol.theta_steps.size - 1
         assert verify(sol, lp, glass_params, steps_per_degree=0.1)["passed"]
-        targets = np.concatenate(program_theta_grid(lp, 0.1))
-        assert np.allclose(sol.theta_steps[1:], targets, atol=1e-15)
+        assert np.array_equal(sol.theta_steps, program_theta_grid(lp, 0.1))
 
     def test_solver_error_reports_step(self, glass_params, monkeypatch):
         # no residual meets a zero tolerance, so the iteration cap fails
