@@ -125,9 +125,22 @@ def frame_force(tau, theta):
     the frame side.  The rate is nonzero on all of (0, pi/2], so no
     endpoint limit arises.  Broadcasts over ``tau`` and ``theta``.
     """
-    _check_theta(theta)
-    dtheta12 = -np.sin(theta) * tau
-    return dtheta12 / crosshead_rate(theta)
+    return _factored_force(tau, *_force_factors(theta))
+
+
+def _force_factors(theta):
+    """The angle factors of :func:`frame_force` at ``theta``: ``-sin
+    theta`` and the crosshead rate.  ``theta`` is checked once, by the
+    rate, which comes first so that a bad angle fails that check before
+    ``sin`` sees it.  A caller that takes the force at fixed angles many
+    times, such as a calibration window, makes them once."""
+    rate = crosshead_rate(theta)
+    return -np.sin(theta), rate
+
+
+def _factored_force(tau, neg_sin, rate):
+    """:func:`frame_force` from the factors of :func:`_force_factors`."""
+    return neg_sin * tau / rate
 
 
 # rows that _write_csv formats and joins at a time; bounds its memory
@@ -142,29 +155,42 @@ def _write_csv(path, header, columns):
     the broadcast columns raveled side by side, with ``fmt="%.17g"``, ``,``
     delimiters and no comment mark: 17 significant digits, which read back
     to the same doubles.  Rows go out in blocks of about ``_CSV_BLOCK_ROWS``
-    along the first axis, each distinct value of a column formatted once a
-    block: a homogeneous frame repeats each value across a step's points.
+    along the first axis.  Each column is formatted on its own values, not
+    on their broadcast: a column that repeats along the first axis (an
+    index column such as a Gauss point's) once a file, any other once a
+    block, each distinct value of it once.
     """
-    cols = np.broadcast_arrays(*map(np.atleast_1d, columns))
-    step = max(1, _CSV_BLOCK_ROWS // max(1, math.prod(cols[0].shape[1:])))
-    ends = [","] * (len(cols) - 1) + ["\n"]
+    srcs = [np.atleast_1d(c) for c in columns]
+    shape = np.broadcast_shapes(*(c.shape for c in srcs))
+    srcs = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in srcs]
+    step = max(1, _CSV_BLOCK_ROWS // max(1, math.prod(shape[1:])))
+    ends = [","] * (len(srcs) - 1) + ["\n"]
+    # the cells of the columns that repeat along the first axis
+    fixed = {j: _csv_cells(c, end) for j, (c, end)
+             in enumerate(zip(srcs, ends)) if c.shape[0] < shape[0]}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for lo in range(0, len(cols[0]), step):
-            part = [np.asarray(c[lo:lo + step], dtype=float).ravel()
-                    for c in cols]
-            block = np.empty((part[0].size, len(cols)), dtype=object)
-            for j, (col, end) in enumerate(zip(part, ends)):
-                # distinct by bits, so -0.0 and 0.0 (and NaN payloads) stay
-                # apart and each prints as its own rows would
-                bits, inverse = np.unique(col.view(np.int64),
-                                          return_inverse=True)
-                # one bulk format; each cell keeps its separator, NUL ends it
-                text = (("%.17g" + end + "\0") * bits.size
-                        % tuple(bits.view(np.float64).tolist()))
-                cells = np.array(text.split("\0")[:-1], dtype=object)
-                block[:, j] = cells[inverse]
+        for lo in range(0, shape[0], step):
+            rows = min(step, shape[0] - lo)
+            block = np.empty((rows, *shape[1:], len(srcs)), dtype=object)
+            for j, (c, end) in enumerate(zip(srcs, ends)):
+                block[..., j] = (fixed[j] if j in fixed
+                                 else _csv_cells(c[lo:lo + step], end))
             fh.write("".join(block.ravel().tolist()))
+
+
+def _csv_cells(values, end):
+    """``%.17g`` text of each of ``values``, each followed by ``end``, as
+    an object array of their shape; each distinct value is formatted once,
+    distinct by bits, so -0.0 and 0.0 (and NaN payloads) stay apart and
+    each prints as its own rows would."""
+    col = np.asarray(values, dtype=float)
+    bits, inverse = np.unique(col.ravel().view(np.int64), return_inverse=True)
+    # one bulk format; each cell keeps its separator, NUL ends it
+    text = (("%.17g" + end + "\0") * bits.size
+            % tuple(bits.view(np.float64).tolist()))
+    cells = np.array(text.split("\0")[:-1], dtype=object)
+    return cells[inverse].reshape(col.shape)
 
 
 def _read_csv(path, header):

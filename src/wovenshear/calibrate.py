@@ -19,12 +19,14 @@ stopping tests do not depend on the force normalization ``mu0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _read_csv, _write_csv, frame_force
-# unused; perfbench/spans.py wraps this module binding
-from .analytic import interval_solve
+from .analytic import (_factored_force, _force_factors, _read_csv,
+                       _write_csv)
+# unused; perfbench/spans.py wraps these module bindings
+from .analytic import frame_force, interval_solve
 from .kinematics import gamma_to_theta
 from .material import (ConvergenceError, _EP_FIELD_BY_KEY, _f_iso_grad,
                        _f_iso_prime, params_to_dict, replace_params,
@@ -104,11 +106,13 @@ class ExperimentCurve:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, their RMS misfit, the model evaluations
-    used, and what the Jacobian there says about identifiability."""
+    """Best parameters found, their RMS misfit, the RMS misfit of the
+    fit's first evaluation, the model evaluations used, and what the
+    Jacobian at the best parameters says about identifiability."""
 
     params: object
     rms_error: float
+    rms_start: float
     evals_used: int
     converged: bool
     identifiability: dict
@@ -119,24 +123,46 @@ def model_forces(gamma_deg, p, mu0=1.0):
 
     Monotone loading from the virgin state is history-free point by point,
     so every angle is evaluated exactly (no interpolation) as one
-    backward-Euler step from the virgin state, all in one return-map call.
+    backward-Euler step from the virgin state, all in one return-map call,
+    on the angle factors of :func:`_window_factors`; the forces are those
+    of :func:`~wovenshear.analytic.frame_force` bit for bit.
     """
     theta = gamma_to_theta(np.asarray(gamma_deg, dtype=float).reshape(-1))
-    return _solve_forces(theta, p, mu0)[0]
+    return _solve_forces(_window_factors(theta), p, mu0)[0]
 
 
-def _solve_forces(theta, p, mu0):
-    """Normalized forces at the frame angles ``theta`` and the virgin
-    :class:`~wovenshear.material.BatchReturn` behind them."""
-    virgin = np.zeros(theta.shape)
-    sol = return_map_batch(np.cos(theta), virgin, virgin, p)
-    return frame_force(sol.tau, theta) / mu0, sol
+class _WindowFactors(NamedTuple):
+    """Angle factors of a set of frame angles, which a fit makes once for
+    its window: the virgin return map's angle change ``phi = cos theta``,
+    and ``-sin theta`` and the crosshead rate of the pull force."""
+
+    phi: np.ndarray
+    neg_sin: np.ndarray
+    rate: np.ndarray
 
 
-def _force_jacobian(theta, sol, p, keys, mu0):
-    """Exact derivatives of the normalized forces at ``theta`` in the
-    encoded parameters ``keys``, from the virgin return map ``sol`` there,
-    whose plastic flags and hardening variables they read.
+def _window_factors(theta):
+    """:class:`_WindowFactors` of the frame angles ``theta``, checked once."""
+    neg_sin, rate = _force_factors(theta)
+    return _WindowFactors(np.cos(theta), neg_sin, rate)
+
+
+def _solve_forces(win, p, mu0):
+    """Normalized forces at the angles of the :class:`_WindowFactors`
+    ``win`` and the virgin :class:`~wovenshear.material.BatchReturn` behind
+    them; of the work, only the return map and the force product depend on
+    ``p``."""
+    virgin = np.zeros(win.phi.shape)
+    sol = return_map_batch(win.phi, virgin, virgin, p)
+    return _factored_force(sol.tau, win.neg_sin, win.rate) / mu0, sol
+
+
+def _force_jacobian(win, sol, p, keys, mu0):
+    """Exact derivatives of the normalized forces at the angles of the
+    :class:`_WindowFactors` ``win`` in the encoded parameters ``keys``,
+    from the virgin return map ``sol`` there, whose plastic flags and
+    hardening variables they read.  The hardening gradients are taken only
+    for the hardening keys among ``keys``.
 
     At a plastic point the slip ``x = q > 0`` solves
     ``mu_f phi - mu_f x - f_iso(x) = 0`` and ``tau = mu_f (phi - x)``, so
@@ -146,13 +172,13 @@ def _force_jacobian(theta, sol, p, keys, mu0):
     At an elastic point ``tau = mu_f phi``.  A log-searched key takes a
     factor of its value, and the force is linear in ``tau``.
     """
-    phi = np.cos(theta)
+    phi = win.phi
     pl = sol.plastic
     x = sol.q[pl]
     fp = _f_iso_prime(x, p)
     d = p.mu_f + fp
-    grad = _f_iso_grad(x, p)
-    dtau = np.zeros((theta.size, len(keys)))
+    grad = _f_iso_grad(x, p, [key for key in keys if key != "mu_f"])
+    dtau = np.zeros((phi.size, len(keys)))
     for k, key in enumerate(keys):
         if key == "mu_f":
             dtau[:, k] = phi
@@ -161,7 +187,8 @@ def _force_jacobian(theta, sol, p, keys, mu0):
             dtau[pl, k] = p.mu_f * grad[key] / d
         if key in _LOG_KEYS:
             dtau[:, k] *= getattr(p, _EP_FIELD_BY_KEY[key])
-    return frame_force(dtau, theta[:, None]) / mu0
+    return _factored_force(dtau, win.neg_sin[:, None],
+                           win.rate[:, None]) / mu0
 
 
 def _window(curve, mask):
@@ -197,7 +224,13 @@ def objective(params, curve, mu0=1.0, mask=None):
         model = model_forces(g, params, mu0=mu0)
     except ConvergenceError:
         return float("inf")
-    return float(np.sqrt(np.mean((model - f) ** 2)))
+    return _rms(model - f)
+
+
+def _rms(r):
+    """Root-mean-square of the residuals ``r``, as :func:`objective`
+    takes it."""
+    return float(np.sqrt(np.mean(r ** 2)))
 
 
 def _encode(key, value):
@@ -250,17 +283,20 @@ def fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     the others as they are.  Each step solves the damped Gauss-Newton
     problem with the exact Jacobian :func:`_force_jacobian` of the iterate,
     built from the solution of the iterate's evaluation, so it costs no
-    model evaluation.  The damping is scaled by Moré's ``D``, the largest
-    Jacobian column norms seen so far, starts at ``1e-4``, is divided by 3
-    after a step whose cost decrease exceeds 3/4 of the one its linear
-    model predicts and doubled after a step below 1/4 of it or a rejected
-    one.  The candidate is clipped into ``DEFAULT_BOUNDS``, encoded alike,
-    and accepted exactly when its cost falls below the iterate's.  A
-    candidate that ``replace_params`` rejects or whose slip solve fails,
-    or whose cost is not finite, is a rejected step and is never returned;
-    a start that cannot be evaluated raises.  Deterministic.  Non-free
-    parameters pass through bit-identical.  ``free`` must be a nonempty
-    subset of ``FIT_KEYS`` and ``max_evals`` at least 1.
+    model evaluation.  The window's angle factors (:func:`_window_factors`)
+    are made once, so an evaluation computes only what its parameters
+    change: the candidate, its return map and its forces.  The damping is
+    scaled by Moré's ``D``, the largest Jacobian column norms seen so far,
+    starts at ``1e-4``, is divided by 3 after a step whose cost decrease
+    exceeds 3/4 of the one its linear model predicts and doubled after a
+    step below 1/4 of it or a rejected one.  The candidate is clipped into
+    ``DEFAULT_BOUNDS``, encoded alike, and accepted exactly when its cost
+    falls below the iterate's.  A candidate that ``replace_params`` rejects
+    or whose slip solve fails, or whose cost is not finite, is a rejected
+    step and is never returned; a start that cannot be evaluated raises.
+    Deterministic.  Non-free parameters pass through bit-identical.
+    ``free`` must be a nonempty subset of ``FIT_KEYS`` and ``max_evals`` at
+    least 1.
 
     The fit stops on the tests of Branch, Coleman & Li's trust-region
     method: the scaled gradient falls below ``_GTOL / mu0**2``, a step that
@@ -271,12 +307,14 @@ def fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     Returns
     -------
     FitResult
-        ``evals_used`` counts every model evaluation and never exceeds
-        ``max_evals``.  ``converged`` is True when a stopping test was
-        met, and False when the budget ran out first; the iterate is
-        returned either way.  ``identifiability`` is
-        :func:`_identifiability` of the Jacobian at the returned
-        parameters.
+        ``rms_start`` is the RMS misfit of the first evaluation, at the
+        start as encoded and decoded (``exp(log x)`` may differ from ``x``
+        in the last digit).  ``evals_used`` counts every model evaluation,
+        that one included, and never exceeds ``max_evals``.  ``converged``
+        is True when a stopping test was met, and False when the budget
+        ran out first; the iterate is returned either way.
+        ``identifiability`` is :func:`_identifiability` of the Jacobian at
+        the returned parameters.
     """
     keys = tuple(free)
     if not keys:
@@ -296,18 +334,19 @@ def fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     lb = np.array([_encode(key, DEFAULT_BOUNDS[key][0]) for key in keys])
     ub = np.array([_encode(key, DEFAULT_BOUNDS[key][1]) for key in keys])
     g, f = _window(curve, mask)
-    theta = gamma_to_theta(g)
+    win = _window_factors(gamma_to_theta(g))
 
     def evaluate(u):
         """Residuals, parameters and solution at the encoded ``u``."""
         updates = {key: _decode(key, u[k]) for k, key in enumerate(keys)}
         cand = replace_params(initial, updates)
-        forces, sol = _solve_forces(theta, cand, mu0)
+        forces, sol = _solve_forces(win, cand, mu0)
         return forces - f, cand, sol
 
     r, params, sol = evaluate(u)
+    rms_start = _rms(r)
     cost = 0.5 * (r @ r)
-    jac = _force_jacobian(theta, sol, params, keys, mu0)
+    jac = _force_jacobian(win, sol, params, keys, mu0)
     scale = np.linalg.norm(jac, axis=0)
     scale[scale == 0.0] = 1.0
     damping = 1e-4
@@ -344,14 +383,14 @@ def fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
                          < _XTOL * (_XTOL + np.linalg.norm(u)))
         if actual > 0.0:
             u, r, params, sol, cost = u_new, r_new, p_new, sol_new, cost_new
-            jac = _force_jacobian(theta, sol, params, keys, mu0)
+            jac = _force_jacobian(win, sol, params, keys, mu0)
             scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
         if rho < 0.25:
             damping *= 2.0
         elif rho > 0.75:
             damping /= 3.0
     return FitResult(
-        params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),
+        params=params, rms_error=_rms(r), rms_start=rms_start,
         evals_used=evals, converged=bool(converged),
         identifiability=_identifiability(jac, keys))
 
@@ -379,9 +418,11 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, mu0=1.0):
         Final parameters.
     report : dict
         The fit report ``calibrate`` writes: per-stage entries (free
-        parameters, points used, rms before/after, model evaluations,
-        convergence, and the singular values, condition number and weakest
-        direction of the exact Jacobian at the stage's fitted parameters),
+        parameters, points used, ``rms_before``, the misfit of the stage's
+        first evaluation, which is one of its ``evals`` (the fit's
+        ``rms_start``), ``rms_after``, model evaluations, convergence,
+        and the singular values, condition number and weakest direction
+        of the exact Jacobian at the stage's fitted parameters),
         the final whole-curve rms ``rms_full_curve``, the evaluations of
         all stages ``evals_used``, and ``converged``, True when every
         executed stage converged.
@@ -400,9 +441,9 @@ def staged_fit(initial, curve, stages=(1, 2, 3), max_evals=400, mu0=1.0):
             entry["skipped"] = "not enough data points in the stage window"
             report["stages"].append(entry)
             continue
-        entry["rms_before"] = objective(params, curve, mu0=mu0, mask=mask)
         res = fit(params, curve, keys, max_evals, mu0=mu0, mask=mask)
         params = res.params
+        entry["rms_before"] = res.rms_start
         report["evals_used"] += res.evals_used
         report["converged"] &= res.converged
         entry["rms_after"] = res.rms_error

@@ -48,6 +48,12 @@ PARAM_JSON_KEYS = (*_EP_FIELD_BY_KEY, "eps_L")
 
 # admissibility grid for the constructor check of f_iso' > 0
 _Q_CHECK = np.linspace(0.0, 1.5, 1501)
+# bound, far below the largest double, on each term of f_iso' on that grid
+# and on the factors that make it, in _slope_surely_positive
+_FAR = 1e300
+# largest exponent c_h - 1 of q in f_iso' that _slope_surely_positive
+# takes: 1.5 ** 1700 is about 2.3e299, below _FAR
+_POW_EXP_MAX = 1700.0
 
 
 class ConvergenceError(RuntimeError):
@@ -79,7 +85,10 @@ class ElastoplasticParams:
     verifies that ``f_iso'(q) > 0`` across the working range q in [0, 1.5]
     (sampled at 1e-3), so a strictly hardening response is guaranteed, and
     that ``f_iso``, ``f_iso'`` and ``mu_f^2`` stay finite.  Every field must
-    be finite.
+    be finite.  The slope is decided without the sample grid where
+    :func:`_slope_surely_positive` proves it positive there; every other
+    set is checked on the grid, so the verdict and every message are those
+    of the grid.
     """
 
     mu_f: float
@@ -111,13 +120,14 @@ class ElastoplasticParams:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 # each term of f_iso is largest at q = 1.5
-                f_iso(_Q_CHECK[-1], self)
-                slope = f_iso_prime(_Q_CHECK, self)
+                _f_iso(_Q_CHECK[-1], self)
+                positive = (_slope_surely_positive(self)
+                            or np.all(_f_iso_prime(_Q_CHECK, self) > 0.0))
         except FloatingPointError as exc:
             raise ValueError(
                 "inadmissible hardening: f_iso or f_iso' leaves the range of "
                 f"doubles on q in [0, 1.5] ({exc})") from None
-        if not np.all(slope > 0.0):
+        if not positive:
             raise ValueError(
                 "inadmissible hardening: f_iso'(q) must stay positive on "
                 "q in [0, 1.5]")
@@ -234,24 +244,60 @@ def _f_iso(q, p):
 
 
 def _f_iso_prime(q, p):
-    return (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
+    return (_asinh_slope(q, p)
             + p.B_h * p.b_h / _cosh_sq(p.b_h * q)
             + p.C_h * p.c_h * np.power(q, p.c_h - 1.0))
 
 
-def _f_iso_grad(q, p):
-    """Derivatives of f_iso(q) in its parameters, keyed by JSON name.
+# the asinh term of f_iso', which bounds f_iso' below on the check grid
+# (see _slope_surely_positive)
+def _asinh_slope(q, p):
+    return p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
+
+
+def _slope_surely_positive(p):
+    """True when ``f_iso'`` is finite and positive at every q of
+    ``_Q_CHECK``, shown without evaluating it there; False when that is not
+    shown, whatever the grid holds.  Never raises for a set with finite
+    fields that passes the sign checks of :class:`ElastoplasticParams`.
+
+    ``f_iso' = T_A + T_B + T_C`` with ``T_A = A a / sqrt(1 + (a q)^2)``,
+    and the sign checks make each term >= 0.  ``T_A`` is built from
+    correctly rounded operations only (product, square, sum, square root,
+    quotient), so in floating point it does not increase with q, and the
+    sum rounds to at least ``T_A``.  Hence ``T_A(1.5) > 0``, on the grid's
+    own arithmetic, gives ``f_iso' > 0`` on all of ``[0, 1.5]`` once no
+    step of the grid's evaluation can overflow.  The bounds below ensure
+    that: ``A a``, ``B b``, ``b 1.5`` and ``C c 1.5^(c-1)`` are at most
+    ``_FAR``, ``(a 1.5)^2`` is too, and ``1.5^(c-1)`` is bounded before it
+    is taken.  ``q^(c-1) <= 1.5^(c-1)`` up to round-off, and the three
+    terms then sum to at most ``3 _FAR``, far below the largest double.
+    Underflow, which numpy does not trap by default, is not considered.
+    """
+    A, a, B, b, C, c = (float(v) for v in (p.A_h, p.a_h, p.B_h, p.b_h,
+                                           p.C_h, p.c_h))
+    if not (A * a <= _FAR and B * b <= _FAR and a * 1.5 <= math.sqrt(_FAR)
+            and b * 1.5 <= _FAR and c - 1.0 <= _POW_EXP_MAX):
+        return False
+    return (C * c * 1.5 ** (c - 1.0) <= _FAR
+            and bool(_asinh_slope(_Q_CHECK[-1:], p)[0] > 0.0))
+
+
+def _f_iso_grad(q, p, keys):
+    """Derivatives of f_iso(q) in the hardening parameters ``keys`` (JSON
+    names), keyed by name; each is computed only when asked for.
 
     ``q^c ln q`` is taken as its limit 0 at q = 0 (``c_h >= 1``).
     """
-    qc = np.power(q, p.c_h)
-    return {"tau_y": np.ones_like(q),
-            "A": np.arcsinh(p.a_h * q),
-            "a": p.A_h * q / np.sqrt(1.0 + (p.a_h * q) ** 2),
-            "B": np.tanh(p.b_h * q),
-            "b": p.B_h * q / _cosh_sq(p.b_h * q),
-            "C": qc,
-            "c": p.C_h * qc * np.log(np.where(q > 0.0, q, 1.0))}
+    terms = {"tau_y": lambda: np.ones_like(q),
+             "A": lambda: np.arcsinh(p.a_h * q),
+             "a": lambda: p.A_h * q / np.sqrt(1.0 + (p.a_h * q) ** 2),
+             "B": lambda: np.tanh(p.b_h * q),
+             "b": lambda: p.B_h * q / _cosh_sq(p.b_h * q),
+             "C": lambda: np.power(q, p.c_h),
+             "c": lambda: (p.C_h * np.power(q, p.c_h)
+                           * np.log(np.where(q > 0.0, q, 1.0)))}
+    return {key: terms[key]() for key in keys}
 
 
 def f_iso(q, p):

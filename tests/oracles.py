@@ -3,10 +3,13 @@
 Everything here is built from the math module, plain bisection, and
 central differences; nothing but the manufactured frame state, which
 loads the package's own frame model, the stepped backward-Euler chain,
-which steps the package's own return map, and the trust-region reference
-fit, which runs scipy's optimizer on the package's own model, imports the
-package under test.  Frozen reference values were computed once with the
-bisection solver below and are pinned to 17 significant digits.
+which steps the package's own return map, the trust-region reference
+fit, which runs scipy's optimizer on the package's own model, and the
+calibration-window references, which restate the force and Jacobian
+arithmetic of the package operation by operation on its crosshead rate
+and return map, imports the package under test.  Frozen reference values
+were computed once with the bisection solver below and are pinned to 17
+significant digits.
 """
 
 import math
@@ -16,7 +19,7 @@ import numpy as np
 from wovenshear import calibrate
 from wovenshear.calibrate import DEFAULT_BOUNDS, FitResult
 from wovenshear.fe import _FrameModel
-from wovenshear.kinematics import picture_frame_deformation
+from wovenshear.kinematics import crosshead_rate, picture_frame_deformation
 from wovenshear.material import (ConvergenceError, params_to_dict,
                                  return_map_batch)
 
@@ -365,21 +368,24 @@ def trf_fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
     lb, ub = (np.array([calibrate._encode(key, DEFAULT_BOUNDS[key][i])
                         for key in keys]) for i in (0, 1))
     g, f = calibrate._window(curve, mask)
-    theta = calibrate.gamma_to_theta(g)
+    win = calibrate._window_factors(calibrate.gamma_to_theta(g))
     best = None     # (cost, params, residual, solution) of the iterate
+    rms_start = None
 
     def evaluate(u):
-        nonlocal best
+        nonlocal best, rms_start
         updates = {key: calibrate._decode(key, u[k])
                    for k, key in enumerate(keys)}
         try:
             cand = calibrate.replace_params(initial, updates)
-            forces, sol = calibrate._solve_forces(theta, cand, mu0)
+            forces, sol = calibrate._solve_forces(win, cand, mu0)
         except (ValueError, ConvergenceError):
             if best is None:
                 raise
             return np.full(f.size, np.inf)
         r = forces - f
+        if rms_start is None:
+            rms_start = calibrate._rms(r)
         cost = float(r @ r)
         if best is None or cost < best[0]:
             best = (cost, cand, r, sol)
@@ -389,13 +395,53 @@ def trf_fit(initial, curve, free, max_evals=400, mu0=1.0, mask=None):
         # trf accepts a step exactly when its cost falls below the
         # iterate's, so the best evaluation is the current iterate
         _, cand, _, sol = best
-        return calibrate._force_jacobian(theta, sol, cand, keys, mu0)
+        return calibrate._force_jacobian(win, sol, cand, keys, mu0)
 
     res = least_squares(evaluate, u0, jac=jacobian, bounds=(lb, ub),
                         method="trf", x_scale="jac", ftol=calibrate._FTOL,
                         max_nfev=max_evals)
     _, params, r, _ = best
     return FitResult(
-        params=params, rms_error=float(np.sqrt(np.mean(r ** 2))),
+        params=params, rms_error=calibrate._rms(r), rms_start=rms_start,
         evals_used=res.nfev, converged=res.status > 0,
         identifiability=calibrate._identifiability(jacobian(), keys))
+
+
+def frame_force_ref(tau, theta):
+    """The pull force ``-sin(theta) tau / rate`` with its operations in the
+    order of ``analytic.frame_force``, on the crosshead rate alone, so the
+    two agree bit for bit."""
+    return -np.sin(theta) * tau / crosshead_rate(theta)
+
+
+def force_jacobian_ref(theta, sol, p, keys, mu0):
+    """Exact force Jacobian of a calibration window at the frame angles
+    ``theta``, from the virgin return map ``sol`` there, restated from its
+    implicit-differentiation formulas (see ``calibrate._force_jacobian``)
+    with every hardening gradient written out, in the package's operation
+    order, so the two agree bit for bit."""
+    phi = np.cos(theta)
+    pl = sol.plastic
+    x = sol.q[pl]
+    fp = (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * x) ** 2)
+          + p.B_h * p.b_h / np.cosh(p.b_h * x) ** 2
+          + p.C_h * p.c_h * np.power(x, p.c_h - 1.0))
+    d = p.mu_f + fp
+    xc = np.power(x, p.c_h)
+    grad = {"tau_y": np.ones_like(x),
+            "A": np.arcsinh(p.a_h * x),
+            "a": p.A_h * x / np.sqrt(1.0 + (p.a_h * x) ** 2),
+            "B": np.tanh(p.b_h * x),
+            "b": p.B_h * x / np.cosh(p.b_h * x) ** 2,
+            "C": xc,
+            "c": p.C_h * xc * np.log(np.where(x > 0.0, x, 1.0))}
+    dtau = np.zeros((theta.size, len(keys)))
+    for k, key in enumerate(keys):
+        if key == "mu_f":
+            dtau[:, k] = phi
+            dtau[pl, k] = (phi[pl] - x) * fp / d
+        else:
+            dtau[pl, k] = p.mu_f * grad[key] / d
+        if key in ("a", "b", "c"):
+            dtau[:, k] *= {"a": p.a_h, "b": p.b_h, "c": p.c_h}[key]
+    return frame_force_ref(dtau, theta[:, None]) / mu0

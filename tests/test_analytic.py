@@ -472,9 +472,10 @@ class TestWriteCSV:
 
     # broadcast shapes (S, M) whose rows fill blocks along the first axis
     # and run past them: 1024 points is 8 steps a block, as a 16x16 field
-    # dump; 3 points is 2730 steps a block; a row longer than a block is a
-    # block of its own
-    @given(shape=st.sampled_from([(9, 1024), (2731, 3),
+    # dump, so a (1, M) column is written in 2 and in 3 blocks, the last
+    # one short; 3 points is 2730 steps a block; a row longer than a block
+    # is a block of its own
+    @given(shape=st.sampled_from([(9, 1024), (17, 1024), (2731, 3),
                                   (2, _CSV_BLOCK_ROWS + 5), (5, 1), (1, 7)]),
            layouts=st.lists(st.sampled_from(["steps", "points", "full",
                                              "flat"]),

@@ -7,11 +7,14 @@ least-squares fit (recovery across the elastic/plastic kink, pass-through,
 determinism, rejected candidates, the inadmissible bound face A = B = 0,
 the exact evaluation budget, its argument checks), the exact force
 Jacobian against central differences and its cost of no model
-evaluation, the staged workflow with its window selection, skip logic,
-identifiability report and report totals, its stopping point independent
-of the force normalization mu0, its whole-curve rms against the same
-stages run on scipy's trust-region reflective method, and the synthetic
-data generator.
+evaluation, a fit window's forces and Jacobian, from angle factors made
+once, bit for bit against the model forces and the restated formulas, a
+staged fit's one return-map call per counted evaluation (each stage's
+rms_before is its fit's first evaluation), the staged workflow with its
+window selection, skip logic, identifiability report and report totals,
+its stopping point independent of the force normalization mu0, its
+whole-curve rms against the same stages run on scipy's trust-region
+reflective method, and the synthetic data generator.
 """
 
 import dataclasses
@@ -313,7 +316,8 @@ class TestForceJacobian:
         sol = return_map_batch(np.cos(theta), virgin, virgin, p)
         assert sol.plastic.any()
         assert sol.plastic.all() == (name == "glass_params")
-        jac = calibrate._force_jacobian(theta, sol, p, FIT_KEYS, mu0)
+        jac = calibrate._force_jacobian(calibrate._window_factors(theta),
+                                        sol, p, FIT_KEYS, mu0)
         values = params_to_dict(p)
         for k, key in enumerate(FIT_KEYS):
             u = calibrate._encode(key, values[key])
@@ -352,6 +356,74 @@ class TestForceJacobian:
             assert len(calls) - n == res.evals_used
             start = res.params
         assert len(calls) <= 30
+
+
+# the AC9 curve at noise seed 0 and the AC9 start point
+def ac9_curve_and_start(glass_params):
+    curve = synthetic_curve(glass_params, AC9_GRID, rel_noise=0.01, seed=0)
+    start = replace_params(glass_params, {"A": 8.8 * 1.02,
+                                          "a": 0.0024 * 0.97,
+                                          "C": 1.05, "c": 11.0 * 0.95})
+    return curve, start
+
+
+class TestWindow:
+    @pytest.mark.parametrize("name", ["glass_params", "soft_params"])
+    def test_forces_and_jacobian_bit_for_bit(self, name, request):
+        # the window's angle factors, made once, give the forces of
+        # model_forces and the Jacobian of the formulas restated in the
+        # oracle, bit for bit, in every stage's keys and in all of them
+        p = request.getfixturevalue(name)
+        mu0 = 2.0
+        theta = gamma_to_theta(AC9_GRID)
+        win = calibrate._window_factors(theta)
+        forces, sol = calibrate._solve_forces(win, p, mu0)
+        assert np.array_equal(forces, model_forces(AC9_GRID, p, mu0))
+        assert np.array_equal(forces,
+                              oracles.frame_force_ref(sol.tau, theta) / mu0)
+        for keys in [k for k, _ in calibrate._STAGES.values()] + [FIT_KEYS]:
+            assert np.array_equal(
+                calibrate._force_jacobian(win, sol, p, keys, mu0),
+                oracles.force_jacobian_ref(theta, sol, p, keys, mu0)), keys
+
+    def test_staged_fit_solves_once_per_evaluation(self, glass_params,
+                                                   monkeypatch):
+        # a stage's rms_before is its fit's first evaluation, so a staged
+        # fit makes one return-map call per counted evaluation and one more
+        # for the whole-curve rms
+        curve, start = ac9_curve_and_start(glass_params)
+        solve = calibrate.return_map_batch
+        calls = []
+
+        def counting(phi, phi_p, q, p):
+            calls.append(p)
+            return solve(phi, phi_p, q, p)
+
+        monkeypatch.setattr(calibrate, "return_map_batch", counting)
+        _, report = staged_fit(start, curve, max_evals=300)
+        assert report["converged"]
+        assert len(calls) == report["evals_used"] + 1
+
+    def test_rms_before_is_the_first_evaluation(self, glass_params):
+        # rms_before is the misfit at the stage's start as the fit encodes
+        # and decodes it, which moves the start's own misfit at round-off
+        curve, params = ac9_curve_and_start(glass_params)
+        for stage, (keys, selector) in calibrate._STAGES.items():
+            mask = selector(curve.gamma_deg)
+            values = params_to_dict(params)
+            first = replace_params(params, {
+                key: calibrate._decode(key, calibrate._encode(key,
+                                                              values[key]))
+                for key in keys})
+            start_rms = objective(params, curve, mask=mask)
+            params, report = staged_fit(params, curve, stages=(stage,),
+                                        max_evals=300)
+            entry = report["stages"][0]
+            assert entry["evals"] > 1
+            assert entry["rms_before"] == objective(first, curve, mask=mask)
+            assert entry["rms_before"] == pytest.approx(start_rms,
+                                                        rel=1e-13)
+            assert entry["rms_after"] < entry["rms_before"]
 
 
 class TestStagedFit:

@@ -1,6 +1,8 @@
 """Constitutive kernel tests.
 
-Verifies: hardening-curve values and admissibility, parameter
+Verifies: hardening-curve values and admissibility, the admissibility
+fast path against the check grid (it accepts only sets the grid accepts,
+and the constructor's verdicts and messages are the grid's), parameter
 (de)serialization, the return map ``return_map_batch`` and its slip
 solve against an independent bisection oracle, from a cold and a warm start (with a Newton step that leaves the
 bracket, on a set with mu_f != 1), the algorithmic tangent against
@@ -14,10 +16,12 @@ element kernel itself, in ``test_fe.py``.
 
 import dataclasses
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wovenshear import (
@@ -96,7 +100,8 @@ class TestHardeningCurve:
             warnings.simplefilter("error", RuntimeWarning)
             p = dataclasses.replace(glass_params, b_h=b_h)
             prime = f_iso_prime(q, p)
-            grad = _f_iso_grad(q, p)
+            grad = _f_iso_grad(q, p, ("tau_y", "A", "a", "B", "b",
+                                      "C", "c"))
             prime_end = f_iso_prime(1.5, p)
         saturated = p.b_h * q > 360.0      # where cosh(b q)^2 is inf
         rest = (p.A_h * p.a_h / np.sqrt(1.0 + (p.a_h * q) ** 2)
@@ -201,6 +206,93 @@ class TestParamValidation:
         ep = replace_params(glass_params, {"tau_y": 0.5, "c": 12.0})
         assert ep.tau_y == 0.5 and ep.c_h == 12.0
         assert ep.mu_f == glass_params.mu_f
+
+
+_MAX = np.finfo(float).max
+# factors a, b and coefficients A, B, C at the edges of the fast path's
+# bounds (_FAR = 1e300 on A a, B b, b 1.5 and C c 1.5^(c-1), 1e150 on
+# a 1.5), of the square of a 1.5, and of the doubles
+_FACTORS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1.0, 1.2, 6.6e149, 6.7e149, 9.3e153,
+                     6.6e299, 6.7e299, 1.2e308, _MAX]),
+    st.floats(5e-324, _MAX))
+_COEFFS = st.one_of(st.just(0.0), _FACTORS)
+# c = 1, and c - 1 about the fast path's bound 1700 and where 1.5^(c-1)
+# and 1.5^c overflow (c - 1 = 1750.6)
+_EXPONENTS = st.one_of(
+    st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1700.0, 1701.0, 1702.0,
+                     1750.0, 1751.0, 1751.5, 1752.0, 1800.0]),
+    st.floats(1.0, 2000.0))
+
+# hardening sets at the edges above, as (A, a, B, b, C, c)
+_EDGE_SETS = [
+    (0.0, 1.0, 0.01, 55.0, 0.7, 5.0),      # A = 0
+    (1e-200, 1e-200, 0.0, 1.0, 0.7, 1.0),  # A a underflows to 0; c = 1
+    # T_A(0) > 0 but T_A(1.5) rounds to 0, and f_iso'(1.5) = 0
+    (5e-324, 1.2, 0.0, 1.0, 0.0, 2.0),
+    (1.0, 9.3e153, 0.0, 1.0, 0.0, 2.0),    # (a 1.5)^2 overflows
+    (1.0, 6.6e149, 0.0, 1.0, 0.0, 2.0),    # a 1.5 just inside 1e150
+    (1.0, 1.0, 1.0, 1.2e308, 0.0, 2.0),    # b 1.5 overflows
+    (1e306, 1e-6, 1e306, 1e3, 0.0, 2.0),   # B b overflows, cosh too
+    (_MAX, 1.0, 1e300, 1.0, 0.0, 2.0),     # A a + B b overflows
+    (1.0, 1.0, 0.0, 1.0, 0.0, 1751.0),     # 1.5^(c-1) near overflow
+    (1.0, 1.0, 0.0, 1.0, 0.0, 1752.0),     # 1.5^(c-1) overflows
+    (1.0, 1.0, 0.0, 1.0, 1e-300, 1701.0),  # C c 1.5^(c-1) small, c large
+    (1.0, 1.0, 0.0, 1.0, 1e299 / 5.0625, 5.0),   # C c 1.5^4 about _FAR
+    (1.0, 1.0, 0.0, 1.0, 1e307, 5.0),      # C c 1.5^(c-1) overflows
+]
+
+
+def _with_edge_sets(test):
+    for A, a, B, b, C, c in _EDGE_SETS:
+        test = example(A=A, a=a, B=B, b=b, C=C, c=c)(test)
+    return test
+
+
+class TestAdmissibilityFastPath:
+    @given(A=_COEFFS, a=_FACTORS, B=_COEFFS, b=_FACTORS, C=_COEFFS,
+           c=_EXPONENTS)
+    @_with_edge_sets
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_only_what_the_grid_accepts(self, A, a, B, b, C, c):
+        # wherever the fast path accepts a hardening set, without raising,
+        # f_iso' on the check grid is finite and positive, with no
+        # overflow, division by zero or invalid operation; the set need
+        # not pass the constructor's other checks
+        p = SimpleNamespace(tau_y=0.0, A_h=A, a_h=a, B_h=B, b_h=b, C_h=C,
+                            c_h=c)
+        if material._slope_surely_positive(p):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                slope = material._f_iso_prime(material._Q_CHECK, p)
+            assert np.all(slope > 0.0)
+
+    @given(A=_COEFFS, a=_FACTORS, B=_COEFFS, b=_FACTORS, C=_COEFFS,
+           c=_EXPONENTS)
+    @_with_edge_sets
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_verdict_is_the_grids(self, A, a, B, b, C, c):
+        # the constructor accepts a set, or rejects it with its message,
+        # exactly as it does when every set is checked on the grid
+        def outcome():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    return ElastoplasticParams(mu_f=1.0, tau_y=0.0, A_h=A,
+                                               a_h=a, B_h=B, b_h=b, C_h=C,
+                                               c_h=c)
+                except ValueError as exc:
+                    return str(exc)
+
+        fast = outcome()
+        with mock.patch.object(material, "_slope_surely_positive",
+                               lambda p: False):
+            assert outcome() == fast
+
+    @pytest.mark.parametrize("name", ["glass_params", "soft_params",
+                                      "demo_params", "locking_params"])
+    def test_taken_on_the_working_sets(self, name, request):
+        # the calibrated and demonstration sets skip the grid
+        assert material._slope_surely_positive(request.getfixturevalue(name))
 
 
 class TestReturnMap:
