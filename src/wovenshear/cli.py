@@ -7,7 +7,8 @@ and writes CSV/JSON outputs with full double precision into an output
 directory; every usage error comes before that directory is made.
 Angles at this boundary are shear angles gamma in degrees (the figure
 convention); the material-point command drives the angle cosine directly.
-All commands are deterministic; re-runs produce byte-identical files.
+All commands are deterministic; re-runs on the same host and numpy build
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def _check_frame_steps(program, steps_per_degree, mesh=None):
         raise click.UsageError(
             f"program takes {float(total):.17g} steps at steps-per-degree = "
             f"{steps_per_degree!r}; at most {_MAX_STEPS} are solved")
-    # an int product: a mesh of any size is compared exactly
-    if mesh is not None and (total + 1) * mesh**2 * 4 > (_MAX_STEPS + 1) * 4:
+    # an exact int product; both sides count elements, of 4 Gauss points each
+    if mesh is not None and (total + 1) * mesh**2 > _MAX_STEPS + 1:
         raise click.UsageError(
             f"a {mesh}x{mesh} mesh over {total} steps records more than "
             f"the {(_MAX_STEPS + 1) * 4} Gauss-point states a run may hold")

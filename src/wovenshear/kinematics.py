@@ -7,10 +7,11 @@ fibers ``L_I``, in Voigt order.  Its stretches, the angle cosine
 derivatives by ``C`` make one batched kernel, which the membrane elements
 evaluate at every Gauss point.  All angle measures are cosines, not
 radians, so the shear variable phi = theta12 - Theta12 is a difference of
-cosines; :func:`angle_split` splits it through intermediate metrics.  The
-picture-frame helpers map the frame opening angle theta (radians between
-the fiber families) to the homogeneous deformation a square fabric patch
-experiences in the rig.
+cosines, and its elastic/plastic split is the additive difference
+``phi_e = phi - phi_p`` that :func:`~wovenshear.material.return_map_batch`
+takes.  The picture-frame helpers map the frame opening angle theta
+(radians between the fiber families) to the homogeneous deformation a
+square fabric patch experiences in the rig.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DegenerateFiberError",
-    "angle_split",
     "picture_frame_deformation",
     "picture_frame_dF_dtheta",
     "crosshead_rate",
@@ -28,10 +27,6 @@ __all__ = [
     "FRAME_FIBER_1",
     "FRAME_FIBER_2",
 ]
-
-
-class DegenerateFiberError(ValueError):
-    """Raised when the two fiber families are (numerically) parallel."""
 
 
 def _angle_gradient(C):
@@ -60,48 +55,6 @@ def _angle_hessian(C, gamma):
     return Gamma
 
 
-def angle_split(A, a, L, Theta12, phi_p):
-    """Elastic/plastic split of the angle change via intermediate metrics.
-
-    ``A`` and ``a`` (2, 2) are the reference and current metrics, the rows
-    of ``L`` (2, 2) the reference fibers, unit against ``A`` at the
-    reference cosine ``Theta12``, and ``phi_p`` the plastic angle.
-    ``a_bar`` reproduces the current fiber cosine at unit stretch (it is
-    the fiber-length-preserving part of the current metric); ``a_hat``
-    additionally replaces the fiber angle by its plastically rotated value
-    ``Theta12 + phi_p``.  Both are assembled on the dual fiber basis.
-    ``phi``, ``phi_e`` and ``phi_p`` are the contractions of the metric
-    differences with the primal fiber dyad ``L1 (x) L2``;
-    ``phi = phi_e + phi_p`` holds exactly because the three differences
-    telescope.  Returns ``(phi, phi_e, phi_p, a_bar, a_hat)``.
-
-    Raises
-    ------
-    DegenerateFiberError
-        If the reference fiber metric is singular (parallel families).
-    """
-    Theta_IJ = L @ A @ L.T                    # reference fiber metric
-    det = Theta_IJ[0, 0] * Theta_IJ[1, 1] - Theta_IJ[0, 1] * Theta_IJ[1, 0]
-    if abs(det) < 1e-10:
-        raise DegenerateFiberError(
-            f"fiber metric is singular (det = {det:.3e}); families are parallel"
-        )
-    # covariant components of the dual fiber basis
-    Lsup_cov = np.linalg.inv(Theta_IJ) @ L @ A
-    C = L @ a @ L.T
-    theta12 = _angle_gradient(np.array([C[0, 0], C[1, 1], C[0, 1]]))[1]
-
-    def on_dual_basis(cos12):
-        return Lsup_cov.T @ np.array([[1.0, cos12], [cos12, 1.0]]) @ Lsup_cov
-
-    a_bar = on_dual_basis(theta12)
-    a_hat = on_dual_basis(Theta12 + phi_p)
-    L12 = np.outer(L[0], L[1])
-    return (float(np.sum(L12 * (a_bar - A))),
-            float(np.sum(L12 * (a_bar - a_hat))),
-            float(np.sum(L12 * (a_hat - A))), a_bar, a_hat)
-
-
 # --- picture-frame rig -----------------------------------------------------
 
 FRAME_FIBER_1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -117,6 +70,16 @@ def _check_theta(theta):
         )
 
 
+def _frame_entries(theta):
+    """``sqrt(2) cos phi_m`` and ``sqrt(2) sin phi_m``, ``phi_m = (pi -
+    theta) / 2``: the diagonal of the frame map at ``theta``, checked once.
+    Broadcasts over ``theta``."""
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(theta)
+    phi_m = 0.5 * (np.pi - theta)
+    return np.sqrt(2.0) * np.cos(phi_m), np.sqrt(2.0) * np.sin(phi_m)
+
+
 def picture_frame_deformation(theta):
     """Homogeneous deformation gradient of the frame at opening angle theta.
 
@@ -125,22 +88,15 @@ def picture_frame_deformation(theta):
     horizontal one, giving a diagonal gradient that preserves the diagonal
     fiber lengths exactly.
     """
-    _check_theta(theta)
-    phi_m = 0.5 * (np.pi - theta)
-    return np.array([
-        [np.sqrt(2.0) * np.cos(phi_m), 0.0],
-        [0.0, np.sqrt(2.0) * np.sin(phi_m)],
-    ])
+    c, s = _frame_entries(theta)
+    return np.array([[c, 0.0], [0.0, s]])
 
 
 def picture_frame_dF_dtheta(theta):
-    """Derivative of the frame deformation gradient with respect to theta."""
-    _check_theta(theta)
-    phi_m = 0.5 * (np.pi - theta)
-    return np.array([
-        [np.sqrt(2.0) * 0.5 * np.sin(phi_m), 0.0],
-        [0.0, -np.sqrt(2.0) * 0.5 * np.cos(phi_m)],
-    ])
+    """Derivative of the frame deformation gradient with respect to theta:
+    the entries of :func:`picture_frame_deformation` times ``+-0.5``."""
+    c, s = _frame_entries(theta)
+    return np.array([[0.5 * s, 0.0], [0.0, -0.5 * c]])
 
 
 def crosshead_rate(theta):
@@ -151,17 +107,16 @@ def crosshead_rate(theta):
     in the working range.  Broadcasts over ``theta``.
 
     The corner map applied to the pull-axis corner (0, sqrt(2)) has only
-    the second component nonzero, so ``x . v / |x|`` is written with the
+    the second component nonzero, so ``x . v / |x|`` is taken on the
     entries of :func:`picture_frame_deformation` and
-    :func:`picture_frame_dF_dtheta` in the same order as the matrix
-    products; this reproduces them bit for bit, where the closed form
-    ``-cos((pi - theta) / 2)`` differs in the last digit on many angles.
+    :func:`picture_frame_dF_dtheta`; this reproduces the matrix products
+    bit for bit, where the closed form ``-cos((pi - theta) / 2)`` differs
+    in the last digit on many angles.
     """
-    _check_theta(theta)
-    phi_m = 0.5 * (np.pi - np.asarray(theta, dtype=float))
+    c, s = _frame_entries(theta)
     corner = np.sqrt(2.0)
-    x2 = np.sqrt(2.0) * np.sin(phi_m) * corner
-    v2 = -np.sqrt(2.0) * 0.5 * np.cos(phi_m) * corner
+    x2 = s * corner
+    v2 = -0.5 * c * corner
     return x2 * v2 / np.abs(x2)
 
 

@@ -300,6 +300,8 @@ def _f_iso_grad(q, p, keys):
     return {key: terms[key]() for key in keys}
 
 
+# the checked public form of the hardening curve and its slope, for outside
+# callers; the package calls the unchecked bodies once it has checked q
 def f_iso(q, p):
     """Isotropic hardening stress at hardening variable q >= 0."""
     _check_q(q)

@@ -99,6 +99,48 @@ def virgin_stress(phi, p):
     return np.sign(phi) * p.mu_f * (a - x)
 
 
+def cyclic_reference(path, p):
+    """Backward-Euler chain of one material point along the angle-change
+    ``path`` from the virgin state, one step a row, on the math module
+    alone.  Each step takes its trial stress from the committed plastic
+    angle and is elastic while ``|tau| <= f_iso(q)``; otherwise the slip
+    ``x`` of ``|t| - mu_f x - f_iso(q + x) = 0`` is bisected on
+    ``(0, |t| / mu_f]``.  The history is the exactly rounded sum of the
+    slips (``math.fsum``), so that its round-off does not grow with the
+    step count.  Reads the fields of ``p`` and imports nothing of the
+    package.  Returns the rows ``(tau, phi_p, q)``."""
+    hard = (p.tau_y, p.A_h, p.a_h, p.B_h, p.b_h, p.C_h, p.c_h)
+    mu = p.mu_f
+    phi_p = q = 0.0
+    slips, signed, rows = [], [], []
+    for phi in map(float, path):
+        phi_e = phi - phi_p
+        t = abs(mu * phi_e)
+        if t > f_iso_ref(q, *hard):
+            x = bisect_root(
+                lambda x, t=t, q=q: t - mu * x - f_iso_ref(q + x, *hard),
+                0.0, t / mu)
+            slips.append(x)
+            signed.append(math.copysign(x, phi_e))
+            phi_e -= signed[-1]
+            phi_p, q = math.fsum(signed), math.fsum(slips)
+        rows.append((mu * phi_e, phi_p, q))
+    return rows
+
+
+def frame_map_ref(theta):
+    """The frame deformation gradient and its derivative by ``theta`` at one
+    angle, each entry written out in the operation order that
+    ``kinematics.picture_frame_deformation`` and
+    ``kinematics.picture_frame_dF_dtheta`` reproduce bit for bit."""
+    phi_m = 0.5 * (np.pi - theta)
+    F = np.array([[np.sqrt(2.0) * np.cos(phi_m), 0.0],
+                  [0.0, np.sqrt(2.0) * np.sin(phi_m)]])
+    dF = np.array([[np.sqrt(2.0) * 0.5 * np.sin(phi_m), 0.0],
+                   [0.0, -np.sqrt(2.0) * 0.5 * np.cos(phi_m)]])
+    return F, dF
+
+
 def flag_onset(flag, lo, hi):
     """Largest double in ``[lo, hi)`` where the predicate ``flag`` is
     false, by bisection to adjacent doubles, given ``flag(lo)`` false,

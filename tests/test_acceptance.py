@@ -14,8 +14,8 @@ summary) with the measured figure behind the verdict:
  5. Hardening slope stays positive over q in [0, 1.5] for both standard
     parameter sets.
  6. The cosine's Hessian by the fiber metric matches finite differences
-    of its gradient; the angle split reproduces the direct cosine
-    measures and is additive.
+    of its gradient; the return map splits the kernel's cosine change
+    additively into its elastic and plastic parts.
  7. The frame deformation preserves fiber lengths and maps the angle
     cosine to cos(theta) across the whole domain, at every Gauss point of
     the FE element kernel.
@@ -41,7 +41,7 @@ from wovenshear.fe import (Mesh, _FrameModel, solve_picture_frame,
                           verify_against_analytic)
 from wovenshear.kinematics import (FRAME_FIBER_1, FRAME_FIBER_2,
                                    _angle_gradient, _angle_hessian,
-                                   angle_split, picture_frame_deformation)
+                                   picture_frame_deformation)
 from wovenshear.material import (ElastoplasticParams, drive_angle_path, f_iso,
                                  f_iso_prime, params_to_dict, replace_params,
                                  return_map_batch)
@@ -174,39 +174,37 @@ def test_criterion_05_hardening_slope_positive(glass_params, soft_params):
                           f"{m_glass:.3e}, soft set {m_soft:.3e} (> 0)")
 
 
-def test_criterion_06_structural_tensor_and_split():
-    """Cosine Hessian vs FD; split vs direct measures; additivity."""
+def test_criterion_06_structural_tensor_and_split(demo_params):
+    """Cosine Hessian vs FD; the return map's split is additive."""
     with acceptance_log.criterion(6) as info:
         rng = np.random.default_rng(20240806)
         L = np.stack([FRAME_FIBER_1, FRAME_FIBER_2])
         h = 1e-7
         dC = h * np.eye(3)
 
-        worst_fd = worst_direct = worst_add = 0.0
-        for _ in range(100):
+        worst_fd = 0.0
+        theta12 = np.empty(100)
+        for k in range(100):
             a = oracles.random_spd(rng)
             C = oracles.fiber_metric(a, L)
-            _, theta12, gamma = _angle_gradient(C)
+            _, theta12[k], gamma = _angle_gradient(C)
             Gamma = _angle_hessian(C, gamma)
             # column j: central difference of gamma along C_j
             fd = (_angle_gradient(C[:, None] + dC)[2]
                   - _angle_gradient(C[:, None] - dC)[2]) / (2.0 * h)
             scale = np.abs(Gamma).max()
             worst_fd = max(worst_fd, np.abs(fd - Gamma).max() / scale)
-            phi_p = rng.uniform(-0.4, 0.4)
-            # the frame fibers are orthogonal in the identity reference
-            phi, phi_e, split_p, _, _ = angle_split(np.eye(2), a, L, 0.0,
-                                                    phi_p)
-            worst_direct = max(worst_direct, abs(phi - theta12),
-                               abs(phi_e - (theta12 - phi_p)))
-            worst_add = max(worst_add, abs(phi - (phi_e + split_p)))
+        # the frame fibers in the identity reference, whose cosine is 0
+        Theta12 = _angle_gradient(oracles.fiber_metric(np.eye(2), L))[1]
+        out = return_map_batch(theta12 - Theta12, rng.uniform(-0.4, 0.4, 100),
+                               rng.uniform(0.0, 0.5, 100), demo_params)
+        worst_add = np.abs(out.phi_e + out.phi_p - (theta12 - Theta12)).max()
         assert worst_fd <= 1e-6
-        assert worst_direct <= 1e-12
         assert worst_add <= 1e-14
         info["detail"] = (
-            f"100 random metrics: Hessian vs FD {worst_fd:.1e} (1e-6), "
-            f"split vs direct {worst_direct:.1e} (1e-12), additivity "
-            f"{worst_add:.1e} (1e-14)")
+            f"100 random metrics: Hessian vs FD {worst_fd:.1e} (1e-6); "
+            f"return map phi_e + phi_p vs theta12 - Theta12 {worst_add:.1e} "
+            f"(1e-14), {int(out.plastic.sum())} of 100 points plastic")
 
 
 def test_criterion_07_frame_kinematics(demo_params):

@@ -6,13 +6,16 @@ return-map batch of interval points against the one-point solve bit for
 bit, exact interval chaining (splitting a monotone leg anywhere changes
 nothing), the pull-force formula, curve generation over multi-leg
 programs, legs that load in the same direction against the virgin
-bisection and the stepped chain, a slip failure's leg and step in a
+bisection and the stepped chain, programs of 2-5 legs through
+``run_program`` and the ``material-point`` command against a backward-Euler
+reference on the math module alone, a slip failure's leg and step in a
 program, CSV round trips, the CSV writer against numpy's on 1-D and on broadcast
 columns, and the CSV reader against the writer bit for bit.
 """
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +35,9 @@ from wovenshear import (
     return_map_batch,
     run_program,
 )
-from wovenshear import material
+from wovenshear import material, save_params
 from wovenshear.analytic import _CSV_BLOCK_ROWS, _read_csv, _write_csv
+from wovenshear.cli import main
 
 import oracles
 
@@ -364,6 +368,37 @@ class TestRunProgram:
                                                    True]))
         virgin = oracles.virgin_stress(c.theta12[monotone], p)
         assert np.abs(c.tau[monotone] - virgin).max() <= 1e-13 * scale
+
+    @given(targets=st.lists(st.integers(10, 600), min_size=2, max_size=5,
+                            unique=True).map(lambda g: [v / 10 for v in g]),
+           which=st.sampled_from(["demo", "soft", "glass"]))
+    @settings(max_examples=30, deadline=None)
+    def test_cyclic_programs_match_reference(self, targets, which,
+                                             demo_params, soft_params,
+                                             glass_params, tmp_path_factory):
+        # 2-5 legs, most of which turn, through the package's closed form
+        # and the material-point command, against the backward-Euler
+        # reference of the math module, one step a row
+        p = {"demo": demo_params, "soft": soft_params,
+             "glass": glass_params}[which]
+        c = run_program(LoadProgram.from_gamma_degrees(targets), p)
+        out = tmp_path_factory.mktemp("material")
+        ps = out / "params.json"
+        save_params(ps, p)
+        program = ",".join(repr(float(np.sin(np.deg2rad(g))))
+                           for g in targets)
+        result = CliRunner().invoke(main, [
+            "material-point", "--params", str(ps), "--program", program,
+            "--dphi", "0.01", "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        phi, tau, _, phi_p, q = _read_csv(out / "material_point.csv",
+                                          "phi,tau,phi_e,phi_p,q")
+        for path, got in ((c.theta12, (c.tau, c.phi_p, c.q)),
+                          (phi, (tau, phi_p, q))):
+            ref = np.array(oracles.cyclic_reference(path, p)).T
+            for col, want in zip(got, ref):
+                assert (np.abs(col - want).max()
+                        <= 1e-13 * np.abs(want).max())
 
     def test_angle_split_columns(self, demo_params, cycle_program):
         c = run_program(cycle_program, demo_params)

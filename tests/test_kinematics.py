@@ -3,9 +3,9 @@
 Verifies: the fiber-metric kernel (``_angle_gradient`` and
 ``_angle_hessian``) against a plain Cartesian embedding, its stretches as
 the normalization of a reference fiber pair, its gradient and Hessian by
-the metric in their chart forms against central differences, the
-elastic/plastic angle split identities, and the picture-frame map
-(length preservation, angle cosine, crosshead travel and rate).
+the metric in their chart forms against central differences, and the
+picture-frame map (its entries bit for bit, length preservation, angle
+cosine, crosshead travel and rate).
 """
 
 import numpy as np
@@ -14,10 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wovenshear import (
-    DegenerateFiberError,
     FRAME_FIBER_1,
     FRAME_FIBER_2,
-    angle_split,
     crosshead_rate,
     gamma_to_theta,
     picture_frame_deformation,
@@ -61,11 +59,6 @@ class TestRefFiberPair:
         assert L[0] @ A @ L[0] == pytest.approx(1.0, rel=1e-15)
         assert L[1] @ A @ L[1] == pytest.approx(1.0, rel=1e-15)
         assert Theta12 == pytest.approx(L[0] @ A @ L[1], rel=1e-15)
-
-    def test_rejects_parallel(self):
-        with pytest.raises(DegenerateFiberError):
-            angle_split(np.eye(2), np.eye(2),
-                        np.array([[1.0, 0.0], [2.0, 0.0]]), 0.0, 0.0)
 
 
 class TestPushForward:
@@ -158,54 +151,6 @@ class TestStructuralTensors:
         assert np.abs(g12 - g12.T).max() == 0.0
 
 
-class TestAngleSplit:
-    """``angle_split`` over the identity reference and the frame fibers,
-    whose reference cosine is 0."""
-
-    @given(phi_p=st.floats(-0.5, 0.5),
-           seed=st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=60, deadline=None)
-    def test_additivity(self, phi_p, seed):
-        """phi = phi_e + phi_p holds to 1e-14 for random states."""
-        a = oracles.random_spd(np.random.default_rng(seed))
-        phi, phi_e, phi_p, _, _ = angle_split(np.eye(2), a, FRAME_L, 0.0,
-                                              phi_p)
-        assert abs(phi - (phi_e + phi_p)) <= 1e-14
-
-    def test_matches_direct_definitions(self, rng):
-        # the split reproduces the plain cosine differences
-        for _ in range(20):
-            a = oracles.random_spd(rng)
-            phi_p = rng.uniform(-0.4, 0.4)
-            theta12 = kernel(a)[1]
-            phi, phi_e, split_p, _, _ = angle_split(np.eye(2), a, FRAME_L,
-                                                    0.0, phi_p)
-            assert abs(phi - theta12) <= 1e-12
-            assert abs(split_p - phi_p) <= 1e-12
-            assert abs(phi_e - (theta12 - phi_p)) <= 1e-12
-
-    def test_intermediate_metric_preserves_lengths(self, rng):
-        # a_bar keeps unit fiber stretch while reproducing the current cosine
-        a = oracles.random_spd(rng)
-        _, _, _, a_bar, a_hat = angle_split(np.eye(2), a, FRAME_L, 0.0, 0.1)
-        lam_bar, theta12_bar, _, _ = kernel(a_bar)
-        assert lam_bar[0] == pytest.approx(1.0, abs=1e-13)
-        assert lam_bar[1] == pytest.approx(1.0, abs=1e-13)
-        assert theta12_bar == pytest.approx(kernel(a)[1], abs=1e-13)
-        assert kernel(a_hat)[1] == pytest.approx(0.1, abs=1e-13)
-
-    def test_zero_plastic_angle_is_all_elastic(self, rng):
-        phi, phi_e, phi_p, _, _ = angle_split(
-            np.eye(2), oracles.random_spd(rng), FRAME_L, 0.0, 0.0)
-        assert phi_p == pytest.approx(0.0, abs=1e-14)
-        assert phi_e == pytest.approx(phi, abs=1e-14)
-
-    def test_degenerate_pair_raises(self):
-        L = np.array([[1.0, 0.0], [1.0, 1e-8]])
-        with pytest.raises(DegenerateFiberError):
-            angle_split(np.eye(2), np.eye(2), L, 1.0 - 1e-9, 0.0)
-
-
 class TestPictureFrame:
     def test_square_state_is_identity(self):
         F = picture_frame_deformation(np.pi / 2.0)
@@ -251,6 +196,18 @@ class TestPictureFrame:
             v = picture_frame_dF_dtheta(th) @ corner
             expect.append(x @ v / np.linalg.norm(x))
         assert np.array_equal(crosshead_rate(theta), expect)
+
+    def test_map_entries_bit_for_bit(self):
+        # the matrices of the written-out entries, at 10^4 angles and at
+        # the square state and just past it, inside the domain's slack
+        u = np.linspace(0.0, 1.0, 10_000)
+        theta = np.r_[1e-3 + (np.pi / 2.0 - 1e-3) * u ** 1.5,
+                      np.pi / 2.0, np.pi / 2.0 + 5e-13]
+        got = [np.stack([picture_frame_deformation(th),
+                         picture_frame_dF_dtheta(th)]) for th in theta]
+        want = [np.stack(oracles.frame_map_ref(th)) for th in theta]
+        assert (np.array(got).view(np.int64)
+                == np.array(want).view(np.int64)).all()
 
     def test_deformation_derivative(self):
         for th in (0.5, 1.0, 1.4):
